@@ -20,7 +20,6 @@ derivability of the goal.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
@@ -31,15 +30,15 @@ from .chc import (
     Atom,
     ChcError,
     Program,
-    build_pdg,
     canonical_arg_names,
     format_atom,
 )
 from .polydom import Polyhedron, format_polyhedron
 from .thresholds import (
-    Interpretation,
     ThresholdSet,
     bottom_interpretation,
+    maximal,
+    subsumed_by,
     tp_step,
 )
 
@@ -139,13 +138,7 @@ def analyze(
     order = {p: i for i, p in enumerate(preds)}
     dims = {p: canonical_arg_names(n) for p, n in program.arities.items()}
     clauses_of = {p: program.clauses_for(p) for p in preds}
-
-    pdg = build_pdg(program)
-    succs: dict[str, list[str]] = {p: [] for p in preds}
-    for c in program.clauses:
-        for b in c.body:
-            if b.pred not in succs[c.head.pred]:
-                succs[c.head.pred].append(b.pred)
+    succs = program.succs
 
     values: dict[str, Polyhedron] = {p: Polyhedron.empty(dims[p]) for p in preds}
     update_count = {p: 0 for p in preds}
@@ -173,9 +166,7 @@ def analyze(
 
     for comp in _sccs(preds, succs):
         members = sorted(comp, key=order.__getitem__)
-        cyclic = len(members) > 1 or any(
-            (p, p) in pdg.edges for p in members
-        )
+        cyclic = len(members) > 1 or any(p in succs[p] for p in members)
         while True:
             passes += 1
             changed = False
@@ -230,37 +221,6 @@ class BudgetExceeded(ChcError):
     """Concrete evaluation grew past its fact budget."""
 
 
-def _compress(interp: Interpretation) -> Interpretation:
-    """Drop facts whose tuples are covered by another single fact."""
-    out: Interpretation = {}
-    for p, facts in interp.items():
-        kept: list = []
-        for i, f in enumerate(facts):
-            subsumed = False
-            for j, g in enumerate(facts):
-                if i == j:
-                    continue
-                if lincon.entails_all(f.conjuncts, g.conjuncts):
-                    # Break ties (mutual entailment) by keeping the earlier.
-                    if j < i or not lincon.entails_all(g.conjuncts, f.conjuncts):
-                        subsumed = True
-                        break
-            if not subsumed:
-                kept.append(f)
-        out[p] = tuple(kept)
-    return out
-
-
-def _covered(new: Interpretation, old: Interpretation) -> bool:
-    for p, facts in new.items():
-        for f in facts:
-            if not any(
-                lincon.entails_all(f.conjuncts, g.conjuncts) for g in old.get(p, ())
-            ):
-                return False
-    return True
-
-
 def bounded_concrete_eval(
     program: Program,
     goal_pred: str = FALSE_PRED,
@@ -277,7 +237,7 @@ def bounded_concrete_eval(
     """
     interp = bottom_interpretation(program)
     for round_no in range(1, depth + 1):
-        nxt = _compress(tp_step(program, interp))
+        nxt = {p: tuple(maximal(fs)) for p, fs in tp_step(program, interp).items()}
         if nxt.get(goal_pred):
             return BoundedResult(True, False, round_no)
         if max_facts is not None:
@@ -286,7 +246,9 @@ def bounded_concrete_eval(
                 raise BudgetExceeded(
                     f"round {round_no} holds {total} facts (budget {max_facts})"
                 )
-        if _covered(nxt, interp):
+        if all(
+            subsumed_by(f, interp[p]) for p, facts in nxt.items() for f in facts
+        ):
             return BoundedResult(False, True, round_no)
         interp = nxt
     return BoundedResult(False, False, depth)

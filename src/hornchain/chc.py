@@ -11,6 +11,7 @@ All values here are immutable and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -192,13 +193,8 @@ class AtomicConstraint:
             return FALSUM if self.is_trivially_false() else VERUM
         denoms = [c.denominator for _, c in expr.coeffs] + [expr.const.denominator]
         nums = [c.numerator for _, c in expr.coeffs] + [expr.const.numerator]
-        lcm = 1
-        for d in denoms:
-            lcm = lcm * d // _gcd(lcm, d)
-        ints = [n * lcm // d for n, d in zip(nums, denoms)]
-        g = 0
-        for n in ints:
-            g = _gcd(g, abs(n))
+        lcm = math.lcm(*denoms)
+        g = math.gcd(*(n * lcm // d for n, d in zip(nums, denoms)))
         k = Fraction(lcm, g)
         expr = expr.scale(k)
         rel = self.rel
@@ -209,12 +205,6 @@ class AtomicConstraint:
     def sort_key(self) -> tuple:
         e = self.expr
         return (e.vars(), tuple(-c for _, c in e.coeffs), self.rel.value, e.const)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # Canonical representatives of trivial truth and falsity.
@@ -321,13 +311,20 @@ class Clause:
 
 @dataclass(frozen=True)
 class Program:
-    """Ordered clause list plus the derived predicate arity table."""
+    """Ordered clause list plus the derived predicate tables.
+
+    ``arities`` maps each predicate to its arity and ``succs`` to the
+    predicates its clause bodies call (the dependency graph's successors),
+    both in first-appearance order and without duplicates.
+    """
 
     clauses: tuple[Clause, ...]
     arities: dict[str, int] = field(init=False, hash=False, compare=False)
+    succs: dict[str, tuple[str, ...]] = field(init=False, hash=False, compare=False)
 
     def __post_init__(self) -> None:
         arities: dict[str, int] = {}
+        succs: dict[str, dict[str, None]] = {}
         for c in self.clauses:
             for atom in (c.head, *c.body):
                 known = arities.setdefault(atom.pred, atom.arity)
@@ -335,11 +332,14 @@ class Program:
                     raise ArityError(
                         f"predicate {atom.pred} used with arities {known} and {atom.arity}"
                     )
+                succs.setdefault(atom.pred, {})
+            succs[c.head.pred].update(dict.fromkeys(b.pred for b in c.body))
             if any(b.pred == FALSE_PRED for b in c.body):
                 raise ChcError(f"{FALSE_PRED} must not appear in a clause body")
             if len(set(c.head.args)) != len(c.head.args):
                 raise ChcError(f"head arguments of {c.head.pred} are not distinct")
         object.__setattr__(self, "arities", arities)
+        object.__setattr__(self, "succs", {p: tuple(qs) for p, qs in succs.items()})
 
     def preds(self) -> tuple[str, ...]:
         return tuple(self.arities)
@@ -451,12 +451,8 @@ def build_pdg(program: Program) -> PredDepGraph:
     left to right; an edge (p, q) is backward iff q is on the DFS stack when
     the edge is examined.
     """
-    succs: dict[str, list[str]] = {p: [] for p in program.preds()}
-    edges: set[tuple[str, str]] = set()
-    for c in program.clauses:
-        for b in c.body:
-            succs[c.head.pred].append(b.pred)
-            edges.add((c.head.pred, b.pred))
+    succs = program.succs
+    edges = {(p, q) for p, qs in succs.items() for q in qs}
 
     backward: set[tuple[str, str]] = set()
     visited: set[str] = set()

@@ -314,33 +314,33 @@ def normalize(conjuncts: Iterable[AtomicConstraint]) -> tuple[AtomicConstraint, 
     return tuple(sorted(set(merged), key=AtomicConstraint.sort_key))
 
 
-def _rref(eqs: list[LinExpr]) -> list[LinExpr] | None:
-    """Row-reduce equalities, pivoting each row on its LAST variable.
+def row_reduce(
+    rows: Iterable[Sequence[Fraction]],
+) -> tuple[list[tuple[Fraction, ...]], list[int]]:
+    """Reduced row echelon form: the nonzero rows and their pivot columns.
 
-    Pivot variables end up pairwise distinct and absent from every other
-    row, so substituting them away is well defined.  Pivoting on the last
-    variable keeps constraints expressed over the earliest variables, which
-    reads naturally after substitution into the inequalities.  None signals
-    a ground contradiction (e.g. 0 = 1).
+    Each pivot is the first nonzero entry of its row and is zero in every
+    other row.  The rows span the same space as the input; up to scaling,
+    they are the unique reduced basis for this column order.
     """
-    rows: list[LinExpr] = []
-    for e in eqs:
-        for r in rows:
-            c = e.coeff(r.vars()[-1])
-            if c != 0:
-                e = e - r.scale(c / r.coeff(r.vars()[-1]))
-        if e.is_const:
-            if e.const != 0:
-                return None
+    reduced: list[list[Fraction]] = []
+    pivots: list[int] = []
+    for row in rows:
+        r = list(row)
+        for pr, pc in zip(reduced, pivots):
+            if r[pc] != 0:
+                f = r[pc] / pr[pc]
+                r = [a - f * b for a, b in zip(r, pr)]
+        lead = next((i for i, x in enumerate(r) if x != 0), None)
+        if lead is None:
             continue
-        pivot, cp = e.vars()[-1], e.coeff(e.vars()[-1])
-        rows = [
-            r - e.scale(r.coeff(pivot) / cp) if r.coeff(pivot) != 0 else r
-            for r in rows
-        ]
-        rows.append(e)
-        rows.sort(key=lambda r: r.vars())
-    return [AtomicConstraint(r, Rel.EQ).normalized().expr for r in rows]
+        for k, (pr, pc) in enumerate(zip(reduced, pivots)):
+            if pr[lead] != 0:
+                f = pr[lead] / r[lead]
+                reduced[k] = [a - f * b for a, b in zip(pr, r)]
+        reduced.append(r)
+        pivots.append(lead)
+    return [tuple(r) for r in reduced], pivots
 
 
 def project(
@@ -367,10 +367,22 @@ def project(
         return (FALSUM,)
     kept_eqs, ineqs = res
 
-    reduced = _rref(kept_eqs)
-    if reduced is None:
+    # Row-reduce the remaining equalities with the variables in reverse name
+    # order and the constant last, so each row is pivoted on its last
+    # variable: pivots are pairwise distinct and absent from the other rows,
+    # so substituting them away is well defined, and the rows stay over the
+    # earliest variables.  A pivot on the constant is a ground contradiction.
+    cols = sorted({v for e in kept_eqs for v in e.vars()}, reverse=True)
+    reduced, pivots = row_reduce(
+        [e.coeff(v) for v in cols] + [e.const] for e in kept_eqs
+    )
+    if len(cols) in pivots:
         return (FALSUM,)
-    kept_eqs = reduced
+    kept_eqs = []
+    for r in reduced:
+        row = LinExpr.build(dict(zip(cols, r[:-1])), r[-1])
+        kept_eqs.append(AtomicConstraint(row, Rel.EQ).normalized().expr)
+    kept_eqs.sort(key=LinExpr.vars)
     for e in kept_eqs:
         sub = {e.vars()[-1]: _solve_for(e, e.vars()[-1])}
         ineqs = [(i.subst(sub), s) for i, s in ineqs]

@@ -243,37 +243,13 @@ def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), _F0)
 
 
-def _row_reduce(
-    rows: Iterable[Sequence[Fraction]],
-) -> tuple[list[tuple[Fraction, ...]], list[int]]:
-    """Fully reduced nonzero rows and their pivot columns."""
-    reduced: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for row in rows:
-        r = list(row)
-        for pr, pc in zip(reduced, pivots):
-            if r[pc] != 0:
-                f = r[pc] / pr[pc]
-                r = [a - f * b for a, b in zip(r, pr)]
-        lead = next((i for i, x in enumerate(r) if x != 0), None)
-        if lead is None:
-            continue
-        for k, (pr, pc) in enumerate(zip(reduced, pivots)):
-            if pr[lead] != 0:
-                f = pr[lead] / r[lead]
-                reduced[k] = [a - f * b for a, b in zip(pr, r)]
-        reduced.append(r)
-        pivots.append(lead)
-    return [tuple(r) for r in reduced], pivots
-
-
 def _rank(rows: Iterable[Sequence[Fraction]]) -> int:
-    return len(_row_reduce(rows)[1])
+    return len(lincon.row_reduce(rows)[1])
 
 
 def _nullspace_basis(rows: Iterable[Sequence[Fraction]], n: int):
     """Basis of the solutions of ``r . x = 0`` for every given row."""
-    reduced, pivots = _row_reduce(rows)
+    reduced, pivots = lincon.row_reduce(rows)
     basis: list[tuple[Fraction, ...]] = []
     for free in range(n):
         if free in pivots:
@@ -289,7 +265,7 @@ def _nullspace_basis(rows: Iterable[Sequence[Fraction]], n: int):
 def _solve_unique(rows, n: int):
     """Unique solution of ``normal . x = rhs`` rows, or None."""
     aug = [tuple(normal) + (rhs,) for normal, rhs in rows]
-    reduced, pivots = _row_reduce(aug)
+    reduced, pivots = lincon.row_reduce(aug)
     if n in pivots:  # a row degenerated to 0 = nonzero
         return None
     if len(pivots) != n:  # underdetermined
@@ -302,13 +278,9 @@ def _solve_unique(rows, n: int):
 
 def _primitive(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Canonical integer direction vector (coprime entries)."""
-    lcm = 1
-    for x in vec:
-        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
+    lcm = math.lcm(*(x.denominator for x in vec))
     ints = [int(x * lcm) for x in vec]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
+    g = math.gcd(*ints)
     if g:
         ints = [v // g for v in ints]
     return tuple(Fraction(v) for v in ints)
@@ -371,7 +343,7 @@ def _constraints_from_generators(gens, dims) -> list[AtomicConstraint]:
     n1 = len(dims) + 1
     for nv in _nullspace_basis(gens, n1):
         out.append(AtomicConstraint(_expr_from(nv, dims), Rel.EQ))
-    basis, _ = _row_reduce(gens)
+    basis, _ = lincon.row_reduce(gens)
     s = len(basis)
     facets: set[AtomicConstraint] = set()
     for subset in combinations(range(len(gens)), s - 1):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from . import lincon
 from .chc import (
@@ -46,6 +46,28 @@ def _equivalent(f: Constraint, g: Constraint) -> bool:
     )
 
 
+def subsumed_by(f: Constraint, facts: Iterable[Constraint]) -> bool:
+    """True iff ``f`` entails some fact of ``facts``."""
+    return any(lincon.entails_all(f.conjuncts, g.conjuncts) for g in facts)
+
+
+def maximal(facts: Iterable[Constraint]) -> list[Constraint]:
+    """The facts that no other fact strictly subsumes, in input order.
+
+    Facts enter an antichain one at a time: a fact entailed by a kept fact
+    is skipped, otherwise it evicts the kept facts it subsumes.  Of a group
+    of equivalent facts the earliest is kept.  Every input fact entails
+    some fact of the result, so the result covers the same tuples.
+    """
+    kept: list[Constraint] = []
+    for f in facts:
+        if subsumed_by(f, kept):
+            continue
+        kept = [g for g in kept if not lincon.entails_all(g.conjuncts, f.conjuncts)]
+        kept.append(f)
+    return kept
+
+
 # Bounds on the work a single consequence step may do.  Thresholds are
 # candidate widening bounds, so skipping body-fact combinations, stopping a
 # flooded predicate early, or falling back to syntactic duplicate detection
@@ -61,8 +83,8 @@ def tp_step(program: Program, interp: Interpretation, cap: int | None = None) ->
     clause constraint; satisfiable combinations are projected onto the head
     arguments and recorded (renamed to canonical names) as facts of the head
     predicate.  Facts equivalent to an already recorded one are skipped.
-    With ``cap`` set, a predicate exceeding it first sheds facts subsumed by
-    another fact and is then truncated to the first ``cap``.
+    With ``cap`` set, a predicate exceeding it keeps only its
+    :func:`maximal` facts and is then truncated to the first ``cap``.
     """
     new: dict[str, list[Constraint]] = {p: [] for p in program.arities}
     seen: dict[str, set[Constraint]] = {p: set() for p in program.arities}
@@ -110,15 +132,7 @@ def tp_step(program: Program, interp: Interpretation, cap: int | None = None) ->
     if cap is not None:
         for p, facts in new.items():
             if len(facts) > cap:
-                slim = [
-                    f
-                    for i, f in enumerate(facts)
-                    if not any(
-                        j != i and lincon.entails_all(f.conjuncts, g.conjuncts)
-                        for j, g in enumerate(facts)
-                    )
-                ]
-                new[p] = slim[:cap]
+                new[p] = maximal(facts)[:cap]
     return {p: tuple(facts) for p, facts in new.items()}
 
 

@@ -97,10 +97,8 @@ def unfold_clause(program: Program, clause: Clause, at: int) -> Program:
     return Program(program.clauses[:idx] + tuple(reps) + program.clauses[idx + 1 :])
 
 
-def _reachable_preds(program: Program, root: str) -> set[str]:
-    succs: dict[str, set[str]] = {}
-    for c in program.clauses:
-        succs.setdefault(c.head.pred, set()).update(b.pred for b in c.body)
+def _drop_unreachable(program: Program, root: str) -> Program:
+    """Keep the clauses of the predicates that ``root`` depends on."""
     seen: set[str] = set()
     work = [root]
     while work:
@@ -108,13 +106,8 @@ def _reachable_preds(program: Program, root: str) -> set[str]:
         if p in seen:
             continue
         seen.add(p)
-        work.extend(succs.get(p, ()))
-    return seen
-
-
-def _drop_unreachable(program: Program, root: str) -> Program:
-    keep = _reachable_preds(program, root)
-    return Program(tuple(c for c in program.clauses if c.head.pred in keep))
+        work.extend(program.succs.get(p, ()))
+    return Program(tuple(c for c in program.clauses if c.head.pred in seen))
 
 
 def unfold_forward(program: Program, goal_pred: str = FALSE_PRED) -> Program:

@@ -135,6 +135,20 @@ def test_projection_eliminates_between_bounds():
 def test_projection_of_unsat_is_falsum():
     assert lincon.project([ge(-1, A=1), ge(0, A=-1)], ["A"]) == (FALSUM,)
     assert lincon.project([gt(0, A=1), ge(0, A=-1)], ["B"]) == (FALSUM,)
+    # A+B = 1, B+C = 2 and A = C: only row reduction of the kept equalities
+    # exposes 0 = 1.
+    inconsistent = [eq(-1, A=1, B=1), eq(-2, B=1, C=1), eq(0, A=1, C=-1)]
+    assert lincon.project(inconsistent, ["A", "B", "C"]) == (FALSUM,)
+
+
+def test_projection_row_reduces_kept_equalities():
+    # A+B+C = 3, A+2B+2C = 5 and their sum span two dimensions; the rows come
+    # out reduced, each pivoted on its last variable, which no other row has.
+    system = [eq(-3, A=1, B=1, C=1), eq(-5, A=1, B=2, C=2), eq(-8, A=2, B=3, C=3)]
+    out = lincon.project(system, ["A", "B", "C"])
+    assert out == (eq(-1, A=1), eq(-2, B=1, C=1))
+    pivots = [a.vars()[-1] for a in out]
+    assert all(v not in b.vars() for v, a in zip(pivots, out) for b in out if b is not a)
 
 
 def test_projection_keeps_strictness():

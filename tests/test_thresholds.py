@@ -1,5 +1,6 @@
 """Threshold harvesting: consequence steps, caps, and the committed fixture."""
 
+import random
 from fractions import Fraction
 
 from hornchain import lincon
@@ -11,6 +12,8 @@ from hornchain.thresholds import (
     bottom_interpretation,
     compute_thresholds,
     format_thresholds,
+    maximal,
+    subsumed_by,
     top_interpretation,
     tp_step,
 )
@@ -58,6 +61,72 @@ def test_tp_step_cap_sheds_subsumed_then_truncates():
     assert len(capped["p"]) <= 2
     uncapped = tp_step(p, top_interpretation(p))
     assert len(uncapped["p"]) == 3
+
+
+def test_tp_step_cap_keeps_one_of_equivalent_facts():
+    # Past the semantic dedup limit the last two facts are recorded although
+    # they are equivalent; shedding must keep one of them, not drop both.
+    text = "p(A,B) :- A >= 100.\n"
+    text += "".join(f"p(A,B) :- A = {100 + k}, B = {k}.\n" for k in range(1, 25))
+    text += "p(A,B) :- A =< 0, B =< 0.\n"
+    text += "p(A,B) :- A =< 0, B =< 0, A + B =< 0.\n"
+    p = parse_program(text)
+    uncapped = tp_step(p, top_interpretation(p))["p"]
+    capped = tp_step(p, top_interpretation(p), cap=14)["p"]
+    assert len(uncapped) == 27
+    assert len(capped) <= 14
+    assert all(subsumed_by(f, capped) for f in uncapped)
+
+
+def _maximal_by_pairs(facts):
+    """Brute-force oracle for ``maximal``: compare every pair of facts.
+
+    A fact is dropped when it entails another fact that does not entail it
+    back, or an equivalent fact that comes before it.
+    """
+    kept = []
+    for i, f in enumerate(facts):
+        subsumed = False
+        for j, g in enumerate(facts):
+            if i != j and lincon.entails_all(f.conjuncts, g.conjuncts):
+                if j < i or not lincon.entails_all(g.conjuncts, f.conjuncts):
+                    subsumed = True
+                    break
+        if not subsumed:
+            kept.append(f)
+    return kept
+
+
+def _random_fact(rng):
+    atoms = []
+    for _ in range(rng.randint(0, 3)):
+        coeffs = {v: Fraction(rng.randint(-2, 2)) for v in "AB"}
+        expr = LinExpr.build(coeffs, Fraction(rng.randint(-3, 3)))
+        atoms.append(AtomicConstraint(expr, rng.choice((Rel.GE, Rel.GE, Rel.GT, Rel.EQ))))
+    return Constraint(tuple(atoms))
+
+
+def _variant(rng, f):
+    """A syntactically different fact with the same solutions: conjuncts
+    scaled, one of them repeated in relaxed form, and shuffled."""
+    atoms = [AtomicConstraint(a.expr.scale(Fraction(rng.randint(2, 3))), a.rel) for a in f]
+    if atoms:
+        atoms.append(rng.choice(atoms).relax())
+    rng.shuffle(atoms)
+    return Constraint(tuple(atoms))
+
+
+def test_maximal_matches_pairwise_oracle():
+    rng = random.Random(20260815)
+    for _ in range(60):
+        facts = [_random_fact(rng) for _ in range(rng.randint(1, 6))]
+        for _ in range(rng.randint(0, 3)):
+            f = rng.choice(facts)
+            copy = Constraint(tuple(f.conjuncts)) if rng.random() < 0.5 else _variant(rng, f)
+            facts.insert(rng.randint(0, len(facts)), copy)
+        got = maximal(facts)
+        assert [id(f) for f in got] == [id(f) for f in _maximal_by_pairs(facts)]
+        assert all(subsumed_by(f, got) for f in facts)
 
 
 def test_atomconstraints_collects_normalized_atomics():

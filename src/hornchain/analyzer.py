@@ -12,10 +12,6 @@ threshold-bounded widening, which forces termination.
 polyhedron is empty, no derivation of the goal exists, so the program is
 safe.  A non-empty goal polyhedron proves nothing (the model
 over-approximates), hence the other verdict is Unknown, never Unsafe.
-
-``bounded_concrete_eval`` is an exact bottom-up evaluation cut off at a
-fixed depth, used as an oracle when testing that transformations preserve
-derivability of the goal.
 """
 
 from __future__ import annotations
@@ -34,13 +30,7 @@ from .chc import (
     format_atom,
 )
 from .polydom import Polyhedron, format_polyhedron
-from .thresholds import (
-    ThresholdSet,
-    bottom_interpretation,
-    maximal,
-    subsumed_by,
-    tp_step,
-)
+from .thresholds import ThresholdSet
 
 
 class Verdict(Enum):
@@ -208,47 +198,3 @@ def format_model(model: AbstractModel) -> str:
         atom = Atom(p, poly.dims)
         lines.append(f"{format_atom(atom)} :- {format_polyhedron(poly)}")
     return "".join(line + "\n" for line in lines)
-
-
-@dataclass(frozen=True)
-class BoundedResult:
-    derived: bool     # the goal was derived within the depth bound
-    saturated: bool   # a fixpoint was reached before the bound
-    rounds: int       # immediate-consequence rounds actually executed
-
-
-class BudgetExceeded(ChcError):
-    """Concrete evaluation grew past its fact budget."""
-
-
-def bounded_concrete_eval(
-    program: Program,
-    goal_pred: str = FALSE_PRED,
-    depth: int = 6,
-    max_facts: int | None = None,
-) -> BoundedResult:
-    """Exact bottom-up evaluation, cut off after ``depth`` rounds.
-
-    Returns whether the goal predicate became derivable, and whether the
-    iteration provably saturated (the last round added nothing new), in
-    which case the derivability answer is exact rather than bounded.
-    Subsumed facts are dropped between rounds; that preserves the set of
-    derivable tuples, so exactness is unaffected.
-    """
-    interp = bottom_interpretation(program)
-    for round_no in range(1, depth + 1):
-        nxt = {p: tuple(maximal(fs)) for p, fs in tp_step(program, interp).items()}
-        if nxt.get(goal_pred):
-            return BoundedResult(True, False, round_no)
-        if max_facts is not None:
-            total = sum(len(v) for v in nxt.values())
-            if total > max_facts:
-                raise BudgetExceeded(
-                    f"round {round_no} holds {total} facts (budget {max_facts})"
-                )
-        if all(
-            subsumed_by(f, interp[p]) for p, facts in nxt.items() for f in facts
-        ):
-            return BoundedResult(False, True, round_no)
-        interp = nxt
-    return BoundedResult(False, False, depth)

@@ -90,29 +90,6 @@ class Polyhedron:
         final = tuple(sorted(eqs + kept, key=AtomicConstraint.sort_key))
         return Polyhedron(dims, Constraint(final))
 
-    @staticmethod
-    def _of_minimal(
-        dims: Sequence[str], conjuncts: Iterable[AtomicConstraint]
-    ) -> "Polyhedron":
-        """Canonicalize a system already known complete and irredundant.
-
-        Generator reconstruction emits every equality of the affine hull and
-        only strictly one-sided facets, so the implied-equality search and the
-        full redundancy sweep of :meth:`of` cannot change anything; projection
-        (which rewrites inequalities modulo the equalities) plus a cheap
-        equality-entailment pass yields the same canonical form.
-        """
-        dims = tuple(dims)
-        cs = lincon.project(conjuncts, dims)
-        if cs == (FALSUM,):
-            return Polyhedron.empty(dims)
-        eqs = [a for a in cs if a.rel is Rel.EQ]
-        ineqs = [a for a in cs if a.rel is not Rel.EQ]
-        if eqs:
-            ineqs = [a for a in ineqs if not lincon.entails(tuple(eqs), a)]
-        final = tuple(sorted(eqs + ineqs, key=AtomicConstraint.sort_key))
-        return Polyhedron(dims, Constraint(final))
-
     # -- basic queries --------------------------------------------------------
 
     @property
@@ -162,11 +139,12 @@ class Polyhedron:
     def hull(self, other: "Polyhedron") -> "Polyhedron":
         """Closure of the convex hull of the union.
 
-        Both operands are converted to generators (vertices, extreme rays,
-        lineality directions) by enumerating active constraint subsets;
-        the hull's constraints are then read back off the combined
-        generators in homogenized form.  Everything is exact, and the
-        subset enumeration is cheap in the low dimensions used here.
+        Each operand's homogenized cone is the dual of its constraint rows,
+        so :func:`_dual` turns the rows into generators; the hull's cone is
+        the sum of the operands' cones, and a second :func:`_dual` turns
+        the pooled generators back into equalities and facets.  The output
+        is complete (every equality of the affine hull) and irredundant
+        (one row per facet), so projection alone makes it canonical.
         """
         self._check_dims(other)
         if self.is_empty:
@@ -177,10 +155,16 @@ class Polyhedron:
             return Polyhedron.universe(self.dims)
         if self.is_universe or other.is_universe:
             return Polyhedron.universe(self.dims)
-        gens = _homogenized_generators(self) + _homogenized_generators(other)
-        return Polyhedron._of_minimal(
-            self.dims, _constraints_from_generators(gens, self.dims)
-        )
+        lines_p, rays_p = _cone(self)
+        lines_q, rays_q = _cone(other)
+        eqs, facets = _dual(rays_p + rays_q, lines_p + lines_q, len(self.dims) + 1)
+        out = [AtomicConstraint(_expr_from(v, self.dims), Rel.EQ) for v in eqs]
+        out += [
+            AtomicConstraint(_expr_from(v, self.dims), Rel.GE)
+            for v in facets
+            if any(v[1:])  # t >= 0 constrains nothing in x-space
+        ]
+        return Polyhedron(self.dims, Constraint(lincon.project(out, self.dims)))
 
     def widen(self, other: "Polyhedron") -> "Polyhedron":
         """Standard widening: keep this polyhedron's conjuncts that still
@@ -231,20 +215,21 @@ class Polyhedron:
 
 
 # ---------------------------------------------------------------------------
-# Generator representation (used by hull)
+# Cone duality (used by hull)
 #
-# A nonempty polyhedron is converted to vertices, extreme rays, and lineality
-# directions by enumerating subsets of active constraints; conversely, the
-# constraints of a hull are read off its homogenized generators.  Subset
-# enumeration is exponential in the dimension only, which stays small here.
+# A polyhedron {x : c + a.x >= 0, c' + a'.x = 0, ...} is the slice t = 1 of
+# its homogenized cone {(t, x) : t >= 0, c t + a.x >= 0, c' t + a'.x = 0}.
+# With each constraint written as the row (c, a...), that cone is the dual of
+# cone(inequality rows and (1, 0, ..., 0)) + span(equality rows), so one
+# conversion reads its generators off the rows: vertices at t > 0, rays and
+# lines at t = 0.  The hull's cone is the sum of the operands' cones, and the
+# same conversion reads its constraints back off the pooled generators, as in
+# the double description method.  Facets are found by enumerating subsets of
+# rays, which is exponential in the dimension only; that stays small here.
 # ---------------------------------------------------------------------------
 
 def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), _F0)
-
-
-def _rank(rows: Iterable[Sequence[Fraction]]) -> int:
-    return len(lincon.row_reduce(rows)[1])
 
 
 def _nullspace_basis(rows: Iterable[Sequence[Fraction]], n: int):
@@ -262,20 +247,6 @@ def _nullspace_basis(rows: Iterable[Sequence[Fraction]], n: int):
     return basis
 
 
-def _solve_unique(rows, n: int):
-    """Unique solution of ``normal . x = rhs`` rows, or None."""
-    aug = [tuple(normal) + (rhs,) for normal, rhs in rows]
-    reduced, pivots = lincon.row_reduce(aug)
-    if n in pivots:  # a row degenerated to 0 = nonzero
-        return None
-    if len(pivots) != n:  # underdetermined
-        return None
-    x = [_F0] * n
-    for pr, pc in zip(reduced, pivots):
-        x[pc] = pr[n] / pr[pc]
-    return tuple(x)
-
-
 def _primitive(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Canonical integer direction vector (coprime entries)."""
     lcm = math.lcm(*(x.denominator for x in vec))
@@ -286,88 +257,56 @@ def _primitive(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in ints)
 
 
-def _constraint_rows(p: Polyhedron):
-    """Split conjuncts into ``normal . x = rhs`` and ``normal . x >= rhs``."""
-    eqs, ineqs = [], []
+def _dual(rays, lines, n: int):
+    """Lines and extreme rays of the dual of ``cone(rays) + span(lines)``.
+
+    The dual is ``{y : y.r >= 0 for every ray, y.l = 0 for every line}`` in
+    ``n`` dimensions.  Its lines span the common null space of all rows.
+    Its extreme rays, one per facet of ``cone(rays) + span(lines)``, are
+    primitive normals inside ``span(lines + rays)``: each is orthogonal to
+    every line and to ``s - 1 - rank(lines)`` of the rays, where ``s`` is
+    the rank of all rows, and has every ray on its non-negative side.
+    """
+    out_lines = [_primitive(v) for v in _nullspace_basis(lines + rays, n)]
+    basis, _ = lincon.row_reduce(lines + rays)
+    s = len(basis)
+    need = s - 1 - len(lincon.row_reduce(lines)[1])
+    if need < 0:
+        return out_lines, []
+    # Rows in coordinates over the basis: r . (y . basis) = y . coords(r).
+    fixed = [tuple(_dot(l, b) for b in basis) for l in lines]
+    coords = [tuple(_dot(r, b) for b in basis) for r in rays]
+    out_rays: set[tuple[Fraction, ...]] = set()
+    for subset in combinations(coords, need):
+        ys = _nullspace_basis(fixed + list(subset), s)
+        if len(ys) != 1:
+            continue
+        y = ys[0]
+        sides = [_dot(y, c) for c in coords]
+        if all(x <= 0 for x in sides):
+            y = tuple(-x for x in y)
+        elif not all(x >= 0 for x in sides):
+            continue
+        normal = [sum((y[k] * basis[k][j] for k in range(s)), _F0) for j in range(n)]
+        out_rays.add(_primitive(normal))
+    return out_lines, sorted(out_rays)
+
+
+def _cone(p: Polyhedron):
+    """Lines and extreme rays of the homogenized cone of a nonempty ``p``.
+
+    Vertices come out as the rays with ``t > 0``, at some positive scale.
+    """
+    rays = [(_F1,) + (_F0,) * len(p.dims)]
+    lines = []
     for a in p.conjuncts():
-        normal = tuple(a.expr.coeff(d) for d in p.dims)
-        rhs = -a.expr.const
-        (eqs if a.rel is Rel.EQ else ineqs).append((normal, rhs))
-    return eqs, ineqs
-
-
-def _homogenized_generators(p: Polyhedron) -> list[tuple[Fraction, ...]]:
-    """Vertices as (1, v) and rays/lineality directions as (0, r)."""
-    d = len(p.dims)
-    eqs, ineqs = _constraint_rows(p)
-    lines = _nullspace_basis([n for n, _ in eqs] + [n for n, _ in ineqs], d)
-    # Restrict to the orthogonal complement of the lineality space; the
-    # polyhedron is recovered by adding the lineality directions back.
-    pointed_eqs = eqs + [(l, _F0) for l in lines]
-    need = d - _rank([n for n, _ in pointed_eqs])
-
-    verts: set[tuple[Fraction, ...]] = set()
-    for subset in combinations(range(len(ineqs)), need):
-        x = _solve_unique(pointed_eqs + [ineqs[i] for i in subset], d)
-        if x is not None and all(_dot(n, x) >= rhs for n, rhs in ineqs):
-            verts.add(x)
-
-    rays: set[tuple[Fraction, ...]] = set()
-    if need >= 1:
-        hom = [n for n, _ in pointed_eqs]
-        for subset in combinations(range(len(ineqs)), need - 1):
-            ns = _nullspace_basis(hom + [ineqs[i][0] for i in subset], d)
-            if len(ns) != 1:
-                continue
-            w = _primitive(ns[0])
-            for cand in (w, tuple(-x for x in w)):
-                if all(_dot(n, cand) >= 0 for n, _ in ineqs):
-                    rays.add(cand)
-
-    gens = [(_F1,) + v for v in sorted(verts)]
-    gens += [(_F0,) + r for r in sorted(rays)]
-    for l in lines:
-        lp = _primitive(l)
-        gens.append((_F0,) + lp)
-        gens.append((_F0,) + tuple(-x for x in lp))
-    return gens
+        row = (a.expr.const,) + tuple(a.expr.coeff(d) for d in p.dims)
+        (lines if a.rel is Rel.EQ else rays).append(row)
+    return _dual(rays, lines, len(p.dims) + 1)
 
 
 def _expr_from(nv: Sequence[Fraction], dims: Sequence[str]) -> LinExpr:
     return LinExpr.build({d: c for d, c in zip(dims, nv[1:])}, nv[0])
-
-
-def _constraints_from_generators(gens, dims) -> list[AtomicConstraint]:
-    """Equalities and facets of the cone spanned by homogenized generators."""
-    out: list[AtomicConstraint] = []
-    n1 = len(dims) + 1
-    for nv in _nullspace_basis(gens, n1):
-        out.append(AtomicConstraint(_expr_from(nv, dims), Rel.EQ))
-    basis, _ = lincon.row_reduce(gens)
-    s = len(basis)
-    facets: set[AtomicConstraint] = set()
-    for subset in combinations(range(len(gens)), s - 1):
-        # The facet normal lives in the span of the generators and is
-        # orthogonal to the chosen subset; it is unique up to scale when
-        # the subset has full facet rank.
-        rows = [tuple(_dot(gens[i], b) for b in basis) for i in subset]
-        ys = _nullspace_basis(rows, s)
-        if len(ys) != 1:
-            continue
-        y = ys[0]
-        nv = tuple(
-            sum((y[k] * basis[k][j] for k in range(s)), _F0) for j in range(n1)
-        )
-        sides = [_dot(nv, g) for g in gens]
-        if all(x <= 0 for x in sides):
-            nv = tuple(-x for x in nv)
-        elif not all(x >= 0 for x in sides):
-            continue
-        if all(x == 0 for x in nv[1:]):
-            continue  # the t >= 0 facet constrains nothing in x-space
-        facets.add(AtomicConstraint(_expr_from(nv, dims), Rel.GE).normalized())
-    out.extend(sorted(facets, key=AtomicConstraint.sort_key))
-    return out
 
 
 def format_polyhedron(p: Polyhedron) -> str:

@@ -36,10 +36,6 @@ def top_interpretation(program: Program) -> Interpretation:
     return {p: (Constraint.true(),) for p in program.arities}
 
 
-def bottom_interpretation(program: Program) -> Interpretation:
-    return {p: () for p in program.arities}
-
-
 def _equivalent(f: Constraint, g: Constraint) -> bool:
     return lincon.entails_all(f.conjuncts, g.conjuncts) and lincon.entails_all(
         g.conjuncts, f.conjuncts

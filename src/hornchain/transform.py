@@ -295,7 +295,7 @@ def split_predicates(
         if pred in protected:
             for i in idxs:
                 block_of[i] = pred
-            variants[pred] = [pred] if idxs else [pred]
+            variants[pred] = [pred]
             continue
         projs = {i: _clause_projection(program.clauses[i]) for i in idxs}
         parent = {i: i for i in idxs}

@@ -4,8 +4,10 @@ Everything here avoids the package's own decision procedures: membership is
 decided by direct evaluation, sets of integer points are enumerated with
 exact int64 arithmetic, and convex hulls of integer point sets are computed
 by brute-force facet enumeration (exact integer cross products and one-sided
-tests).  The suites return ``(instances, failures)`` so both the unit tests
-and the acceptance gate can share one run.
+tests).  The one exception is ``hull_by_projection``, which builds hulls
+with ``lincon.project`` and so shares no code with ``Polyhedron.hull``.  The
+suites return ``(instances, failures)`` so both the unit tests and the
+acceptance gate can share one run.
 """
 
 from __future__ import annotations
@@ -295,6 +297,33 @@ def point_polyhedron(z) -> Polyhedron:
         for i, v in enumerate(z)
     ]
     return Polyhedron.of(names, atoms)
+
+
+def hull_by_projection(p: Polyhedron, q: Polyhedron) -> Polyhedron:
+    """Closed convex hull of two non-empty polyhedra by projection.
+
+    Benoy, King & Mesnard, "Computing convex hulls with a linear solver"
+    (TPLP 2005): ``x = y + z`` with ``y`` in ``lam * P``, ``z`` in
+    ``(1 - lam) * Q`` and ``0 <= lam <= 1``.  Substituting ``z = x - y``
+    leaves a linear system over ``x``, ``y`` and ``lam``, and
+    ``Polyhedron.of`` projects ``y`` and ``lam`` away.  Nothing here touches
+    the generator conversion that ``Polyhedron.hull`` uses.
+    """
+    lam = LinExpr.var("Lam")
+    y = {d: LinExpr.var(f"Y_{d}") for d in p.dims}
+    x_minus_y = {d: LinExpr.var(d) - y[d] for d in p.dims}
+    rows = [
+        AtomicConstraint(lam, Rel.GE),
+        AtomicConstraint(LinExpr.constant(1) - lam, Rel.GE),
+    ]
+    for a in p.conjuncts():
+        k = a.expr.const
+        expr = a.expr.subst(y) - LinExpr.constant(k) + lam.scale(k)
+        rows.append(AtomicConstraint(expr, a.rel))
+    for a in q.conjuncts():
+        expr = a.expr.subst(x_minus_y) - lam.scale(a.expr.const)
+        rows.append(AtomicConstraint(expr, a.rel))
+    return Polyhedron.of(p.dims, rows)
 
 
 def _measure(p: Polyhedron) -> int:

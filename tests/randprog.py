@@ -14,7 +14,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from hornchain.analyzer import BudgetExceeded, Verdict, bounded_concrete_eval
+from bounded import BudgetExceeded, bounded_concrete_eval
+
+from hornchain.analyzer import Verdict
 from hornchain.chc import (
     FALSE_PRED,
     Atom,

@@ -2,12 +2,12 @@
 
 import pytest
 
+from bounded import BudgetExceeded, bounded_concrete_eval
+
 from hornchain.analyzer import (
     AnalysisStats,
-    BudgetExceeded,
     Verdict,
     analyze,
-    bounded_concrete_eval,
     check_safety,
     format_model,
 )

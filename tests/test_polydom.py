@@ -1,8 +1,11 @@
 """Polyhedra domain operations, plus the randomized oracle suites."""
 
+import random
 from fractions import Fraction
 
-from hornchain.chc import AtomicConstraint, LinExpr, Rel
+from oracles import hull_by_projection, random_system
+
+from hornchain.chc import AtomicConstraint, LinExpr, Rel, canonical_arg_names
 from hornchain.polydom import Polyhedron, format_polyhedron
 
 
@@ -87,6 +90,35 @@ def test_hull_of_unbounded_operands():
     p = Polyhedron.of(("A",), [ge(0, A=1)])  # A >= 0
     q = Polyhedron.of(("A",), [ge(-2, A=1)])  # A >= 2
     assert p.hull(q) == p
+    # Lines in both operands and in the result: two parallel lines span a strip.
+    p = Polyhedron.of(AB, [eq(0, A=1, B=-1)])  # A = B
+    q = Polyhedron.of(AB, [eq(-2, A=1, B=-1)])  # A = B + 2
+    assert format_polyhedron(p.hull(q)) == "[1*A+ -1*B>=0,-1*A+1*B>= -2]"
+    # A point and a line span a strip inside the plane through both.
+    abc = ("A", "B", "C")
+    p = Polyhedron.of(abc, [eq(-1, A=1), eq(0, B=1), eq(-3, C=1)])  # (1, 0, 3)
+    q = Polyhedron.of(abc, [eq(0, A=1, B=-1), eq(0, C=1)])  # A = B, C = 0
+    assert (
+        format_polyhedron(p.hull(q))
+        == "[1*A+ -1*B>=0,-1*A+1*B>= -1,3*A+ -3*B+ -1*C=0]"
+    )
+
+
+def test_hull_matches_projection_oracle():
+    # Unlike the point-set hull suite, random systems give operands with
+    # rays and lines.
+    rng = random.Random(20260815)
+    compared = 0
+    for i in range(220):
+        d = 1 + i % 3
+        names = canonical_arg_names(d)
+        p = Polyhedron.of(names, random_system(rng, d))
+        q = Polyhedron.of(names, random_system(rng, d))
+        if p.is_empty or q.is_empty:
+            continue
+        compared += 1
+        assert p.hull(q) == hull_by_projection(p, q), (i, p, q)
+    assert compared == 74
 
 
 def test_inclusion_and_equality():

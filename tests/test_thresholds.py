@@ -3,13 +3,14 @@
 import random
 from fractions import Fraction
 
+from bounded import bottom_interpretation
+
 from hornchain import lincon
 from hornchain.chc import AtomicConstraint, Constraint, LinExpr, Rel
 from hornchain.parser import parse_program
 from hornchain.thresholds import (
     ThresholdSet,
     atomconstraints,
-    bottom_interpretation,
     compute_thresholds,
     format_thresholds,
     maximal,

@@ -5,7 +5,7 @@ the set of argument tuples in the program's least model.  Evaluation runs
 one strongly connected component of the predicate dependency graph at a
 time, callees first.  Inside a cyclic component, round-robin passes update
 each predicate with the convex hull of its old value and its clause
-contributions; after ``widen_delay`` strict updates the hull is replaced by
+contributions; after ``_WIDEN_DELAY`` strict updates the hull is replaced by
 threshold-bounded widening, which forces termination.
 
 ``check_safety`` reads the verdict off the model: if the goal predicate's
@@ -38,9 +38,9 @@ class Verdict(Enum):
     UNKNOWN = "unknown"
 
 
-# Growth cap for clause-body projections.  Hitting it loses constraints,
-# which only coarsens the over-approximation; verdict soundness is kept.
-_PROJECT_CAP = 400
+# Strict updates of a predicate in a cyclic component before its hull is
+# replaced by widening.
+_WIDEN_DELAY = 2
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,6 @@ def _sccs(nodes: Sequence[str], succs: Mapping[str, Sequence[str]]) -> list[tupl
 def analyze(
     program: Program,
     thresholds: ThresholdSet | None = None,
-    widen_delay: int = 2,
     max_passes: int = 10_000,
 ) -> tuple[AbstractModel, AnalysisStats]:
     """Compute an over-approximating polyhedral model of the program."""
@@ -148,7 +147,7 @@ def analyze(
                 conjuncts.extend(a.rename(mapping) for a in poly.conjuncts())
             if not feasible:
                 continue
-            proj = lincon.project(conjuncts, clause.head.args, max_rows=_PROJECT_CAP)
+            proj = lincon.project(conjuncts, clause.head.args, max_rows=lincon.PROJECT_CAP)
             head_map = dict(zip(clause.head.args, dims[pred]))
             contrib = Polyhedron.of(dims[pred], (a.rename(head_map) for a in proj))
             acc = acc.hull(contrib)
@@ -165,7 +164,7 @@ def analyze(
                 if values[p].includes(grown):
                     continue
                 update_count[p] += 1
-                if cyclic and update_count[p] > widen_delay:
+                if cyclic and update_count[p] > _WIDEN_DELAY:
                     relaxed = tuple(t.relax() for t in ts.get(p))
                     values[p] = values[p].widen_upto(grown, relaxed)
                     widenings += 1

@@ -56,15 +56,14 @@ def _cmd_split(args) -> int:
 
 def _cmd_thresholds(args) -> int:
     program = _load(args.file)
-    ts = compute_thresholds(program, cap=args.tp_cap)
+    ts = compute_thresholds(program)
     sys.stdout.write(format_thresholds(ts, program.arities))
     return EXIT_SAFE
 
 
 def _cmd_analyze(args) -> int:
     program = _load(args.file)
-    ts = compute_thresholds(program, cap=args.tp_cap)
-    model, _ = analyze(program, ts, widen_delay=args.widen_delay)
+    model, _ = analyze(program, compute_thresholds(program))
     verdict = check_safety(model, args.goal)
     sys.stdout.write(format_model(model))
     sys.stdout.write(f"VERDICT: {verdict.value}\n")
@@ -78,8 +77,6 @@ def _cmd_verify(args) -> int:
         qa=not args.skip_qa,
         split=not args.skip_split,
         thresholds=not args.skip_thresholds,
-        widen_delay=args.widen_delay,
-        tp_cap=args.tp_cap,
         goal=args.goal,
     )
     result = run_pipeline(_load(args.file), config)
@@ -124,10 +121,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="widen without threshold bounds",
     )
-    p.add_argument("--widen-delay", type=int, default=2, metavar="N",
-                   help="updates before widening kicks in (default: 2)")
-    p.add_argument("--tp-cap", type=int, default=200, metavar="N",
-                   help="max facts per predicate per threshold step (default: 200)")
     _add_goal(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -148,13 +141,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("thresholds", help="print widening thresholds for a program")
     p.add_argument("file")
-    p.add_argument("--tp-cap", type=int, default=200, metavar="N")
     p.set_defaults(func=_cmd_thresholds)
 
     p = sub.add_parser("analyze", help="analyze a program as-is (no transformations)")
     p.add_argument("file")
-    p.add_argument("--widen-delay", type=int, default=2, metavar="N")
-    p.add_argument("--tp-cap", type=int, default=200, metavar="N")
     _add_goal(p)
     p.set_defaults(func=_cmd_analyze)
 

@@ -11,12 +11,18 @@ constraints handled here.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .chc import FALSUM, AtomicConstraint, LinExpr, Rel
 
 _Ineq = tuple[LinExpr, bool]  # expr >= 0, or expr > 0 when the flag is set
+
+# The ``max_rows`` growth cap that the analyzer and threshold harvesting
+# pass to ``project``.  Hitting it loses constraints, which only coarsens
+# their over-approximations; verdict soundness is kept.
+PROJECT_CAP = 400
 
 
 def _split(conjuncts: Iterable[AtomicConstraint]) -> tuple[list[LinExpr], list[_Ineq]]:
@@ -40,29 +46,34 @@ def _solve_for(e: LinExpr, v: str) -> LinExpr:
 def _eliminate_equalities(
     eqs: list[LinExpr],
     ineqs: list[_Ineq],
-    pivot_ok,
+    keep: frozenset[str] = frozenset(),
 ) -> tuple[list[LinExpr], list[_Ineq]] | None:
-    """Substitute equalities away, pivoting only on admissible variables.
+    """One sparse Gauss-Jordan pass over the equalities.
 
-    Returns the equalities that could not be eliminated plus the rewritten
-    inequalities, or None if a ground contradiction surfaced.
+    Each equality, reduced by the solved forms before it, is solved for its
+    first variable outside ``keep``, or else for its last variable, and the
+    new pivot is substituted out of the earlier solved forms.  Returns the
+    rows solved for a kept variable, which mention kept variables only and
+    are the reduced row echelon basis of the equalities' shadow on ``keep``
+    (columns in reverse name order, so each row is pivoted on its last
+    variable), and the inequalities with every pivot substituted away.
+    Returns None if a ground contradiction surfaces.
     """
-    kept: list[LinExpr] = []
-    work = list(eqs)
-    while work:
-        e = work.pop(0)
+    solved: dict[str, LinExpr] = {}
+    for e in eqs:
+        e = e.subst(solved)
         if e.is_const:
             if e.const != 0:
                 return None
             continue
-        pivots = [v for v in e.vars() if pivot_ok(v)]
-        if not pivots:
-            kept.append(e)
-            continue
-        sub = {pivots[0]: _solve_for(e, pivots[0])}
-        work = [w.subst(sub) for w in work]
-        kept = [k.subst(sub) for k in kept]
-        ineqs = [(i.subst(sub), s) for i, s in ineqs]
+        v = next((u for u in e.vars() if u not in keep), e.vars()[-1])
+        form = _solve_for(e, v)
+        sub = {v: form}
+        solved = {u: f.subst(sub) if f.coeff(v) else f for u, f in solved.items()}
+        solved[v] = form
+    kept = [LinExpr.var(v) - f for v, f in solved.items() if v in keep]
+    if solved:
+        ineqs = [(e.subst(solved), s) for e, s in ineqs]
     return kept, ineqs
 
 
@@ -81,8 +92,12 @@ _Row = tuple[LinExpr, bool, frozenset]
 def _prune_rows(rows: list[_Row]) -> list[_Row] | None:
     """Keep only the tightest of parallel inequalities (same coprime slope).
 
-    Removing a constraint implied by a parallel tighter one never changes
-    the solution set, so this is exact.  Returns None on a ground
+    Rows are keyed on their coefficients alone, scaled to coprime integers,
+    so ``2A-1 >= 0`` and ``A+6 > 0`` share a key and only ``A-1/2 >= 0``
+    survives.  Removing a constraint implied by a parallel tighter one never
+    changes the solution set, so this is exact, and afterwards no row is
+    entailed by another single row: a half-space contains another only when
+    their normals point the same way.  Returns None on a ground
     contradiction; satisfied ground rows are dropped.
     """
     best: dict[tuple[tuple[str, Fraction], ...], tuple[Fraction, bool, frozenset]] = {}
@@ -91,18 +106,22 @@ def _prune_rows(rows: list[_Row]) -> list[_Row] | None:
             if e.const < 0 or (s and e.const == 0):
                 return None
             continue
-        na = AtomicConstraint(e, Rel.GT if s else Rel.GE).normalized()
-        key = na.expr.coeffs
+        k = Fraction(
+            math.lcm(*(c.denominator for _, c in e.coeffs)),
+            math.gcd(*(c.numerator for _, c in e.coeffs)),
+        )
+        key = tuple((v, c * k) for v, c in e.coeffs)
+        const = e.const * k
         cur = best.get(key)
         # Smaller constant is tighter (expr + const >= 0); strict beats
         # non-strict at equal constants; smaller histories age better.
         if (
             cur is None
-            or na.expr.const < cur[0]
-            or (na.expr.const == cur[0] and s and not cur[1])
-            or (na.expr.const == cur[0] and s == cur[1] and len(h) < len(cur[2]))
+            or const < cur[0]
+            or (const == cur[0] and s and not cur[1])
+            or (const == cur[0] and s == cur[1] and len(h) < len(cur[2]))
         ):
-            best[key] = (na.expr.const, s, h)
+            best[key] = (const, s, h)
     return [(LinExpr(k, c), s, h) for k, (c, s, h) in best.items()]
 
 
@@ -115,7 +134,10 @@ def _fm_eliminate(
     prunings keep the intermediate systems small: parallel constraints
     collapse to their tightest representative, and any non-strict row
     combining more than j+1 input rows after j eliminations is a positive
-    combination of others and is dropped (Kohler's criterion).
+    combination of others and is dropped (Kohler's criterion).  Every row
+    set returned has passed through :func:`_prune_rows`, or is a subset of
+    one that has, so it holds at most one inequality per slope and none is
+    entailed by another single row.
 
     With ``max_rows`` set, an elimination step whose combination output would
     exceed that many rows instead drops every row mentioning the variable.
@@ -246,7 +268,7 @@ def _lp_feasible(ineqs: list[_Ineq]) -> bool:
 def is_satisfiable(conjuncts: Iterable[AtomicConstraint]) -> bool:
     """Decide satisfiability over the rationals."""
     eqs, ineqs = _split(conjuncts)
-    res = _eliminate_equalities(eqs, ineqs, lambda v: True)
+    res = _eliminate_equalities(eqs, ineqs)
     if res is None:
         return False
     _, ineqs = res
@@ -352,9 +374,17 @@ def project(
 
     The projection of a satisfiable conjunction is its shadow on the kept
     variables; strictness is preserved.  The result is normalized, opposed
-    pairs are merged into equalities, and conjuncts entailed by another
-    single conjunct are dropped.  Returns ``(FALSUM,)`` when the input is
+    pairs are merged into equalities, and no conjunct is entailed by
+    another single conjunct.  Returns ``(FALSUM,)`` when the input is
     unsatisfiable.
+
+    Irredundancy needs no entailment check.  One atom entails another only
+    when their normals are parallel.  The equalities are reduced rows, so
+    no two are parallel, and each has a pivot variable that occurs in no
+    other conjunct, so no inequality is parallel to one.  Fourier-Motzkin
+    returns at most one inequality per slope (see :func:`_prune_rows`), and
+    opposed inequalities never entail each other; ``normalize`` merges only
+    an opposed pair of one slope into an equality, which mentions no pivot.
 
     ``max_rows`` caps intermediate growth during inequality elimination at
     the price of over-approximating (see :func:`_fm_eliminate`); reported
@@ -362,53 +392,17 @@ def project(
     """
     keep_set = frozenset(keep)
     eqs, ineqs = _split(conjuncts)
-    res = _eliminate_equalities(eqs, ineqs, lambda v: v not in keep_set)
+    res = _eliminate_equalities(eqs, ineqs, keep_set)
     if res is None:
         return (FALSUM,)
     kept_eqs, ineqs = res
-
-    # Row-reduce the remaining equalities with the variables in reverse name
-    # order and the constant last, so each row is pivoted on its last
-    # variable: pivots are pairwise distinct and absent from the other rows,
-    # so substituting them away is well defined, and the rows stay over the
-    # earliest variables.  A pivot on the constant is a ground contradiction.
-    cols = sorted({v for e in kept_eqs for v in e.vars()}, reverse=True)
-    reduced, pivots = row_reduce(
-        [e.coeff(v) for v in cols] + [e.const] for e in kept_eqs
-    )
-    if len(cols) in pivots:
-        return (FALSUM,)
-    kept_eqs = []
-    for r in reduced:
-        row = LinExpr.build(dict(zip(cols, r[:-1])), r[-1])
-        kept_eqs.append(AtomicConstraint(row, Rel.EQ).normalized().expr)
-    kept_eqs.sort(key=LinExpr.vars)
-    for e in kept_eqs:
-        sub = {e.vars()[-1]: _solve_for(e, e.vars()[-1])}
-        ineqs = [(i.subst(sub), s) for i, s in ineqs]
-
     remaining = _fm_eliminate(ineqs, lambda v: v not in keep_set, max_rows)
     if remaining is None:
         return (FALSUM,)
-    ineqs = remaining
 
     atomics = [AtomicConstraint(e, Rel.EQ) for e in kept_eqs]
-    atomics += [AtomicConstraint(e, Rel.GT if s else Rel.GE) for e, s in ineqs]
+    atomics += [AtomicConstraint(e, Rel.GT if s else Rel.GE) for e, s in remaining]
     normalized = normalize(atomics)
-    if normalized == (FALSUM,):
+    if normalized == (FALSUM,) or not is_satisfiable(normalized):
         return (FALSUM,)
-    if not is_satisfiable(normalized):
-        return (FALSUM,)
-    return _drop_pairwise_redundant(normalized)
-
-
-def _drop_pairwise_redundant(
-    atomics: tuple[AtomicConstraint, ...]
-) -> tuple[AtomicConstraint, ...]:
-    # Mutual entailment between distinct normalized atomics cannot occur,
-    # so dropping every conjunct entailed by some other conjunct is safe.
-    out: list[AtomicConstraint] = []
-    for i, a in enumerate(atomics):
-        if not any(j != i and entails((b,), a) for j, b in enumerate(atomics)):
-            out.append(a)
-    return tuple(out)
+    return normalized

@@ -32,15 +32,13 @@ from .transform import (
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Stage toggles and numeric knobs for ``run_pipeline``."""
+    """Stage toggles and the goal predicate for ``run_pipeline``."""
 
     raf: bool = True
     unfold: bool = True
     qa: bool = True
     split: bool = True
     thresholds: bool = True
-    widen_delay: int = 2
-    tp_cap: int = 200
     goal: str = FALSE_PRED
 
 
@@ -80,11 +78,7 @@ def run_pipeline(program: Program, config: PipelineConfig = PipelineConfig()) ->
         program = split_predicates(program, protected=(goal,))
         stages.append(("split", program))
 
-    ts = (
-        compute_thresholds(program, cap=config.tp_cap)
-        if config.thresholds
-        else ThresholdSet.empty()
-    )
-    model, stats = analyze(program, ts, widen_delay=config.widen_delay)
+    ts = compute_thresholds(program) if config.thresholds else ThresholdSet.empty()
+    model, stats = analyze(program, ts)
     verdict = check_safety(model, goal)
     return PipelineResult(verdict, model, goal, tuple(stages), ts, stats)

@@ -70,6 +70,8 @@ def maximal(facts: Iterable[Constraint]) -> list[Constraint]:
 # loses candidates at worst; it never affects soundness.
 _COMBO_BUDGET = 512
 _SEMANTIC_DEDUP_LIMIT = 24
+# Facts kept per predicate after each step of ``compute_thresholds``.
+_TP_CAP = 200
 
 
 def tp_step(program: Program, interp: Interpretation, cap: int | None = None) -> Interpretation:
@@ -115,7 +117,7 @@ def tp_step(program: Program, interp: Interpretation, cap: int | None = None) ->
                 continue
             # Capped growth: threshold facts are candidate bounds, so an
             # over-approximate projection only makes candidates weaker.
-            proj = lincon.project(conjuncts, clause.head.args, max_rows=400)
+            proj = lincon.project(conjuncts, clause.head.args, max_rows=lincon.PROJECT_CAP)
             fact = Constraint(lincon.normalize(a.rename(head_map) for a in proj))
             if fact in seen[clause.head.pred]:
                 continue
@@ -163,11 +165,11 @@ def atomconstraints(interp: Interpretation) -> ThresholdSet:
     return ThresholdSet(entries)
 
 
-def compute_thresholds(program: Program, cap: int = 200) -> ThresholdSet:
+def compute_thresholds(program: Program) -> ThresholdSet:
     """Thresholds from three concrete steps down from the top interpretation."""
     interp = top_interpretation(program)
     for _ in range(3):
-        interp = tp_step(program, interp, cap=cap)
+        interp = tp_step(program, interp, cap=_TP_CAP)
     return atomconstraints(interp)
 
 

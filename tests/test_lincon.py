@@ -1,5 +1,6 @@
 """Exact linear-arithmetic procedures: satisfiability, entailment, projection."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import random_system, satisfies_point, POINT_RANGE
 
 from hornchain import lincon
-from hornchain.chc import FALSUM, AtomicConstraint, LinExpr, Rel
+from hornchain.chc import FALSUM, AtomicConstraint, LinExpr, Rel, canonical_arg_names
 
 
 def ge(const, **coeffs):
@@ -120,6 +121,16 @@ def test_normalize_merges_opposed_pair_into_equality():
 # -- projection -------------------------------------------------------------------
 
 
+def test_prune_rows_keys_on_slope_alone():
+    # 2A-1 >= 0 and A+6 > 0 are parallel; only the tighter A >= 1/2 stays.
+    rows = [
+        (ge(-1, A=2).expr, False, frozenset((0,))),
+        (gt(6, A=1).expr, True, frozenset((1,))),
+    ]
+    (kept,) = lincon._prune_rows(rows)
+    assert kept == (LinExpr.build({"A": Fraction(1)}, Fraction(-1, 2)), False, frozenset((0,)))
+
+
 def test_projection_substitutes_equality():
     # project({C = 1+A, A =< 49}, keep {A}) = {A =< 49}
     out = lincon.project([eq(-1, C=1, A=-1), ge(49, A=-1)], ["A"])
@@ -149,6 +160,30 @@ def test_projection_row_reduces_kept_equalities():
     assert out == (eq(-1, A=1), eq(-2, B=1, C=1))
     pivots = [a.vars()[-1] for a in out]
     assert all(v not in b.vars() for v, a in zip(pivots, out) for b in out if b is not a)
+
+
+def _drop_pairwise_redundant(atomics):
+    """Drop every conjunct entailed by another single conjunct."""
+    out = []
+    for i, a in enumerate(atomics):
+        if not any(j != i and lincon.entails((b,), a) for j, b in enumerate(atomics)):
+            out.append(a)
+    return tuple(out)
+
+
+def test_projection_is_pairwise_irredundant():
+    # No conjunct of a projection is entailed by another single conjunct,
+    # exactly or with the row cap forcing the dropping fallback.
+    rng = random.Random(7)
+    for _ in range(150):
+        d = rng.randint(1, 3)
+        raw = random_system(rng, d)
+        names = canonical_arg_names(d)
+        for k in range(d + 1):
+            for keep in itertools.combinations(names, k):
+                for max_rows in (None, 1):
+                    out = lincon.project(raw, keep, max_rows)
+                    assert _drop_pairwise_redundant(out) == out, (raw, keep, max_rows)
 
 
 def test_projection_keeps_strictness():

@@ -19,10 +19,9 @@ from .chc import (
     Clause,
     Constraint,
     LinExpr,
-    PredDepGraph,
     Program,
     Rel,
-    build_pdg,
+    backward_targets,
     canonical_arg_names,
     format_atom,
     format_atomic,
@@ -71,7 +70,6 @@ __all__ = [
     "PipelineConfig",
     "PipelineResult",
     "Polyhedron",
-    "PredDepGraph",
     "Program",
     "Rel",
     "ThresholdSet",
@@ -79,7 +77,7 @@ __all__ = [
     "analyze",
     "answer_pred",
     "atomconstraints",
-    "build_pdg",
+    "backward_targets",
     "canonical_arg_names",
     "check_safety",
     "compute_thresholds",

@@ -161,12 +161,11 @@ def analyze(
             changed = False
             for p in members:
                 grown = values[p].hull(contributions(p))
-                if values[p].includes(grown):
+                if grown == values[p]:
                     continue
                 update_count[p] += 1
                 if cyclic and update_count[p] > _WIDEN_DELAY:
-                    relaxed = tuple(t.relax() for t in ts.get(p))
-                    values[p] = values[p].widen_upto(grown, relaxed)
+                    values[p] = values[p].widen_upto(grown, ts.get(p))
                     widenings += 1
                 else:
                     values[p] = grown

@@ -431,30 +431,17 @@ def normalize_clause(raw: RawClause) -> list[Clause]:
 # Predicate dependency graph
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PredDepGraph:
-    """Head-to-body-call edges with the backward subset marked by DFS."""
+def backward_targets(program: Program) -> frozenset[str]:
+    """Targets of the backward edges of the predicate dependency graph.
 
-    nodes: tuple[str, ...]
-    edges: frozenset[tuple[str, str]]
-    backward: frozenset[tuple[str, str]]
-
-    def backward_targets(self) -> frozenset[str]:
-        return frozenset(q for _, q in self.backward)
-
-
-def build_pdg(program: Program) -> PredDepGraph:
-    """Dependency graph with backward edges from a depth-first search.
-
-    The search starts at ``false`` and then covers remaining predicates in
-    first-appearance order, visiting clauses in program order and body atoms
-    left to right; an edge (p, q) is backward iff q is on the DFS stack when
-    the edge is examined.
+    The graph has an edge from each clause head to each body predicate.  A
+    depth-first search starts at ``false`` and then covers remaining
+    predicates in first-appearance order, visiting clauses in program order
+    and body atoms left to right; an edge (p, q) is backward iff q is on the
+    DFS stack when the edge is examined.
     """
     succs = program.succs
-    edges = {(p, q) for p, qs in succs.items() for q in qs}
-
-    backward: set[tuple[str, str]] = set()
+    backward: set[str] = set()
     visited: set[str] = set()
     on_stack: set[str] = set()
 
@@ -468,7 +455,7 @@ def build_pdg(program: Program) -> PredDepGraph:
             advanced = False
             for q in it:
                 if q in on_stack:
-                    backward.add((node, q))
+                    backward.add(q)
                 elif q not in visited:
                     visited.add(q)
                     on_stack.add(q)
@@ -484,9 +471,7 @@ def build_pdg(program: Program) -> PredDepGraph:
     for r in roots:
         if r not in visited:
             dfs(r)
-
-    nodes = tuple(program.preds())
-    return PredDepGraph(nodes, frozenset(edges), frozenset(backward))
+    return frozenset(backward)
 
 
 # ---------------------------------------------------------------------------

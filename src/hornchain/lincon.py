@@ -383,8 +383,10 @@ def project(
     no two are parallel, and each has a pivot variable that occurs in no
     other conjunct, so no inequality is parallel to one.  Fourier-Motzkin
     returns at most one inequality per slope (see :func:`_prune_rows`), and
-    opposed inequalities never entail each other; ``normalize`` merges only
-    an opposed pair of one slope into an equality, which mentions no pivot.
+    opposed inequalities never entail each other.  When ``normalize``
+    merges an opposed pair into a new equality, the Gauss-Jordan pass runs
+    again over all the equalities, so the result always holds the reduced
+    row echelon basis of its equalities, and no pivot in any inequality.
 
     ``max_rows`` caps intermediate growth during inequality elimination at
     the price of over-approximating (see :func:`_fm_eliminate`); reported
@@ -392,17 +394,22 @@ def project(
     """
     keep_set = frozenset(keep)
     eqs, ineqs = _split(conjuncts)
-    res = _eliminate_equalities(eqs, ineqs, keep_set)
-    if res is None:
-        return (FALSUM,)
-    kept_eqs, ineqs = res
-    remaining = _fm_eliminate(ineqs, lambda v: v not in keep_set, max_rows)
-    if remaining is None:
-        return (FALSUM,)
-
-    atomics = [AtomicConstraint(e, Rel.EQ) for e in kept_eqs]
-    atomics += [AtomicConstraint(e, Rel.GT if s else Rel.GE) for e, s in remaining]
-    normalized = normalize(atomics)
-    if normalized == (FALSUM,) or not is_satisfiable(normalized):
+    while True:
+        res = _eliminate_equalities(eqs, ineqs, keep_set)
+        if res is None:
+            return (FALSUM,)
+        kept_eqs, ineqs = res
+        remaining = _fm_eliminate(ineqs, lambda v: v not in keep_set, max_rows)
+        if remaining is None:
+            return (FALSUM,)
+        atomics = [AtomicConstraint(e, Rel.EQ) for e in kept_eqs]
+        atomics += [AtomicConstraint(e, Rel.GT if s else Rel.GE) for e, s in remaining]
+        normalized = normalize(atomics)
+        if normalized == (FALSUM,):
+            return normalized
+        eqs, ineqs = _split(normalized)
+        if len(eqs) == len(kept_eqs):
+            break
+    if not is_satisfiable(normalized):
         return (FALSUM,)
     return normalized

@@ -53,6 +53,11 @@ class Token:
 
 _PUNCT = (":-", "=<", ">=", ",", ".", "(", ")", "+", "-", "*", "/", "<", ">", "=")
 
+# Parentheses and unary minus nested deeper than this are rejected.  Each
+# level costs the recursive descent up to three Python frames, so the limit
+# keeps a parse well inside the interpreter's default recursion limit.
+_MAX_NESTING = 100
+
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
@@ -82,9 +87,9 @@ def tokenize(text: str) -> list[Token]:
                 col += len(op)
                 break
         else:
-            if ch.isdigit():
+            if "0" <= ch <= "9":
                 j = i
-                while j < n and text[j].isdigit():
+                while j < n and "0" <= text[j] <= "9":
                     j += 1
                 tokens.append(Token("int", text[i:j], line, start_col))
                 col += j - i
@@ -108,6 +113,7 @@ class _Parser:
     def __init__(self, text: str) -> None:
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -164,17 +170,32 @@ class _Parser:
 
     def parse_factor(self) -> LinExpr:
         tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
+        if tok.kind == "op" and tok.text in ("-", "("):
+            if self.depth == _MAX_NESTING:
+                raise ParseError(
+                    f"expression nested more than {_MAX_NESTING} levels deep",
+                    tok.line,
+                    tok.col,
+                )
             self.next()
-            return -self.parse_factor()
-        if tok.kind == "op" and tok.text == "(":
-            self.next()
-            expr = self.parse_expr()
-            self.expect(")")
+            self.depth += 1
+            if tok.text == "-":
+                expr = -self.parse_factor()
+            else:
+                expr = self.parse_expr()
+                self.expect(")")
+            self.depth -= 1
             return expr
         if tok.kind == "int":
             self.next()
-            return LinExpr.constant(Fraction(int(tok.text)))
+            try:
+                return LinExpr.constant(Fraction(int(tok.text)))
+            except ValueError:  # longer than the interpreter converts
+                raise ParseError(
+                    f"integer literal of {len(tok.text)} digits is too long",
+                    tok.line,
+                    tok.col,
+                ) from None
         if tok.kind == "var":
             self.next()
             return LinExpr.var(tok.text)

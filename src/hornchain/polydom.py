@@ -2,10 +2,10 @@
 
 A polyhedron is a conjunction of closed linear constraints over a fixed
 tuple of dimension variables, or the distinguished empty element.  The
-constraint list is kept canonical (normalized, implied equalities made
-explicit, redundant conjuncts dropped, deterministic order), so that
-structural equality coincides with semantic equality for the operations
-used by the analysis.
+constraint list is canonical: the equalities are the reduced row echelon
+basis of the affine hull, the inequalities are the facets only, with every
+pivot substituted out, and all rows are normalized and sorted.  That form
+is unique, so structural equality coincides with semantic equality.
 
 Strict inequalities have no place in a closed domain; they are relaxed to
 their non-strict counterparts on entry.  This over-approximates, which is
@@ -59,35 +59,26 @@ class Polyhedron:
         if cs == (FALSUM,):
             return Polyhedron.empty(dims)
         # Make implied equalities explicit: an inequality whose hyperplane
-        # contains the whole polyhedron becomes an equality, which then
-        # feeds the row reduction inside project.
-        while True:
-            flipped = None
-            for a in cs:
-                if a.rel is Rel.GE and not lincon.is_satisfiable(
-                    cs + (AtomicConstraint(a.expr, Rel.GT),)
-                ):
-                    flipped = a
-                    break
-            if flipped is None:
-                break
+        # contains the whole polyhedron becomes an equality.  A flip never
+        # changes the set, so one sweep finds them all, and one projection
+        # row-reduces them.
+        tight = [
+            a
+            for a in cs
+            if a.rel is Rel.GE
+            and not lincon.is_satisfiable(cs + (AtomicConstraint(a.expr, Rel.GT),))
+        ]
+        if tight:
             cs = lincon.project(
-                tuple(
-                    AtomicConstraint(a.expr, Rel.EQ) if a is flipped else a
-                    for a in cs
-                ),
-                dims,
+                (AtomicConstraint(a.expr, Rel.EQ) if a in tight else a for a in cs), dims
             )
-            if cs == (FALSUM,):
-                return Polyhedron.empty(dims)
-        eqs = [a for a in cs if a.rel is Rel.EQ]
-        ineqs = [a for a in cs if a.rel is not Rel.EQ]
-        kept = list(ineqs)
-        for a in ineqs:
-            others = eqs + [b for b in kept if b is not a]
-            if a in kept and lincon.entails(others, a):
-                kept.remove(a)
-        final = tuple(sorted(eqs + kept, key=AtomicConstraint.sort_key))
+        # With the affine hull explicit, the facets are exactly the
+        # inequalities not entailed by the other rows.
+        final = tuple(
+            a
+            for a in cs
+            if a.rel is Rel.EQ or not lincon.entails([b for b in cs if b is not a], a)
+        )
         return Polyhedron(dims, Constraint(final))
 
     # -- basic queries --------------------------------------------------------
@@ -166,19 +157,23 @@ class Polyhedron:
         ]
         return Polyhedron(self.dims, Constraint(lincon.project(out, self.dims)))
 
-    def widen(self, other: "Polyhedron") -> "Polyhedron":
-        """Standard widening: keep this polyhedron's conjuncts that still
-        hold in ``other``; equalities may survive as single inequalities.
+    def widen_upto(
+        self, other: "Polyhedron", thresholds: Iterable[AtomicConstraint] = ()
+    ) -> "Polyhedron":
+        """Standard widening, bounded by thresholds.
 
-        Expects ``self`` to be included in ``other`` (the analysis joins
-        before widening, so this holds there).
+        Keeps this polyhedron's conjuncts (an equality as its two
+        inequalities) and the relaxed thresholds that still hold in
+        ``other``; the thresholds salvage bounds that plain widening would
+        discard.  Expects ``self`` to be included in ``other`` (the analysis
+        joins before widening), so every kept threshold holds of both.
         """
         self._check_dims(other)
         if self.is_empty:
             return other
         if other.is_empty:
             return self
-        candidates: list[AtomicConstraint] = []
+        candidates = [t.relax() for t in thresholds]
         for a in self.conjuncts():
             if a.rel is Rel.EQ:
                 candidates.append(AtomicConstraint(a.expr, Rel.GE))
@@ -187,31 +182,6 @@ class Polyhedron:
                 candidates.append(a)
         kept = [a for a in candidates if lincon.entails(other.conjuncts(), a)]
         return Polyhedron.of(self.dims, kept)
-
-    def widen_upto(
-        self, other: "Polyhedron", thresholds: Iterable[AtomicConstraint] = ()
-    ) -> "Polyhedron":
-        """Widening bounded by thresholds.
-
-        The plain widening result is strengthened with every threshold
-        constraint that both operands already satisfy, salvaging bounds
-        that plain widening would discard.
-        """
-        self._check_dims(other)
-        if self.is_empty:
-            return other
-        if other.is_empty:
-            return self
-        base = self.widen(other)
-        keep = [
-            t.relax()
-            for t in thresholds
-            if lincon.entails(self.conjuncts(), t.relax())
-            and lincon.entails(other.conjuncts(), t.relax())
-        ]
-        if not keep:
-            return base
-        return Polyhedron.of(self.dims, base.conjuncts() + tuple(keep))
 
 
 # ---------------------------------------------------------------------------
@@ -263,32 +233,28 @@ def _dual(rays, lines, n: int):
     The dual is ``{y : y.r >= 0 for every ray, y.l = 0 for every line}`` in
     ``n`` dimensions.  Its lines span the common null space of all rows.
     Its extreme rays, one per facet of ``cone(rays) + span(lines)``, are
-    primitive normals inside ``span(lines + rays)``: each is orthogonal to
-    every line and to ``s - 1 - rank(lines)`` of the rays, where ``s`` is
-    the rank of all rows, and has every ray on its non-negative side.
+    primitive normals orthogonal to the dual's lines, that is inside
+    ``span(lines + rays)``: each is orthogonal to every line and to
+    ``s - 1 - rank(lines)`` of the rays, where ``s`` is the rank of all
+    rows, and has every ray on its non-negative side.
     """
     out_lines = [_primitive(v) for v in _nullspace_basis(lines + rays, n)]
-    basis, _ = lincon.row_reduce(lines + rays)
-    s = len(basis)
-    need = s - 1 - len(lincon.row_reduce(lines)[1])
+    need = n - len(out_lines) - 1 - len(lincon.row_reduce(lines)[1])
     if need < 0:
         return out_lines, []
-    # Rows in coordinates over the basis: r . (y . basis) = y . coords(r).
-    fixed = [tuple(_dot(l, b) for b in basis) for l in lines]
-    coords = [tuple(_dot(r, b) for b in basis) for r in rays]
+    fixed = lines + out_lines
     out_rays: set[tuple[Fraction, ...]] = set()
-    for subset in combinations(coords, need):
-        ys = _nullspace_basis(fixed + list(subset), s)
+    for subset in combinations(rays, need):
+        ys = _nullspace_basis(fixed + list(subset), n)
         if len(ys) != 1:
             continue
         y = ys[0]
-        sides = [_dot(y, c) for c in coords]
+        sides = [_dot(y, r) for r in rays]
         if all(x <= 0 for x in sides):
             y = tuple(-x for x in y)
         elif not all(x >= 0 for x in sides):
             continue
-        normal = [sum((y[k] * basis[k][j] for k in range(s)), _F0) for j in range(n)]
-        out_rays.add(_primitive(normal))
+        out_rays.add(_primitive(y))
     return out_lines, sorted(out_rays)
 
 

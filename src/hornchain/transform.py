@@ -33,7 +33,7 @@ from .chc import (
     LinExpr,
     Program,
     Rel,
-    build_pdg,
+    backward_targets,
     canonical_arg_names,
     fresh_name,
 )
@@ -120,7 +120,7 @@ def unfold_forward(program: Program, goal_pred: str = FALSE_PRED) -> Program:
     goal are discarded before and after.
     """
     program = _drop_unreachable(program, goal_pred)
-    targets = build_pdg(program).backward_targets()
+    targets = backward_targets(program)
     clauses = list(program.clauses)
     steps = 0
     i = 0

@@ -437,7 +437,7 @@ def run_widen_suite(seed: int = 20260815, count: int = 60):
         x = Polyhedron.of(names, random_system(rng, d))
         grow = Polyhedron.of(names, hull_from_points(random_point_set(rng, d)))
         y = x.hull(grow)
-        w = x.widen(y)
+        w = x.widen_upto(y)
         instances += 1
         tag = f"widen d={d} #{i}"
         if not (w.includes(x) and w.includes(y)):
@@ -469,7 +469,7 @@ def run_chain_suite(seed: int = 20260815, count: int = 30):
         changes = 0
         for _ in range(m + 5):
             t = x.hull(Polyhedron.of(names, hull_from_points(random_point_set(rng, d))))
-            w = x.widen(t)
+            w = x.widen_upto(t)
             if w.includes(x) and x.includes(w):
                 continue
             changes += 1

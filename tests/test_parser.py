@@ -10,7 +10,7 @@ from helpers import same_program
 from randprog import random_program
 
 from hornchain.chc import ArityError, ChcError, print_program
-from hornchain.parser import NonlinearTermError, ParseError, parse_program
+from hornchain.parser import NonlinearTermError, ParseError, parse_constraint, parse_program
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -98,3 +98,40 @@ def test_arity_mismatch_rejected():
 def test_goal_predicate_never_in_body():
     with pytest.raises(ChcError):
         parse_program("p(A) :- A = 1, false.")
+
+
+def test_overlong_literal_rejected():
+    # Longer than the interpreter converts from decimal text.
+    with pytest.raises(ParseError, match="too long") as exc:
+        parse_program("p(A) :-\n  A = " + "7" * 5000 + ".")
+    assert (exc.value.line, exc.value.col) == (2, 7)
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 1000 + "A" + ")" * 1000 + " >= 0",
+    "-" * 1000 + "A >= 0",
+    "A >= " + "-(" * 500 + "1" + ")" * 500,
+], ids=["parens", "minus", "mixed"])
+def test_deep_nesting_rejected(text):
+    with pytest.raises(ParseError, match="nested") as exc:
+        parse_constraint(text)
+    assert exc.value.line == 1
+    with pytest.raises(ParseError, match="nested"):
+        parse_program(f"p(A) :- {text}.")
+
+
+_PIECES = st.sampled_from([
+    "p", "q", "false", "is", "A", "B", "_", "0", "12", "7" * 40, " ", "\n", "%",
+    "\u00b2", "\u0663",  # digits outside ASCII
+    ":-", "=<", ">=", "<", ">", "=", ",", ".", "(", ")", "+", "-", "*", "/",
+])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(st.text(), st.lists(_PIECES, max_size=40).map("".join)))
+def test_only_chc_errors_escape_the_parser(text):
+    for parse in (parse_program, parse_constraint):
+        try:
+            parse(text)
+        except ChcError:
+            pass

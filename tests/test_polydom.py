@@ -6,6 +6,7 @@ from fractions import Fraction
 from oracles import hull_by_projection, random_system
 
 from hornchain.chc import AtomicConstraint, LinExpr, Rel, canonical_arg_names
+from hornchain.parser import parse_constraint
 from hornchain.polydom import Polyhedron, format_polyhedron
 
 
@@ -62,6 +63,13 @@ def test_canonical_form_is_representation_independent():
     p = Polyhedron.of(AB, [eq(0, A=1, B=-1), ge(-102, A=1, B=1)])
     q = Polyhedron.of(AB, [eq(0, A=1, B=-1), ge(-51, A=1)])
     assert p == q
+    # B = 3503 arrives as a merged opposed pair and must still reduce C.
+    abc = ("A", "B", "C")
+    p = Polyhedron.of(abc, parse_constraint(
+        "A=1469, B=<2*A+565, B>=A+2034, C=B-2*A-339, B=<6893"))
+    q = Polyhedron.of(abc, parse_constraint("A=1469, B=3503, C=226"))
+    assert p == q
+    assert format_polyhedron(p) == "[1*A=1469,1*B=3503,1*C=226]"
 
 
 # -- meet / hull / inclusion -----------------------------------------------------
@@ -117,7 +125,11 @@ def test_hull_matches_projection_oracle():
         if p.is_empty or q.is_empty:
             continue
         compared += 1
-        assert p.hull(q) == hull_by_projection(p, q), (i, p, q)
+        h = p.hull(q)
+        assert h == hull_by_projection(p, q), (i, p, q)
+        # The canonical form is unique: re-canonicalizing changes nothing.
+        for r in (p, q, h):
+            assert Polyhedron.of(names, r.conjuncts()) == r, (i, r)
     assert compared == 74
 
 
@@ -144,7 +156,7 @@ def test_contains_point():
 def test_widen_drops_unstable_bound():
     x = Polyhedron.of(("A",), [ge(0, A=1), ge(1, A=-1)])  # 0 <= A <= 1
     y = Polyhedron.of(("A",), [ge(0, A=1), ge(2, A=-1)])  # 0 <= A <= 2
-    assert x.widen(y) == Polyhedron.of(("A",), [ge(0, A=1)])
+    assert x.widen_upto(y) == Polyhedron.of(("A",), [ge(0, A=1)])
 
 
 def test_widen_upto_keeps_threshold_bound():
@@ -164,7 +176,7 @@ def test_widen_upto_discards_violated_threshold():
 def test_widen_includes_both_operands():
     x = Polyhedron.of(AB, [eq(0, A=1), eq(-50, B=1)])
     y = x.hull(Polyhedron.of(AB, [eq(-1, A=1), eq(-51, B=1)]))
-    w = x.widen(y)
+    w = x.widen_upto(y)
     assert w.includes(x) and w.includes(y)
 
 

@@ -142,12 +142,17 @@ def _fm_eliminate(
     With ``max_rows`` set, an elimination step whose combination output would
     exceed that many rows instead drops every row mentioning the variable.
     That over-approximates the projection (constraints are only lost), so it
-    is for callers computing upper bounds, never for satisfiability.
+    is for callers computing upper bounds.  Unsatisfiability stays exact:
+    every step before the first one that stops is exact, so the first stop
+    decides the rows it has with the simplex and returns None if they are
+    contradictory.  Later stops drop rows of a satisfiable system, whose
+    relaxations stay satisfiable.
     """
     rows = _prune_rows([(e, s, frozenset((i,))) for i, (e, s) in enumerate(ineqs)])
     if rows is None:
         return None
     steps = 0
+    decided = False
     while True:
         counts: dict[str, list[int]] = {}
         for e, _, _ in rows:
@@ -191,6 +196,9 @@ def _fm_eliminate(
             if aborted:
                 break
         if aborted:
+            if not decided and not _lp_feasible([(e, s) for e, s, _ in rows]):
+                return None
+            decided = True
             rows = nxt[:passthrough]
             continue
         rows = _prune_rows(nxt)
@@ -389,8 +397,9 @@ def project(
     row echelon basis of its equalities, and no pivot in any inequality.
 
     ``max_rows`` caps intermediate growth during inequality elimination at
-    the price of over-approximating (see :func:`_fm_eliminate`); reported
-    unsatisfiability stays exact either way.
+    the price of over-approximating (see :func:`_fm_eliminate`).  Capped or
+    not, the result is ``(FALSUM,)`` if and only if the input is
+    unsatisfiable, so callers may use ``project`` as their only decision.
     """
     keep_set = frozenset(keep)
     eqs, ineqs = _split(conjuncts)

@@ -17,6 +17,7 @@ from typing import Iterable, Mapping
 
 from . import lincon
 from .chc import (
+    FALSUM,
     Atom,
     AtomicConstraint,
     Constraint,
@@ -78,9 +79,10 @@ def tp_step(program: Program, interp: Interpretation, cap: int | None = None) ->
     """One immediate-consequence step: facts derivable in a single round.
 
     For each clause, every combination of body facts is conjoined with the
-    clause constraint; satisfiable combinations are projected onto the head
-    arguments and recorded (renamed to canonical names) as facts of the head
-    predicate.  Facts equivalent to an already recorded one are skipped.
+    clause constraint and projected onto the head arguments; one that
+    projects to ``(FALSUM,)`` is skipped, and the others are recorded
+    (renamed to canonical names) as facts of the head predicate.  Facts
+    equivalent to an already recorded one are skipped.
     With ``cap`` set, a predicate exceeding it keeps only its
     :func:`maximal` facts and is then truncated to the first ``cap``.
     """
@@ -113,11 +115,11 @@ def tp_step(program: Program, interp: Interpretation, cap: int | None = None) ->
             conjuncts = list(clause.constr.conjuncts)
             for f in combo:
                 conjuncts.extend(f.conjuncts)
-            if not lincon.is_satisfiable(conjuncts):
-                continue
             # Capped growth: threshold facts are candidate bounds, so an
             # over-approximate projection only makes candidates weaker.
             proj = lincon.project(conjuncts, clause.head.args, max_rows=lincon.PROJECT_CAP)
+            if proj == (FALSUM,):
+                continue
             fact = Constraint(lincon.normalize(a.rename(head_map) for a in proj))
             if fact in seen[clause.head.pred]:
                 continue

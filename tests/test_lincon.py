@@ -150,6 +150,10 @@ def test_projection_of_unsat_is_falsum():
     # exposes 0 = 1.
     inconsistent = [eq(-1, A=1, B=1), eq(-2, B=1, C=1), eq(0, A=1, C=-1)]
     assert lincon.project(inconsistent, ["A", "B", "C"]) == (FALSUM,)
+    # C = 2B+10, 3C >= 3A+2B+1, 2A+3C >= 1, C =< -10: with one row allowed,
+    # elimination stops early, and the rows it drops hold the contradiction.
+    capped = [eq(-10, C=1, B=-2), ge(-1, C=3, A=-3, B=-2), ge(-1, A=2, C=3), ge(-10, C=-1)]
+    assert lincon.project(capped, ["A"], max_rows=1) == (FALSUM,)
 
 
 def test_projection_row_reduces_kept_equalities():
@@ -184,6 +188,24 @@ def test_projection_is_pairwise_irredundant():
                 for max_rows in (None, 1):
                     out = lincon.project(raw, keep, max_rows)
                     assert _drop_pairwise_redundant(out) == out, (raw, keep, max_rows)
+
+
+def test_capped_projection_decides_satisfiability():
+    # With the row cap forcing the dropping fallback, a projection is still
+    # (FALSUM,) exactly when its input is unsatisfiable.
+    rng = random.Random(11)
+    unsat = 0
+    for _ in range(400):
+        d = rng.randint(2, 3)
+        raw = random_system(rng, d)
+        sat = lincon.is_satisfiable(raw)
+        unsat += not sat
+        names = canonical_arg_names(d)
+        for k in range(d + 1):
+            for max_rows in (1, 2):
+                out = lincon.project(raw, names[:k], max_rows)
+                assert (out == (FALSUM,)) == (not sat), (raw, names[:k], max_rows)
+    assert unsat > 50
 
 
 def test_projection_keeps_strictness():

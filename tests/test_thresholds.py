@@ -52,6 +52,15 @@ def test_tp_step_discards_unsatisfiable_combinations():
     assert step["p"] == ()
 
 
+def test_tp_step_skips_unsatisfiable_combination_under_row_cap(monkeypatch):
+    # The only combination is unsatisfiable, and with a one-row cap its
+    # elimination stops before the contradiction shows.
+    monkeypatch.setattr(lincon, "PROJECT_CAP", 1)
+    p = parse_program("p(A) :- C = 2*B + 10, 3*C >= 3*A + 2*B + 1, 2*A + 3*C >= 1, C =< -10.\n")
+    step = tp_step(p, top_interpretation(p))
+    assert step["p"] == ()
+
+
 def test_tp_step_cap_sheds_subsumed_then_truncates():
     p = parse_program(
         "p(A) :- A >= 3.\n"

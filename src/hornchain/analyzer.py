@@ -25,6 +25,7 @@ from .chc import (
     FALSE_PRED,
     Atom,
     ChcError,
+    Clause,
     Program,
     canonical_arg_names,
     format_atom,
@@ -133,24 +134,32 @@ def analyze(
     update_count = {p: 0 for p in preds}
     passes = updates = widenings = 0
 
+    # One (body values, contribution) entry per clause: a contribution is
+    # rebuilt only when one of its body polyhedra changed.  Canonical forms
+    # are unique, so comparing them with == is exact.
+    built = {p: [None] * len(cs) for p, cs in clauses_of.items()}
+
+    def contribution(clause: Clause, body: tuple[Polyhedron, ...]) -> Polyhedron | None:
+        if any(poly.is_empty for poly in body):
+            return None
+        conjuncts = list(clause.constr.conjuncts)
+        for atom, poly in zip(clause.body, body):
+            mapping = dict(zip(poly.dims, atom.args))
+            conjuncts.extend(a.rename(mapping) for a in poly.conjuncts())
+        proj = lincon.project(conjuncts, clause.head.args, max_rows=lincon.PROJECT_CAP)
+        head_dims = dims[clause.head.pred]
+        head_map = dict(zip(clause.head.args, head_dims))
+        return Polyhedron.of(head_dims, (a.rename(head_map) for a in proj))
+
     def contributions(pred: str) -> Polyhedron:
         acc = Polyhedron.empty(dims[pred])
-        for clause in clauses_of[pred]:
-            conjuncts = list(clause.constr.conjuncts)
-            feasible = True
-            for atom in clause.body:
-                poly = values[atom.pred]
-                if poly.is_empty:
-                    feasible = False
-                    break
-                mapping = dict(zip(poly.dims, atom.args))
-                conjuncts.extend(a.rename(mapping) for a in poly.conjuncts())
-            if not feasible:
-                continue
-            proj = lincon.project(conjuncts, clause.head.args, max_rows=lincon.PROJECT_CAP)
-            head_map = dict(zip(clause.head.args, dims[pred]))
-            contrib = Polyhedron.of(dims[pred], (a.rename(head_map) for a in proj))
-            acc = acc.hull(contrib)
+        for k, clause in enumerate(clauses_of[pred]):
+            body = tuple(values[atom.pred] for atom in clause.body)
+            entry = built[pred][k]
+            if entry is None or entry[0] != body:
+                entry = built[pred][k] = (body, contribution(clause, body))
+            if entry[1] is not None:
+                acc = acc.hull(entry[1])
         return acc
 
     for comp in _sccs(preds, succs):

@@ -344,35 +344,6 @@ def normalize(conjuncts: Iterable[AtomicConstraint]) -> tuple[AtomicConstraint, 
     return tuple(sorted(set(merged), key=AtomicConstraint.sort_key))
 
 
-def row_reduce(
-    rows: Iterable[Sequence[Fraction]],
-) -> tuple[list[tuple[Fraction, ...]], list[int]]:
-    """Reduced row echelon form: the nonzero rows and their pivot columns.
-
-    Each pivot is the first nonzero entry of its row and is zero in every
-    other row.  The rows span the same space as the input; up to scaling,
-    they are the unique reduced basis for this column order.
-    """
-    reduced: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for row in rows:
-        r = list(row)
-        for pr, pc in zip(reduced, pivots):
-            if r[pc] != 0:
-                f = r[pc] / pr[pc]
-                r = [a - f * b for a, b in zip(r, pr)]
-        lead = next((i for i, x in enumerate(r) if x != 0), None)
-        if lead is None:
-            continue
-        for k, (pr, pc) in enumerate(zip(reduced, pivots)):
-            if pr[lead] != 0:
-                f = pr[lead] / r[lead]
-                reduced[k] = [a - f * b for a, b in zip(pr, r)]
-        reduced.append(r)
-        pivots.append(lead)
-    return [tuple(r) for r in reduced], pivots
-
-
 def project(
     conjuncts: Iterable[AtomicConstraint],
     keep: Iterable[str],

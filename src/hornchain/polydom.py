@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import lincon
@@ -29,10 +29,6 @@ from .chc import (
     Rel,
     format_atomic_bracketed,
 )
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
 
 @dataclass(frozen=True)
 class Polyhedron:
@@ -131,11 +127,14 @@ class Polyhedron:
         """Closure of the convex hull of the union.
 
         Each operand's homogenized cone is the dual of its constraint rows,
-        so :func:`_dual` turns the rows into generators; the hull's cone is
-        the sum of the operands' cones, and a second :func:`_dual` turns
-        the pooled generators back into equalities and facets.  The output
-        is complete (every equality of the affine hull) and irredundant
-        (one row per facet), so projection alone makes it canonical.
+        so :func:`_dual` turns the integer rows into generators; the hull's
+        cone is the sum of the operands' cones, and a second :func:`_dual`
+        turns the pooled generators back into equalities and facets.  Both
+        conversions run the double description method with the
+        combinatorial adjacency test, and the rows become ``Fraction``
+        expressions only at the end.  The output is complete (every
+        equality of the affine hull) and irredundant (one row per facet),
+        so projection alone makes it canonical.
         """
         self._check_dims(other)
         if self.is_empty:
@@ -193,38 +192,53 @@ class Polyhedron:
 # cone(inequality rows and (1, 0, ..., 0)) + span(equality rows), so one
 # conversion reads its generators off the rows: vertices at t > 0, rays and
 # lines at t = 0.  The hull's cone is the sum of the operands' cones, and the
-# same conversion reads its constraints back off the pooled generators, as in
-# the double description method.  Facets are found by enumerating subsets of
-# rays, which is exponential in the dimension only; that stays small here.
+# same conversion reads its constraints back off the pooled generators.  The
+# conversion is the incremental double description method (Motzkin et al.,
+# 1953; Fukuda & Prodon, LNCS 1120, 1996): it cuts the cone by one row at a
+# time and combines only adjacent pairs of rays, so its cost follows the
+# number of generators.  Rows and generators are tuples of coprime ints.
 # ---------------------------------------------------------------------------
 
-def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), _F0)
+def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
+    """The coprime integer vector with the direction of ``vec``."""
+    g = math.gcd(*vec)
+    return tuple(x // g for x in vec) if g > 1 else tuple(vec)
 
 
-def _nullspace_basis(rows: Iterable[Sequence[Fraction]], n: int):
-    """Basis of the solutions of ``r . x = 0`` for every given row."""
-    reduced, pivots = lincon.row_reduce(rows)
-    basis: list[tuple[Fraction, ...]] = []
+def _combine(a: int, u: Sequence[int], b: int, v: Sequence[int]) -> tuple[int, ...]:
+    """Primitive form of ``a * u - b * v``."""
+    return _primitive([a * x - b * y for x, y in zip(u, v)])
+
+
+def _nullspace(rows: Iterable[Sequence[int]], n: int) -> list[tuple[int, ...]]:
+    """Primitive basis of the solutions of ``r . y = 0`` for every row.
+
+    Fraction-free Gauss-Jordan elimination gives the reduced row echelon
+    form; each free column then yields one basis vector, positive there.
+    """
+    reduced: list[tuple[int, ...]] = []
+    pivots: list[int] = []
+    for row in rows:
+        for pr, pc in zip(reduced, pivots):
+            if row[pc]:
+                row = _combine(pr[pc], row, row[pc], pr)
+        lead = next((i for i, x in enumerate(row) if x), None)
+        if lead is None:
+            continue
+        reduced = [_combine(row[lead], pr, pr[lead], row) if pr[lead] else pr for pr in reduced]
+        reduced.append(tuple(row))
+        pivots.append(lead)
+    scale = math.lcm(*(pr[pc] for pr, pc in zip(reduced, pivots)))
+    basis = []
     for free in range(n):
         if free in pivots:
             continue
-        vec = [_F0] * n
-        vec[free] = _F1
+        vec = [0] * n
+        vec[free] = scale
         for pr, pc in zip(reduced, pivots):
-            vec[pc] = -pr[free] / pr[pc]
-        basis.append(tuple(vec))
+            vec[pc] = -pr[free] * scale // pr[pc]
+        basis.append(_primitive(vec))
     return basis
-
-
-def _primitive(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Canonical integer direction vector (coprime entries)."""
-    lcm = math.lcm(*(x.denominator for x in vec))
-    ints = [int(x * lcm) for x in vec]
-    g = math.gcd(*ints)
-    if g:
-        ints = [v // g for v in ints]
-    return tuple(Fraction(v) for v in ints)
 
 
 def _dual(rays, lines, n: int):
@@ -232,46 +246,69 @@ def _dual(rays, lines, n: int):
 
     The dual is ``{y : y.r >= 0 for every ray, y.l = 0 for every line}`` in
     ``n`` dimensions.  Its lines span the common null space of all rows.
-    Its extreme rays, one per facet of ``cone(rays) + span(lines)``, are
-    primitive normals orthogonal to the dual's lines, that is inside
-    ``span(lines + rays)``: each is orthogonal to every line and to
-    ``s - 1 - rank(lines)`` of the rays, where ``s`` is the rank of all
-    rows, and has every ray on its non-negative side.
+    Taken as equalities together with the input lines, they cut the
+    lineality basis down to the subspace in which the dual is pointed, so
+    each extreme ray, one per facet of ``cone(rays) + span(lines)``, comes
+    out as the unique primitive normal orthogonal to the dual's lines.
+
+    Each ray row then cuts the cone.  A row that is not orthogonal to the
+    whole lineality basis turns one basis vector into a ray on its positive
+    side.  Otherwise the rays on its non-negative side stay, and each
+    adjacent pair across it is combined into a ray on the row's hyperplane.
+    Two rays are adjacent when no third ray is tight on every row that both
+    are tight on; tight sets are bit masks over the rows cut so far.
     """
-    out_lines = [_primitive(v) for v in _nullspace_basis(lines + rays, n)]
-    need = n - len(out_lines) - 1 - len(lincon.row_reduce(lines)[1])
-    if need < 0:
-        return out_lines, []
-    fixed = lines + out_lines
-    out_rays: set[tuple[Fraction, ...]] = set()
-    for subset in combinations(rays, need):
-        ys = _nullspace_basis(fixed + list(subset), n)
-        if len(ys) != 1:
+    out_lines = _nullspace(lines + rays, n)
+    basis = _nullspace(lines + out_lines, n)
+    gens: list[tuple[int, ...]] = []
+    tight: list[int] = []
+    for i, row in enumerate(rays):
+        bit = 1 << i
+        dots = [sum(map(mul, row, u)) for u in basis]
+        sides = [sum(map(mul, row, g)) for g in gens]
+        k = next((k for k, s in enumerate(dots) if s), None)
+        if k is not None:
+            v, s = basis.pop(k), dots.pop(k)
+            if s < 0:
+                v, s = tuple(-x for x in v), -s
+            basis = [_combine(s, u, d, v) if d else u for u, d in zip(basis, dots)]
+            gens = [_combine(s, g, d, v) if d else g for g, d in zip(gens, sides)] + [v]
+            tight = [z | bit for z in tight] + [bit - 1]
             continue
-        y = ys[0]
-        sides = [_dot(y, r) for r in rays]
-        if all(x <= 0 for x in sides):
-            y = tuple(-x for x in y)
-        elif not all(x >= 0 for x in sides):
+        minus = [k for k, s in enumerate(sides) if s < 0]
+        tight = [z | bit if s == 0 else z for z, s in zip(tight, sides)]
+        if not minus:
             continue
-        out_rays.add(_primitive(y))
-    return out_lines, sorted(out_rays)
+        plus = [k for k, s in enumerate(sides) if s > 0]
+        new_gens = [g for g, s in zip(gens, sides) if s >= 0]
+        new_tight = [z for z, s in zip(tight, sides) if s >= 0]
+        for p in plus:
+            for q in minus:
+                common = tight[p] & tight[q]
+                if any(common & z == common for j, z in enumerate(tight) if j != p and j != q):
+                    continue
+                new_gens.append(_combine(sides[p], gens[q], sides[q], gens[p]))
+                new_tight.append(common | bit)
+        gens, tight = new_gens, new_tight
+    return out_lines, sorted(gens)
 
 
 def _cone(p: Polyhedron):
     """Lines and extreme rays of the homogenized cone of a nonempty ``p``.
 
     Vertices come out as the rays with ``t > 0``, at some positive scale.
+    Normalized conjuncts have coprime integer coefficients, so each row is
+    read off as ints.
     """
-    rays = [(_F1,) + (_F0,) * len(p.dims)]
+    rays = [(1,) + (0,) * len(p.dims)]
     lines = []
     for a in p.conjuncts():
         row = (a.expr.const,) + tuple(a.expr.coeff(d) for d in p.dims)
-        (lines if a.rel is Rel.EQ else rays).append(row)
+        (lines if a.rel is Rel.EQ else rays).append(tuple(map(int, row)))
     return _dual(rays, lines, len(p.dims) + 1)
 
 
-def _expr_from(nv: Sequence[Fraction], dims: Sequence[str]) -> LinExpr:
+def _expr_from(nv: Sequence[int], dims: Sequence[str]) -> LinExpr:
     return LinExpr.build({d: c for d, c in zip(dims, nv[1:])}, nv[0])
 
 

@@ -125,40 +125,79 @@ def _independent_basis(diffs):
     return basis
 
 
-def _nullspace(basis, d):
-    """Integer basis of the space orthogonal to all given vectors."""
-    rows = [tuple(Fraction(x) for x in v) for v in basis]
-    # Reduced row echelon form.
+def rref(vectors):
+    """Unique reduced row echelon form: rows with pivot 1, and their pivots."""
     reduced: list[tuple[Fraction, ...]] = []
     pivots: list[int] = []
-    for r in rows:
+    for v in vectors:
+        r = tuple(Fraction(x) for x in v)
         for pr, pc in zip(reduced, pivots):
             if r[pc] != 0:
-                f = r[pc] / pr[pc]
-                r = tuple(a - f * b for a, b in zip(r, pr))
+                r = tuple(a - r[pc] * b for a, b in zip(r, pr))
         lead = next((i for i, x in enumerate(r) if x != 0), None)
         if lead is None:
             continue
+        r = tuple(x / r[lead] for x in r)
         reduced = [
-            tuple(a - (pr[lead] / r[lead]) * b for a, b in zip(pr, r))
-            if pr[lead] != 0
-            else pr
+            tuple(a - pr[lead] * b for a, b in zip(pr, r)) if pr[lead] != 0 else pr
             for pr in reduced
         ]
         reduced.append(r)
         pivots.append(lead)
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    return [reduced[k] for k in order], [pivots[k] for k in order]
+
+
+def _nullspace(basis, d):
+    """Integer basis of the space orthogonal to all given vectors."""
+    reduced, pivots = rref(basis)
     free = [i for i in range(d) if i not in pivots]
     out = []
     for f in free:
         vec = [Fraction(0)] * d
         vec[f] = Fraction(1)
         for pr, pc in zip(reduced, pivots):
-            vec[pc] = -pr[f] / pr[pc]
+            vec[pc] = -pr[f]
         lcm = 1
         for x in vec:
             lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
         out.append(tuple(int(x * lcm) for x in vec))
     return out
+
+
+def _primitive(v):
+    g = math.gcd(*v)
+    return tuple(x // g for x in v) if g else tuple(v)
+
+
+def dual_by_subsets(rays, lines, n: int):
+    """Reference for ``polydom._dual``: the same lines and extreme rays,
+    found by enumerating subsets of rays.
+
+    The dual is ``{y : y.r >= 0 for every ray, y.l = 0 for every line}``.
+    Its lines span the common null space of all rows.  Its extreme rays are
+    primitive normals inside ``span(lines + rays)``: each is orthogonal to
+    every line and to ``s - 1 - rank(lines)`` of the rays, where ``s`` is
+    the rank of all rows, and has every ray on its non-negative side.
+    """
+    out_lines = [_primitive(v) for v in _nullspace(lines + rays, n)]
+    need = n - len(out_lines) - 1 - len(rref(lines)[1])
+    if need < 0:
+        return out_lines, []
+    fixed = lines + out_lines
+    out_rays = set()
+    for subset in combinations(rays, need):
+        ys = _nullspace(fixed + list(subset), n)
+        if len(ys) != 1:
+            continue
+        y = ys[0]
+        sides = [_dot(y, r) for r in rays]
+        if all(x <= 0 for x in sides):
+            y = tuple(-x for x in y)
+        elif not all(x >= 0 for x in sides):
+            continue
+        out_rays.add(_primitive(y))
+    return out_lines, sorted(out_rays)
 
 
 def _normal_in_span(basis, edge):

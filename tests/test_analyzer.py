@@ -13,6 +13,7 @@ from hornchain.analyzer import (
 )
 from hornchain.parser import parse_program
 from hornchain.pipeline import run_pipeline
+from hornchain.polydom import Polyhedron
 from hornchain.thresholds import compute_thresholds
 
 
@@ -58,6 +59,31 @@ def test_thresholds_can_rescue_precision():
     model, _ = analyze(p, ts)
     assert check_safety(model) is Verdict.SAFE
     assert check_safety(bare_model) is Verdict.UNKNOWN
+
+
+def test_unchanged_clause_contribution_is_reused(monkeypatch):
+    # The fact clause's body never changes, so its contribution is built
+    # once, however many passes the loop takes.
+    p = parse_program(
+        "count(A) :- A = 0.\n"
+        "count(A) :- B =< 9, A = B+1, count(B).\n"
+        "false :- A >= 11, count(A).\n"
+    )
+    fact = Polyhedron.of(("A",), p.clauses_for("count")[0].constr.conjuncts)
+    built = []
+    of = Polyhedron.of
+
+    def counting_of(dims, conjuncts):
+        poly = of(dims, conjuncts)
+        built.append(poly)
+        return poly
+
+    monkeypatch.setattr(Polyhedron, "of", staticmethod(counting_of))
+    model, stats = analyze(p)
+    assert built.count(fact) == 1
+    # Rebuilding every contribution on every pass gives the same result.
+    assert stats == AnalysisStats(passes=5, updates=4, widenings=1)
+    assert format_model(model) == "count(A) :- [1*A>=0]\nfalse :- []\n"
 
 
 def test_model_formatting_matches_committed_model(twophase, twophase_model_text):

@@ -3,11 +3,11 @@
 import random
 from fractions import Fraction
 
-from oracles import hull_by_projection, random_system
+from oracles import dual_by_subsets, hull_by_projection, random_system, rref
 
 from hornchain.chc import AtomicConstraint, LinExpr, Rel, canonical_arg_names
 from hornchain.parser import parse_constraint
-from hornchain.polydom import Polyhedron, format_polyhedron
+from hornchain.polydom import Polyhedron, _dual, format_polyhedron
 
 
 def ge(const, **coeffs):
@@ -131,6 +131,49 @@ def test_hull_matches_projection_oracle():
         for r in (p, q, h):
             assert Polyhedron.of(names, r.conjuncts()) == r, (i, r)
     assert compared == 74
+
+
+def test_dual_matches_subset_enumeration():
+    # The double description against the subset enumeration it replaced:
+    # the same extreme rays, and lines spanning the same space.  Draws come
+    # in blocks of four (n = 2-5); the blocks cycle through six kinds:
+    # plain, every ray inside span(lines), no rays, repeated and parallel
+    # rays, opposed rays (a lineality in the primal cone), plain.
+    rng = random.Random(20261018)
+
+    def vec(n):
+        while True:
+            v = tuple(rng.randint(-3, 3) for _ in range(n))
+            if any(v):
+                return v
+
+    kinds = [0] * 6
+    for i in range(300):
+        n = 2 + i % 4
+        kind = i // 4 % 6
+        lines = [vec(n) for _ in range(rng.randint(0, 2))]
+        rays = [vec(n) for _ in range(rng.randint(1, 6))]
+        if kind == 1:
+            lines = lines or [vec(n)]
+            weights = [[rng.randint(-2, 2) for _ in lines] for _ in rays]
+            rays = [
+                tuple(sum(w * l[j] for w, l in zip(ws, lines)) for j in range(n))
+                for ws in weights
+            ]
+            rays = [r for r in rays if any(r)]
+        elif kind == 2:
+            rays = []
+        elif kind == 3:
+            rays += [rays[0], tuple(2 * x for x in rays[-1])]
+        elif kind == 4:
+            rays += [tuple(-x for x in r) for r in rays[:2]]
+        got_lines, got_rays = _dual(rays, lines, n)
+        want_lines, want_rays = dual_by_subsets(rays, lines, n)
+        assert got_rays == want_rays, (i, rays, lines)
+        assert rref(got_lines) == rref(want_lines), (i, rays, lines)
+        kinds[kind] += bool(got_rays)
+    # Draws whose dual has rays, per kind; rays inside span(lines) leave none.
+    assert kinds == [32, 0, 0, 35, 11, 25]
 
 
 def test_inclusion_and_equality():

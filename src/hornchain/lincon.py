@@ -1,134 +1,204 @@
 """Decision procedures for conjunctions of linear rational constraints.
 
-Everything here is exact: coefficients are ``fractions.Fraction`` and strict
-inequalities are tracked precisely through elimination, so satisfiability
-over the rationals is decided, not approximated.  The workhorse is
-Fourier-Motzkin elimination, preceded by Gaussian elimination of equalities.
-These procedures are complete for conjunctions of linear constraints; their
-cost grows quickly with dimension, which is acceptable for the small clause
-constraints handled here.
+Everything here is exact, and strict inequalities are tracked precisely
+through elimination, so satisfiability over the rationals is decided, not
+approximated.  Each call turns its conjuncts into integer rows once: a row
+is a tuple of coprime Python ints, one coefficient per variable of the call
+in name order, with the constant last.  Every elimination step combines two
+rows as ``a*r - b*p`` with ``a > 0`` and divides out the gcd (fraction-free
+elimination: Bareiss, Math. Comp. 22, 1968; the constraint rows of the
+Parma Polyhedra Library), so a row is always a positive multiple of the
+rational row it stands for, with the same signs, zeros and slope.
+``LinExpr`` appears only where atoms come in and go out.
+
+The workhorse is Fourier-Motzkin elimination, preceded by Gauss-Jordan
+elimination of equalities.  An exact simplex decides a system only when
+elimination would grow past ``PROJECT_CAP`` rows.  These procedures are
+complete for conjunctions of linear constraints; their cost grows quickly
+with dimension, which is acceptable for the small clause constraints
+handled here.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .chc import FALSUM, AtomicConstraint, LinExpr, Rel
 
-_Ineq = tuple[LinExpr, bool]  # expr >= 0, or expr > 0 when the flag is set
+_Vec = tuple[int, ...]  # coefficients in name order, then the constant
+_Ineq = tuple[_Vec, bool]  # row >= 0, or row > 0 when the flag is set
 
 # The ``max_rows`` growth cap that the analyzer and threshold harvesting
-# pass to ``project``.  Hitting it loses constraints, which only coarsens
-# their over-approximations; verdict soundness is kept.
+# pass to ``project``, and the row count at which ``is_satisfiable`` hands a
+# system to the simplex.  Hitting it in ``project`` loses constraints, which
+# only coarsens over-approximations; verdict soundness is kept.
 PROJECT_CAP = 400
 
 
-def _split(conjuncts: Iterable[AtomicConstraint]) -> tuple[list[LinExpr], list[_Ineq]]:
-    eqs: list[LinExpr] = []
+# Tuples here are built from lists, never from generators: ``tuple()`` of a
+# generator allocates a guessed size and shrinks it, which strands blocks in
+# CPython's per-size tuple free lists, up to 2,000 for each row width seen.
+def _coprime(v: Sequence[int]) -> _Vec:
+    g = math.gcd(*v)
+    return tuple([c // g for c in v]) if g > 1 else tuple(v)
+
+
+def _neg(v: _Vec) -> _Vec:
+    return tuple([-c for c in v])
+
+
+def _oriented(v: _Vec) -> _Vec:
+    """The equality row ``v = 0`` with its first variable's coefficient positive."""
+    return v if next(c for c in v if c) > 0 else _neg(v)
+
+
+def _rows(conjuncts: Iterable[AtomicConstraint]) -> tuple[list[str], list[tuple[_Vec, Rel]]]:
+    """The variables of the conjuncts in name order, and each conjunct as a row.
+
+    Denominators are cleared and the gcd is divided out, a positive scaling
+    that keeps every relation.
+    """
+    atoms = list(conjuncts)
+    names = sorted({v for a in atoms for v, _ in a.expr.coeffs})
+    col = {v: i for i, v in enumerate(names)}
+    rows = []
+    for a in atoms:
+        e = a.expr
+        terms = [(col[v], *c.as_integer_ratio()) for v, c in e.coeffs]
+        num, den = e.const.as_integer_ratio()
+        lcm = math.lcm(den, *(d for _, _, d in terms))
+        row = [0] * len(names) + [num * (lcm // den)]
+        for j, p, d in terms:
+            row[j] = p * (lcm // d)
+        rows.append((_coprime(row), a.rel))
+    return names, rows
+
+
+def _atom(names: list[str], row: _Vec, rel: Rel) -> AtomicConstraint:
+    coeffs = tuple([(v, Fraction(c)) for v, c in zip(names, row) if c])
+    return AtomicConstraint(LinExpr(coeffs, Fraction(row[-1])), rel)
+
+
+def _split(rows: Iterable[tuple[_Vec, Rel]]) -> tuple[list[_Vec], list[_Ineq]]:
+    eqs: list[_Vec] = []
     ineqs: list[_Ineq] = []
-    for a in conjuncts:
-        if a.rel is Rel.EQ:
-            eqs.append(a.expr)
+    for r, rel in rows:
+        if rel is Rel.EQ:
+            eqs.append(r)
         else:
-            ineqs.append((a.expr, a.rel is Rel.GT))
+            ineqs.append((r, rel is Rel.GT))
     return eqs, ineqs
 
 
-def _solve_for(e: LinExpr, v: str) -> LinExpr:
-    """Given ``e = 0`` with ``v`` occurring in ``e``, return ``v`` as an expression."""
-    c = e.coeff(v)
-    rest = e - LinExpr.build({v: c})
-    return rest.scale(Fraction(-1) / c)
+def _reduce(r: _Vec, p: _Vec, j: int) -> _Vec:
+    """A positive multiple of ``r`` plus a multiple of ``p``, zero in column ``j``."""
+    a, b = p[j], r[j]
+    if a < 0:
+        a, b = -a, -b
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    return _coprime([a * x - b * y for x, y in zip(r, p)])
 
 
 def _eliminate_equalities(
-    eqs: list[LinExpr],
+    eqs: list[_Vec],
     ineqs: list[_Ineq],
-    keep: frozenset[str] = frozenset(),
-) -> tuple[list[LinExpr], list[_Ineq]] | None:
-    """One sparse Gauss-Jordan pass over the equalities.
+    keep: Collection[int] = (),
+) -> tuple[list[_Vec], list[_Ineq]] | None:
+    """One Gauss-Jordan pass over the equality rows.
 
-    Each equality, reduced by the solved forms before it, is solved for its
-    first variable outside ``keep``, or else for its last variable, and the
-    new pivot is substituted out of the earlier solved forms.  Returns the
-    rows solved for a kept variable, which mention kept variables only and
-    are the reduced row echelon basis of the equalities' shadow on ``keep``
-    (columns in reverse name order, so each row is pivoted on its last
-    variable), and the inequalities with every pivot substituted away.
-    Returns None if a ground contradiction surfaces.
+    Each equality, reduced by the pivot rows before it, is pivoted on its
+    first column outside ``keep``, or else on its last column, and the new
+    pivot is eliminated from the earlier pivot rows.  Returns the rows
+    pivoted on a kept column, which mention kept columns only and are the
+    reduced row echelon basis of the equalities' shadow on ``keep``
+    (columns in reverse order, so each row is pivoted on its last
+    variable), and the inequalities with every pivot eliminated.  Returns
+    None if a ground contradiction surfaces.
     """
-    solved: dict[str, LinExpr] = {}
+    solved: list[tuple[int, _Vec]] = []  # each pivot occurs in its own row only
     for e in eqs:
-        e = e.subst(solved)
-        if e.is_const:
-            if e.const != 0:
+        for j, p in solved:
+            if e[j]:
+                e = _reduce(e, p, j)
+        cols = [j for j, c in enumerate(e[:-1]) if c]
+        if not cols:
+            if e[-1]:
                 return None
             continue
-        v = next((u for u in e.vars() if u not in keep), e.vars()[-1])
-        form = _solve_for(e, v)
-        sub = {v: form}
-        solved = {u: f.subst(sub) if f.coeff(v) else f for u, f in solved.items()}
-        solved[v] = form
-    kept = [LinExpr.var(v) - f for v, f in solved.items() if v in keep]
+        v = next((j for j in cols if j not in keep), cols[-1])
+        solved = [(j, _reduce(p, e, v) if p[v] else p) for j, p in solved]
+        solved.append((v, e))
+    kept = [p for j, p in solved if j in keep]
     if solved:
-        ineqs = [(e.subst(solved), s) for e, s in ineqs]
+        reduced = []
+        for r, s in ineqs:
+            for j, p in solved:
+                if r[j]:
+                    r = _reduce(r, p, j)
+            reduced.append((r, s))
+        ineqs = reduced
     return kept, ineqs
 
 
-def _ground_ok(ineqs: list[_Ineq]) -> bool:
-    for e, s in ineqs:
-        if e.is_const and (e.const < 0 or (s and e.const == 0)):
-            return False
-    return True
+def _ground_ok(ineqs: Iterable[_Ineq]) -> bool:
+    return all(
+        any(r[:-1]) or r[-1] > 0 or (r[-1] == 0 and not s) for r, s in ineqs
+    )
 
 
 # A working row during elimination: inequality, strictness, and the set of
 # input rows it was combined from (its history).
-_Row = tuple[LinExpr, bool, frozenset]
+_Row = tuple[_Vec, bool, frozenset]
 
 
 def _prune_rows(rows: list[_Row]) -> list[_Row] | None:
     """Keep only the tightest of parallel inequalities (same coprime slope).
 
-    Rows are keyed on their coefficients alone, scaled to coprime integers,
-    so ``2A-1 >= 0`` and ``A+6 > 0`` share a key and only ``A-1/2 >= 0``
+    Rows are keyed on their coefficients alone, divided by their gcd, so
+    ``2A-1 >= 0`` and ``A+6 > 0`` share a key and only ``2A-1 >= 0``
     survives.  Removing a constraint implied by a parallel tighter one never
     changes the solution set, so this is exact, and afterwards no row is
     entailed by another single row: a half-space contains another only when
-    their normals point the same way.  Returns None on a ground
-    contradiction; satisfied ground rows are dropped.
+    their normals point the same way.  Kept rows come out coprime.  Returns
+    None on a ground contradiction; satisfied ground rows are dropped.
     """
-    best: dict[tuple[tuple[str, Fraction], ...], tuple[Fraction, bool, frozenset]] = {}
-    for e, s, h in rows:
-        if e.is_const:
-            if e.const < 0 or (s and e.const == 0):
+    best: dict[_Vec, tuple[int, int, bool, frozenset, _Vec]] = {}
+    for r, s, h in rows:
+        coeffs = r[:-1]
+        g = math.gcd(*coeffs)
+        const = r[-1]
+        if not g:
+            if const < 0 or (s and const == 0):
                 return None
             continue
-        k = Fraction(
-            math.lcm(*(c.denominator for _, c in e.coeffs)),
-            math.gcd(*(c.numerator for _, c in e.coeffs)),
-        )
-        key = tuple((v, c * k) for v, c in e.coeffs)
-        const = e.const * k
+        d = math.gcd(g, const)
+        if d > 1:
+            r = tuple([c // d for c in r])
+            coeffs, g, const = r[:-1], g // d, const // d
+        key = coeffs if g == 1 else tuple([c // g for c in coeffs])
         cur = best.get(key)
-        # Smaller constant is tighter (expr + const >= 0); strict beats
-        # non-strict at equal constants; smaller histories age better.
-        if (
-            cur is None
-            or const < cur[0]
-            or (const == cur[0] and s and not cur[1])
-            or (const == cur[0] and s == cur[1] and len(h) < len(cur[2]))
-        ):
-            best[key] = (const, s, h)
-    return [(LinExpr(k, c), s, h) for k, (c, s, h) in best.items()]
+        if cur is not None:
+            # Compare const/g with the kept row's: smaller is tighter
+            # (expr + const >= 0); strict beats non-strict at equal
+            # constants; smaller histories age better.
+            mine, theirs = const * cur[1], cur[0] * g
+            if not (
+                mine < theirs
+                or (mine == theirs and s and not cur[2])
+                or (mine == theirs and s == cur[2] and len(h) < len(cur[3]))
+            ):
+                continue
+        best[key] = (const, g, s, h, r)
+    return [(r, s, h) for _, _, s, h, r in best.values()]
 
 
 def _fm_eliminate(
-    ineqs: list[_Ineq], should_elim, max_rows: int | None = None
+    ineqs: list[_Ineq], elim: Sequence[int], max_rows: int | None = None
 ) -> list[_Ineq] | None:
-    """Eliminate every variable admitted by ``should_elim``; None on contradiction.
+    """Eliminate every column in ``elim``; None on contradiction.
 
     Variables go cheapest-first (fewest lower*upper pairings).  Two exact
     prunings keep the intermediate systems small: parallel constraints
@@ -148,55 +218,59 @@ def _fm_eliminate(
     contradictory.  Later stops drop rows of a satisfiable system, whose
     relaxations stay satisfiable.
     """
-    rows = _prune_rows([(e, s, frozenset((i,))) for i, (e, s) in enumerate(ineqs)])
+    rows = _prune_rows([(r, s, frozenset((i,))) for i, (r, s) in enumerate(ineqs)])
     if rows is None:
         return None
     steps = 0
     decided = False
     while True:
-        counts: dict[str, list[int]] = {}
-        for e, _, _ in rows:
-            for v, c in e.coeffs:
-                if should_elim(v):
-                    pair = counts.setdefault(v, [0, 0])
+        counts: dict[int, list[int]] = {}
+        for r, _, _ in rows:
+            for j in elim:
+                c = r[j]
+                if c:
+                    pair = counts.setdefault(j, [0, 0])
                     pair[0 if c > 0 else 1] += 1
         if not counts:
-            return [(e, s) for e, s, _ in rows]
+            return [(r, s) for r, s, _ in rows]
         v = min(counts, key=lambda u: (counts[u][0] * counts[u][1], u))
         steps += 1
         lowers: list[_Row] = []
         uppers: list[_Row] = []
         nxt: list[_Row] = []
-        for e, s, h in rows:
-            c = e.coeff(v)
+        for row in rows:
+            c = row[0][v]
             if c > 0:
-                lowers.append((e, s, h))
+                lowers.append(row)
             elif c < 0:
-                uppers.append((e, s, h))
+                uppers.append(row)
             else:
-                nxt.append((e, s, h))
+                nxt.append(row)
         passthrough = len(nxt)
         aborted = False
-        for le, ls, lh in lowers:
-            lc = le.coeff(v)
-            for ue, us, uh in uppers:
+        for lr, ls, lh in lowers:
+            lc = lr[v]
+            for ur, us, uh in uppers:
                 strict = ls or us
                 hist = lh | uh
                 if not strict and len(hist) > steps + 1:
                     continue
-                combined = le.scale(-ue.coeff(v)) + ue.scale(lc)
-                if combined.is_const:
-                    if combined.const < 0 or (strict and combined.const == 0):
+                uc = -ur[v]
+                g = math.gcd(lc, uc)
+                a, b = uc // g, lc // g
+                combined = [a * x + b * y for x, y in zip(lr, ur)]
+                if not any(combined[:-1]):
+                    if combined[-1] < 0 or (strict and combined[-1] == 0):
                         return None
                 elif max_rows is not None and len(nxt) >= max_rows:
                     aborted = True
                     break
                 else:
-                    nxt.append((combined, strict, hist))
+                    nxt.append((tuple(combined), strict, hist))
             if aborted:
                 break
         if aborted:
-            if not decided and not _lp_feasible([(e, s) for e, s, _ in rows]):
+            if not decided and not _lp_feasible([(r, s) for r, s, _ in rows]):
                 return None
             decided = True
             rows = nxt[:passthrough]
@@ -206,90 +280,71 @@ def _fm_eliminate(
             return None
 
 
-_ZERO_PAIR = (Fraction(0), Fraction(0))
-
-
 def _lp_feasible(ineqs: list[_Ineq]) -> bool:
-    """Exact phase-1 simplex deciding feasibility of ``expr (>|>=) 0`` rows.
+    """Exact phase-1 simplex deciding feasibility of ``row (>|>=) 0`` rows.
 
     Free variables are split into nonnegative pairs, each row gets a slack,
     and artificial variables supply the starting basis.  Strict rows demand
-    a symbolic infinitesimal margin: constants are (value, margin) pairs
-    ordered lexicographically, which decides strict feasibility exactly.
-    Bland's rule prevents cycling, so termination is guaranteed.
+    a symbolic infinitesimal margin: right-hand sides are (value, margin)
+    pairs ordered lexicographically, which decides strict feasibility
+    exactly.  Bland's rule prevents cycling, so termination is guaranteed.
+    Each tableau row, the objective included, is held as coprime ints,
+    ``[columns..., value, margin]``: a positive multiple of the rational
+    row, which every sign test and ratio comparison below ignores.
     """
-    vars_ = sorted({v for e, _ in ineqs for v in e.vars()})
-    if not vars_:
+    width = len(ineqs[0][0]) - 1 if ineqs else 0
+    cols = [j for j in range(width) if any(r[j] for r, _ in ineqs)]
+    if not cols:
         return _ground_ok(ineqs)
-    n, m = len(vars_), len(ineqs)
-    vi = {v: i for i, v in enumerate(vars_)}
+    n, m = len(cols), len(ineqs)
     ncols = 2 * n + m
-    zero, one = Fraction(0), Fraction(1)
-    rows: list[list[Fraction]] = []
-    rhs: list[tuple[Fraction, Fraction]] = []
-    for i, (e, s) in enumerate(ineqs):
-        row = [zero] * ncols
-        for v, c in e.coeffs:
-            row[vi[v]] = c
-            row[n + vi[v]] = -c
-        row[2 * n + i] = -one  # expr - slack = margin
-        b = (-e.const, one if s else zero)
-        if b < _ZERO_PAIR:  # flip so the artificial start is feasible
+    tab: list[Sequence[int]] = []
+    for i, (r, s) in enumerate(ineqs):
+        row = [r[j] for j in cols] + [-r[j] for j in cols] + [0] * m + [-r[-1], int(s)]
+        row[2 * n + i] = -1  # row - slack = margin
+        if row[-2] < 0:  # flip so the artificial start is feasible
             row = [-c for c in row]
-            b = (-b[0], -b[1])
-        rows.append(row)
-        rhs.append(b)
+        tab.append(row)
     basis = [ncols + i for i in range(m)]  # artificial indices
-    zrow = [sum(rows[i][j] for i in range(m)) for j in range(ncols)]
-    zval = (
-        sum((b[0] for b in rhs), zero),
-        sum((b[1] for b in rhs), zero),
-    )
+    z: Sequence[int] = [sum(c) for c in zip(*tab)]
     while True:
-        enter = next((j for j in range(ncols) if zrow[j] > 0), None)
+        enter = next((j for j in range(ncols) if z[j] > 0), None)
         if enter is None:
-            return zval == _ZERO_PAIR
-        pick = None
+            return z[-2] == 0 and z[-1] == 0
+        r = None
         for i in range(m):
-            c = rows[i][enter]
+            c = tab[i][enter]
             if c > 0:
-                key = ((rhs[i][0] / c, rhs[i][1] / c), basis[i], i)
-                if pick is None or key < pick:
-                    pick = key
+                if r is None:
+                    r = i
+                    continue
+                p = tab[r][enter]
+                mine = (tab[i][-2] * p, tab[i][-1] * p, basis[i])
+                if mine < (tab[r][-2] * c, tab[r][-1] * c, basis[r]):
+                    r = i
         # The objective is bounded below by zero, so a blocking row exists.
-        assert pick is not None
-        r = pick[2]
-        piv = rows[r][enter]
-        rows[r] = [c / piv for c in rows[r]]
-        rhs[r] = (rhs[r][0] / piv, rhs[r][1] / piv)
+        assert r is not None
+        prow = tab[r]
+        p = prow[enter]
         for i in range(m):
-            if i != r and rows[i][enter] != 0:
-                f = rows[i][enter]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-                rhs[i] = (rhs[i][0] - f * rhs[r][0], rhs[i][1] - f * rhs[r][1])
-        f = zrow[enter]
-        zrow = [a - f * b for a, b in zip(zrow, rows[r])]
-        zval = (zval[0] - f * rhs[r][0], zval[1] - f * rhs[r][1])
+            f = tab[i][enter]
+            if i != r and f:
+                tab[i] = _coprime([p * a - f * b for a, b in zip(tab[i], prow)])
+        f = z[enter]
+        z = _coprime([p * a - f * b for a, b in zip(z, prow)])
         basis[r] = enter
+
+
+def _satisfiable(eqs: list[_Vec], ineqs: list[_Ineq], n: int) -> bool:
+    """Decide rows over ``n`` variables: elimination first, simplex past the cap."""
+    res = _eliminate_equalities(eqs, ineqs)
+    return res is not None and _fm_eliminate(res[1], range(n), PROJECT_CAP) is not None
 
 
 def is_satisfiable(conjuncts: Iterable[AtomicConstraint]) -> bool:
     """Decide satisfiability over the rationals."""
-    eqs, ineqs = _split(conjuncts)
-    res = _eliminate_equalities(eqs, ineqs)
-    if res is None:
-        return False
-    _, ineqs = res
-    if not _ground_ok(ineqs):
-        return False
-    live = [r for r in ineqs if not r[0].is_const]
-    nvars = len({v for e, _ in live for v in e.vars()})
-    # Variable elimination has the better constants on small systems; the
-    # simplex scales better once combination growth would kick in.
-    if len(live) * max(nvars, 1) > 36:
-        return _lp_feasible(live)
-    remaining = _fm_eliminate(live, lambda v: True)
-    return remaining is not None and _ground_ok(remaining)
+    names, rows = _rows(conjuncts)
+    return _satisfiable(*_split(rows), len(names))
 
 
 def entails(conjuncts: Sequence[AtomicConstraint], atomic: AtomicConstraint) -> bool:
@@ -305,22 +360,42 @@ def entails_all(
     return all(entails(c1, a) for a in c2)
 
 
-def _merge_equality_pairs(atomics: list[AtomicConstraint]) -> list[AtomicConstraint]:
-    """Replace ``e >= 0`` together with ``-e >= 0`` by ``e = 0``."""
-    out: list[AtomicConstraint] = []
-    ge_exprs = {a.expr: i for i, a in enumerate(atomics) if a.rel is Rel.GE}
+def _sort_key(item: tuple[_Vec, Rel]) -> tuple:
+    """``AtomicConstraint.sort_key`` of the atom a row stands for."""
+    r, rel = item
+    cols = tuple([j for j, c in enumerate(r[:-1]) if c])
+    return (cols, tuple([-r[j] for j in cols]), rel.value, r[-1])
+
+
+def _normal_form(rows: Iterable[tuple[_Vec, Rel]]) -> list[tuple[_Vec, Rel]] | None:
+    """Canonical form of coprime rows; None on a ground falsehood.
+
+    Trivially true rows disappear, equalities are oriented,
+    ``r >= 0`` together with ``-r >= 0`` merges into ``r = 0``, duplicates
+    collapse, and the rows are sorted as the atoms they stand for.
+    """
+    cleaned: list[tuple[_Vec, Rel]] = []
+    for r, rel in rows:
+        if not any(r[:-1]):
+            c = r[-1]
+            if c > 0 if rel is Rel.GT else (c >= 0 if rel is Rel.GE else c == 0):
+                continue
+            return None
+        cleaned.append((_oriented(r) if rel is Rel.EQ else r, rel))
+    ge_rows = {r: i for i, (r, rel) in enumerate(cleaned) if rel is Rel.GE}
+    out: list[tuple[_Vec, Rel]] = []
     dropped: set[int] = set()
-    for i, a in enumerate(atomics):
+    for i, (r, rel) in enumerate(cleaned):
         if i in dropped:
             continue
-        if a.rel is Rel.GE:
-            j = ge_exprs.get(-a.expr)
-            if j is not None and j != i and j not in dropped:
+        if rel is Rel.GE:
+            j = ge_rows.get(_neg(r))
+            if j is not None and j not in dropped:
                 dropped.add(j)
-                out.append(AtomicConstraint(a.expr, Rel.EQ).normalized())
+                out.append((_oriented(r), Rel.EQ))
                 continue
-        out.append(a)
-    return out
+        out.append((r, rel))
+    return sorted(set(out), key=_sort_key)
 
 
 def normalize(conjuncts: Iterable[AtomicConstraint]) -> tuple[AtomicConstraint, ...]:
@@ -332,16 +407,11 @@ def normalize(conjuncts: Iterable[AtomicConstraint]) -> tuple[AtomicConstraint, 
     falsehood collapses the whole conjunction to the single constant
     ``FALSUM``.
     """
-    cleaned: list[AtomicConstraint] = []
-    for a in conjuncts:
-        na = a.normalized()
-        if na.is_trivially_false():
-            return (FALSUM,)
-        if na.is_trivially_true():
-            continue
-        cleaned.append(na)
-    merged = _merge_equality_pairs(cleaned)
-    return tuple(sorted(set(merged), key=AtomicConstraint.sort_key))
+    names, rows = _rows(conjuncts)
+    out = _normal_form(rows)
+    if out is None:
+        return (FALSUM,)
+    return tuple([_atom(names, r, rel) for r, rel in out])
 
 
 def project(
@@ -362,7 +432,7 @@ def project(
     no two are parallel, and each has a pivot variable that occurs in no
     other conjunct, so no inequality is parallel to one.  Fourier-Motzkin
     returns at most one inequality per slope (see :func:`_prune_rows`), and
-    opposed inequalities never entail each other.  When ``normalize``
+    opposed inequalities never entail each other.  When the normal form
     merges an opposed pair into a new equality, the Gauss-Jordan pass runs
     again over all the equalities, so the result always holds the reduced
     row echelon basis of its equalities, and no pivot in any inequality.
@@ -373,23 +443,27 @@ def project(
     unsatisfiable, so callers may use ``project`` as their only decision.
     """
     keep_set = frozenset(keep)
-    eqs, ineqs = _split(conjuncts)
+    names, rows = _rows(conjuncts)
+    kept_cols = frozenset(j for j, v in enumerate(names) if v in keep_set)
+    elim = [j for j in range(len(names)) if j not in kept_cols]
+    eqs, ineqs = _split(rows)
     while True:
-        res = _eliminate_equalities(eqs, ineqs, keep_set)
+        res = _eliminate_equalities(eqs, ineqs, kept_cols)
         if res is None:
             return (FALSUM,)
         kept_eqs, ineqs = res
-        remaining = _fm_eliminate(ineqs, lambda v: v not in keep_set, max_rows)
+        remaining = _fm_eliminate(ineqs, elim, max_rows)
         if remaining is None:
             return (FALSUM,)
-        atomics = [AtomicConstraint(e, Rel.EQ) for e in kept_eqs]
-        atomics += [AtomicConstraint(e, Rel.GT if s else Rel.GE) for e, s in remaining]
-        normalized = normalize(atomics)
-        if normalized == (FALSUM,):
-            return normalized
-        eqs, ineqs = _split(normalized)
+        normal = _normal_form(
+            [(r, Rel.EQ) for r in kept_eqs]
+            + [(r, Rel.GT if s else Rel.GE) for r, s in remaining]
+        )
+        if normal is None:
+            return (FALSUM,)
+        eqs, ineqs = _split(normal)
         if len(eqs) == len(kept_eqs):
             break
-    if not is_satisfiable(normalized):
+    if not _satisfiable(eqs, ineqs, len(names)):
         return (FALSUM,)
-    return normalized
+    return tuple([_atom(names, r, rel) for r, rel in normal])

@@ -7,7 +7,9 @@ by brute-force facet enumeration (exact integer cross products and one-sided
 tests).  The one exception is ``hull_by_projection``, which builds hulls
 with ``lincon.project`` and so shares no code with ``Polyhedron.hull``.  The
 suites return ``(instances, failures)`` so both the unit tests and the
-acceptance gate can share one run.
+acceptance gate can share one run.  The last section keeps the
+``Fraction`` versions of ``lincon.project``, ``is_satisfiable`` and
+``normalize`` as the reference for the integer-row kernel.
 """
 
 from __future__ import annotations
@@ -531,3 +533,260 @@ def run_polyhedra_suites(seed: int = 20260815):
         "chain": run_chain_suite(seed + 4),
     }
     return results
+
+
+# ---------------------------------------------------------------------------
+# Rational reference kernel for ``lincon``
+# ---------------------------------------------------------------------------
+#
+# The ``fractions.Fraction`` versions of ``project``, ``is_satisfiable`` and
+# ``normalize`` that ``lincon``'s integer rows replaced, kept as the
+# reference they must agree with call for call.  Rows here are ``LinExpr``s;
+# variables are named, not indexed.
+
+def _q_split(conjuncts):
+    eqs, ineqs = [], []
+    for a in conjuncts:
+        if a.rel is Rel.EQ:
+            eqs.append(a.expr)
+        else:
+            ineqs.append((a.expr, a.rel is Rel.GT))
+    return eqs, ineqs
+
+
+def _q_solve_for(e: LinExpr, v: str) -> LinExpr:
+    c = e.coeff(v)
+    rest = e - LinExpr.build({v: c})
+    return rest.scale(Fraction(-1) / c)
+
+
+def _q_eliminate_equalities(eqs, ineqs, keep=frozenset()):
+    """Sparse Gauss-Jordan: each equality solved for its first variable
+    outside ``keep``, else its last; None on a ground contradiction."""
+    solved = {}
+    for e in eqs:
+        e = e.subst(solved)
+        if e.is_const:
+            if e.const != 0:
+                return None
+            continue
+        v = next((u for u in e.vars() if u not in keep), e.vars()[-1])
+        form = _q_solve_for(e, v)
+        sub = {v: form}
+        solved = {u: f.subst(sub) if f.coeff(v) else f for u, f in solved.items()}
+        solved[v] = form
+    kept = [LinExpr.var(v) - f for v, f in solved.items() if v in keep]
+    if solved:
+        ineqs = [(e.subst(solved), s) for e, s in ineqs]
+    return kept, ineqs
+
+
+def _q_ground_ok(ineqs) -> bool:
+    for e, s in ineqs:
+        if e.is_const and (e.const < 0 or (s and e.const == 0)):
+            return False
+    return True
+
+
+def _q_prune_rows(rows):
+    """Tightest of each set of parallel rows; None on a ground contradiction."""
+    best = {}
+    for e, s, h in rows:
+        if e.is_const:
+            if e.const < 0 or (s and e.const == 0):
+                return None
+            continue
+        k = Fraction(
+            math.lcm(*(c.denominator for _, c in e.coeffs)),
+            math.gcd(*(c.numerator for _, c in e.coeffs)),
+        )
+        key = tuple((v, c * k) for v, c in e.coeffs)
+        const = e.const * k
+        cur = best.get(key)
+        if (
+            cur is None
+            or const < cur[0]
+            or (const == cur[0] and s and not cur[1])
+            or (const == cur[0] and s == cur[1] and len(h) < len(cur[2]))
+        ):
+            best[key] = (const, s, h)
+    return [(LinExpr(k, c), s, h) for k, (c, s, h) in best.items()]
+
+
+def _q_fm_eliminate(ineqs, should_elim, max_rows=None):
+    """Fourier-Motzkin with parallel-row pruning and Kohler's criterion;
+    the first step stopped by ``max_rows`` is decided by the simplex."""
+    rows = _q_prune_rows([(e, s, frozenset((i,))) for i, (e, s) in enumerate(ineqs)])
+    if rows is None:
+        return None
+    steps = 0
+    decided = False
+    while True:
+        counts = {}
+        for e, _, _ in rows:
+            for v, c in e.coeffs:
+                if should_elim(v):
+                    pair = counts.setdefault(v, [0, 0])
+                    pair[0 if c > 0 else 1] += 1
+        if not counts:
+            return [(e, s) for e, s, _ in rows]
+        v = min(counts, key=lambda u: (counts[u][0] * counts[u][1], u))
+        steps += 1
+        lowers, uppers, nxt = [], [], []
+        for e, s, h in rows:
+            c = e.coeff(v)
+            (lowers if c > 0 else uppers if c < 0 else nxt).append((e, s, h))
+        passthrough = len(nxt)
+        aborted = False
+        for le, ls, lh in lowers:
+            lc = le.coeff(v)
+            for ue, us, uh in uppers:
+                strict = ls or us
+                hist = lh | uh
+                if not strict and len(hist) > steps + 1:
+                    continue
+                combined = le.scale(-ue.coeff(v)) + ue.scale(lc)
+                if combined.is_const:
+                    if combined.const < 0 or (strict and combined.const == 0):
+                        return None
+                elif max_rows is not None and len(nxt) >= max_rows:
+                    aborted = True
+                    break
+                else:
+                    nxt.append((combined, strict, hist))
+            if aborted:
+                break
+        if aborted:
+            if not decided and not _q_lp_feasible([(e, s) for e, s, _ in rows]):
+                return None
+            decided = True
+            rows = nxt[:passthrough]
+            continue
+        rows = _q_prune_rows(nxt)
+        if rows is None:
+            return None
+
+
+_Q_ZERO_PAIR = (Fraction(0), Fraction(0))
+
+
+def _q_lp_feasible(ineqs) -> bool:
+    """Phase-1 simplex in ``Fraction`` arithmetic with (value, margin)
+    right-hand sides for strict rows, and Bland's rule."""
+    vars_ = sorted({v for e, _ in ineqs for v in e.vars()})
+    if not vars_:
+        return _q_ground_ok(ineqs)
+    n, m = len(vars_), len(ineqs)
+    vi = {v: i for i, v in enumerate(vars_)}
+    ncols = 2 * n + m
+    zero, one = Fraction(0), Fraction(1)
+    rows, rhs = [], []
+    for i, (e, s) in enumerate(ineqs):
+        row = [zero] * ncols
+        for v, c in e.coeffs:
+            row[vi[v]] = c
+            row[n + vi[v]] = -c
+        row[2 * n + i] = -one
+        b = (-e.const, one if s else zero)
+        if b < _Q_ZERO_PAIR:
+            row = [-c for c in row]
+            b = (-b[0], -b[1])
+        rows.append(row)
+        rhs.append(b)
+    basis = [ncols + i for i in range(m)]
+    zrow = [sum(rows[i][j] for i in range(m)) for j in range(ncols)]
+    zval = (sum((b[0] for b in rhs), zero), sum((b[1] for b in rhs), zero))
+    while True:
+        enter = next((j for j in range(ncols) if zrow[j] > 0), None)
+        if enter is None:
+            return zval == _Q_ZERO_PAIR
+        pick = None
+        for i in range(m):
+            c = rows[i][enter]
+            if c > 0:
+                key = ((rhs[i][0] / c, rhs[i][1] / c), basis[i], i)
+                if pick is None or key < pick:
+                    pick = key
+        r = pick[2]
+        piv = rows[r][enter]
+        rows[r] = [c / piv for c in rows[r]]
+        rhs[r] = (rhs[r][0] / piv, rhs[r][1] / piv)
+        for i in range(m):
+            if i != r and rows[i][enter] != 0:
+                f = rows[i][enter]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rhs[i] = (rhs[i][0] - f * rhs[r][0], rhs[i][1] - f * rhs[r][1])
+        f = zrow[enter]
+        zrow = [a - f * b for a, b in zip(zrow, rows[r])]
+        zval = (zval[0] - f * rhs[r][0], zval[1] - f * rhs[r][1])
+        basis[r] = enter
+
+
+def rational_is_satisfiable(conjuncts) -> bool:
+    eqs, ineqs = _q_split(conjuncts)
+    res = _q_eliminate_equalities(eqs, ineqs)
+    if res is None:
+        return False
+    _, ineqs = res
+    if not _q_ground_ok(ineqs):
+        return False
+    live = [r for r in ineqs if not r[0].is_const]
+    nvars = len({v for e, _ in live for v in e.vars()})
+    if len(live) * max(nvars, 1) > 36:
+        return _q_lp_feasible(live)
+    remaining = _q_fm_eliminate(live, lambda v: True)
+    return remaining is not None and _q_ground_ok(remaining)
+
+
+def _q_merge_equality_pairs(atomics):
+    out = []
+    ge_exprs = {a.expr: i for i, a in enumerate(atomics) if a.rel is Rel.GE}
+    dropped = set()
+    for i, a in enumerate(atomics):
+        if i in dropped:
+            continue
+        if a.rel is Rel.GE:
+            j = ge_exprs.get(-a.expr)
+            if j is not None and j != i and j not in dropped:
+                dropped.add(j)
+                out.append(AtomicConstraint(a.expr, Rel.EQ).normalized())
+                continue
+        out.append(a)
+    return out
+
+
+def rational_normalize(conjuncts) -> tuple:
+    cleaned = []
+    for a in conjuncts:
+        na = a.normalized()
+        if na.is_trivially_false():
+            return (FALSUM,)
+        if na.is_trivially_true():
+            continue
+        cleaned.append(na)
+    merged = _q_merge_equality_pairs(cleaned)
+    return tuple(sorted(set(merged), key=AtomicConstraint.sort_key))
+
+
+def rational_project(conjuncts, keep, max_rows=None) -> tuple:
+    keep_set = frozenset(keep)
+    eqs, ineqs = _q_split(conjuncts)
+    while True:
+        res = _q_eliminate_equalities(eqs, ineqs, keep_set)
+        if res is None:
+            return (FALSUM,)
+        kept_eqs, ineqs = res
+        remaining = _q_fm_eliminate(ineqs, lambda v: v not in keep_set, max_rows)
+        if remaining is None:
+            return (FALSUM,)
+        atomics = [AtomicConstraint(e, Rel.EQ) for e in kept_eqs]
+        atomics += [AtomicConstraint(e, Rel.GT if s else Rel.GE) for e, s in remaining]
+        normalized = rational_normalize(atomics)
+        if normalized == (FALSUM,):
+            return normalized
+        eqs, ineqs = _q_split(normalized)
+        if len(eqs) == len(kept_eqs):
+            break
+    if not rational_is_satisfiable(normalized):
+        return (FALSUM,)
+    return normalized

@@ -7,7 +7,14 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_system, satisfies_point, POINT_RANGE
+from oracles import (
+    POINT_RANGE,
+    random_system,
+    rational_is_satisfiable,
+    rational_normalize,
+    rational_project,
+    satisfies_point,
+)
 
 from hornchain import lincon
 from hornchain.chc import FALSUM, AtomicConstraint, LinExpr, Rel, canonical_arg_names
@@ -59,21 +66,35 @@ def test_equalities_feed_inequalities():
 
 def test_simplex_and_elimination_agree_when_forced():
     rng = random.Random(99)
-    names = ["A", "B", "C"]
     for _ in range(300):
         raw = random_system(rng, 3)
+        names, rows = lincon._rows(raw)
         ineqs = []
-        for a in raw:
-            na = a.normalized()
-            if na.rel is Rel.EQ:
-                ineqs.append((na.expr, False))
-                ineqs.append((-na.expr, False))
+        for r, rel in rows:
+            if rel is Rel.EQ:
+                ineqs.append((r, False))
+                ineqs.append((lincon._neg(r), False))
             else:
-                ineqs.append((na.expr, na.rel is Rel.GT))
+                ineqs.append((r, rel is Rel.GT))
         by_lp = lincon._lp_feasible(ineqs)
-        by_fm = lincon._fm_eliminate(ineqs, lambda v: True)
+        by_fm = lincon._fm_eliminate(ineqs, range(len(names)))
         by_fm = by_fm is not None and lincon._ground_ok(by_fm)
         assert by_lp == by_fm, raw
+
+
+def test_fm_first_decision_falls_back_to_simplex(monkeypatch):
+    # With the row cap at 1 nearly every system with two or more rows
+    # reaches the simplex fallback; the decision must not change.
+    monkeypatch.setattr(lincon, "PROJECT_CAP", 1)
+    rng = random.Random(5)
+    for _ in range(300):
+        raw = random_system(rng, rng.randint(1, 3))
+        names, rows = lincon._rows(raw)
+        ineqs = [(r, rel is Rel.GT) for r, rel in rows if rel is not Rel.EQ]
+        for r, rel in rows:
+            if rel is Rel.EQ:
+                ineqs += [(r, False), (lincon._neg(r), False)]
+        assert lincon.is_satisfiable(raw) == lincon._lp_feasible(ineqs), raw
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -124,11 +145,11 @@ def test_normalize_merges_opposed_pair_into_equality():
 def test_prune_rows_keys_on_slope_alone():
     # 2A-1 >= 0 and A+6 > 0 are parallel; only the tighter A >= 1/2 stays.
     rows = [
-        (ge(-1, A=2).expr, False, frozenset((0,))),
-        (gt(6, A=1).expr, True, frozenset((1,))),
+        ((2, -1), False, frozenset((0,))),
+        ((1, 6), True, frozenset((1,))),
     ]
     (kept,) = lincon._prune_rows(rows)
-    assert kept == (LinExpr.build({"A": Fraction(1)}, Fraction(-1, 2)), False, frozenset((0,)))
+    assert kept == ((2, -1), False, frozenset((0,)))
 
 
 def test_projection_substitutes_equality():
@@ -241,3 +262,84 @@ def test_capped_projection_over_approximates(seed):
     # the result must still contain every point of the exact projection.
     proj = lincon.project(raw, ("A",), max_rows=1)
     assert satisfies_point(proj, point[:1], ("A",))
+
+
+# -- the integer kernel against the rational reference ----------------------------
+
+
+def _fraction_atom(rng, names):
+    """An atom with non-integer coefficients, so rows must clear denominators."""
+    chosen = rng.sample(names, rng.randint(1, len(names)))
+    coeffs = {
+        v: Fraction(rng.choice((-5, -3, -2, -1, 1, 2, 3, 5)), rng.randint(1, 6)) for v in chosen
+    }
+    const = Fraction(rng.randint(-20, 20), rng.randint(1, 6))
+    return AtomicConstraint(LinExpr.build(coeffs, const), rng.choice(list(Rel)))
+
+
+def _ground_atom(rng):
+    return AtomicConstraint(LinExpr.constant(rng.randint(-1, 1)), rng.choice(list(Rel)))
+
+
+def _opposed_pair(rng, a):
+    """``e >= 0`` and a positive multiple of ``-e >= 0``, which merge into ``e = 0``."""
+    k = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+    return [AtomicConstraint(a.expr, Rel.GE), AtomicConstraint(a.expr.scale(-k), Rel.GE)]
+
+
+def _chain(rng):
+    """A straight-line block: each variable of 20 to 26 defined from earlier ones,
+    with a guard or two, as in cfg-chain's unfolded clauses."""
+    names = canonical_arg_names(rng.randint(20, 26))
+    atoms = []
+    for i in range(1, len(names)):
+        coeffs = {names[i]: Fraction(1), names[i - 1]: Fraction(-1)}
+        if i > 1 and rng.random() < 0.3:
+            j = rng.randrange(i - 1)
+            coeffs[names[j]] = Fraction(rng.choice((-2, -1, 1, 2)))
+        atoms.append(AtomicConstraint(LinExpr.build(coeffs, Fraction(rng.randint(-5, 5))), Rel.EQ))
+    for _ in range(rng.randint(1, 3)):
+        v, w = rng.sample(names, 2)
+        coeffs = {v: Fraction(rng.choice((-1, 1))), w: Fraction(rng.choice((-1, 0, 1)))}
+        expr = LinExpr.build(coeffs, Fraction(rng.randint(-30, 30)))
+        atoms.append(AtomicConstraint(expr, rng.choice((Rel.GE, Rel.GT))))
+    rng.shuffle(atoms)
+    keeps = [(names[0], names[-1]), names[-3:], tuple(rng.sample(names, 4)), ()]
+    return atoms, keeps
+
+
+def _systems(rng):
+    """``random_system`` draws, a quarter each left as drawn or given extra
+    non-integer atoms, ground atoms or an opposed pair, then 40 chains."""
+    for _ in range(250):
+        d = rng.randint(1, 3)
+        names = canonical_arg_names(d)
+        raw = random_system(rng, d)
+        kind = rng.randrange(4)
+        if kind == 1:
+            raw += [_fraction_atom(rng, names) for _ in range(rng.randint(1, 3))]
+        elif kind == 2:
+            raw += [_ground_atom(rng) for _ in range(rng.randint(1, 2))]
+        elif kind == 3:
+            raw += _opposed_pair(rng, rng.choice(raw))
+        rng.shuffle(raw)
+        keeps = [c for k in range(d + 1) for c in itertools.combinations(names, k)]
+        yield raw, keeps
+    for _ in range(40):
+        yield _chain(rng)
+
+
+def test_integer_kernel_matches_rational_reference():
+    rng = random.Random(2026)
+    merged = 0
+    for raw, keeps in _systems(rng):
+        assert lincon.is_satisfiable(raw) == rational_is_satisfiable(raw), raw
+        out = lincon.normalize(raw)
+        assert out == rational_normalize(raw), raw
+        merged += any(a.rel is Rel.EQ for a in out) and not any(a.rel is Rel.EQ for a in raw)
+        for keep in keeps:
+            for max_rows in (None, 1, 2):
+                proj = lincon.project(raw, keep, max_rows)
+                assert proj == rational_project(raw, keep, max_rows), (raw, keep, max_rows)
+                assert lincon.normalize(proj) == rational_normalize(proj)
+    assert merged > 10

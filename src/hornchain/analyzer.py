@@ -43,6 +43,10 @@ class Verdict(Enum):
 # replaced by widening.
 _WIDEN_DELAY = 2
 
+# Round-robin passes, counted over all components, before the analysis
+# gives up.
+_MAX_PASSES = 10_000
+
 
 @dataclass(frozen=True)
 class AbstractModel:
@@ -118,9 +122,7 @@ def _sccs(nodes: Sequence[str], succs: Mapping[str, Sequence[str]]) -> list[tupl
 
 
 def analyze(
-    program: Program,
-    thresholds: ThresholdSet | None = None,
-    max_passes: int = 10_000,
+    program: Program, thresholds: ThresholdSet | None = None
 ) -> tuple[AbstractModel, AnalysisStats]:
     """Compute an over-approximating polyhedral model of the program."""
     ts = thresholds if thresholds is not None else ThresholdSet.empty()
@@ -139,28 +141,27 @@ def analyze(
     # are unique, so comparing them with == is exact.
     built = {p: [None] * len(cs) for p, cs in clauses_of.items()}
 
-    def contribution(clause: Clause, body: tuple[Polyhedron, ...]) -> Polyhedron | None:
+    def contribution(clause: Clause, body: tuple[Polyhedron, ...]) -> Polyhedron:
+        head_dims = dims[clause.head.pred]
         if any(poly.is_empty for poly in body):
-            return None
+            return Polyhedron.empty(head_dims)
         conjuncts = list(clause.constr.conjuncts)
         for atom, poly in zip(clause.body, body):
             mapping = dict(zip(poly.dims, atom.args))
             conjuncts.extend(a.rename(mapping) for a in poly.conjuncts())
         proj = lincon.project(conjuncts, clause.head.args, max_rows=lincon.PROJECT_CAP)
-        head_dims = dims[clause.head.pred]
         head_map = dict(zip(clause.head.args, head_dims))
         return Polyhedron.of(head_dims, (a.rename(head_map) for a in proj))
 
-    def contributions(pred: str) -> Polyhedron:
-        acc = Polyhedron.empty(dims[pred])
+    def contributions(pred: str) -> list[Polyhedron]:
+        out = []
         for k, clause in enumerate(clauses_of[pred]):
             body = tuple(values[atom.pred] for atom in clause.body)
             entry = built[pred][k]
             if entry is None or entry[0] != body:
                 entry = built[pred][k] = (body, contribution(clause, body))
-            if entry[1] is not None:
-                acc = acc.hull(entry[1])
-        return acc
+            out.append(entry[1])
+        return out
 
     for comp in _sccs(preds, succs):
         members = sorted(comp, key=order.__getitem__)
@@ -169,7 +170,7 @@ def analyze(
             passes += 1
             changed = False
             for p in members:
-                grown = values[p].hull(contributions(p))
+                grown = values[p].hull(*contributions(p))
                 if grown == values[p]:
                     continue
                 update_count[p] += 1
@@ -182,7 +183,7 @@ def analyze(
                 changed = True
             if not changed or not cyclic:
                 break
-            if passes > max_passes:
+            if passes > _MAX_PASSES:
                 raise ChcError("abstract iteration exceeded its pass budget")
 
     model = AbstractModel(dict(values))

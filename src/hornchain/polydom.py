@@ -49,33 +49,16 @@ class Polyhedron:
 
     @staticmethod
     def of(dims: Sequence[str], conjuncts: Iterable[AtomicConstraint]) -> "Polyhedron":
-        """Canonical polyhedron for a conjunction (strict parts relaxed)."""
+        """Canonical polyhedron for a conjunction (strict parts relaxed).
+
+        The projected system's own cone, taken to generators and back by
+        :func:`_canonical`.
+        """
         dims = tuple(dims)
         cs = lincon.project((a.relax() for a in conjuncts), dims)
         if cs == (FALSUM,):
             return Polyhedron.empty(dims)
-        # Make implied equalities explicit: an inequality whose hyperplane
-        # contains the whole polyhedron becomes an equality.  A flip never
-        # changes the set, so one sweep finds them all, and one projection
-        # row-reduces them.
-        tight = [
-            a
-            for a in cs
-            if a.rel is Rel.GE
-            and not lincon.is_satisfiable(cs + (AtomicConstraint(a.expr, Rel.GT),))
-        ]
-        if tight:
-            cs = lincon.project(
-                (AtomicConstraint(a.expr, Rel.EQ) if a in tight else a for a in cs), dims
-            )
-        # With the affine hull explicit, the facets are exactly the
-        # inequalities not entailed by the other rows.
-        final = tuple(
-            a
-            for a in cs
-            if a.rel is Rel.EQ or not lincon.entails([b for b in cs if b is not a], a)
-        )
-        return Polyhedron(dims, Constraint(final))
+        return _canonical(dims, [_cone(dims, cs)])
 
     # -- basic queries --------------------------------------------------------
 
@@ -123,38 +106,21 @@ class Polyhedron:
             return Polyhedron.empty(self.dims)
         return Polyhedron.of(self.dims, self.conjuncts() + other.conjuncts())
 
-    def hull(self, other: "Polyhedron") -> "Polyhedron":
-        """Closure of the convex hull of the union.
+    def hull(self, *others: "Polyhedron") -> "Polyhedron":
+        """Closure of the convex hull of the union of all operands.
 
-        Each operand's homogenized cone is the dual of its constraint rows,
-        so :func:`_dual` turns the integer rows into generators; the hull's
-        cone is the sum of the operands' cones, and a second :func:`_dual`
-        turns the pooled generators back into equalities and facets.  Both
-        conversions run the double description method with the
-        combinatorial adjacency test, and the rows become ``Fraction``
-        expressions only at the end.  The output is complete (every
-        equality of the affine hull) and irredundant (one row per facet),
-        so projection alone makes it canonical.
+        The hull's cone is the sum of the operands' cones, so one
+        :func:`_canonical` call over the pooled generators joins any number
+        of operands.
         """
-        self._check_dims(other)
-        if self.is_empty:
-            return other
-        if other.is_empty:
-            return self
-        if not self.dims:
+        for other in others:
+            self._check_dims(other)
+        operands = [p for p in (self,) + others if not p.is_empty]
+        if len(operands) <= 1:
+            return operands[0] if operands else self
+        if any(p.is_universe for p in operands):
             return Polyhedron.universe(self.dims)
-        if self.is_universe or other.is_universe:
-            return Polyhedron.universe(self.dims)
-        lines_p, rays_p = _cone(self)
-        lines_q, rays_q = _cone(other)
-        eqs, facets = _dual(rays_p + rays_q, lines_p + lines_q, len(self.dims) + 1)
-        out = [AtomicConstraint(_expr_from(v, self.dims), Rel.EQ) for v in eqs]
-        out += [
-            AtomicConstraint(_expr_from(v, self.dims), Rel.GE)
-            for v in facets
-            if any(v[1:])  # t >= 0 constrains nothing in x-space
-        ]
-        return Polyhedron(self.dims, Constraint(lincon.project(out, self.dims)))
+        return _canonical(self.dims, [_cone(self.dims, p.conjuncts()) for p in operands])
 
     def widen_upto(
         self, other: "Polyhedron", thresholds: Iterable[AtomicConstraint] = ()
@@ -184,15 +150,16 @@ class Polyhedron:
 
 
 # ---------------------------------------------------------------------------
-# Cone duality (used by hull)
+# Cone duality (the canonical form of of and hull)
 #
 # A polyhedron {x : c + a.x >= 0, c' + a'.x = 0, ...} is the slice t = 1 of
 # its homogenized cone {(t, x) : t >= 0, c t + a.x >= 0, c' t + a'.x = 0}.
 # With each constraint written as the row (c, a...), that cone is the dual of
 # cone(inequality rows and (1, 0, ..., 0)) + span(equality rows), so one
 # conversion reads its generators off the rows: vertices at t > 0, rays and
-# lines at t = 0.  The hull's cone is the sum of the operands' cones, and the
-# same conversion reads its constraints back off the pooled generators.  The
+# lines at t = 0.  The same conversion reads constraints back off
+# generators: of takes one system's own cone there and back, and the hull's
+# cone is the sum of the operands' cones, so it pools their generators.  The
 # conversion is the incremental double description method (Motzkin et al.,
 # 1953; Fukuda & Prodon, LNCS 1120, 1996): it cuts the cone by one row at a
 # time and combines only adjacent pairs of rays, so its cost follows the
@@ -293,19 +260,42 @@ def _dual(rays, lines, n: int):
     return out_lines, sorted(gens)
 
 
-def _cone(p: Polyhedron):
-    """Lines and extreme rays of the homogenized cone of a nonempty ``p``.
+def _cone(dims: tuple[str, ...], conjuncts: Sequence[AtomicConstraint]):
+    """Lines and extreme rays of the homogenized cone of a satisfiable system.
 
     Vertices come out as the rays with ``t > 0``, at some positive scale.
-    Normalized conjuncts have coprime integer coefficients, so each row is
+    Projected conjuncts have coprime integer coefficients, so each row is
     read off as ints.
     """
-    rays = [(1,) + (0,) * len(p.dims)]
+    rays = [(1,) + (0,) * len(dims)]
     lines = []
-    for a in p.conjuncts():
-        row = (a.expr.const,) + tuple(a.expr.coeff(d) for d in p.dims)
+    for a in conjuncts:
+        row = (a.expr.const,) + tuple(a.expr.coeff(d) for d in dims)
         (lines if a.rel is Rel.EQ else rays).append(tuple(map(int, row)))
-    return _dual(rays, lines, len(p.dims) + 1)
+    return _dual(rays, lines, len(dims) + 1)
+
+
+def _canonical(dims: tuple[str, ...], cones) -> Polyhedron:
+    """Canonical polyhedron whose homogenized cone is the sum of ``cones``.
+
+    :func:`_dual` reads the constraints back off the pooled generators.
+    Its lines are a basis of the affine hull's equalities and its extreme
+    rays are one normal per facet, so the output is complete (every
+    equality of the affine hull) and irredundant (one row per facet), and
+    projection alone makes it canonical: the equalities come out in
+    reduced row echelon form and the facets with every pivot substituted
+    out.  The rows become ``Fraction`` expressions only here.
+    """
+    lines = [v for cone_lines, _ in cones for v in cone_lines]
+    rays = [v for _, cone_rays in cones for v in cone_rays]
+    eqs, facets = _dual(rays, lines, len(dims) + 1)
+    out = [AtomicConstraint(_expr_from(v, dims), Rel.EQ) for v in eqs]
+    out += [
+        AtomicConstraint(_expr_from(v, dims), Rel.GE)
+        for v in facets
+        if any(v[1:])  # t >= 0 constrains nothing in x-space
+    ]
+    return Polyhedron(dims, Constraint(lincon.project(out, dims)))
 
 
 def _expr_from(nv: Sequence[int], dims: Sequence[str]) -> LinExpr:

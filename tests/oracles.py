@@ -4,12 +4,15 @@ Everything here avoids the package's own decision procedures: membership is
 decided by direct evaluation, sets of integer points are enumerated with
 exact int64 arithmetic, and convex hulls of integer point sets are computed
 by brute-force facet enumeration (exact integer cross products and one-sided
-tests).  The one exception is ``hull_by_projection``, which builds hulls
-with ``lincon.project`` and so shares no code with ``Polyhedron.hull``.  The
-suites return ``(instances, failures)`` so both the unit tests and the
-acceptance gate can share one run.  The last section keeps the
-``Fraction`` versions of ``lincon.project``, ``is_satisfiable`` and
-``normalize`` as the reference for the integer-row kernel.
+tests).  The exceptions are ``canonical_by_lp``, which finds the canonical
+form with ``lincon``'s decision procedures, and ``hull_by_projection``,
+which builds hulls with ``lincon.project`` and ``canonical_by_lp``; neither
+touches the generator conversion behind ``Polyhedron.of`` and
+``Polyhedron.hull``.  The suites return ``(instances, failures)`` so both
+the unit tests and the acceptance gate can share one run.  The last
+section keeps the ``Fraction`` versions of ``lincon.project``,
+``is_satisfiable`` and ``normalize`` as the reference for the integer-row
+kernel.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
+from hornchain import lincon
 from hornchain.chc import (
     FALSUM,
     AtomicConstraint,
@@ -340,6 +344,36 @@ def point_polyhedron(z) -> Polyhedron:
     return Polyhedron.of(names, atoms)
 
 
+def canonical_by_lp(dims, conjuncts) -> Polyhedron:
+    """Canonical polyhedron for a conjunction, by decision procedures alone.
+
+    An inequality whose hyperplane contains the whole polyhedron is an
+    implied equality; a flip never changes the set, so one sweep finds them
+    all, and one projection row-reduces them.  With the affine hull
+    explicit, the facets are the inequalities not entailed by the others.
+    """
+    dims = tuple(dims)
+    cs = lincon.project((a.relax() for a in conjuncts), dims)
+    if cs == (FALSUM,):
+        return Polyhedron.empty(dims)
+    tight = [
+        a
+        for a in cs
+        if a.rel is Rel.GE
+        and not lincon.is_satisfiable(cs + (AtomicConstraint(a.expr, Rel.GT),))
+    ]
+    if tight:
+        cs = lincon.project(
+            (AtomicConstraint(a.expr, Rel.EQ) if a in tight else a for a in cs), dims
+        )
+    final = tuple(
+        a
+        for a in cs
+        if a.rel is Rel.EQ or not lincon.entails([b for b in cs if b is not a], a)
+    )
+    return Polyhedron(dims, Constraint(final))
+
+
 def hull_by_projection(p: Polyhedron, q: Polyhedron) -> Polyhedron:
     """Closed convex hull of two non-empty polyhedra by projection.
 
@@ -347,8 +381,8 @@ def hull_by_projection(p: Polyhedron, q: Polyhedron) -> Polyhedron:
     (TPLP 2005): ``x = y + z`` with ``y`` in ``lam * P``, ``z`` in
     ``(1 - lam) * Q`` and ``0 <= lam <= 1``.  Substituting ``z = x - y``
     leaves a linear system over ``x``, ``y`` and ``lam``, and
-    ``Polyhedron.of`` projects ``y`` and ``lam`` away.  Nothing here touches
-    the generator conversion that ``Polyhedron.hull`` uses.
+    ``canonical_by_lp`` projects ``y`` and ``lam`` away.  Nothing here
+    touches the generator conversion that ``Polyhedron.hull`` uses.
     """
     lam = LinExpr.var("Lam")
     y = {d: LinExpr.var(f"Y_{d}") for d in p.dims}
@@ -364,7 +398,7 @@ def hull_by_projection(p: Polyhedron, q: Polyhedron) -> Polyhedron:
     for a in q.conjuncts():
         expr = a.expr.subst(x_minus_y) - lam.scale(a.expr.const)
         rows.append(AtomicConstraint(expr, a.rel))
-    return Polyhedron.of(p.dims, rows)
+    return canonical_by_lp(p.dims, rows)
 
 
 def _measure(p: Polyhedron) -> int:

@@ -86,6 +86,29 @@ def test_unchanged_clause_contribution_is_reused(monkeypatch):
     assert format_model(model) == "count(A) :- [1*A>=0]\nfalse :- []\n"
 
 
+def test_clause_contributions_are_joined_by_one_hull(monkeypatch):
+    # Each evaluation joins the old value and every clause contribution,
+    # empty ones included, in one n-ary hull call.
+    p = parse_program(
+        "count(A) :- A = 0.\n"
+        "count(A) :- B =< 9, A = B+1, count(B).\n"
+        "false :- A >= 11, count(A).\n"
+    )
+    joined = []
+    hull = Polyhedron.hull
+
+    def counting_hull(self, *others):
+        joined.append(len(others))
+        return hull(self, *others)
+
+    monkeypatch.setattr(Polyhedron, "hull", counting_hull)
+    _, stats = analyze(p)
+    # Each component has one predicate, so each pass is one evaluation:
+    # four of count (two clauses), then one of false (one clause).
+    assert joined == [2, 2, 2, 2, 1]
+    assert stats.passes == len(joined)
+
+
 def test_model_formatting_matches_committed_model(twophase, twophase_model_text):
     result = run_pipeline(twophase)
     assert format_model(result.model) == twophase_model_text

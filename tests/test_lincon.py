@@ -77,9 +77,11 @@ def test_simplex_and_elimination_agree_when_forced():
             else:
                 ineqs.append((r, rel is Rel.GT))
         by_lp = lincon._lp_feasible(ineqs)
+        # With every column eliminated, FM drops the satisfied ground rows
+        # and returns None on a false one, so a list result is empty.
         by_fm = lincon._fm_eliminate(ineqs, range(len(names)))
-        by_fm = by_fm is not None and lincon._ground_ok(by_fm)
-        assert by_lp == by_fm, raw
+        assert by_fm is None or by_fm == [], raw
+        assert by_lp == (by_fm is not None), raw
 
 
 def test_fm_first_decision_falls_back_to_simplex(monkeypatch):

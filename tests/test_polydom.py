@@ -3,7 +3,16 @@
 import random
 from fractions import Fraction
 
-from oracles import dual_by_subsets, hull_by_projection, random_system, rref
+import pytest
+from oracles import (
+    canonical_by_lp,
+    dual_by_subsets,
+    hull_by_projection,
+    hull_from_points,
+    random_point_set,
+    random_system,
+    rref,
+)
 
 from hornchain.chc import AtomicConstraint, LinExpr, Rel, canonical_arg_names
 from hornchain.parser import parse_constraint
@@ -131,6 +140,54 @@ def test_hull_matches_projection_oracle():
         for r in (p, q, h):
             assert Polyhedron.of(names, r.conjuncts()) == r, (i, r)
     assert compared == 74
+
+
+def test_canonical_form_matches_lp_sweep():
+    # The generator round trip and the decision procedures reach the same
+    # canonical form, emptiness included.
+    rng = random.Random(20261019)
+    empty = 0
+    for i in range(150):
+        d = 1 + i % 3
+        names = canonical_arg_names(d)
+        raw = random_system(rng, d)
+        p = Polyhedron.of(names, raw)
+        assert p == canonical_by_lp(names, raw), (i, raw)
+        empty += p.is_empty
+    assert empty == 62
+
+
+def test_nary_hull_equals_chained_hull():
+    # Alternate blocks of random systems (rays, lines, emptiness) and
+    # point-set hulls (polytopes); in two draws of three, one operand is
+    # replaced by the empty or the universe polyhedron.
+    rng = random.Random(20261020)
+    joined = 0
+    for i in range(120):
+        d = 1 + i % 3
+        names = canonical_arg_names(d)
+        if i // 3 % 2:
+            ops = [Polyhedron.of(names, random_system(rng, d)) for _ in range(3)]
+        else:
+            ops = [
+                Polyhedron.of(names, hull_from_points(random_point_set(rng, d)))
+                for _ in range(3)
+            ]
+        k = rng.randrange(9)
+        if k < 3:
+            ops[k] = Polyhedron.empty(names)
+        elif k < 6:
+            ops[k - 3] = Polyhedron.universe(names)
+        p, q, r = ops
+        assert p.hull(q, r) == p.hull(q).hull(r), (i, ops)
+        nonempty = [o for o in ops if not o.is_empty]
+        joined += len(nonempty) > 1 and not any(o.is_universe for o in nonempty)
+        wrong = Polyhedron.universe(canonical_arg_names(d + 1))
+        for j in range(3):
+            bad = ops[:j] + [wrong] + ops[j + 1:]
+            with pytest.raises(ValueError):
+                bad[0].hull(*bad[1:])
+    assert joined == 61
 
 
 def test_dual_matches_subset_enumeration():

@@ -64,8 +64,11 @@ class LinExpr:
 
     @staticmethod
     def build(coeffs: Mapping[str, Fraction], const: Fraction = ZERO) -> "LinExpr":
-        items = tuple(sorted((v, Fraction(c)) for v, c in coeffs.items() if c != 0))
-        return LinExpr(items, Fraction(const))
+        # ``Fraction(c)`` of a ``Fraction`` still runs an ABC instance check.
+        items = tuple(sorted(
+            (v, c if type(c) is Fraction else Fraction(c)) for v, c in coeffs.items() if c != 0
+        ))
+        return LinExpr(items, const if type(const) is Fraction else Fraction(const))
 
     @staticmethod
     def var(name: str) -> "LinExpr":

@@ -54,14 +54,19 @@ def _oriented(v: _Vec) -> _Vec:
     return v if next(c for c in v if c) > 0 else _neg(v)
 
 
-def _rows(conjuncts: Iterable[AtomicConstraint]) -> tuple[list[str], list[tuple[_Vec, Rel]]]:
+def _rows(
+    conjuncts: Iterable[AtomicConstraint], names: Sequence[str] | None = None
+) -> tuple[Sequence[str], list[tuple[_Vec, Rel]]]:
     """The variables of the conjuncts in name order, and each conjunct as a row.
 
-    Denominators are cleared and the gcd is divided out, a positive scaling
-    that keeps every relation.
+    With ``names`` given, the rows are laid out over those columns instead;
+    they must include every variable of the conjuncts.  Denominators are
+    cleared and the gcd is divided out, a positive scaling that keeps every
+    relation.
     """
     atoms = list(conjuncts)
-    names = sorted({v for a in atoms for v, _ in a.expr.coeffs})
+    if names is None:
+        names = sorted({v for a in atoms for v, _ in a.expr.coeffs})
     col = {v: i for i, v in enumerate(names)}
     rows = []
     for a in atoms:
@@ -76,7 +81,7 @@ def _rows(conjuncts: Iterable[AtomicConstraint]) -> tuple[list[str], list[tuple[
     return names, rows
 
 
-def _atom(names: list[str], row: _Vec, rel: Rel) -> AtomicConstraint:
+def _atom(names: Sequence[str], row: _Vec, rel: Rel) -> AtomicConstraint:
     coeffs = tuple([(v, Fraction(c)) for v, c in zip(names, row) if c])
     return AtomicConstraint(LinExpr(coeffs, Fraction(row[-1])), rel)
 
@@ -347,17 +352,38 @@ def is_satisfiable(conjuncts: Iterable[AtomicConstraint]) -> bool:
     return _satisfiable(*_split(rows), len(names))
 
 
+def _entails_rows(
+    base: Iterable[tuple[_Vec, Rel]], goals: Iterable[tuple[_Vec, Rel]], n: int
+) -> bool:
+    """True iff the rows ``base`` entail every row of ``goals``, all over ``n`` columns.
+
+    ``base`` is split once; each goal is decided by the satisfiability of
+    ``base`` plus one inequality of the goal's negation.
+    """
+    eqs, ineqs = _split(base)
+    for r, rel in goals:
+        if rel is Rel.EQ:
+            negations = [(r, True), (_neg(r), True)]
+        else:
+            negations = [(_neg(r), rel is Rel.GE)]
+        for neg in negations:
+            if _satisfiable(eqs, ineqs + [neg], n):
+                return False
+    return True
+
+
 def entails(conjuncts: Sequence[AtomicConstraint], atomic: AtomicConstraint) -> bool:
     """True iff every rational solution of the conjunction satisfies ``atomic``."""
-    return all(
-        not is_satisfiable(tuple(conjuncts) + (d,)) for d in atomic.negate()
-    )
+    return entails_all(conjuncts, (atomic,))
 
 
 def entails_all(
     c1: Sequence[AtomicConstraint], c2: Sequence[AtomicConstraint]
 ) -> bool:
-    return all(entails(c1, a) for a in c2)
+    """True iff every rational solution of ``c1`` satisfies every conjunct of ``c2``."""
+    c1 = tuple(c1)
+    names, rows = _rows(c1 + tuple(c2))
+    return _entails_rows(rows[: len(c1)], rows[len(c1) :], len(names))
 
 
 def _sort_key(item: tuple[_Vec, Rel]) -> tuple:
@@ -414,6 +440,43 @@ def normalize(conjuncts: Iterable[AtomicConstraint]) -> tuple[AtomicConstraint, 
     return tuple([_atom(names, r, rel) for r, rel in out])
 
 
+def _project_rows(
+    rows: list[tuple[_Vec, Rel]],
+    n: int,
+    kept_cols: Collection[int],
+    max_rows: int | None,
+) -> list[tuple[_Vec, Rel]] | None:
+    """:func:`project` on rows over ``n`` columns; None when they are unsatisfiable.
+
+    Returns the normal form (see :func:`_normal_form`) of the projection
+    onto ``kept_cols``.  Columns that no row mentions change nothing, so a
+    caller may lay rows out over any superset of their variables, in the
+    same relative order, and get the same rows back in the wider layout.
+    """
+    elim = [j for j in range(n) if j not in kept_cols]
+    eqs, ineqs = _split(rows)
+    while True:
+        res = _eliminate_equalities(eqs, ineqs, kept_cols)
+        if res is None:
+            return None
+        kept_eqs, ineqs = res
+        remaining = _fm_eliminate(ineqs, elim, max_rows)
+        if remaining is None:
+            return None
+        normal = _normal_form(
+            [(r, Rel.EQ) for r in kept_eqs]
+            + [(r, Rel.GT if s else Rel.GE) for r, s in remaining]
+        )
+        if normal is None:
+            return None
+        eqs, ineqs = _split(normal)
+        if len(eqs) == len(kept_eqs):
+            break
+    if not _satisfiable(eqs, ineqs, n):
+        return None
+    return normal
+
+
 def project(
     conjuncts: Iterable[AtomicConstraint],
     keep: Iterable[str],
@@ -445,25 +508,7 @@ def project(
     keep_set = frozenset(keep)
     names, rows = _rows(conjuncts)
     kept_cols = frozenset(j for j, v in enumerate(names) if v in keep_set)
-    elim = [j for j in range(len(names)) if j not in kept_cols]
-    eqs, ineqs = _split(rows)
-    while True:
-        res = _eliminate_equalities(eqs, ineqs, kept_cols)
-        if res is None:
-            return (FALSUM,)
-        kept_eqs, ineqs = res
-        remaining = _fm_eliminate(ineqs, elim, max_rows)
-        if remaining is None:
-            return (FALSUM,)
-        normal = _normal_form(
-            [(r, Rel.EQ) for r in kept_eqs]
-            + [(r, Rel.GT if s else Rel.GE) for r, s in remaining]
-        )
-        if normal is None:
-            return (FALSUM,)
-        eqs, ineqs = _split(normal)
-        if len(eqs) == len(kept_eqs):
-            break
-    if not _satisfiable(eqs, ineqs, len(names)):
+    normal = _project_rows(rows, len(names), kept_cols, max_rows)
+    if normal is None:
         return (FALSUM,)
     return tuple([_atom(names, r, rel) for r, rel in normal])

@@ -7,6 +7,11 @@ three steps starting from the top interpretation (every predicate holds of
 every tuple), each fact projected onto the predicate's canonical argument
 variables.  Every atomic conjunct appearing in those facts becomes a
 threshold for its predicate.
+
+Facts are ``Constraint`` values at the boundary of a step, in the
+interpretations it takes and returns.  Inside a step they are ``lincon``'s
+integer rows, so each body-fact combination costs one row projection and
+no conversion.
 """
 
 from __future__ import annotations
@@ -17,11 +22,11 @@ from typing import Iterable, Mapping
 
 from . import lincon
 from .chc import (
-    FALSUM,
     Atom,
     AtomicConstraint,
     Constraint,
     Program,
+    Rel,
     canonical_arg_names,
     format_atom,
     format_atomic_bracketed,
@@ -35,12 +40,6 @@ Interpretation = dict[str, tuple[Constraint, ...]]
 def top_interpretation(program: Program) -> Interpretation:
     """Every predicate holds of every argument tuple."""
     return {p: (Constraint.true(),) for p in program.arities}
-
-
-def _equivalent(f: Constraint, g: Constraint) -> bool:
-    return lincon.entails_all(f.conjuncts, g.conjuncts) and lincon.entails_all(
-        g.conjuncts, f.conjuncts
-    )
 
 
 def subsumed_by(f: Constraint, facts: Iterable[Constraint]) -> bool:
@@ -74,66 +73,120 @@ _SEMANTIC_DEDUP_LIMIT = 24
 # Facts kept per predicate after each step of ``compute_thresholds``.
 _TP_CAP = 200
 
+# Inside ``tp_step`` a fact is a tuple of ``lincon`` rows (coprime ints, the
+# constant last) over its predicate's canonical columns in name order.
+_Row = tuple[lincon._Vec, Rel]
+_Fact = tuple[_Row, ...]
+
+
+def _equivalent(f: _Fact, g: _Fact, n: int) -> bool:
+    return lincon._entails_rows(f, g, n) and lincon._entails_rows(g, f, n)
+
+
+def _layout(arity: int) -> tuple[list[str], list[int]]:
+    """A predicate's canonical argument names in name order, and the
+    argument position of each.
+
+    Past arity 26 name order is not position order: ``V26`` sorts between
+    ``U`` and ``W``.
+    """
+    names = canonical_arg_names(arity)
+    positions = sorted(range(arity), key=names.__getitem__)
+    return [names[i] for i in positions], positions
+
+
+def _embed(fact: list[_Row], target: list[int], n: int) -> list[_Row]:
+    """A fact's rows moved to columns ``target`` of ``n``.
+
+    Columns with the same target (a repeated argument) add up, so each row
+    is made coprime again.
+    """
+    out = []
+    for r, rel in fact:
+        v = [0] * n + [r[-1]]
+        for j, c in zip(target, r):
+            v[j] += c
+        out.append((lincon._coprime(v), rel))
+    return out
+
 
 def tp_step(program: Program, interp: Interpretation, cap: int | None = None) -> Interpretation:
     """One immediate-consequence step: facts derivable in a single round.
 
     For each clause, every combination of body facts is conjoined with the
     clause constraint and projected onto the head arguments; one that
-    projects to ``(FALSUM,)`` is skipped, and the others are recorded
+    is unsatisfiable is skipped, and the others are recorded
     (renamed to canonical names) as facts of the head predicate.  Facts
     equivalent to an already recorded one are skipped.
     With ``cap`` set, a predicate exceeding it keeps only its
     :func:`maximal` facts and is then truncated to the first ``cap``.
+
+    Inside the step facts are ``lincon``'s integer rows: each fact of
+    ``interp`` becomes rows over its predicate's canonical columns once,
+    and each clause lays its constraint and the body facts out over the
+    clause's variables in name order, which is the layout ``lincon.project``
+    would give the same conjuncts up to columns no row mentions.  Facts
+    become ``Constraint`` values only when the step returns.
     """
-    new: dict[str, list[Constraint]] = {p: [] for p in program.arities}
-    seen: dict[str, set[Constraint]] = {p: set() for p in program.arities}
+    layouts = {p: _layout(k) for p, k in program.arities.items()}
+    known = {
+        p: [lincon._rows(f.conjuncts, layouts[p][0])[1] for f in interp.get(p, ())]
+        for p in program.arities
+    }
+    new: dict[str, list[_Fact]] = {p: [] for p in program.arities}
+    seen: dict[str, set[_Fact]] = {p: set() for p in program.arities}
     for clause in program.clauses:
-        bucket = new[clause.head.pred]
+        head = clause.head
+        bucket = new[head.pred]
         if cap is not None and len(bucket) >= 2 * cap:
             continue
-        fact_lists: list[list[Constraint]] = []
-        for atom in clause.body:
-            facts = interp.get(atom.pred, ())
-            if not facts:
-                fact_lists = []
-                break
-            renamed = []
-            names = canonical_arg_names(len(atom.args))
-            mapping = dict(zip(names, atom.args))
-            for f in facts:
-                renamed.append(f.rename(mapping))
-            fact_lists.append(renamed)
-        if clause.body and not fact_lists:
+        if not all(known[atom.pred] for atom in clause.body):
             continue
-        head_names = canonical_arg_names(clause.head.arity)
-        head_map = dict(zip(clause.head.args, head_names))
+        names = sorted(clause.vars())
+        col = {v: j for j, v in enumerate(names)}
+        n = len(names)
+        fact_lists = [
+            [_embed(f, [col[atom.args[i]] for i in layouts[atom.pred][1]], n)
+             for f in known[atom.pred]]
+            for atom in clause.body
+        ]
+        constr = lincon._rows(clause.constr.conjuncts, names)[1]
+        kept = frozenset(col[v] for v in head.args)
+        # The clause column behind each head column; head arguments are
+        # distinct, so projected rows only move to other columns.
+        source = [col[head.args[i]] for i in layouts[head.pred][1]]
         combos = itertools.islice(itertools.product(*fact_lists), _COMBO_BUDGET)
         for combo in combos:
             if cap is not None and len(bucket) >= 2 * cap:
                 break
-            conjuncts = list(clause.constr.conjuncts)
+            rows = list(constr)
             for f in combo:
-                conjuncts.extend(f.conjuncts)
+                rows.extend(f)
             # Capped growth: threshold facts are candidate bounds, so an
             # over-approximate projection only makes candidates weaker.
-            proj = lincon.project(conjuncts, clause.head.args, max_rows=lincon.PROJECT_CAP)
-            if proj == (FALSUM,):
+            proj = lincon._project_rows(rows, n, kept, lincon.PROJECT_CAP)
+            if proj is None:
                 continue
-            fact = Constraint(lincon.normalize(a.rename(head_map) for a in proj))
-            if fact in seen[clause.head.pred]:
+            fact = tuple(lincon._normal_form(
+                [(tuple([r[j] for j in source] + [r[-1]]), rel) for r, rel in proj]
+            ))
+            if fact in seen[head.pred]:
                 continue
-            seen[clause.head.pred].add(fact)
+            seen[head.pred].add(fact)
             if len(bucket) <= _SEMANTIC_DEDUP_LIMIT and any(
-                _equivalent(fact, g) for g in bucket
+                _equivalent(fact, g, head.arity) for g in bucket
             ):
                 continue
             bucket.append(fact)
-    if cap is not None:
-        for p, facts in new.items():
-            if len(facts) > cap:
-                new[p] = maximal(facts)[:cap]
-    return {p: tuple(facts) for p, facts in new.items()}
+    out: Interpretation = {}
+    for p, facts in new.items():
+        order = layouts[p][0]
+        out[p] = tuple(
+            [Constraint(tuple([lincon._atom(order, r, rel) for r, rel in f])) for f in facts]
+        )
+        if cap is not None and len(out[p]) > cap:
+            out[p] = tuple(maximal(out[p])[:cap])
+    return out
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,11 @@ form with ``lincon``'s decision procedures, and ``hull_by_projection``,
 which builds hulls with ``lincon.project`` and ``canonical_by_lp``; neither
 touches the generator conversion behind ``Polyhedron.of`` and
 ``Polyhedron.hull``.  The suites return ``(instances, failures)`` so both
-the unit tests and the acceptance gate can share one run.  The last
-section keeps the ``Fraction`` versions of ``lincon.project``,
+the unit tests and the acceptance gate can share one run.  The last two
+sections keep the ``Fraction`` versions of ``lincon.project``,
 ``is_satisfiable`` and ``normalize`` as the reference for the integer-row
-kernel.
+kernel, and the ``Constraint``-level ``thresholds.tp_step`` as the
+reference for the row harvest.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice, product
 
 import numpy as np
 
-from hornchain import lincon
+from hornchain import lincon, thresholds
 from hornchain.chc import (
     FALSUM,
     AtomicConstraint,
@@ -824,3 +825,68 @@ def rational_project(conjuncts, keep, max_rows=None) -> tuple:
     if not rational_is_satisfiable(normalized):
         return (FALSUM,)
     return normalized
+
+
+# ---------------------------------------------------------------------------
+# Reference threshold harvest on ``Constraint`` values
+# ---------------------------------------------------------------------------
+#
+# ``thresholds.tp_step`` as it was before facts stayed integer rows inside
+# a step: every combination goes through ``lincon.project`` and each result
+# is renamed and normalized as atoms.  The row harvest must equal it.
+
+def _constraint_equivalent(f: Constraint, g: Constraint) -> bool:
+    return lincon.entails_all(f.conjuncts, g.conjuncts) and lincon.entails_all(
+        g.conjuncts, f.conjuncts
+    )
+
+
+def reference_tp_step(program, interp, cap=None):
+    new = {p: [] for p in program.arities}
+    seen = {p: set() for p in program.arities}
+    for clause in program.clauses:
+        bucket = new[clause.head.pred]
+        if cap is not None and len(bucket) >= 2 * cap:
+            continue
+        fact_lists = []
+        for atom in clause.body:
+            facts = interp.get(atom.pred, ())
+            if not facts:
+                fact_lists = []
+                break
+            mapping = dict(zip(canonical_arg_names(len(atom.args)), atom.args))
+            fact_lists.append([f.rename(mapping) for f in facts])
+        if clause.body and not fact_lists:
+            continue
+        head_map = dict(zip(clause.head.args, canonical_arg_names(clause.head.arity)))
+        combos = islice(product(*fact_lists), thresholds._COMBO_BUDGET)
+        for combo in combos:
+            if cap is not None and len(bucket) >= 2 * cap:
+                break
+            conjuncts = list(clause.constr.conjuncts)
+            for f in combo:
+                conjuncts.extend(f.conjuncts)
+            proj = lincon.project(conjuncts, clause.head.args, max_rows=lincon.PROJECT_CAP)
+            if proj == (FALSUM,):
+                continue
+            fact = Constraint(lincon.normalize(a.rename(head_map) for a in proj))
+            if fact in seen[clause.head.pred]:
+                continue
+            seen[clause.head.pred].add(fact)
+            if len(bucket) <= thresholds._SEMANTIC_DEDUP_LIMIT and any(
+                _constraint_equivalent(fact, g) for g in bucket
+            ):
+                continue
+            bucket.append(fact)
+    if cap is not None:
+        for p, facts in new.items():
+            if len(facts) > cap:
+                new[p] = thresholds.maximal(facts)[:cap]
+    return {p: tuple(facts) for p, facts in new.items()}
+
+
+def reference_compute_thresholds(program):
+    interp = thresholds.top_interpretation(program)
+    for _ in range(3):
+        interp = reference_tp_step(program, interp, cap=thresholds._TP_CAP)
+    return thresholds.atomconstraints(interp)

@@ -3,7 +3,10 @@
 import random
 from fractions import Fraction
 
+import pytest
 from bounded import bottom_interpretation
+from oracles import reference_compute_thresholds, reference_tp_step
+from randprog import random_program
 
 from hornchain import lincon
 from hornchain.chc import AtomicConstraint, Constraint, LinExpr, Rel
@@ -164,3 +167,92 @@ def test_format_thresholds_lists_predicates_in_name_order(twophase_unfolded):
     names = [line.split(" :- ")[0] for line in lines]
     assert names == sorted(names)
     assert names[0].startswith("false")
+
+
+def _wide_program(arity):
+    """Clauses over one predicate of the given arity whose facts mention
+    positions on both sides of ``V26`` in name order."""
+    xs = [f"X{i}" for i in range(arity)]
+    args = ",".join(xs)
+    swapped = ",".join(xs[1:] + xs[:1])
+    return parse_program(
+        f"p({args}) :- X0 >= 1, X26 = X0 + X21, X21 =< 5, X21 >= X22, X23 = 2*X24,"
+        f" X{arity - 1} >= X25.\n"
+        f"p({args}) :- p({swapped}), X25 + X26 > X0.\n"
+        f"q(Y, Z) :- p({args}), Y = X26 - X0, Z = X22 - X21.\n"
+    )
+
+
+HAND_CASES = {
+    "repeated body arguments": parse_program(
+        "q(A,B) :- A >= B + 1, A =< 3.\n"
+        "q(A,B) :- A = 2*B, B >= -4.\n"
+        "q(A,B) :- A + B = 4, 3*A + 3*B >= 2*B.\n"  # in r: 2X - 4 = 0, 4X >= 0
+        "r(X) :- q(X,X).\n"
+        "s(X,Y) :- q(X,X), q(Y,X), X >= 0.\n"
+        "t(A,B,C) :- A + B + C =< 7, A >= 0, B = 1.\n"
+        "u(X,Y) :- t(X,X,Y), t(Y,X,X).\n"
+    ),
+    "arity 27": _wide_program(27),
+    "arity 30": _wide_program(30),
+    "zero arity": parse_program(
+        "z :- 1 >= 0.\n"
+        "y :- z, 2 =< 1.\n"
+        "w(X,Y) :- z, X = Y.\n"
+        "v :- w(X,Y), X >= Y + 1.\n"
+    ),
+    "body-less clauses": parse_program(
+        "p(A,B) :- A >= 3, B = A + 1.\n"
+        "p(A,B) :- 2*A >= 6, 2*B = 2*A + 2.\n"  # the same fact, written twice as large
+        "p(A,B).\n"
+        "q.\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_CASES))
+def test_row_harvest_matches_constraint_reference_on_hand_cases(name):
+    program = HAND_CASES[name]
+    ref = interp = top_interpretation(program)
+    for _ in range(3):
+        interp, ref = tp_step(program, interp), reference_tp_step(program, ref)
+        assert interp == ref
+    assert compute_thresholds(program) == reference_compute_thresholds(program)
+
+
+def test_row_harvest_matches_constraint_reference_under_one_row_cap(monkeypatch):
+    monkeypatch.setattr(lincon, "PROJECT_CAP", 1)
+    p = parse_program(
+        "p(A) :- C = 2*B + 10, 3*C >= 3*A + 2*B + 1, 2*A + 3*C >= 1, C =< -10.\n"
+        "q(A,B) :- A >= 1, B >= A, A + B =< 9, 2*A - B >= -3.\n"
+        "r(A) :- q(A,B), q(B,C), C >= A + 1.\n"
+    )
+    top = top_interpretation(p)
+    assert tp_step(p, top) == reference_tp_step(p, top)
+    assert compute_thresholds(p) == reference_compute_thresholds(p)
+
+
+def test_row_harvest_matches_constraint_reference_on_given_facts():
+    # Facts with fractional coefficients, and a cap that sheds.
+    p = parse_program("r(X,Y) :- q(Y,X), X >= 0.\nq(A,B) :- A >= B.\n")
+    half = Fraction(1, 2)
+    interp = {
+        "q": tuple(
+            Constraint((ge(k, A=half, B=-1), ge(-k, B=Fraction(1, 3)))) for k in range(5)
+        ),
+        "r": (),
+    }
+    for cap in (None, 2):
+        assert tp_step(p, interp, cap) == reference_tp_step(p, interp, cap)
+
+
+def test_row_harvest_matches_constraint_reference_on_random_programs():
+    rng = random.Random(20261018)
+    for _ in range(150):
+        program = random_program(rng)
+        ref = interp = top_interpretation(program)
+        for _ in range(3):
+            interp = tp_step(program, interp, cap=4)
+            ref = reference_tp_step(program, ref, cap=4)
+            assert interp == ref
+        assert compute_thresholds(program) == reference_compute_thresholds(program)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 FALSE_PRED = "false"
 
@@ -115,18 +115,27 @@ class LinExpr:
         for v, c in self.coeffs:
             repl = mapping.get(v)
             if repl is None:
-                acc[v] = acc.get(v, ZERO) + c
+                acc[v] = acc[v] + c if v in acc else c
             else:
                 for w, d in repl.coeffs:
-                    acc[w] = acc.get(w, ZERO) + c * d
-                const += c * repl.const
+                    t = c * d
+                    acc[w] = acc[w] + t if w in acc else t
+                if repl.const:
+                    const += c * repl.const
         return LinExpr.build(acc, const)
 
     def rename(self, mapping: Mapping[str, str]) -> "LinExpr":
+        """Rename variables; terms that land on one name are added up.
+
+        When the new names are distinct, the terms are only re-sorted.
+        """
+        terms = [(mapping.get(v, v), c) for v, c in self.coeffs]
+        if len({w for w, _ in terms}) == len(terms):
+            terms.sort()
+            return LinExpr(tuple(terms), self.const)
         acc: dict[str, Fraction] = {}
-        for v, c in self.coeffs:
-            w = mapping.get(v, v)
-            acc[w] = acc.get(w, ZERO) + c
+        for w, c in terms:
+            acc[w] = acc[w] + c if w in acc else c
         return LinExpr.build(acc, self.const)
 
     def evaluate(self, env: Mapping[str, Fraction]) -> Fraction:
@@ -301,15 +310,14 @@ class Clause:
             tuple(a.rename(mapping) for a in self.body),
         )
 
+    def canonical_mapping(self) -> dict[str, str]:
+        """The renaming of the variables to A, B, C, ... by first occurrence."""
+        vs = self.vars()
+        return dict(zip(vs, canonical_arg_names(len(vs))))
+
     def with_canonical_vars(self) -> "Clause":
         """Rename variables to A, B, C, ... by first occurrence."""
-        mapping: dict[str, str] = {}
-        for v in self.vars():
-            if v not in mapping:
-                mapping[v] = ""
-        names = canonical_arg_names(len(mapping))
-        mapping = {v: names[i] for i, v in enumerate(mapping)}
-        return self.rename(mapping)
+        return self.rename(self.canonical_mapping())
 
 
 @dataclass(frozen=True)

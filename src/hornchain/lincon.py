@@ -202,8 +202,8 @@ def _prune_rows(rows: list[_Row]) -> list[_Row] | None:
 
 def _fm_eliminate(
     ineqs: list[_Ineq], elim: Sequence[int], max_rows: int | None = None
-) -> list[_Ineq] | None:
-    """Eliminate every column in ``elim``; None on contradiction.
+) -> tuple[list[_Ineq] | None, bool]:
+    """Eliminate every column in ``elim``: the rows left, None on contradiction.
 
     Variables go cheapest-first (fewest lower*upper pairings).  Two exact
     prunings keep the intermediate systems small: parallel constraints
@@ -221,11 +221,13 @@ def _fm_eliminate(
     every step before the first one that stops is exact, so the first stop
     decides the rows it has with the simplex and returns None if they are
     contradictory.  Later stops drop rows of a satisfiable system, whose
-    relaxations stay satisfiable.
+    relaxations stay satisfiable.  The second item of the result tells
+    whether a step stopped, that is, whether returned rows may be an
+    over-approximation.
     """
     rows = _prune_rows([(r, s, frozenset((i,))) for i, (r, s) in enumerate(ineqs)])
     if rows is None:
-        return None
+        return None, False
     steps = 0
     decided = False
     while True:
@@ -237,7 +239,7 @@ def _fm_eliminate(
                     pair = counts.setdefault(j, [0, 0])
                     pair[0 if c > 0 else 1] += 1
         if not counts:
-            return [(r, s) for r, s, _ in rows]
+            return [(r, s) for r, s, _ in rows], decided
         v = min(counts, key=lambda u: (counts[u][0] * counts[u][1], u))
         steps += 1
         lowers: list[_Row] = []
@@ -266,7 +268,7 @@ def _fm_eliminate(
                 combined = [a * x + b * y for x, y in zip(lr, ur)]
                 if not any(combined[:-1]):
                     if combined[-1] < 0 or (strict and combined[-1] == 0):
-                        return None
+                        return None, decided
                 elif max_rows is not None and len(nxt) >= max_rows:
                     aborted = True
                     break
@@ -276,13 +278,13 @@ def _fm_eliminate(
                 break
         if aborted:
             if not decided and not _lp_feasible([(r, s) for r, s, _ in rows]):
-                return None
+                return None, False
             decided = True
             rows = nxt[:passthrough]
             continue
         rows = _prune_rows(nxt)
         if rows is None:
-            return None
+            return None, decided
 
 
 def _lp_feasible(ineqs: list[_Ineq]) -> bool:
@@ -343,7 +345,7 @@ def _lp_feasible(ineqs: list[_Ineq]) -> bool:
 def _satisfiable(eqs: list[_Vec], ineqs: list[_Ineq], n: int) -> bool:
     """Decide rows over ``n`` variables: elimination first, simplex past the cap."""
     res = _eliminate_equalities(eqs, ineqs)
-    return res is not None and _fm_eliminate(res[1], range(n), PROJECT_CAP) is not None
+    return res is not None and _fm_eliminate(res[1], range(n), PROJECT_CAP)[0] is not None
 
 
 def is_satisfiable(conjuncts: Iterable[AtomicConstraint]) -> bool:
@@ -445,43 +447,48 @@ def _project_rows(
     n: int,
     kept_cols: Collection[int],
     max_rows: int | None,
-) -> list[tuple[_Vec, Rel]] | None:
+) -> tuple[list[tuple[_Vec, Rel]] | None, bool]:
     """:func:`project` on rows over ``n`` columns; None when they are unsatisfiable.
 
     Returns the normal form (see :func:`_normal_form`) of the projection
-    onto ``kept_cols``.  Columns that no row mentions change nothing, so a
+    onto ``kept_cols``, and whether ``max_rows`` stopped an elimination step
+    (see :func:`_fm_eliminate`), so that the rows may over-approximate the
+    projection.  Columns that no row mentions change nothing, so a
     caller may lay rows out over any superset of their variables, in the
     same relative order, and get the same rows back in the wider layout.
     """
     elim = [j for j in range(n) if j not in kept_cols]
     eqs, ineqs = _split(rows)
+    capped = False
     while True:
         res = _eliminate_equalities(eqs, ineqs, kept_cols)
         if res is None:
-            return None
+            return None, capped
         kept_eqs, ineqs = res
-        remaining = _fm_eliminate(ineqs, elim, max_rows)
+        remaining, stopped = _fm_eliminate(ineqs, elim, max_rows)
+        capped = capped or stopped
         if remaining is None:
-            return None
+            return None, capped
         normal = _normal_form(
             [(r, Rel.EQ) for r in kept_eqs]
             + [(r, Rel.GT if s else Rel.GE) for r, s in remaining]
         )
         if normal is None:
-            return None
+            return None, capped
         eqs, ineqs = _split(normal)
         if len(eqs) == len(kept_eqs):
             break
     if not _satisfiable(eqs, ineqs, n):
-        return None
-    return normal
+        return None, capped
+    return normal, capped
 
 
 def project(
     conjuncts: Iterable[AtomicConstraint],
     keep: Iterable[str],
     max_rows: int | None = None,
-) -> tuple[AtomicConstraint, ...]:
+    exact: bool = False,
+) -> tuple[AtomicConstraint, ...] | None:
     """Eliminate all variables outside ``keep``, exactly by default.
 
     The projection of a satisfiable conjunction is its shadow on the kept
@@ -504,11 +511,16 @@ def project(
     the price of over-approximating (see :func:`_fm_eliminate`).  Capped or
     not, the result is ``(FALSUM,)`` if and only if the input is
     unsatisfiable, so callers may use ``project`` as their only decision.
+    With ``exact`` set, a satisfiable input whose elimination ``max_rows``
+    stopped gives None instead of the over-approximation, so any tuple
+    returned is the exact projection.
     """
     keep_set = frozenset(keep)
     names, rows = _rows(conjuncts)
     kept_cols = frozenset(j for j, v in enumerate(names) if v in keep_set)
-    normal = _project_rows(rows, len(names), kept_cols, max_rows)
+    normal, capped = _project_rows(rows, len(names), kept_cols, max_rows)
     if normal is None:
         return (FALSUM,)
+    if capped and exact:
+        return None
     return tuple([_atom(names, r, rel) for r, rel in normal])

@@ -164,7 +164,7 @@ def tp_step(program: Program, interp: Interpretation, cap: int | None = None) ->
                 rows.extend(f)
             # Capped growth: threshold facts are candidate bounds, so an
             # over-approximate projection only makes candidates weaker.
-            proj = lincon._project_rows(rows, n, kept, lincon.PROJECT_CAP)
+            proj, _ = lincon._project_rows(rows, n, kept, lincon.PROJECT_CAP)
             if proj is None:
                 continue
             fact = tuple(lincon._normal_form(

@@ -7,7 +7,9 @@ rewrite) is derivable:
                       derivation, shrinking predicates.
 * ``unfold_forward``  inlines calls along non-recursive edges until only
                       calls to recursion targets remain, then discards
-                      unreachable definitions.
+                      unreachable definitions.  Each clause carries the
+                      projection of its constraint onto its atoms'
+                      arguments, which decides each unfolding exactly.
 * ``query_answer``    specializes the program to the goal: every predicate
                       ``p`` splits into ``p_query`` (may be demanded by the
                       goal) and ``p_ans`` (derivable and demanded).
@@ -45,7 +47,30 @@ _UNFOLD_BUDGET = 100_000
 # Unfolding
 # ---------------------------------------------------------------------------
 
-def _standardize_apart(clause: Clause, taken: set[str]) -> Clause:
+# The projection of a clause's constraint onto the arguments of its atoms,
+# head and body: ``(FALSUM,)`` when the constraint is unsatisfiable, and None
+# when it is unknown because ``lincon.PROJECT_CAP`` stopped the projection
+# (or because it is never read).
+Summary = tuple[AtomicConstraint, ...] | None
+
+
+def _atom_args(head: Atom, body: Iterable[Atom]) -> set[str]:
+    args = set(head.args)
+    for b in body:
+        args.update(b.args)
+    return args
+
+
+def _exact_projection(conjuncts: Iterable[AtomicConstraint], keep: set[str]) -> Summary:
+    return lincon.project(conjuncts, keep, lincon.PROJECT_CAP, exact=True)
+
+
+def _summary(clause: Clause) -> Summary:
+    return _exact_projection(clause.constr, _atom_args(clause.head, clause.body))
+
+
+def _standardize_apart(clause: Clause, taken: set[str]) -> dict[str, str]:
+    """A renaming of the clause's variables onto names outside ``taken``."""
     mapping = {}
     used = set(taken)
     for v in clause.vars():
@@ -55,27 +80,50 @@ def _standardize_apart(clause: Clause, taken: set[str]) -> Clause:
             used.add(w)
         else:
             used.add(v)
-    return clause.rename(mapping) if mapping else clause
+    return mapping
 
 
-def _unfold_with_defs(clause: Clause, at: int, defs: Sequence[Clause]) -> list[Clause]:
-    """Replace the body atom at position ``at`` by each of its definitions."""
+def _unfold_with_defs(
+    clause: Clause, summary: Summary, at: int, defs: Sequence[tuple[Clause, Summary]]
+) -> list[tuple[Clause, Summary]]:
+    """Replace the body atom at position ``at`` by each of its definitions.
+
+    ``defs`` pairs each definition with its summary, and so does the result
+    for each satisfiable unfolding.  Standardized apart, the clause and a
+    definition share only the call's arguments, which are atom arguments of
+    both.  So existential quantification over every other variable
+    distributes over the conjunction: the summary of the unfolding is the
+    projection of the two summaries onto its own atom arguments, and it is
+    ``(FALSUM,)`` exactly when the unfolding is unsatisfiable.  Only when a
+    summary is unknown is the whole constraint decided.
+    """
     call = clause.body[at]
-    out: list[Clause] = []
-    for d in defs:
-        d2 = _standardize_apart(d, set(clause.vars()))
-        # Bind fresh head parameters to the call's arguments; parameters are
-        # fresh and pairwise distinct, so substitution removes them all.
-        binding = {z: LinExpr.var(y) for z, y in zip(d2.head.args, call.args)}
+    taken = set(clause.vars())
+    out: list[tuple[Clause, Summary]] = []
+    for d, d_summary in defs:
+        # Bind the fresh head parameters to the call's arguments; head
+        # parameters are pairwise distinct, so the binding is a renaming too.
+        mapping = _standardize_apart(d, taken)
+        mapping.update(zip(d.head.args, call.args))
         body = (
             clause.body[:at]
-            + tuple(b.rename({z: y for z, y in zip(d2.head.args, call.args)}) for b in d2.body)
+            + tuple(b.rename(mapping) for b in d.body)
             + clause.body[at + 1 :]
         )
-        constr = clause.constr.conjoin(d2.constr.subst(binding))
-        if not lincon.is_satisfiable(constr):
-            continue
-        out.append(Clause(clause.head, constr, body).with_canonical_vars())
+        unfolded = Clause(clause.head, clause.constr.conjoin(d.constr.rename(mapping)), body)
+        if summary is None or d_summary is None:
+            if not lincon.is_satisfiable(unfolded.constr):
+                continue
+            new_summary = None
+        else:
+            joint = summary + tuple(a.rename(mapping) for a in d_summary)
+            new_summary = _exact_projection(joint, _atom_args(clause.head, body))
+            if new_summary == (FALSUM,):
+                continue
+        canon = unfolded.canonical_mapping()
+        if new_summary is not None:
+            new_summary = tuple(a.rename(canon) for a in new_summary)
+        out.append((unfolded.rename(canon), new_summary))
     return out
 
 
@@ -92,9 +140,9 @@ def unfold_clause(program: Program, clause: Clause, at: int) -> Program:
         raise ChcError("clause to unfold is not part of the program") from None
     if not 0 <= at < len(clause.body):
         raise ChcError(f"clause has no body atom at position {at}")
-    defs = program.clauses_for(clause.body[at].pred)
-    reps = _unfold_with_defs(clause, at, defs)
-    return Program(program.clauses[:idx] + tuple(reps) + program.clauses[idx + 1 :])
+    defs = [(d, _summary(d)) for d in program.clauses_for(clause.body[at].pred)]
+    reps = tuple(c for c, _ in _unfold_with_defs(clause, _summary(clause), at, defs))
+    return Program(program.clauses[:idx] + reps + program.clauses[idx + 1 :])
 
 
 def _drop_unreachable(program: Program, root: str) -> Program:
@@ -118,24 +166,37 @@ def unfold_forward(program: Program, goal_pred: str = FALSE_PRED) -> Program:
     (scanning clauses top to bottom, body atoms left to right) with the
     current definitions of its predicate.  Definitions unreachable from the
     goal are discarded before and after.
+
+    Each clause carries its summary, the exact projection of its constraint
+    onto the arguments of its atoms, and each unfolding is decided by one
+    small projection of two summaries, which is also the new clause's
+    summary (see :func:`_unfold_with_defs`).  So the accumulated constraint
+    is built but not decided again, unless a summary past
+    ``lincon.PROJECT_CAP`` is unknown.  The clauses keep the constraints
+    of a plain unfolding; only the decision is made on summaries.
     """
     program = _drop_unreachable(program, goal_pred)
     targets = backward_targets(program)
-    clauses = list(program.clauses)
+    # Only unfolded clauses and definitions of non-targets have their summary
+    # read, so a target's clause that calls only targets gets none.
+    clauses = [
+        (c, None if {c.head.pred, *(b.pred for b in c.body)} <= targets else _summary(c))
+        for c in program.clauses
+    ]
     steps = 0
     i = 0
     while i < len(clauses):
-        c = clauses[i]
+        c, summary = clauses[i]
         at = next((k for k, b in enumerate(c.body) if b.pred not in targets), None)
         if at is None:
             i += 1
             continue
-        defs = [d for d in clauses if d.head.pred == c.body[at].pred]
-        clauses[i : i + 1] = _unfold_with_defs(c, at, defs)
+        defs = [e for e in clauses if e[0].head.pred == c.body[at].pred]
+        clauses[i : i + 1] = _unfold_with_defs(c, summary, at, defs)
         steps += 1
         if steps > _UNFOLD_BUDGET:
             raise ChcError("unfolding exceeded its rewrite budget")
-    return _drop_unreachable(Program(tuple(clauses)), goal_pred)
+    return _drop_unreachable(Program(tuple(c for c, _ in clauses)), goal_pred)
 
 
 # ---------------------------------------------------------------------------

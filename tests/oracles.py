@@ -12,8 +12,10 @@ touches the generator conversion behind ``Polyhedron.of`` and
 the unit tests and the acceptance gate can share one run.  The last two
 sections keep the ``Fraction`` versions of ``lincon.project``,
 ``is_satisfiable`` and ``normalize`` as the reference for the integer-row
-kernel, and the ``Constraint``-level ``thresholds.tp_step`` as the
-reference for the row harvest.
+kernel, the ``Constraint``-level ``thresholds.tp_step`` as the reference
+for the row harvest, and the unfolding that decides every accumulated
+constraint whole, with the ``Fraction`` sums of ``LinExpr.rename`` and
+``subst``, as the reference for the unfolding by summaries.
 """
 
 from __future__ import annotations
@@ -27,12 +29,19 @@ import numpy as np
 
 from hornchain import lincon, thresholds
 from hornchain.chc import (
+    FALSE_PRED,
     FALSUM,
+    ZERO,
     AtomicConstraint,
+    ChcError,
+    Clause,
     Constraint,
     LinExpr,
+    Program,
     Rel,
+    backward_targets,
     canonical_arg_names,
+    fresh_name,
 )
 from hornchain.polydom import Polyhedron
 
@@ -890,3 +899,118 @@ def reference_compute_thresholds(program):
     for _ in range(3):
         interp = reference_tp_step(program, interp, cap=thresholds._TP_CAP)
     return thresholds.atomconstraints(interp)
+
+
+# ---------------------------------------------------------------------------
+# Reference unfolding
+# ---------------------------------------------------------------------------
+#
+# ``transform.unfold_forward`` and ``unfold_clause`` as they were before
+# clauses carried summaries: each unfolding renames the definition apart,
+# substitutes the call's arguments for its head parameters, and decides the
+# whole accumulated constraint with ``lincon.is_satisfiable``.  Renaming and
+# substitution add every coefficient to ``ZERO`` as ``LinExpr.rename`` and
+# ``subst`` did.  The unfolding by summaries must equal it clause for clause.
+
+def reference_subst(e: LinExpr, mapping) -> LinExpr:
+    acc = {}
+    const = e.const
+    for v, c in e.coeffs:
+        repl = mapping.get(v)
+        if repl is None:
+            acc[v] = acc.get(v, ZERO) + c
+        else:
+            for w, d in repl.coeffs:
+                acc[w] = acc.get(w, ZERO) + c * d
+            const += c * repl.const
+    return LinExpr.build(acc, const)
+
+
+def reference_rename(e: LinExpr, mapping) -> LinExpr:
+    acc = {}
+    for v, c in e.coeffs:
+        w = mapping.get(v, v)
+        acc[w] = acc.get(w, ZERO) + c
+    return LinExpr.build(acc, e.const)
+
+
+def _ref_constraint(c: Constraint, fn, mapping) -> Constraint:
+    return Constraint(tuple(AtomicConstraint(fn(a.expr, mapping), a.rel) for a in c))
+
+
+def _ref_rename_clause(c: Clause, mapping) -> Clause:
+    return Clause(
+        c.head.rename(mapping),
+        _ref_constraint(c.constr, reference_rename, mapping),
+        tuple(b.rename(mapping) for b in c.body),
+    )
+
+
+def _ref_canonical(c: Clause) -> Clause:
+    names = c.vars()
+    return _ref_rename_clause(c, dict(zip(names, canonical_arg_names(len(names)))))
+
+
+def _ref_standardize_apart(clause: Clause, taken) -> Clause:
+    mapping = {}
+    used = set(taken)
+    for v in clause.vars():
+        if v in used:
+            w = fresh_name(used)
+            mapping[v] = w
+            used.add(w)
+        else:
+            used.add(v)
+    return _ref_rename_clause(clause, mapping) if mapping else clause
+
+
+def _ref_unfold_with_defs(clause: Clause, at: int, defs) -> list:
+    call = clause.body[at]
+    out = []
+    for d in defs:
+        d2 = _ref_standardize_apart(d, set(clause.vars()))
+        binding = {z: LinExpr.var(y) for z, y in zip(d2.head.args, call.args)}
+        names = dict(zip(d2.head.args, call.args))
+        body = clause.body[:at] + tuple(b.rename(names) for b in d2.body) + clause.body[at + 1 :]
+        constr = clause.constr.conjoin(_ref_constraint(d2.constr, reference_subst, binding))
+        if not lincon.is_satisfiable(constr):
+            continue
+        out.append(_ref_canonical(Clause(clause.head, constr, body)))
+    return out
+
+
+def reference_unfold_clause(program: Program, clause: Clause, at: int) -> Program:
+    idx = program.clauses.index(clause)
+    reps = _ref_unfold_with_defs(clause, at, program.clauses_for(clause.body[at].pred))
+    return Program(program.clauses[:idx] + tuple(reps) + program.clauses[idx + 1 :])
+
+
+def _ref_drop_unreachable(program: Program, root: str) -> Program:
+    seen = set()
+    work = [root]
+    while work:
+        p = work.pop()
+        if p not in seen:
+            seen.add(p)
+            work.extend(program.succs.get(p, ()))
+    return Program(tuple(c for c in program.clauses if c.head.pred in seen))
+
+
+def reference_unfold_forward(program: Program, goal_pred: str = FALSE_PRED) -> Program:
+    program = _ref_drop_unreachable(program, goal_pred)
+    targets = backward_targets(program)
+    clauses = list(program.clauses)
+    steps = 0
+    i = 0
+    while i < len(clauses):
+        c = clauses[i]
+        at = next((k for k, b in enumerate(c.body) if b.pred not in targets), None)
+        if at is None:
+            i += 1
+            continue
+        defs = [d for d in clauses if d.head.pred == c.body[at].pred]
+        clauses[i : i + 1] = _ref_unfold_with_defs(c, at, defs)
+        steps += 1
+        if steps > 100_000:
+            raise ChcError("unfolding exceeded its rewrite budget")
+    return _ref_drop_unreachable(Program(tuple(clauses)), goal_pred)

@@ -79,8 +79,9 @@ def test_simplex_and_elimination_agree_when_forced():
         by_lp = lincon._lp_feasible(ineqs)
         # With every column eliminated, FM drops the satisfied ground rows
         # and returns None on a false one, so a list result is empty.
-        by_fm = lincon._fm_eliminate(ineqs, range(len(names)))
+        by_fm, capped = lincon._fm_eliminate(ineqs, range(len(names)))
         assert by_fm is None or by_fm == [], raw
+        assert not capped, raw
         assert by_lp == (by_fm is not None), raw
 
 

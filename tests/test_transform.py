@@ -1,10 +1,15 @@
 """Clause transformations: goldens on the worked example, properties, errors."""
 
+import random
+
 import pytest
 
 from helpers import clause_multiset, same_program
+from oracles import reference_unfold_clause, reference_unfold_forward
+from randprog import random_program
 
-from hornchain.chc import ChcError, FALSE_PRED
+from hornchain import lincon
+from hornchain.chc import ChcError, FALSE_PRED, print_program
 from hornchain.parser import parse_program
 from hornchain.transform import (
     answer_pred,
@@ -76,6 +81,124 @@ def test_unfold_clause_replaces_atom_with_definitions():
     out = unfold_clause(p, p.clauses[1], 0)
     expect = parse_program("p(A) :- A >= 1.\nq(A) :- A >= 1, A =< 5.\n")
     assert same_program(out, expect)
+
+
+# -- unfolding by summaries against the reference ------------------------------------
+
+
+def _chain(n: int) -> str:
+    """A definition over ``n`` arguments that an earlier unfolding produces."""
+    xs = [f"X{i}" for i in range(n)]
+    ys = [f"Y{i}" for i in range(n)]
+    steps = ", ".join(f"X{i} = X{i - 1} + 1" for i in range(1, n))
+    return (
+        f"r({','.join(xs)}) :- X0 >= 0, {steps}.\n"
+        f"q({','.join(ys)}) :- r({','.join(ys)}), Y0 =< 5.\n"
+        f"false :- q({','.join(ys)}), Y{n - 1} >= {n + 4}.\n"
+        f"false :- q({','.join(ys)}), Y{n - 1} >= {n + 5}, Z > Y0, Z < Y1.\n"
+    )
+
+
+HAND_MADE = {
+    "repeated call arguments": (
+        "p(A,B) :- A >= B + 1.\n"
+        "p(A,B) :- A = B, A >= 3.\n"
+        "false :- p(X,X), X =< 2.\n"
+        "false :- p(X,X), X >= 2.\n"
+    ),
+    "unsatisfiable own constraint": (
+        "p(A) :- A >= 1, A =< 0.\n"
+        "p(A) :- A >= 1.\n"
+        "q(A) :- p(A), A > 0, A < 0.\n"
+        "q(A) :- p(A), A =< 4.\n"
+        "false :- q(X).\n"
+    ),
+    "strict inequalities": (
+        "p(A,B) :- A > B, B > 0.\n"
+        "p(A,B) :- A >= B, B >= 0.\n"
+        "false :- p(X,Y), Y >= X.\n"
+        "false :- p(X,Y), X =< 0.\n"
+        "false :- p(X,Y), Y < X, 2*Y > X.\n"
+    ),
+    "more than 26 variables": _chain(30),
+    "two unfoldable body atoms": (
+        "p(A) :- A >= 0, A =< 3.\n"
+        "q(A) :- A >= 2.\n"
+        "q(A) :- A =< -1.\n"
+        "false :- p(X), q(Y), X + Y >= 6.\n"
+        "false :- p(X), q(X).\n"
+    ),
+    "definition from an earlier unfolding": (
+        "s(A) :- A = 0.\n"
+        "s(A) :- s(B), A = B + 1.\n"
+        "q(A) :- A >= 0.\n"
+        "p(A,B) :- q(C), s(B), A = C + B, C =< 2.\n"
+        "false :- p(X,Y), X < Y.\n"
+        "false :- p(X,Y), X >= Y + 2, X =< 10.\n"
+    ),
+}
+
+
+def _assert_unfolds_like_reference(program):
+    try:
+        expect = reference_unfold_forward(program)
+    except ChcError:
+        with pytest.raises(ChcError):
+            unfold_forward(program)
+        return
+    got = unfold_forward(program)
+    assert got == expect
+    assert print_program(got) == print_program(expect)
+
+
+@pytest.mark.parametrize("name", sorted(HAND_MADE))
+def test_unfold_matches_reference_on_hand_made_cases(name):
+    _assert_unfolds_like_reference(parse_program(HAND_MADE[name]))
+
+
+def test_unfold_matches_reference_on_random_programs():
+    rng = random.Random(20261018)
+    for _ in range(400):
+        _assert_unfolds_like_reference(random_program(rng))
+
+
+def test_unfold_clause_matches_reference():
+    for text in HAND_MADE.values():
+        p = parse_program(text)
+        for c in p.clauses:
+            for at in range(len(c.body)):
+                got = unfold_clause(p, c, at)
+                expect = reference_unfold_clause(p, c, at)
+                assert got == expect
+                assert print_program(got) == print_program(expect)
+
+
+def test_unfold_matches_reference_when_summaries_hit_the_cap(monkeypatch):
+    # With the row cap at 1, every summary that needs an inequality
+    # eliminated stops at the cap, so its clause carries none and its
+    # unfoldings are decided on the whole constraint.
+    monkeypatch.setattr(lincon, "PROJECT_CAP", 1)
+    is_satisfiable = lincon.is_satisfiable
+    calls = []
+
+    def counted(conjuncts):
+        calls.append(None)
+        return is_satisfiable(conjuncts)
+
+    programs = [parse_program(text) for text in HAND_MADE.values()]
+    rng = random.Random(20261019)
+    programs += [random_program(rng) for _ in range(150)]
+    for p in programs:
+        try:
+            expect = reference_unfold_forward(p)
+        except ChcError:
+            continue
+        monkeypatch.setattr(lincon, "is_satisfiable", counted)
+        got = unfold_forward(p)
+        monkeypatch.setattr(lincon, "is_satisfiable", is_satisfiable)
+        assert got == expect
+        assert print_program(got) == print_program(expect)
+    assert calls
 
 
 # -- query-answer -------------------------------------------------------------------

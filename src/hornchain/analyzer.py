@@ -6,12 +6,15 @@ one strongly connected component of the predicate dependency graph at a
 time, callees first.  Inside a cyclic component, round-robin passes update
 each predicate with the convex hull of its old value and its clause
 contributions; after ``_WIDEN_DELAY`` strict updates the hull is replaced by
-threshold-bounded widening, which forces termination.
+threshold-bounded widening, which forces termination.  Contributions are
+built on ``lincon`` rows, and an evaluation whose operands all equal those
+of the predicate's last unchanging evaluation is skipped.
 
 ``check_safety`` reads the verdict off the model: if the goal predicate's
 polyhedron is empty, no derivation of the goal exists, so the program is
 safe.  A non-empty goal polyhedron proves nothing (the model
 over-approximates), hence the other verdict is Unknown, never Unsafe.
+``check_model`` confirms a model clause by clause, with entailment alone.
 """
 
 from __future__ import annotations
@@ -20,12 +23,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
-from . import lincon
+from . import lincon, polydom
 from .chc import (
     FALSE_PRED,
+    FALSUM,
     Atom,
+    AtomicConstraint,
     ChcError,
-    Clause,
     Program,
     canonical_arg_names,
     format_atom,
@@ -121,6 +125,24 @@ def _sccs(nodes: Sequence[str], succs: Mapping[str, Sequence[str]]) -> list[tupl
     return out
 
 
+def contribution(clause, head_dims: tuple[str, ...], body: Sequence[Polyhedron]) -> Polyhedron:
+    """The head polyhedron that a clause, laid out by ``lincon._clause_rows``,
+    derives from its body values.
+
+    The clause constraint and each body polyhedron's rows, moved to the
+    clause's columns, are projected onto the head's columns in one capped
+    step that decides emptiness, strict conjuncts included; the projection
+    is then relaxed and made canonical (see ``polydom._of_rows``).
+    """
+    if any(poly.is_empty for poly in body):
+        return Polyhedron.empty(head_dims)
+    n, constr, targets, source = clause
+    rows = list(constr)
+    for poly, target in zip(body, targets):
+        rows.extend(lincon._embed(poly.rows, target, n))
+    return polydom._of_rows(head_dims, rows, n, source, lincon.PROJECT_CAP)
+
+
 def analyze(
     program: Program, thresholds: ThresholdSet | None = None
 ) -> tuple[AbstractModel, AnalysisStats]:
@@ -130,6 +152,8 @@ def analyze(
     order = {p: i for i, p in enumerate(preds)}
     dims = {p: canonical_arg_names(n) for p, n in program.arities.items()}
     clauses_of = {p: program.clauses_for(p) for p in preds}
+    layouts = {p: lincon._layout(n) for p, n in program.arities.items()}
+    clause_rows = {p: [lincon._clause_rows(c, layouts) for c in cs] for p, cs in clauses_of.items()}
     succs = program.succs
 
     values: dict[str, Polyhedron] = {p: Polyhedron.empty(dims[p]) for p in preds}
@@ -140,18 +164,10 @@ def analyze(
     # rebuilt only when one of its body polyhedra changed.  Canonical forms
     # are unique, so comparing them with == is exact.
     built = {p: [None] * len(cs) for p, cs in clauses_of.items()}
-
-    def contribution(clause: Clause, body: tuple[Polyhedron, ...]) -> Polyhedron:
-        head_dims = dims[clause.head.pred]
-        if any(poly.is_empty for poly in body):
-            return Polyhedron.empty(head_dims)
-        conjuncts = list(clause.constr.conjuncts)
-        for atom, poly in zip(clause.body, body):
-            mapping = dict(zip(poly.dims, atom.args))
-            conjuncts.extend(a.rename(mapping) for a in poly.conjuncts())
-        proj = lincon.project(conjuncts, clause.head.args, max_rows=lincon.PROJECT_CAP)
-        head_map = dict(zip(clause.head.args, head_dims))
-        return Polyhedron.of(head_dims, (a.rename(head_map) for a in proj))
+    # Per predicate, the operands of its last evaluation that left its
+    # value unchanged.  The hull is a function of its operands, so the same
+    # operands again need no hull.
+    settled: dict[str, list[Polyhedron]] = {}
 
     def contributions(pred: str) -> list[Polyhedron]:
         out = []
@@ -159,7 +175,8 @@ def analyze(
             body = tuple(values[atom.pred] for atom in clause.body)
             entry = built[pred][k]
             if entry is None or entry[0] != body:
-                entry = built[pred][k] = (body, contribution(clause, body))
+                made = contribution(clause_rows[pred][k], dims[pred], body)
+                entry = built[pred][k] = (body, made)
             out.append(entry[1])
         return out
 
@@ -170,8 +187,12 @@ def analyze(
             passes += 1
             changed = False
             for p in members:
-                grown = values[p].hull(*contributions(p))
+                operands = [values[p]] + contributions(p)
+                if settled.get(p) == operands:
+                    continue
+                grown = values[p].hull(*operands[1:])
                 if grown == values[p]:
+                    settled[p] = operands
                     continue
                 update_count[p] += 1
                 if cyclic and update_count[p] > _WIDEN_DELAY:
@@ -196,6 +217,39 @@ def check_safety(model: AbstractModel, goal_pred: str = FALSE_PRED) -> Verdict:
     if poly is None or poly.is_empty:
         return Verdict.SAFE
     return Verdict.UNKNOWN
+
+
+def check_model(program: Program, model: AbstractModel, goal: str = FALSE_PRED) -> bool:
+    """True iff ``model`` is an inductive invariant of ``program`` excluding ``goal``.
+
+    For every clause, the clause constraint and each body predicate's
+    polyhedron, renamed onto the atom's arguments, must entail the head
+    predicate's polyhedron renamed onto the head's arguments, and the goal's
+    polyhedron must be empty.  A predicate the model lacks counts as empty.
+    Such a model contains every derivable fact, so it proves the goal
+    underivable.  Each clause is one ``lincon.entails_all`` call: the check
+    shares no code with hull or widening.
+    """
+
+    def renamed(atom: Atom) -> tuple[AtomicConstraint, ...] | None:
+        poly = model.poly(atom.pred)
+        if poly is None or poly.is_empty:
+            return None
+        mapping = dict(zip(poly.dims, atom.args))
+        return tuple([a.rename(mapping) for a in poly.conjuncts()])
+
+    goal_poly = model.poly(goal)
+    if goal_poly is not None and not goal_poly.is_empty:
+        return False
+    for clause in program.clauses:
+        body = [renamed(atom) for atom in clause.body]
+        if None in body:
+            continue
+        head = renamed(clause.head)
+        premise = clause.constr.conjuncts + tuple(a for b in body for a in b)
+        if not lincon.entails_all(premise, (FALSUM,) if head is None else head):
+            return False
+    return True
 
 
 def format_model(model: AbstractModel) -> str:

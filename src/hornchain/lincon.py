@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
-from .chc import FALSUM, AtomicConstraint, LinExpr, Rel
+from .chc import FALSUM, Atom, AtomicConstraint, Clause, LinExpr, Rel, canonical_arg_names
 
 _Vec = tuple[int, ...]  # coefficients in name order, then the constant
 _Ineq = tuple[_Vec, bool]  # row >= 0, or row > 0 when the flag is set
@@ -81,6 +81,55 @@ def _rows(
     return names, rows
 
 
+def _layout(arity: int) -> tuple[list[str], list[int]]:
+    """A predicate's canonical argument names in name order, and the
+    argument position of each.
+
+    Past arity 26 name order is not position order: ``V26`` sorts between
+    ``U`` and ``W``.
+    """
+    names = canonical_arg_names(arity)
+    positions = sorted(range(arity), key=names.__getitem__)
+    return [names[i] for i in positions], positions
+
+
+def _embed(
+    rows: Iterable[tuple[_Vec, Rel]], target: Sequence[int], n: int
+) -> list[tuple[_Vec, Rel]]:
+    """Rows moved to columns ``target`` of ``n``, the constant kept last.
+
+    Columns with the same target (a repeated argument) add up, so each row
+    is made coprime again.
+    """
+    out = []
+    for r, rel in rows:
+        v = [0] * n + [r[-1]]
+        for j, c in zip(target, r):
+            v[j] += c
+        out.append((_coprime(v), rel))
+    return out
+
+
+def _clause_rows(
+    clause: Clause, layouts: Mapping[str, tuple[list[str], list[int]]]
+) -> tuple[int, list[tuple[_Vec, Rel]], list[list[int]], list[int]]:
+    """A clause laid out over its variables in name order.
+
+    ``layouts`` holds each predicate's :func:`_layout`.  Returns the number
+    of columns, the clause constraint's rows, and per body atom and for the
+    head the ``target`` that :func:`_embed` takes: the clause column of
+    each of the predicate's canonical columns in name order.
+    """
+    names = sorted(clause.vars())
+    col = {v: j for j, v in enumerate(names)}
+
+    def cols(atom: Atom) -> list[int]:
+        return [col[atom.args[i]] for i in layouts[atom.pred][1]]
+
+    constr = _rows(clause.constr.conjuncts, names)[1]
+    return len(names), constr, [cols(a) for a in clause.body], cols(clause.head)
+
+
 def _atom(names: Sequence[str], row: _Vec, rel: Rel) -> AtomicConstraint:
     coeffs = tuple([(v, Fraction(c)) for v, c in zip(names, row) if c])
     return AtomicConstraint(LinExpr(coeffs, Fraction(row[-1])), rel)
@@ -107,23 +156,18 @@ def _reduce(r: _Vec, p: _Vec, j: int) -> _Vec:
     return _coprime([a * x - b * y for x, y in zip(r, p)])
 
 
-def _eliminate_equalities(
-    eqs: list[_Vec],
-    ineqs: list[_Ineq],
-    keep: Collection[int] = (),
-) -> tuple[list[_Vec], list[_Ineq]] | None:
-    """One Gauss-Jordan pass over the equality rows.
+def _gauss_jordan(eqs: list[_Vec], keep: Collection[int] = ()) -> list[tuple[int, _Vec]] | None:
+    """One Gauss-Jordan pass over the equality rows: ``(pivot, row)`` pairs.
 
     Each equality, reduced by the pivot rows before it, is pivoted on its
     first column outside ``keep``, or else on its last column, and the new
-    pivot is eliminated from the earlier pivot rows.  Returns the rows
-    pivoted on a kept column, which mention kept columns only and are the
-    reduced row echelon basis of the equalities' shadow on ``keep``
-    (columns in reverse order, so each row is pivoted on its last
-    variable), and the inequalities with every pivot eliminated.  Returns
-    None if a ground contradiction surfaces.
+    pivot is eliminated from the earlier pivot rows, so each pivot occurs
+    in its own row only.  The rows pivoted on a kept column mention kept
+    columns only and are the reduced row echelon basis of the equalities'
+    shadow on ``keep`` (columns in reverse order, so each row is pivoted on
+    its last variable).  Returns None if a ground contradiction surfaces.
     """
-    solved: list[tuple[int, _Vec]] = []  # each pivot occurs in its own row only
+    solved: list[tuple[int, _Vec]] = []
     for e in eqs:
         for j, p in solved:
             if e[j]:
@@ -136,16 +180,20 @@ def _eliminate_equalities(
         v = next((j for j in cols if j not in keep), cols[-1])
         solved = [(j, _reduce(p, e, v) if p[v] else p) for j, p in solved]
         solved.append((v, e))
-    kept = [p for j, p in solved if j in keep]
-    if solved:
-        reduced = []
-        for r, s in ineqs:
-            for j, p in solved:
-                if r[j]:
-                    r = _reduce(r, p, j)
-            reduced.append((r, s))
-        ineqs = reduced
-    return kept, ineqs
+    return solved
+
+
+def _substitute(solved: list[tuple[int, _Vec]], ineqs: list[_Ineq]) -> list[_Ineq]:
+    """The inequalities with every pivot of ``solved`` eliminated."""
+    if not solved:
+        return ineqs
+    reduced = []
+    for r, s in ineqs:
+        for j, p in solved:
+            if r[j]:
+                r = _reduce(r, p, j)
+        reduced.append((r, s))
+    return reduced
 
 
 def _ground_ok(ineqs: Iterable[_Ineq]) -> bool:
@@ -169,6 +217,12 @@ def _prune_rows(rows: list[_Row]) -> list[_Row] | None:
     entailed by another single row: a half-space contains another only when
     their normals point the same way.  Kept rows come out coprime.  Returns
     None on a ground contradiction; satisfied ground rows are dropped.
+
+    The kept row's history is the intersection of the colliding rows'
+    histories.  Kohler's criterion drops a row by the size of its history,
+    and a row combined later from a looser parallel row with a smaller
+    history may be one that the criterion must keep; the intersection is a
+    subset of every colliding history, so no such row is dropped.
     """
     best: dict[_Vec, tuple[int, int, bool, frozenset, _Vec]] = {}
     for r, s, h in rows:
@@ -186,15 +240,13 @@ def _prune_rows(rows: list[_Row]) -> list[_Row] | None:
         key = coeffs if g == 1 else tuple([c // g for c in coeffs])
         cur = best.get(key)
         if cur is not None:
+            h = h & cur[3]
             # Compare const/g with the kept row's: smaller is tighter
             # (expr + const >= 0); strict beats non-strict at equal
-            # constants; smaller histories age better.
+            # constants.
             mine, theirs = const * cur[1], cur[0] * g
-            if not (
-                mine < theirs
-                or (mine == theirs and s and not cur[2])
-                or (mine == theirs and s == cur[2] and len(h) < len(cur[3]))
-            ):
+            if not (mine < theirs or (mine == theirs and s and not cur[2])):
+                best[key] = (cur[0], cur[1], cur[2], h, cur[4])
                 continue
         best[key] = (const, g, s, h, r)
     return [(r, s, h) for _, _, s, h, r in best.values()]
@@ -344,8 +396,11 @@ def _lp_feasible(ineqs: list[_Ineq]) -> bool:
 
 def _satisfiable(eqs: list[_Vec], ineqs: list[_Ineq], n: int) -> bool:
     """Decide rows over ``n`` variables: elimination first, simplex past the cap."""
-    res = _eliminate_equalities(eqs, ineqs)
-    return res is not None and _fm_eliminate(res[1], range(n), PROJECT_CAP)[0] is not None
+    solved = _gauss_jordan(eqs)
+    return (
+        solved is not None
+        and _fm_eliminate(_substitute(solved, ineqs), range(n), PROJECT_CAP)[0] is not None
+    )
 
 
 def is_satisfiable(conjuncts: Iterable[AtomicConstraint]) -> bool:
@@ -354,24 +409,38 @@ def is_satisfiable(conjuncts: Iterable[AtomicConstraint]) -> bool:
     return _satisfiable(*_split(rows), len(names))
 
 
-def _entails_rows(
+def _entailed(
     base: Iterable[tuple[_Vec, Rel]], goals: Iterable[tuple[_Vec, Rel]], n: int
-) -> bool:
-    """True iff the rows ``base`` entail every row of ``goals``, all over ``n`` columns.
+) -> Iterator[bool]:
+    """Whether the rows ``base`` entail each row of ``goals``, all over ``n`` columns.
 
-    ``base`` is split once; each goal is decided by the satisfiability of
-    ``base`` plus one inequality of the goal's negation.
+    One Gauss-Jordan pass over ``base``'s equalities serves every goal:
+    each goal is decided by the satisfiability of ``base`` plus one
+    inequality of the goal's negation, with the pivots substituted out of
+    that inequality alone.  The answers come lazily, in goal order.
     """
     eqs, ineqs = _split(base)
+    solved = _gauss_jordan(eqs)
+    if solved is None:  # an unsatisfiable base entails everything
+        yield from (True for _ in goals)
+        return
+    ineqs = _substitute(solved, ineqs)
     for r, rel in goals:
         if rel is Rel.EQ:
             negations = [(r, True), (_neg(r), True)]
         else:
             negations = [(_neg(r), rel is Rel.GE)]
-        for neg in negations:
-            if _satisfiable(eqs, ineqs + [neg], n):
-                return False
-    return True
+        yield all(
+            _fm_eliminate(ineqs + [neg], range(n), PROJECT_CAP)[0] is None
+            for neg in _substitute(solved, negations)
+        )
+
+
+def _entails_rows(
+    base: Iterable[tuple[_Vec, Rel]], goals: Iterable[tuple[_Vec, Rel]], n: int
+) -> bool:
+    """True iff the rows ``base`` entail every row of ``goals`` (see :func:`_entailed`)."""
+    return all(_entailed(base, goals, n))
 
 
 def entails(conjuncts: Sequence[AtomicConstraint], atomic: AtomicConstraint) -> bool:
@@ -461,11 +530,11 @@ def _project_rows(
     eqs, ineqs = _split(rows)
     capped = False
     while True:
-        res = _eliminate_equalities(eqs, ineqs, kept_cols)
-        if res is None:
+        solved = _gauss_jordan(eqs, kept_cols)
+        if solved is None:
             return None, capped
-        kept_eqs, ineqs = res
-        remaining, stopped = _fm_eliminate(ineqs, elim, max_rows)
+        kept_eqs = [p for j, p in solved if j in kept_cols]
+        remaining, stopped = _fm_eliminate(_substitute(solved, ineqs), elim, max_rows)
         capped = capped or stopped
         if remaining is None:
             return None, capped

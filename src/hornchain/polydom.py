@@ -17,22 +17,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import Iterable, Sequence
 
 from . import lincon
-from .chc import (
-    FALSUM,
-    AtomicConstraint,
-    Constraint,
-    LinExpr,
-    Rel,
-    format_atomic_bracketed,
-)
+from .chc import AtomicConstraint, Constraint, Rel, format_atomic_bracketed
 
 @dataclass(frozen=True)
 class Polyhedron:
-    """Closed convex polyhedron over ``dims``; ``constr`` is None when empty."""
+    """Closed convex polyhedron over ``dims``; ``constr`` is None when empty.
+
+    Besides ``constr``, its identity, a non-empty polyhedron holds two
+    values of the same set, each computed at most once: ``rows``, its
+    conjuncts as ``lincon`` rows, and ``generators``, its cone's lines and
+    extreme rays (the double description of the Parma Polyhedra Library:
+    Bagnara, Hill & Zaffanella, SCP 72(1-2), 2008).
+    """
 
     dims: tuple[str, ...]
     constr: Constraint | None
@@ -51,14 +52,15 @@ class Polyhedron:
     def of(dims: Sequence[str], conjuncts: Iterable[AtomicConstraint]) -> "Polyhedron":
         """Canonical polyhedron for a conjunction (strict parts relaxed).
 
-        The projected system's own cone, taken to generators and back by
-        :func:`_canonical`.
+        The conjunction is laid out over ``dims`` and its own variables in
+        name order and projected onto ``dims``; see :func:`_of_rows`.
         """
         dims = tuple(dims)
-        cs = lincon.project((a.relax() for a in conjuncts), dims)
-        if cs == (FALSUM,):
-            return Polyhedron.empty(dims)
-        return _canonical(dims, [_cone(dims, cs)])
+        atoms = [a.relax() for a in conjuncts]
+        names = sorted(set(dims).union(*(a.vars() for a in atoms)))
+        col = {v: j for j, v in enumerate(names)}
+        rows = lincon._rows(atoms, names)[1]
+        return _of_rows(dims, rows, len(names), [col[d] for d in sorted(dims)], None)
 
     # -- basic queries --------------------------------------------------------
 
@@ -72,6 +74,16 @@ class Polyhedron:
 
     def conjuncts(self) -> tuple[AtomicConstraint, ...]:
         return () if self.constr is None else self.constr.conjuncts
+
+    @cached_property
+    def rows(self) -> tuple[tuple[lincon._Vec, Rel], ...]:
+        """The conjuncts as ``lincon`` rows over ``dims`` in name order."""
+        return tuple(lincon._rows(self.conjuncts(), sorted(self.dims))[1])
+
+    @cached_property
+    def generators(self):
+        """Lines and extreme rays of the homogenized cone (see :func:`_cone`)."""
+        return _cone(self.rows, len(self.dims))
 
     def _check_dims(self, other: "Polyhedron") -> None:
         if self.dims != other.dims:
@@ -120,7 +132,7 @@ class Polyhedron:
             return operands[0] if operands else self
         if any(p.is_universe for p in operands):
             return Polyhedron.universe(self.dims)
-        return _canonical(self.dims, [_cone(self.dims, p.conjuncts()) for p in operands])
+        return _canonical(self.dims, [p.generators for p in operands])
 
     def widen_upto(
         self, other: "Polyhedron", thresholds: Iterable[AtomicConstraint] = ()
@@ -132,30 +144,35 @@ class Polyhedron:
         ``other``; the thresholds salvage bounds that plain widening would
         discard.  Expects ``self`` to be included in ``other`` (the analysis
         joins before widening), so every kept threshold holds of both.
+        Thresholds are constraints over ``dims``.  All candidates are
+        decided against ``other``'s rows in one batch.
         """
         self._check_dims(other)
         if self.is_empty:
             return other
         if other.is_empty:
             return self
-        candidates = [t.relax() for t in thresholds]
-        for a in self.conjuncts():
-            if a.rel is Rel.EQ:
-                candidates.append(AtomicConstraint(a.expr, Rel.GE))
-                candidates.append(AtomicConstraint(-a.expr, Rel.GE))
+        n = len(self.dims)
+        candidates = lincon._rows([t.relax() for t in thresholds], sorted(self.dims))[1]
+        for r, rel in self.rows:
+            if rel is Rel.EQ:
+                candidates.append((r, Rel.GE))
+                candidates.append((lincon._neg(r), Rel.GE))
             else:
-                candidates.append(a)
-        kept = [a for a in candidates if lincon.entails(other.conjuncts(), a)]
-        return Polyhedron.of(self.dims, kept)
+                candidates.append((r, rel))
+        held = lincon._entailed(other.rows, candidates, n)
+        kept = [row for row, ok in zip(candidates, held) if ok]
+        return _of_rows(self.dims, kept, n, range(n), None)
 
 
 # ---------------------------------------------------------------------------
 # Cone duality (the canonical form of of and hull)
 #
-# A polyhedron {x : c + a.x >= 0, c' + a'.x = 0, ...} is the slice t = 1 of
-# its homogenized cone {(t, x) : t >= 0, c t + a.x >= 0, c' t + a'.x = 0}.
-# With each constraint written as the row (c, a...), that cone is the dual of
-# cone(inequality rows and (1, 0, ..., 0)) + span(equality rows), so one
+# A polyhedron {x : a.x + c >= 0, a'.x + c' = 0, ...} is the slice t = 1 of
+# its homogenized cone {(x, t) : t >= 0, a.x + c t >= 0, a'.x + c' t = 0}.
+# With each constraint written as its lincon row (a..., c), over the
+# dimensions in name order with the constant last, that cone is the dual of
+# cone(inequality rows and (0, ..., 0, 1)) + span(equality rows), so one
 # conversion reads its generators off the rows: vertices at t > 0, rays and
 # lines at t = 0.  The same conversion reads constraints back off
 # generators: of takes one system's own cone there and back, and the hull's
@@ -166,15 +183,9 @@ class Polyhedron:
 # number of generators.  Rows and generators are tuples of coprime ints.
 # ---------------------------------------------------------------------------
 
-def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
-    """The coprime integer vector with the direction of ``vec``."""
-    g = math.gcd(*vec)
-    return tuple(x // g for x in vec) if g > 1 else tuple(vec)
-
-
 def _combine(a: int, u: Sequence[int], b: int, v: Sequence[int]) -> tuple[int, ...]:
     """Primitive form of ``a * u - b * v``."""
-    return _primitive([a * x - b * y for x, y in zip(u, v)])
+    return lincon._coprime([a * x - b * y for x, y in zip(u, v)])
 
 
 def _nullspace(rows: Iterable[Sequence[int]], n: int) -> list[tuple[int, ...]]:
@@ -204,7 +215,7 @@ def _nullspace(rows: Iterable[Sequence[int]], n: int) -> list[tuple[int, ...]]:
         vec[free] = scale
         for pr, pc in zip(reduced, pivots):
             vec[pc] = -pr[free] * scale // pr[pc]
-        basis.append(_primitive(vec))
+        basis.append(lincon._coprime(vec))
     return basis
 
 
@@ -260,19 +271,19 @@ def _dual(rays, lines, n: int):
     return out_lines, sorted(gens)
 
 
-def _cone(dims: tuple[str, ...], conjuncts: Sequence[AtomicConstraint]):
-    """Lines and extreme rays of the homogenized cone of a satisfiable system.
+def _cone(rows: Iterable[tuple[lincon._Vec, Rel]], n: int):
+    """Lines and extreme rays of the homogenized cone of satisfiable rows.
 
-    Vertices come out as the rays with ``t > 0``, at some positive scale.
-    Projected conjuncts have coprime integer coefficients, so each row is
-    read off as ints.
+    The rows are ``lincon`` rows over ``n`` columns, the constant last, so
+    ``t`` is the last coordinate and vertices come out as the rays with
+    ``t > 0``, at some positive scale.  A strict row counts as its
+    relaxation.
     """
-    rays = [(1,) + (0,) * len(dims)]
+    rays = [(0,) * n + (1,)]
     lines = []
-    for a in conjuncts:
-        row = (a.expr.const,) + tuple(a.expr.coeff(d) for d in dims)
-        (lines if a.rel is Rel.EQ else rays).append(tuple(map(int, row)))
-    return _dual(rays, lines, len(dims) + 1)
+    for r, rel in rows:
+        (lines if rel is Rel.EQ else rays).append(r)
+    return _dual(rays, lines, n + 1)
 
 
 def _canonical(dims: tuple[str, ...], cones) -> Polyhedron:
@@ -282,24 +293,43 @@ def _canonical(dims: tuple[str, ...], cones) -> Polyhedron:
     Its lines are a basis of the affine hull's equalities and its extreme
     rays are one normal per facet, so the output is complete (every
     equality of the affine hull) and irredundant (one row per facet), and
-    projection alone makes it canonical: the equalities come out in
+    one Gauss-Jordan pass makes it canonical: the equalities come out in
     reduced row echelon form and the facets with every pivot substituted
-    out.  The rows become ``Fraction`` expressions only here.
+    out.  The rows become ``Fraction`` atoms only for ``constr``.
     """
+    n = len(dims)
     lines = [v for cone_lines, _ in cones for v in cone_lines]
     rays = [v for _, cone_rays in cones for v in cone_rays]
-    eqs, facets = _dual(rays, lines, len(dims) + 1)
-    out = [AtomicConstraint(_expr_from(v, dims), Rel.EQ) for v in eqs]
-    out += [
-        AtomicConstraint(_expr_from(v, dims), Rel.GE)
-        for v in facets
-        if any(v[1:])  # t >= 0 constrains nothing in x-space
-    ]
-    return Polyhedron(dims, Constraint(lincon.project(out, dims)))
+    eqs, facets = _dual(rays, lines, n + 1)
+    solved = lincon._gauss_jordan(eqs, range(n))
+    # t >= 0 constrains nothing in x-space.
+    ineqs = lincon._substitute(solved, [(v, False) for v in facets if any(v[:-1])])
+    rows = lincon._normal_form(
+        [(r, Rel.EQ) for _, r in solved] + [(r, Rel.GE) for r, _ in ineqs]
+    )
+    names = sorted(dims)
+    p = Polyhedron(dims, Constraint(tuple([lincon._atom(names, r, rel) for r, rel in rows])))
+    p.__dict__["rows"] = tuple(rows)
+    return p
 
 
-def _expr_from(nv: Sequence[int], dims: Sequence[str]) -> LinExpr:
-    return LinExpr.build({d: c for d, c in zip(dims, nv[1:])}, nv[0])
+def _of_rows(dims, rows, n: int, source: Sequence[int], max_rows: int | None) -> Polyhedron:
+    """Canonical polyhedron of the projection of ``rows`` onto columns ``source``.
+
+    The rows are over ``n`` columns, and ``source`` holds the column of
+    each dimension in name order.  The projection decides emptiness, with
+    strict rows kept strict; a non-empty one is relaxed, taken to
+    generators and back by :func:`_canonical`, and its cone, which depends
+    only on the polyhedron, becomes the result's ``generators``.
+    ``max_rows`` is :func:`lincon.project`'s growth cap.
+    """
+    proj, _ = lincon._project_rows(rows, n, frozenset(source), max_rows)
+    if proj is None:
+        return Polyhedron.empty(dims)
+    cone = _cone([(tuple([r[j] for j in source] + [r[-1]]), rel) for r, rel in proj], len(dims))
+    p = _canonical(dims, [cone])
+    p.__dict__["generators"] = cone
+    return p
 
 
 def format_polyhedron(p: Polyhedron) -> str:

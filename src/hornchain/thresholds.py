@@ -83,33 +83,6 @@ def _equivalent(f: _Fact, g: _Fact, n: int) -> bool:
     return lincon._entails_rows(f, g, n) and lincon._entails_rows(g, f, n)
 
 
-def _layout(arity: int) -> tuple[list[str], list[int]]:
-    """A predicate's canonical argument names in name order, and the
-    argument position of each.
-
-    Past arity 26 name order is not position order: ``V26`` sorts between
-    ``U`` and ``W``.
-    """
-    names = canonical_arg_names(arity)
-    positions = sorted(range(arity), key=names.__getitem__)
-    return [names[i] for i in positions], positions
-
-
-def _embed(fact: list[_Row], target: list[int], n: int) -> list[_Row]:
-    """A fact's rows moved to columns ``target`` of ``n``.
-
-    Columns with the same target (a repeated argument) add up, so each row
-    is made coprime again.
-    """
-    out = []
-    for r, rel in fact:
-        v = [0] * n + [r[-1]]
-        for j, c in zip(target, r):
-            v[j] += c
-        out.append((lincon._coprime(v), rel))
-    return out
-
-
 def tp_step(program: Program, interp: Interpretation, cap: int | None = None) -> Interpretation:
     """One immediate-consequence step: facts derivable in a single round.
 
@@ -128,7 +101,7 @@ def tp_step(program: Program, interp: Interpretation, cap: int | None = None) ->
     would give the same conjuncts up to columns no row mentions.  Facts
     become ``Constraint`` values only when the step returns.
     """
-    layouts = {p: _layout(k) for p, k in program.arities.items()}
+    layouts = {p: lincon._layout(k) for p, k in program.arities.items()}
     known = {
         p: [lincon._rows(f.conjuncts, layouts[p][0])[1] for f in interp.get(p, ())]
         for p in program.arities
@@ -142,19 +115,14 @@ def tp_step(program: Program, interp: Interpretation, cap: int | None = None) ->
             continue
         if not all(known[atom.pred] for atom in clause.body):
             continue
-        names = sorted(clause.vars())
-        col = {v: j for j, v in enumerate(names)}
-        n = len(names)
+        n, constr, body_cols, source = lincon._clause_rows(clause, layouts)
         fact_lists = [
-            [_embed(f, [col[atom.args[i]] for i in layouts[atom.pred][1]], n)
-             for f in known[atom.pred]]
-            for atom in clause.body
+            [lincon._embed(f, target, n) for f in known[atom.pred]]
+            for atom, target in zip(clause.body, body_cols)
         ]
-        constr = lincon._rows(clause.constr.conjuncts, names)[1]
-        kept = frozenset(col[v] for v in head.args)
-        # The clause column behind each head column; head arguments are
-        # distinct, so projected rows only move to other columns.
-        source = [col[head.args[i]] for i in layouts[head.pred][1]]
+        # Head arguments are distinct, so projected rows only move from
+        # the clause columns ``source`` to the head's columns.
+        kept = frozenset(source)
         combos = itertools.islice(itertools.product(*fact_lists), _COMBO_BUDGET)
         for combo in combos:
             if cap is not None and len(bucket) >= 2 * cap:

@@ -15,7 +15,10 @@ sections keep the ``Fraction`` versions of ``lincon.project``,
 kernel, the ``Constraint``-level ``thresholds.tp_step`` as the reference
 for the row harvest, and the unfolding that decides every accumulated
 constraint whole, with the ``Fraction`` sums of ``LinExpr.rename`` and
-``subst``, as the reference for the unfolding by summaries.
+``subst``, as the reference for the unfolding by summaries.  The last
+section keeps the constraint-form ``Polyhedron`` operations, clause
+contributions and fixpoint loop as the reference for the polyhedra on
+integer rows.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from itertools import combinations, islice, product
 
 import numpy as np
 
-from hornchain import lincon, thresholds
+from hornchain import analyzer, lincon, thresholds
 from hornchain.chc import (
     FALSE_PRED,
     FALSUM,
@@ -43,7 +46,8 @@ from hornchain.chc import (
     canonical_arg_names,
     fresh_name,
 )
-from hornchain.polydom import Polyhedron
+from hornchain.polydom import Polyhedron, _dual
+from hornchain.thresholds import ThresholdSet
 
 GRID_BOUND = 12  # oracle box is [-GRID_BOUND, GRID_BOUND]^d
 POINT_RANGE = 10  # random vertices are drawn from [-POINT_RANGE, POINT_RANGE]^d
@@ -633,7 +637,8 @@ def _q_ground_ok(ineqs) -> bool:
 
 
 def _q_prune_rows(rows):
-    """Tightest of each set of parallel rows; None on a ground contradiction."""
+    """Tightest of each set of parallel rows, with the intersection of their
+    histories; None on a ground contradiction."""
     best = {}
     for e, s, h in rows:
         if e.is_const:
@@ -647,13 +652,12 @@ def _q_prune_rows(rows):
         key = tuple((v, c * k) for v, c in e.coeffs)
         const = e.const * k
         cur = best.get(key)
-        if (
-            cur is None
-            or const < cur[0]
-            or (const == cur[0] and s and not cur[1])
-            or (const == cur[0] and s == cur[1] and len(h) < len(cur[2]))
-        ):
+        if cur is None:
             best[key] = (const, s, h)
+        elif const < cur[0] or (const == cur[0] and s and not cur[1]):
+            best[key] = (const, s, h & cur[2])
+        else:
+            best[key] = (cur[0], cur[1], h & cur[2])
     return [(LinExpr(k, c), s, h) for k, (c, s, h) in best.items()]
 
 
@@ -1014,3 +1018,125 @@ def reference_unfold_forward(program: Program, goal_pred: str = FALSE_PRED) -> P
         if steps > 100_000:
             raise ChcError("unfolding exceeded its rewrite budget")
     return _ref_drop_unreachable(Program(tuple(clauses)), goal_pred)
+
+
+# ---------------------------------------------------------------------------
+# Atom-path reference for the polyhedra and the fixpoint loop
+# ---------------------------------------------------------------------------
+#
+# The constraint-form ``Polyhedron.of``, ``hull`` and ``widen_upto``, the
+# clause contribution and the fixpoint loop that the integer-row polyhedra
+# replaced.  A contribution renames atoms, projects them with
+# ``lincon.project``, renames again and projects a second time in ``of``;
+# every join reads each operand's generators off its atoms again; each
+# widening candidate is one ``lincon.entails`` call; every evaluation joins.
+# Rows and generators here are laid out over the dimensions in position
+# order with the constant first.
+
+def _atom_cone(dims, conjuncts):
+    rays = [(1,) + (0,) * len(dims)]
+    lines = []
+    for a in conjuncts:
+        row = (a.expr.const,) + tuple(a.expr.coeff(d) for d in dims)
+        (lines if a.rel is Rel.EQ else rays).append(tuple(map(int, row)))
+    return _dual(rays, lines, len(dims) + 1)
+
+
+def _atom_canonical(dims, cones) -> Polyhedron:
+    lines = [v for cone_lines, _ in cones for v in cone_lines]
+    rays = [v for _, cone_rays in cones for v in cone_rays]
+    eqs, facets = _dual(rays, lines, len(dims) + 1)
+
+    def expr(v):
+        return LinExpr.build({d: c for d, c in zip(dims, v[1:])}, v[0])
+
+    out = [AtomicConstraint(expr(v), Rel.EQ) for v in eqs]
+    out += [AtomicConstraint(expr(v), Rel.GE) for v in facets if any(v[1:])]
+    return Polyhedron(dims, Constraint(lincon.project(out, dims)))
+
+
+def reference_of(dims, conjuncts) -> Polyhedron:
+    dims = tuple(dims)
+    cs = lincon.project((a.relax() for a in conjuncts), dims)
+    if cs == (FALSUM,):
+        return Polyhedron.empty(dims)
+    return _atom_canonical(dims, [_atom_cone(dims, cs)])
+
+
+def reference_hull(p: Polyhedron, *others: Polyhedron) -> Polyhedron:
+    operands = [q for q in (p,) + others if not q.is_empty]
+    if len(operands) <= 1:
+        return operands[0] if operands else p
+    if any(q.is_universe for q in operands):
+        return Polyhedron.universe(p.dims)
+    return _atom_canonical(p.dims, [_atom_cone(p.dims, q.conjuncts()) for q in operands])
+
+
+def reference_widen_upto(p: Polyhedron, other: Polyhedron, thresholds=()) -> Polyhedron:
+    if p.is_empty:
+        return other
+    if other.is_empty:
+        return p
+    candidates = [t.relax() for t in thresholds]
+    for a in p.conjuncts():
+        if a.rel is Rel.EQ:
+            candidates.append(AtomicConstraint(a.expr, Rel.GE))
+            candidates.append(AtomicConstraint(-a.expr, Rel.GE))
+        else:
+            candidates.append(a)
+    kept = [a for a in candidates if lincon.entails(other.conjuncts(), a)]
+    return reference_of(p.dims, kept)
+
+
+def reference_contribution(clause: Clause, head_dims, body) -> Polyhedron:
+    if any(poly.is_empty for poly in body):
+        return Polyhedron.empty(head_dims)
+    conjuncts = list(clause.constr.conjuncts)
+    for atom, poly in zip(clause.body, body):
+        mapping = dict(zip(poly.dims, atom.args))
+        conjuncts.extend(a.rename(mapping) for a in poly.conjuncts())
+    proj = lincon.project(conjuncts, clause.head.args, max_rows=lincon.PROJECT_CAP)
+    head_map = dict(zip(clause.head.args, head_dims))
+    return reference_of(head_dims, (a.rename(head_map) for a in proj))
+
+
+def reference_analyze(program: Program, thresholds=None):
+    """``analyzer.analyze`` on the atom path, joining on every evaluation."""
+    ts = thresholds if thresholds is not None else ThresholdSet.empty()
+    preds = list(program.arities)
+    order = {p: i for i, p in enumerate(preds)}
+    dims = {p: canonical_arg_names(n) for p, n in program.arities.items()}
+    clauses_of = {p: program.clauses_for(p) for p in preds}
+    succs = program.succs
+    values = {p: Polyhedron.empty(dims[p]) for p in preds}
+    update_count = {p: 0 for p in preds}
+    passes = updates = widenings = 0
+    for comp in analyzer._sccs(preds, succs):
+        members = sorted(comp, key=order.__getitem__)
+        cyclic = len(members) > 1 or any(p in succs[p] for p in members)
+        while True:
+            passes += 1
+            changed = False
+            for p in members:
+                contribs = [
+                    reference_contribution(
+                        c, dims[p], tuple(values[atom.pred] for atom in c.body)
+                    )
+                    for c in clauses_of[p]
+                ]
+                grown = reference_hull(values[p], *contribs)
+                if grown == values[p]:
+                    continue
+                update_count[p] += 1
+                if cyclic and update_count[p] > analyzer._WIDEN_DELAY:
+                    values[p] = reference_widen_upto(values[p], grown, ts.get(p))
+                    widenings += 1
+                else:
+                    values[p] = grown
+                updates += 1
+                changed = True
+            if not changed or not cyclic:
+                break
+            if passes > analyzer._MAX_PASSES:
+                raise ChcError("abstract iteration exceeded its pass budget")
+    return analyzer.AbstractModel(dict(values)), analyzer.AnalysisStats(passes, updates, widenings)

@@ -6,7 +6,8 @@ does every transformed version.  On that footing, agreement between input
 and output verdicts is a hard requirement: any mismatch is a transformation
 soundness bug, not sampling noise.  The suite also runs the full pipeline
 on every retained program and flags a safety claim about a program whose
-goal is concretely derivable as an unsoundness event.
+goal is concretely derivable as an unsoundness event, and a safety claim
+whose model ``check_model`` rejects as a model-check failure.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 from bounded import BudgetExceeded, bounded_concrete_eval
 
-from hornchain.analyzer import Verdict
+from hornchain.analyzer import Verdict, check_model
 from hornchain.chc import (
     FALSE_PRED,
     Atom,
@@ -107,8 +108,9 @@ def run_transform_suite(
     blow the fact budget or trip a transformation guard are discarded.  For
     retained programs, ``agreements`` counts transform verdicts equal to the
     input verdict (four per program when everything is sound), and
-    ``failures`` records disagreements, pipeline errors, and pipeline SAFE
-    verdicts on concretely unsafe programs.
+    ``failures`` records disagreements, pipeline errors, pipeline SAFE
+    verdicts on concretely unsafe programs, and SAFE verdicts whose model
+    fails ``check_model`` on the analyzed program.
     """
     rng = random.Random(seed)
     retained = 0
@@ -153,5 +155,11 @@ def run_transform_suite(
             if res.verdict is Verdict.SAFE and base.derived:
                 failures.append(
                     (attempts, "pipeline-unsound", True, res.verdict, print_program(prog))
+                )
+            if res.verdict is Verdict.SAFE and not check_model(
+                res.stages[-1][1], res.model, res.goal
+            ):
+                failures.append(
+                    (attempts, "model-check", False, res.verdict, print_program(prog))
                 )
     return retained, agreements, failures

@@ -1,20 +1,34 @@
-"""Fixpoint analysis, safety judgement, and bounded concrete evaluation."""
+"""Fixpoint analysis, safety judgement, model checking, and bounded concrete evaluation."""
+
+import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from bounded import BudgetExceeded, bounded_concrete_eval
+from oracles import reference_analyze
+from randprog import random_program
 
+from hornchain import analyzer
 from hornchain.analyzer import (
+    AbstractModel,
     AnalysisStats,
     Verdict,
     analyze,
+    check_model,
     check_safety,
     format_model,
 )
+from hornchain.chc import ChcError, Constraint, canonical_arg_names
 from hornchain.parser import parse_program
 from hornchain.pipeline import run_pipeline
 from hornchain.polydom import Polyhedron
 from hornchain.thresholds import compute_thresholds
+
+# The benchmark's workload generator, read-only; it does not import hornchain.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import gen  # noqa: E402
 
 
 # -- abstract analysis ---------------------------------------------------------
@@ -71,14 +85,14 @@ def test_unchanged_clause_contribution_is_reused(monkeypatch):
     )
     fact = Polyhedron.of(("A",), p.clauses_for("count")[0].constr.conjuncts)
     built = []
-    of = Polyhedron.of
+    build = analyzer.contribution
 
-    def counting_of(dims, conjuncts):
-        poly = of(dims, conjuncts)
+    def counting_contribution(clause, head_dims, body):
+        poly = build(clause, head_dims, body)
         built.append(poly)
         return poly
 
-    monkeypatch.setattr(Polyhedron, "of", staticmethod(counting_of))
+    monkeypatch.setattr(analyzer, "contribution", counting_contribution)
     model, stats = analyze(p)
     assert built.count(fact) == 1
     # Rebuilding every contribution on every pass gives the same result.
@@ -150,3 +164,82 @@ def test_bounded_eval_fact_budget():
     p = parse_program("p(A) :- A = 1.\np(A) :- A = 2.\np(A) :- A = 3.\n")
     with pytest.raises(BudgetExceeded):
         bounded_concrete_eval(p, depth=3, max_facts=2)
+
+
+# -- the atom-path reference and the model checker --------------------------------
+
+
+def test_analyze_matches_atom_path_reference():
+    # The criterion-4 generator's programs, analyzed as the pipeline leaves
+    # them (with their thresholds) and as drawn (without): models and stats
+    # equal those of the atom-path loop that joins on every evaluation.
+    rng = random.Random(20261101)
+    compared = widened = 0
+    for _ in range(150):
+        prog = random_program(rng)
+        try:
+            res = run_pipeline(prog)
+        except ChcError:
+            continue
+        analyzed = res.stages[-1][1]
+        assert (res.model, res.stats) == reference_analyze(analyzed, res.thresholds)
+        assert analyze(prog) == reference_analyze(prog)
+        compared += 1
+        widened += res.stats.widenings > 0
+    assert (compared, widened) == (150, 6)
+
+
+def test_analyze_matches_reference_past_arity_26():
+    # Name order is not position order past Z: V26 sorts between U and W.
+    args = ",".join(canonical_arg_names(28))
+    p = parse_program(
+        f"p({args}) :- A = 0, V26 = 5, V27 = Z, Z = 1, W >= 0.\n"
+        f"p({args}) :- p(B1,B,C,D,E,F,G,H,I,J,K,L,M,N,O,P,Q,R,S,T,U,V,W,X,Y,Z,V26,V27), "
+        "A = B1 + 1, B1 =< 9.\n"
+        f"false :- p({args}), A >= 11, V26 >= 6.\n"
+    )
+    ts = compute_thresholds(p)
+    model, stats = analyze(p, ts)
+    assert (model, stats) == reference_analyze(p, ts)
+    assert check_safety(model) is Verdict.SAFE
+    assert check_model(p, model)
+
+
+def test_check_model_accepts_every_safe_golden():
+    # The twophase example, scaled, and as each transformation golden.
+    fixtures = sorted((Path(__file__).parent / "fixtures").glob("*.chc"))
+    for path in fixtures:
+        result = run_pipeline(parse_program(path.read_text()))
+        assert result.verdict is Verdict.SAFE, path.name
+        assert check_model(result.stages[-1][1], result.model, result.goal), path.name
+    assert len(fixtures) == 5
+
+
+def test_check_model_accepts_every_safe_workload_program():
+    # The benchmark's seed-0 programs of every workload.
+    checked = 0
+    for workload in gen.SIZES:
+        for case, _ in gen.instance(workload, 0):
+            result = run_pipeline(parse_program(case.text()))
+            if result.verdict is Verdict.SAFE:
+                assert check_model(result.stages[-1][1], result.model, result.goal), case.name
+                checked += 1
+    assert checked == 28
+
+
+def test_check_model_rejects_a_dropped_facet(twophase):
+    # Dropping one conjunct from one predicate's polyhedron leaves a model
+    # that is no longer inductive in five of the six cases.
+    result = run_pipeline(twophase)
+    program, model = result.stages[-1][1], result.model
+    rejected = []
+    for pred, poly in model.polys.items():
+        for i in range(len(poly.conjuncts())):
+            rest = poly.conjuncts()[:i] + poly.conjuncts()[i + 1:]
+            broken = AbstractModel({**model.polys, pred: Polyhedron(poly.dims, Constraint(rest))})
+            if not check_model(program, broken, result.goal):
+                rejected.append((pred, i))
+    assert len(rejected) == 5
+    assert ("new3_query___1", 1) in rejected  # A =< 50 in the first phase
+    # A non-empty goal is rejected too.
+    assert not check_model(program, model, "false_query___1")

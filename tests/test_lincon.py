@@ -18,6 +18,7 @@ from oracles import (
 
 from hornchain import lincon
 from hornchain.chc import FALSUM, AtomicConstraint, LinExpr, Rel, canonical_arg_names
+from hornchain.parser import parse_constraint
 
 
 def ge(const, **coeffs):
@@ -85,6 +86,41 @@ def test_simplex_and_elimination_agree_when_forced():
         assert by_lp == (by_fm is not None), raw
 
 
+def test_kohler_keeps_rows_from_a_looser_parallel_row():
+    # Infeasible, but FM once kept the tightest of two parallel rows with
+    # that row's own, larger history, so Kohler's criterion dropped a
+    # combination built from the looser row and FM called it satisfiable.
+    raw = parse_constraint(
+        "-3*A+3*B+3>=0, 3*A-C-5>=0, 3*A-2*B-3*C>=0, -A+2*B-8>=0, "
+        "-3*A-B-3*C+6>=0, -2*B+C-8>=0"
+    )
+    names, rows = lincon._rows(raw)
+    ineqs = [(r, False) for r, _ in rows]
+    assert not lincon._lp_feasible(ineqs)
+    assert lincon._fm_eliminate(ineqs, range(len(names)))[0] is None
+    assert not lincon.is_satisfiable(raw)
+    assert lincon.project(raw, ["A"]) == (FALSUM,)
+
+
+def test_fm_agrees_with_simplex_on_random_systems():
+    # FM and the simplex share no elimination code.  Equalities go first,
+    # as in every caller; 4 of these draws once exposed the fault above.
+    rng = random.Random(11)
+    decided = 0
+    for _ in range(2000):
+        raw = random_system(rng, rng.randint(2, 6), 12)
+        names, rows = lincon._rows(raw)
+        eqs, ineqs = lincon._split(rows)
+        solved = lincon._gauss_jordan(eqs)
+        if solved is None:
+            continue
+        ineqs = lincon._substitute(solved, ineqs)
+        by_fm, _ = lincon._fm_eliminate(ineqs, range(len(names)))
+        assert (by_fm is not None) == lincon._lp_feasible(ineqs), raw
+        decided += 1
+    assert decided == 1869
+
+
 def test_fm_first_decision_falls_back_to_simplex(monkeypatch):
     # With the row cap at 1 nearly every system with two or more rows
     # reaches the simplex fallback; the decision must not change.
@@ -146,13 +182,14 @@ def test_normalize_merges_opposed_pair_into_equality():
 
 
 def test_prune_rows_keys_on_slope_alone():
-    # 2A-1 >= 0 and A+6 > 0 are parallel; only the tighter A >= 1/2 stays.
+    # 2A-1 >= 0 and A+6 > 0 are parallel; only the tighter A >= 1/2 stays,
+    # with the intersection of the two histories.
     rows = [
         ((2, -1), False, frozenset((0,))),
         ((1, 6), True, frozenset((1,))),
     ]
     (kept,) = lincon._prune_rows(rows)
-    assert kept == ((2, -1), False, frozenset((0,)))
+    assert kept == ((2, -1), False, frozenset())
 
 
 def test_projection_substitutes_equality():

@@ -11,12 +11,16 @@ from oracles import (
     hull_from_points,
     random_point_set,
     random_system,
+    reference_hull,
+    reference_of,
+    reference_widen_upto,
     rref,
 )
 
+from hornchain import lincon
 from hornchain.chc import AtomicConstraint, LinExpr, Rel, canonical_arg_names
 from hornchain.parser import parse_constraint
-from hornchain.polydom import Polyhedron, _dual, format_polyhedron
+from hornchain.polydom import Polyhedron, _cone, _dual, format_polyhedron
 
 
 def ge(const, **coeffs):
@@ -316,3 +320,61 @@ def test_widen_suite(polyhedra_suites):
 def test_widening_chains_stabilize(polyhedra_suites):
     n, failures = polyhedra_suites["chain"]
     assert n == 30 and failures == []
+
+
+# -- integer rows and generators against the atom path ---------------------------
+
+
+def _random_polyhedra(rng, d):
+    """Polyhedra over ``d`` dimensions made by every construction path."""
+    names = canonical_arg_names(d)
+    atoms = 4 if d > 4 else 6
+    p = Polyhedron.of(names, random_system(rng, d, atoms))
+    q = Polyhedron.of(names, random_system(rng, d, atoms))
+    r = Polyhedron.of(names, hull_from_points(random_point_set(rng, d))) if d <= 3 else q
+    h = p.hull(q, r)
+    return [p, q, r, h, p.meet(q), p.widen_upto(h, random_system(rng, d, atoms))]
+
+
+def test_row_paths_match_atom_path_reference():
+    # of, hull and widen_upto on rows against their constraint-form
+    # versions, from 1 to 4 dimensions, and over 28 (V26 sorts before W).
+    rng = random.Random(20261102)
+    for i in range(200):
+        d = 1 + i % 4 if i < 180 else 28
+        names = canonical_arg_names(d)
+        raw = [random_system(rng, d, 4 if d == 28 else 6) for _ in range(3)]
+        p, q, r = (Polyhedron.of(names, s) for s in raw)
+        assert [p, q, r] == [reference_of(names, s) for s in raw], (i, raw)
+        assert p.hull(q, r) == reference_hull(p, q, r), (i, raw)
+        h = p.hull(q)
+        ts = random_system(rng, d)
+        assert p.widen_upto(h, ts) == reference_widen_upto(p, h, ts), (i, raw, ts)
+
+
+def test_cached_rows_and_generators_match_the_conjuncts():
+    # Whatever path made a polyhedron, its rows and generators are those of
+    # its conjuncts, and a non-empty one holds no ground conjunct.
+    # A fresh copy computes both from its conjuncts.
+    rng = random.Random(20261103)
+    seen = 0
+    for i in range(250):
+        d = 1 + i % 4 if i < 240 else 28
+        for p in _random_polyhedra(rng, d):
+            if p.is_empty:
+                continue
+            names = sorted(p.dims)
+            assert p.rows == tuple(lincon._rows(p.conjuncts(), names)[1]), (i, p)
+            assert p.generators == _cone(p.rows, d), (i, p)
+            fresh = Polyhedron(p.dims, p.constr)
+            assert (fresh.rows, fresh.generators) == (p.rows, p.generators), (i, p)
+            assert all(a.vars() for a in p.conjuncts()), (i, p)
+            seen += 1
+    assert seen == 1140
+    # FM once called this system satisfiable, and of gave a non-empty
+    # polyhedron printed [-1>=0].
+    raw = parse_constraint(
+        "-3*A+3*B+3>=0, 3*A-C-5>=0, 3*A-2*B-3*C>=0, -A+2*B-8>=0, "
+        "-3*A-B-3*C+6>=0, -2*B+C-8>=0"
+    )
+    assert Polyhedron.of(("A", "B", "C"), raw) == Polyhedron.empty(("A", "B", "C"))

@@ -129,18 +129,17 @@ def contribution(clause, head_dims: tuple[str, ...], body: Sequence[Polyhedron])
     """The head polyhedron that a clause, laid out by ``lincon._clause_rows``,
     derives from its body values.
 
-    The clause constraint and each body polyhedron's rows, moved to the
-    clause's columns, are projected onto the head's columns in one capped
-    step that decides emptiness, strict conjuncts included; the projection
-    is then relaxed and made canonical (see ``polydom._of_rows``).
+    Each body polyhedron's rows move to the clause's columns, and one
+    capped ``lincon._derive`` step decides emptiness, strict conjuncts
+    included; the head's rows are then relaxed and made canonical (see
+    ``polydom._from_rows``).
     """
     if any(poly.is_empty for poly in body):
         return Polyhedron.empty(head_dims)
     n, constr, targets, source = clause
-    rows = list(constr)
-    for poly, target in zip(body, targets):
-        rows.extend(lincon._embed(poly.rows, target, n))
-    return polydom._of_rows(head_dims, rows, n, source, lincon.PROJECT_CAP)
+    facts = [lincon._embed(poly.rows, target, n) for poly, target in zip(body, targets)]
+    rows = lincon._derive(n, constr, source, facts, lincon.PROJECT_CAP)
+    return Polyhedron.empty(head_dims) if rows is None else polydom._from_rows(head_dims, rows)
 
 
 def analyze(

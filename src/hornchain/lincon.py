@@ -177,7 +177,7 @@ def _gauss_jordan(eqs: list[_Vec], keep: Collection[int] = ()) -> list[tuple[int
             if e[-1]:
                 return None
             continue
-        v = next((j for j in cols if j not in keep), cols[-1])
+        v = next((j for j in cols if j not in keep), cols[-1]) if keep else cols[0]
         solved = [(j, _reduce(p, e, v) if p[v] else p) for j, p in solved]
         solved.append((v, e))
     return solved
@@ -436,13 +436,6 @@ def _entailed(
         )
 
 
-def _entails_rows(
-    base: Iterable[tuple[_Vec, Rel]], goals: Iterable[tuple[_Vec, Rel]], n: int
-) -> bool:
-    """True iff the rows ``base`` entail every row of ``goals`` (see :func:`_entailed`)."""
-    return all(_entailed(base, goals, n))
-
-
 def entails(conjuncts: Sequence[AtomicConstraint], atomic: AtomicConstraint) -> bool:
     """True iff every rational solution of the conjunction satisfies ``atomic``."""
     return entails_all(conjuncts, (atomic,))
@@ -454,7 +447,7 @@ def entails_all(
     """True iff every rational solution of ``c1`` satisfies every conjunct of ``c2``."""
     c1 = tuple(c1)
     names, rows = _rows(c1 + tuple(c2))
-    return _entails_rows(rows[: len(c1)], rows[len(c1) :], len(names))
+    return all(_entailed(rows[: len(c1)], rows[len(c1) :], len(names)))
 
 
 def _sort_key(item: tuple[_Vec, Rel]) -> tuple:
@@ -550,6 +543,25 @@ def _project_rows(
     if not _satisfiable(eqs, ineqs, n):
         return None, capped
     return normal, capped
+
+
+def _derive(
+    n: int, constr: Sequence[tuple[_Vec, Rel]], source: Sequence[int], bodies, max_rows: int | None
+) -> tuple[tuple[_Vec, Rel], ...] | None:
+    """One consequence step of a clause laid out by :func:`_clause_rows`.
+
+    ``bodies`` holds one fact per body atom, moved to the clause's columns
+    by :func:`_embed`.  One :func:`_project_rows` onto the head's columns
+    ``source`` decides emptiness, strict rows and ``max_rows`` included:
+    None when the rows are unsatisfiable, else the head's rows over its
+    canonical columns in name order, in :func:`_normal_form`.  Head
+    arguments are distinct, so those rows only move from columns ``source``.
+    """
+    rows = [row for part in (constr, *bodies) for row in part]
+    proj, _ = _project_rows(rows, n, source, max_rows)
+    if proj is None:
+        return None
+    return tuple(_normal_form([(tuple([r[j] for j in source] + [r[-1]]), rel) for r, rel in proj]))
 
 
 def project(

@@ -53,14 +53,14 @@ class Polyhedron:
         """Canonical polyhedron for a conjunction (strict parts relaxed).
 
         The conjunction is laid out over ``dims`` and its own variables in
-        name order and projected onto ``dims``; see :func:`_of_rows`.
+        name order and projected onto ``dims`` by ``lincon._derive``.
         """
         dims = tuple(dims)
         atoms = [a.relax() for a in conjuncts]
         names = sorted(set(dims).union(*(a.vars() for a in atoms)))
-        col = {v: j for j, v in enumerate(names)}
-        rows = lincon._rows(atoms, names)[1]
-        return _of_rows(dims, rows, len(names), [col[d] for d in sorted(dims)], None)
+        source = [j for j, v in enumerate(names) if v in dims]
+        rows = lincon._derive(len(names), lincon._rows(atoms, names)[1], source, (), None)
+        return Polyhedron.empty(dims) if rows is None else _from_rows(dims, rows)
 
     # -- basic queries --------------------------------------------------------
 
@@ -96,7 +96,7 @@ class Polyhedron:
             return True
         if self.is_empty:
             return False
-        return lincon.entails_all(other.conjuncts(), self.conjuncts())
+        return all(lincon._entailed(other.rows, self.rows, len(self.dims)))
 
     def contains_point(self, point: Sequence) -> bool:
         """Membership test for a rational point given in dimension order."""
@@ -116,7 +116,9 @@ class Polyhedron:
         self._check_dims(other)
         if self.is_empty or other.is_empty:
             return Polyhedron.empty(self.dims)
-        return Polyhedron.of(self.dims, self.conjuncts() + other.conjuncts())
+        n = len(self.dims)
+        rows = lincon._derive(n, self.rows, range(n), (other.rows,), None)
+        return Polyhedron.empty(self.dims) if rows is None else _from_rows(self.dims, rows)
 
     def hull(self, *others: "Polyhedron") -> "Polyhedron":
         """Closure of the convex hull of the union of all operands.
@@ -145,7 +147,8 @@ class Polyhedron:
         discard.  Expects ``self`` to be included in ``other`` (the analysis
         joins before widening), so every kept threshold holds of both.
         Thresholds are constraints over ``dims``.  All candidates are
-        decided against ``other``'s rows in one batch.
+        decided against ``other``'s rows in one batch; the kept ones hold
+        in the non-empty ``other``, so they need no projection.
         """
         self._check_dims(other)
         if self.is_empty:
@@ -162,7 +165,7 @@ class Polyhedron:
                 candidates.append((r, rel))
         held = lincon._entailed(other.rows, candidates, n)
         kept = [row for row, ok in zip(candidates, held) if ok]
-        return _of_rows(self.dims, kept, n, range(n), None)
+        return _from_rows(self.dims, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -191,30 +194,21 @@ def _combine(a: int, u: Sequence[int], b: int, v: Sequence[int]) -> tuple[int, .
 def _nullspace(rows: Iterable[Sequence[int]], n: int) -> list[tuple[int, ...]]:
     """Primitive basis of the solutions of ``r . y = 0`` for every row.
 
-    Fraction-free Gauss-Jordan elimination gives the reduced row echelon
-    form; each free column then yields one basis vector, positive there.
+    One ``lincon._gauss_jordan`` pass over the rows, each given a zero
+    constant, gives the reduced row echelon form; each free column then
+    yields one basis vector, positive there.
     """
-    reduced: list[tuple[int, ...]] = []
-    pivots: list[int] = []
-    for row in rows:
-        for pr, pc in zip(reduced, pivots):
-            if row[pc]:
-                row = _combine(pr[pc], row, row[pc], pr)
-        lead = next((i for i, x in enumerate(row) if x), None)
-        if lead is None:
-            continue
-        reduced = [_combine(row[lead], pr, pr[lead], row) if pr[lead] else pr for pr in reduced]
-        reduced.append(tuple(row))
-        pivots.append(lead)
-    scale = math.lcm(*(pr[pc] for pr, pc in zip(reduced, pivots)))
+    solved = lincon._gauss_jordan([(*row, 0) for row in rows])
+    pivots = [j for j, _ in solved]
+    scale = math.lcm(*(p[j] for j, p in solved))
     basis = []
     for free in range(n):
         if free in pivots:
             continue
         vec = [0] * n
         vec[free] = scale
-        for pr, pc in zip(reduced, pivots):
-            vec[pc] = -pr[free] * scale // pr[pc]
+        for j, p in solved:
+            vec[j] = -p[free] * scale // p[j]
         basis.append(lincon._coprime(vec))
     return basis
 
@@ -313,20 +307,14 @@ def _canonical(dims: tuple[str, ...], cones) -> Polyhedron:
     return p
 
 
-def _of_rows(dims, rows, n: int, source: Sequence[int], max_rows: int | None) -> Polyhedron:
-    """Canonical polyhedron of the projection of ``rows`` onto columns ``source``.
+def _from_rows(dims: tuple[str, ...], rows) -> Polyhedron:
+    """Canonical polyhedron of satisfiable ``lincon`` rows over ``dims`` in name order.
 
-    The rows are over ``n`` columns, and ``source`` holds the column of
-    each dimension in name order.  The projection decides emptiness, with
-    strict rows kept strict; a non-empty one is relaxed, taken to
-    generators and back by :func:`_canonical`, and its cone, which depends
-    only on the polyhedron, becomes the result's ``generators``.
-    ``max_rows`` is :func:`lincon.project`'s growth cap.
+    Strict rows count as their relaxations.  The rows are taken to
+    generators and back by :func:`_canonical`, and their cone, which
+    depends only on the polyhedron, becomes the result's ``generators``.
     """
-    proj, _ = lincon._project_rows(rows, n, frozenset(source), max_rows)
-    if proj is None:
-        return Polyhedron.empty(dims)
-    cone = _cone([(tuple([r[j] for j in source] + [r[-1]]), rel) for r, rel in proj], len(dims))
+    cone = _cone(rows, len(dims))
     p = _canonical(dims, [cone])
     p.__dict__["generators"] = cone
     return p

@@ -80,7 +80,7 @@ _Fact = tuple[_Row, ...]
 
 
 def _equivalent(f: _Fact, g: _Fact, n: int) -> bool:
-    return lincon._entails_rows(f, g, n) and lincon._entails_rows(g, f, n)
+    return all(lincon._entailed(f, g, n)) and all(lincon._entailed(g, f, n))
 
 
 def tp_step(program: Program, interp: Interpretation, cap: int | None = None) -> Interpretation:
@@ -98,8 +98,9 @@ def tp_step(program: Program, interp: Interpretation, cap: int | None = None) ->
     ``interp`` becomes rows over its predicate's canonical columns once,
     and each clause lays its constraint and the body facts out over the
     clause's variables in name order, which is the layout ``lincon.project``
-    would give the same conjuncts up to columns no row mentions.  Facts
-    become ``Constraint`` values only when the step returns.
+    would give the same conjuncts up to columns no row mentions; each
+    combination is one ``lincon._derive`` step.  Facts become
+    ``Constraint`` values only when the step returns.
     """
     layouts = {p: lincon._layout(k) for p, k in program.arities.items()}
     known = {
@@ -120,25 +121,14 @@ def tp_step(program: Program, interp: Interpretation, cap: int | None = None) ->
             [lincon._embed(f, target, n) for f in known[atom.pred]]
             for atom, target in zip(clause.body, body_cols)
         ]
-        # Head arguments are distinct, so projected rows only move from
-        # the clause columns ``source`` to the head's columns.
-        kept = frozenset(source)
         combos = itertools.islice(itertools.product(*fact_lists), _COMBO_BUDGET)
         for combo in combos:
             if cap is not None and len(bucket) >= 2 * cap:
                 break
-            rows = list(constr)
-            for f in combo:
-                rows.extend(f)
             # Capped growth: threshold facts are candidate bounds, so an
             # over-approximate projection only makes candidates weaker.
-            proj, _ = lincon._project_rows(rows, n, kept, lincon.PROJECT_CAP)
-            if proj is None:
-                continue
-            fact = tuple(lincon._normal_form(
-                [(tuple([r[j] for j in source] + [r[-1]]), rel) for r, rel in proj]
-            ))
-            if fact in seen[head.pred]:
+            fact = lincon._derive(n, constr, source, combo, lincon.PROJECT_CAP)
+            if fact is None or fact in seen[head.pred]:
                 continue
             seen[head.pred].add(fact)
             if len(bucket) <= _SEMANTIC_DEDUP_LIMIT and any(

@@ -9,16 +9,18 @@ form with ``lincon``'s decision procedures, and ``hull_by_projection``,
 which builds hulls with ``lincon.project`` and ``canonical_by_lp``; neither
 touches the generator conversion behind ``Polyhedron.of`` and
 ``Polyhedron.hull``.  The suites return ``(instances, failures)`` so both
-the unit tests and the acceptance gate can share one run.  The last two
+the unit tests and the acceptance gate can share one run.  Later
 sections keep the ``Fraction`` versions of ``lincon.project``,
 ``is_satisfiable`` and ``normalize`` as the reference for the integer-row
 kernel, the ``Constraint``-level ``thresholds.tp_step`` as the reference
 for the row harvest, and the unfolding that decides every accumulated
 constraint whole, with the ``Fraction`` sums of ``LinExpr.rename`` and
 ``subst``, as the reference for the unfolding by summaries.  The last
-section keeps the constraint-form ``Polyhedron`` operations, clause
-contributions and fixpoint loop as the reference for the polyhedra on
-integer rows.
+section but one keeps the constraint-form ``Polyhedron`` operations,
+clause contributions and fixpoint loop as the reference for the polyhedra
+on integer rows, and the last keeps the double description's own
+null-space elimination as the reference for the one that runs on
+``lincon._gauss_jordan``.
 """
 
 from __future__ import annotations
@@ -1140,3 +1142,44 @@ def reference_analyze(program: Program, thresholds=None):
             if passes > analyzer._MAX_PASSES:
                 raise ChcError("abstract iteration exceeded its pass budget")
     return analyzer.AbstractModel(dict(values)), analyzer.AnalysisStats(passes, updates, widenings)
+
+
+# ---------------------------------------------------------------------------
+# The double description's own null-space elimination
+# ---------------------------------------------------------------------------
+
+def reference_nullspace(rows, n: int):
+    """``polydom._nullspace`` with the fraction-free Gauss-Jordan elimination
+    it kept before it ran on ``lincon._gauss_jordan``.
+
+    Each row, reduced by the pivot rows before it, is pivoted on its first
+    non-zero column and eliminated from the earlier pivot rows; each free
+    column then yields one primitive basis vector, positive there.
+    """
+
+    def combine(a, u, b, v):
+        return lincon._coprime([a * x - b * y for x, y in zip(u, v)])
+
+    reduced = []
+    pivots = []
+    for row in rows:
+        for pr, pc in zip(reduced, pivots):
+            if row[pc]:
+                row = combine(pr[pc], row, row[pc], pr)
+        lead = next((i for i, x in enumerate(row) if x), None)
+        if lead is None:
+            continue
+        reduced = [combine(row[lead], pr, pr[lead], row) if pr[lead] else pr for pr in reduced]
+        reduced.append(tuple(row))
+        pivots.append(lead)
+    scale = math.lcm(*(pr[pc] for pr, pc in zip(reduced, pivots)))
+    basis = []
+    for free in range(n):
+        if free in pivots:
+            continue
+        vec = [0] * n
+        vec[free] = scale
+        for pr, pc in zip(reduced, pivots):
+            vec[pc] = -pr[free] * scale // pr[pc]
+        basis.append(lincon._coprime(vec))
+    return basis

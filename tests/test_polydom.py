@@ -12,6 +12,7 @@ from oracles import (
     random_point_set,
     random_system,
     reference_hull,
+    reference_nullspace,
     reference_of,
     reference_widen_upto,
     rref,
@@ -20,7 +21,7 @@ from oracles import (
 from hornchain import lincon
 from hornchain.chc import AtomicConstraint, LinExpr, Rel, canonical_arg_names
 from hornchain.parser import parse_constraint
-from hornchain.polydom import Polyhedron, _cone, _dual, format_polyhedron
+from hornchain.polydom import Polyhedron, _cone, _dual, _nullspace, format_polyhedron
 
 
 def ge(const, **coeffs):
@@ -237,6 +238,44 @@ def test_dual_matches_subset_enumeration():
     assert kinds == [32, 0, 0, 35, 11, 25]
 
 
+def test_nullspace_matches_its_own_elimination():
+    # The null space on lincon's Gauss-Jordan pass against the elimination
+    # it replaced: the same basis vectors in the same order.  Draws come in
+    # blocks of five (n = 1-5); the blocks cycle through five kinds: plain,
+    # a zero row, a repeated and a scaled row, rank-deficient (every row a
+    # combination of two), no rows.
+    rng = random.Random(20261120)
+
+    def vec(n):
+        return tuple(rng.randint(-4, 4) for _ in range(n))
+
+    short = [0] * 5
+    for i in range(500):
+        n = 1 + i % 5
+        kind = i // 5 % 5
+        rows = [vec(n) for _ in range(rng.randint(1, 4))]
+        if kind == 1:
+            rows.insert(rng.randrange(len(rows) + 1), (0,) * n)
+        elif kind == 2:
+            rows += [rows[0], tuple(-3 * x for x in rows[-1])]
+        elif kind == 3:
+            u, v = vec(n), vec(n)
+            rows = []
+            for _ in range(rng.randint(2, 5)):
+                a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+                rows.append(tuple(a * x + b * y for x, y in zip(u, v)))
+        elif kind == 4:
+            rows = []
+        got = _nullspace(rows, n)
+        assert got == reference_nullspace(rows, n), (i, rows)
+        rank = len(rref(rows)[1])
+        assert len(got) == n - rank, (i, rows)
+        assert all(sum(a * b for a, b in zip(r, y)) == 0 for r in rows for y in got), (i, rows)
+        short[kind] += rank < len(rows)
+    # Draws with fewer independent rows than rows, per kind.
+    assert short == [28, 100, 100, 80, 0]
+
+
 def test_inclusion_and_equality():
     p = Polyhedron.of(AB, [ge(0, A=1), ge(50, A=-1)])
     q = Polyhedron.of(AB, [ge(0, A=1), ge(10, A=-1)])
@@ -350,6 +389,22 @@ def test_row_paths_match_atom_path_reference():
         h = p.hull(q)
         ts = random_system(rng, d)
         assert p.widen_upto(h, ts) == reference_widen_upto(p, h, ts), (i, raw, ts)
+    # By hand: p's equality A = 0 is kept as its two inequalities and comes
+    # back an equality; a threshold duplicates p's row B >= 0; the universe
+    # keeps nothing.
+    p = Polyhedron.of(AB, [eq(0, A=1), ge(0, B=1), ge(1, B=-1)])
+    ray = Polyhedron.of(AB, [eq(0, A=1), ge(0, B=1)])
+    box = Polyhedron.of(AB, [eq(0, A=1), ge(0, B=1), ge(5, B=-1)])
+    top = Polyhedron.universe(AB)
+    cases = [
+        (ray, (), ray),
+        (box, [ge(0, B=1)], ray),
+        (box, [ge(0, B=1), ge(5, B=-1)], box),
+        (top, (), top),
+        (top, [ge(0, B=1), eq(0, A=1)], top),
+    ]
+    for other, ts, want in cases:
+        assert p.widen_upto(other, ts) == want == reference_widen_upto(p, other, ts), (other, ts)
 
 
 def test_cached_rows_and_generators_match_the_conjuncts():

@@ -30,6 +30,7 @@ from .chc import (
     Atom,
     AtomicConstraint,
     ChcError,
+    Clause,
     Program,
     canonical_arg_names,
     format_atom,
@@ -125,20 +126,21 @@ def _sccs(nodes: Sequence[str], succs: Mapping[str, Sequence[str]]) -> list[tupl
     return out
 
 
-def contribution(clause, head_dims: tuple[str, ...], body: Sequence[Polyhedron]) -> Polyhedron:
-    """The head polyhedron that a clause, laid out by ``lincon._clause_rows``,
-    derives from its body values.
+def contribution(
+    clause: Clause, head_dims: tuple[str, ...], body: Sequence[Polyhedron]
+) -> Polyhedron:
+    """The head polyhedron that a clause derives from its body values.
 
-    Each body polyhedron's rows move to the clause's columns, and one
-    capped ``lincon._derive`` step decides emptiness, strict conjuncts
-    included; the head's rows are then relaxed and made canonical (see
-    ``polydom._from_rows``).
+    Each body polyhedron's rows move to the columns of the clause's
+    prepared rows (``Clause.rows``), and one capped ``lincon._derive`` step
+    decides emptiness, strict conjuncts included; the head's rows are then
+    relaxed and made canonical (see ``polydom._from_rows``).
     """
     if any(poly.is_empty for poly in body):
         return Polyhedron.empty(head_dims)
-    n, constr, targets, source = clause
-    facts = [lincon._embed(poly.rows, target, n) for poly, target in zip(body, targets)]
-    rows = lincon._derive(n, constr, source, facts, lincon.PROJECT_CAP)
+    form = clause.rows
+    facts = [lincon._embed(poly.rows, target, form.n) for poly, target in zip(body, form.targets)]
+    rows = lincon._derive(form, facts, lincon.PROJECT_CAP)
     return Polyhedron.empty(head_dims) if rows is None else polydom._from_rows(head_dims, rows)
 
 
@@ -151,8 +153,6 @@ def analyze(
     order = {p: i for i, p in enumerate(preds)}
     dims = {p: canonical_arg_names(n) for p, n in program.arities.items()}
     clauses_of = {p: program.clauses_for(p) for p in preds}
-    layouts = {p: lincon._layout(n) for p, n in program.arities.items()}
-    clause_rows = {p: [lincon._clause_rows(c, layouts) for c in cs] for p, cs in clauses_of.items()}
     succs = program.succs
 
     values: dict[str, Polyhedron] = {p: Polyhedron.empty(dims[p]) for p in preds}
@@ -174,7 +174,7 @@ def analyze(
             body = tuple(values[atom.pred] for atom in clause.body)
             entry = built[pred][k]
             if entry is None or entry[0] != body:
-                made = contribution(clause_rows[pred][k], dims[pred], body)
+                made = contribution(clause, dims[pred], body)
                 entry = built[pred][k] = (body, made)
             out.append(entry[1])
         return out

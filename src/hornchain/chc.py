@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 FALSE_PRED = "false"
@@ -302,6 +303,15 @@ class Clause:
         for v in self.constr.vars():
             seen.setdefault(v)
         return tuple(seen)
+
+    @cached_property
+    def rows(self):
+        """The clause's constraint as ``lincon`` rows prepared for
+        ``lincon._derive`` (see ``lincon._clause_rows``), computed at most
+        once per clause, however many steps and derivations read it."""
+        from . import lincon
+
+        return lincon._clause_rows(self)
 
     def rename(self, mapping: Mapping[str, str]) -> "Clause":
         return Clause(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .chc import FALSUM, Atom, AtomicConstraint, Clause, LinExpr, Rel, canonical_arg_names
 
@@ -110,24 +110,57 @@ def _embed(
     return out
 
 
-def _clause_rows(
-    clause: Clause, layouts: Mapping[str, tuple[list[str], list[int]]]
-) -> tuple[int, list[tuple[_Vec, Rel]], list[list[int]], list[int]]:
-    """A clause laid out over its variables in name order.
+class _Prepared(NamedTuple):
+    """The fixed part of a consequence step (see :func:`_prepare`)."""
 
-    ``layouts`` holds each predicate's :func:`_layout`.  Returns the number
-    of columns, the clause constraint's rows, and per body atom and for the
-    head the ``target`` that :func:`_embed` takes: the clause column of
-    each of the predicate's canonical columns in name order.
+    n: int
+    source: Sequence[int]
+    targets: list[list[int]]
+    solved: list[tuple[int, _Vec]] | None
+    ineqs: list[_Ineq]
+
+
+def _prepare(
+    n: int,
+    rows: Iterable[tuple[_Vec, Rel]],
+    source: Sequence[int],
+    targets: Iterable[list[int]] = (),
+) -> _Prepared:
+    """Rows over ``n`` columns made ready for :func:`_derive` onto ``source``.
+
+    Holds the layout (``n``, the head's columns ``source`` and the body
+    atoms' ``targets``), the Gauss-Jordan state of the rows' own equalities
+    pivoted with ``source`` kept, None when they are contradictory, and
+    their inequalities with those pivots substituted out.
+    """
+    eqs, ineqs = _split(rows)
+    solved = _gauss_jordan(eqs, source)
+    if solved is not None:
+        ineqs = _substitute(solved, ineqs)
+    return _Prepared(n, source, list(targets), solved, ineqs)
+
+
+def _clause_rows(clause: Clause) -> _Prepared:
+    """A clause's constraint laid out over its variables in name order and
+    prepared by :func:`_prepare`; ``Clause.rows`` holds the result.
+
+    Per body atom and for the head, the target is what :func:`_embed`
+    takes: the clause column of each of the predicate's canonical columns
+    in name order (see :func:`_layout`).  The constraint's own equalities
+    are eliminated here, once per clause, not once per derivation.  That
+    is exact: resuming the elimination with the body facts' equalities is
+    the same computation as one pass over all of them, and substituting
+    the final pivots out of the pre-substituted inequalities gives the
+    rows that substituting them once gives (see :func:`_derive`).
     """
     names = sorted(clause.vars())
     col = {v: j for j, v in enumerate(names)}
 
     def cols(atom: Atom) -> list[int]:
-        return [col[atom.args[i]] for i in layouts[atom.pred][1]]
+        return [col[atom.args[i]] for i in _layout(atom.arity)[1]]
 
     constr = _rows(clause.constr.conjuncts, names)[1]
-    return len(names), constr, [cols(a) for a in clause.body], cols(clause.head)
+    return _prepare(len(names), constr, cols(clause.head), [cols(a) for a in clause.body])
 
 
 def _atom(names: Sequence[str], row: _Vec, rel: Rel) -> AtomicConstraint:
@@ -156,7 +189,9 @@ def _reduce(r: _Vec, p: _Vec, j: int) -> _Vec:
     return _coprime([a * x - b * y for x, y in zip(r, p)])
 
 
-def _gauss_jordan(eqs: list[_Vec], keep: Collection[int] = ()) -> list[tuple[int, _Vec]] | None:
+def _gauss_jordan(
+    eqs: list[_Vec], keep: Collection[int] = (), solved: Iterable[tuple[int, _Vec]] = ()
+) -> list[tuple[int, _Vec]] | None:
     """One Gauss-Jordan pass over the equality rows: ``(pivot, row)`` pairs.
 
     Each equality, reduced by the pivot rows before it, is pivoted on its
@@ -166,8 +201,13 @@ def _gauss_jordan(eqs: list[_Vec], keep: Collection[int] = ()) -> list[tuple[int
     columns only and are the reduced row echelon basis of the equalities'
     shadow on ``keep`` (columns in reverse order, so each row is pivoted on
     its last variable).  Returns None if a ground contradiction surfaces.
+
+    The pass resumes from ``solved``, the result of an earlier pass with the
+    same ``keep``: ``_gauss_jordan(a + b, keep)`` equals
+    ``_gauss_jordan(b, keep, _gauss_jordan(a, keep))`` whenever the inner
+    pass succeeds, since the rows are taken one at a time.
     """
-    solved: list[tuple[int, _Vec]] = []
+    solved = list(solved)
     for e in eqs:
         for j, p in solved:
             if e[j]:
@@ -505,10 +545,12 @@ def normalize(conjuncts: Iterable[AtomicConstraint]) -> tuple[AtomicConstraint, 
 
 
 def _project_rows(
-    rows: list[tuple[_Vec, Rel]],
+    eqs: list[_Vec],
+    ineqs: list[_Ineq],
     n: int,
     kept_cols: Collection[int],
     max_rows: int | None,
+    start: Iterable[tuple[int, _Vec]] = (),
 ) -> tuple[list[tuple[_Vec, Rel]] | None, bool]:
     """:func:`project` on rows over ``n`` columns; None when they are unsatisfiable.
 
@@ -518,12 +560,13 @@ def _project_rows(
     projection.  Columns that no row mentions change nothing, so a
     caller may lay rows out over any superset of their variables, in the
     same relative order, and get the same rows back in the wider layout.
+    The first Gauss-Jordan pass resumes from ``start`` (see
+    :func:`_gauss_jordan`), whose equalities are then part of the input.
     """
     elim = [j for j in range(n) if j not in kept_cols]
-    eqs, ineqs = _split(rows)
     capped = False
     while True:
-        solved = _gauss_jordan(eqs, kept_cols)
+        solved = _gauss_jordan(eqs, kept_cols, start)
         if solved is None:
             return None, capped
         kept_eqs = [p for j, p in solved if j in kept_cols]
@@ -540,27 +583,47 @@ def _project_rows(
         eqs, ineqs = _split(normal)
         if len(eqs) == len(kept_eqs):
             break
+        start = ()
     if not _satisfiable(eqs, ineqs, n):
         return None, capped
     return normal, capped
 
 
 def _derive(
-    n: int, constr: Sequence[tuple[_Vec, Rel]], source: Sequence[int], bodies, max_rows: int | None
+    form: _Prepared, bodies: Iterable[Iterable[tuple[_Vec, Rel]]], max_rows: int | None
 ) -> tuple[tuple[_Vec, Rel], ...] | None:
-    """One consequence step of a clause laid out by :func:`_clause_rows`.
+    """One consequence step of rows prepared by :func:`_prepare`.
 
-    ``bodies`` holds one fact per body atom, moved to the clause's columns
-    by :func:`_embed`.  One :func:`_project_rows` onto the head's columns
-    ``source`` decides emptiness, strict rows and ``max_rows`` included:
-    None when the rows are unsatisfiable, else the head's rows over its
-    canonical columns in name order, in :func:`_normal_form`.  Head
-    arguments are distinct, so those rows only move from columns ``source``.
+    ``bodies`` holds one fact per body atom, moved to the prepared columns
+    by :func:`_embed`.  One :func:`_project_rows` of the prepared rows and
+    the facts onto the head's columns ``form.source`` decides emptiness,
+    strict rows and ``max_rows`` included: None when the rows are
+    unsatisfiable, else the head's rows over its canonical columns in name
+    order, in :func:`_normal_form`.  Head arguments are distinct, so those
+    rows only move from columns ``source``.
+
+    Its first Gauss-Jordan pass resumes from the prepared state and takes
+    only the facts' equalities, and only the facts' inequalities and the
+    prepared ones, whose first pivots are already gone, have the pivots
+    substituted out.  The result is the one that projecting all the rows
+    at once gives, for two reasons.  Resuming the elimination is the same
+    computation as running it in one pass (see :func:`_gauss_jordan`).
+    And substituting the pivots out of a row gives the unique coprime
+    positive multiple of the row, plus a combination of pivot rows, that
+    is zero in every pivot column: the pivot rows are zero in each
+    other's pivot columns.  The prepared pivot rows lie in the span of the
+    final ones, and their pivot columns are among the final ones, so
+    substituting in two stages reaches that same row.
     """
-    rows = [row for part in (constr, *bodies) for row in part]
-    proj, _ = _project_rows(rows, n, source, max_rows)
+    if form.solved is None:
+        return None
+    eqs, ineqs = _split([row for body in bodies for row in body])
+    proj, _ = _project_rows(
+        eqs, form.ineqs + ineqs, form.n, form.source, max_rows, form.solved
+    )
     if proj is None:
         return None
+    source = form.source
     return tuple(_normal_form([(tuple([r[j] for j in source] + [r[-1]]), rel) for r, rel in proj]))
 
 
@@ -599,7 +662,7 @@ def project(
     keep_set = frozenset(keep)
     names, rows = _rows(conjuncts)
     kept_cols = frozenset(j for j, v in enumerate(names) if v in keep_set)
-    normal, capped = _project_rows(rows, len(names), kept_cols, max_rows)
+    normal, capped = _project_rows(*_split(rows), len(names), kept_cols, max_rows)
     if normal is None:
         return (FALSUM,)
     if capped and exact:

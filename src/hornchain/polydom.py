@@ -53,13 +53,15 @@ class Polyhedron:
         """Canonical polyhedron for a conjunction (strict parts relaxed).
 
         The conjunction is laid out over ``dims`` and its own variables in
-        name order and projected onto ``dims`` by ``lincon._derive``.
+        name order, prepared by ``lincon._prepare`` and projected onto
+        ``dims`` by ``lincon._derive``.
         """
         dims = tuple(dims)
         atoms = [a.relax() for a in conjuncts]
         names = sorted(set(dims).union(*(a.vars() for a in atoms)))
         source = [j for j, v in enumerate(names) if v in dims]
-        rows = lincon._derive(len(names), lincon._rows(atoms, names)[1], source, (), None)
+        form = lincon._prepare(len(names), lincon._rows(atoms, names)[1], source)
+        rows = lincon._derive(form, (), None)
         return Polyhedron.empty(dims) if rows is None else _from_rows(dims, rows)
 
     # -- basic queries --------------------------------------------------------
@@ -117,7 +119,7 @@ class Polyhedron:
         if self.is_empty or other.is_empty:
             return Polyhedron.empty(self.dims)
         n = len(self.dims)
-        rows = lincon._derive(n, self.rows, range(n), (other.rows,), None)
+        rows = lincon._derive(lincon._prepare(n, self.rows, range(n)), (other.rows,), None)
         return Polyhedron.empty(self.dims) if rows is None else _from_rows(self.dims, rows)
 
     def hull(self, *others: "Polyhedron") -> "Polyhedron":

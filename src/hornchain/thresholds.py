@@ -95,12 +95,14 @@ def tp_step(program: Program, interp: Interpretation, cap: int | None = None) ->
     :func:`maximal` facts and is then truncated to the first ``cap``.
 
     Inside the step facts are ``lincon``'s integer rows: each fact of
-    ``interp`` becomes rows over its predicate's canonical columns once,
-    and each clause lays its constraint and the body facts out over the
-    clause's variables in name order, which is the layout ``lincon.project``
-    would give the same conjuncts up to columns no row mentions; each
-    combination is one ``lincon._derive`` step.  Facts become
-    ``Constraint`` values only when the step returns.
+    ``interp`` becomes rows over its predicate's canonical columns once.
+    Each clause reads its prepared rows (``Clause.rows``): its constraint
+    laid out over the clause's variables in name order, which is the layout
+    ``lincon.project`` would give the same conjuncts up to columns no row
+    mentions, with its own equalities eliminated once per clause, not once
+    per step.  The body facts move to those columns, and each combination
+    is one ``lincon._derive`` step.  Facts become ``Constraint`` values
+    only when the step returns.
     """
     layouts = {p: lincon._layout(k) for p, k in program.arities.items()}
     known = {
@@ -116,10 +118,10 @@ def tp_step(program: Program, interp: Interpretation, cap: int | None = None) ->
             continue
         if not all(known[atom.pred] for atom in clause.body):
             continue
-        n, constr, body_cols, source = lincon._clause_rows(clause, layouts)
+        form = clause.rows
         fact_lists = [
-            [lincon._embed(f, target, n) for f in known[atom.pred]]
-            for atom, target in zip(clause.body, body_cols)
+            [lincon._embed(f, target, form.n) for f in known[atom.pred]]
+            for atom, target in zip(clause.body, form.targets)
         ]
         combos = itertools.islice(itertools.product(*fact_lists), _COMBO_BUDGET)
         for combo in combos:
@@ -127,7 +129,7 @@ def tp_step(program: Program, interp: Interpretation, cap: int | None = None) ->
                 break
             # Capped growth: threshold facts are candidate bounds, so an
             # over-approximate projection only makes candidates weaker.
-            fact = lincon._derive(n, constr, source, combo, lincon.PROJECT_CAP)
+            fact = lincon._derive(form, combo, lincon.PROJECT_CAP)
             if fact is None or fact in seen[head.pred]:
                 continue
             seen[head.pred].add(fact)

@@ -16,11 +16,13 @@ kernel, the ``Constraint``-level ``thresholds.tp_step`` as the reference
 for the row harvest, and the unfolding that decides every accumulated
 constraint whole, with the ``Fraction`` sums of ``LinExpr.rename`` and
 ``subst``, as the reference for the unfolding by summaries.  The last
-section but one keeps the constraint-form ``Polyhedron`` operations,
+section but two keeps the constraint-form ``Polyhedron`` operations,
 clause contributions and fixpoint loop as the reference for the polyhedra
-on integer rows, and the last keeps the double description's own
-null-space elimination as the reference for the one that runs on
-``lincon._gauss_jordan``.
+on integer rows, the next keeps the double description's own null-space
+elimination as the reference for the one that runs on
+``lincon._gauss_jordan``, and the last keeps the consequence step that
+eliminates a clause's own equalities again in every derivation as the
+reference for the one that resumes from the clause's prepared rows.
 """
 
 from __future__ import annotations
@@ -1183,3 +1185,34 @@ def reference_nullspace(rows, n: int):
             vec[pc] = -pr[free] * scale // pr[pc]
         basis.append(lincon._coprime(vec))
     return basis
+
+
+# ---------------------------------------------------------------------------
+# The consequence step that eliminates every equality per derivation
+# ---------------------------------------------------------------------------
+
+def reference_clause_rows(clause: Clause):
+    """``lincon._clause_rows`` before clauses were prepared: the number of
+    columns, the clause constraint's rows, and the body atoms' and the
+    head's ``lincon._embed`` targets."""
+    names = sorted(clause.vars())
+    col = {v: j for j, v in enumerate(names)}
+
+    def cols(atom):
+        return [col[atom.args[i]] for i in lincon._layout(atom.arity)[1]]
+
+    constr = lincon._rows(clause.constr.conjuncts, names)[1]
+    return len(names), constr, [cols(a) for a in clause.body], cols(clause.head)
+
+
+def reference_derive(n: int, constr, source, bodies, max_rows):
+    """``lincon._derive`` before clauses were prepared: the constraint rows
+    and the body rows concatenated, and one ``_project_rows`` over all of
+    them, which eliminates the constraint's own equalities again."""
+    rows = [row for part in (constr, *bodies) for row in part]
+    proj, _ = lincon._project_rows(*lincon._split(rows), n, source, max_rows)
+    if proj is None:
+        return None
+    return tuple(
+        lincon._normal_form([(tuple([r[j] for j in source] + [r[-1]]), rel) for r, rel in proj])
+    )

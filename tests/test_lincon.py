@@ -121,6 +121,45 @@ def test_fm_agrees_with_simplex_on_random_systems():
     assert decided == 1869
 
 
+def _random_row(rng, w):
+    return lincon._coprime([rng.randint(-3, 3) for _ in range(w)] + [rng.randint(-5, 5)])
+
+
+def test_gauss_jordan_resumes_and_substitutes_in_stages():
+    # Eliminating a + b in one pass equals eliminating a, then resuming with
+    # b; and substituting a's pivots out first, then all pivots, equals
+    # substituting all pivots once.  Some draws repeat a combination of
+    # earlier rows (rank-deficient) or shift its constant (inconsistent).
+    rng = random.Random(20261106)
+    deficient = inconsistent = 0
+    for _ in range(500):
+        w = rng.randint(1, 6)
+        eqs = [_random_row(rng, w) for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.5:
+            f, g = rng.randint(-2, 2), rng.randint(1, 2)
+            mix = [f * x + g * y for x, y in zip(rng.choice(eqs), rng.choice(eqs))]
+            mix[-1] += rng.choice((0, 0, 1))
+            eqs.insert(rng.randint(0, len(eqs)), lincon._coprime(mix))
+        ineqs = [(_random_row(rng, w), rng.random() < 0.3) for _ in range(rng.randint(1, 4))]
+        keep = [j for j in range(w) if rng.random() < 0.4]
+        cut = rng.randint(0, len(eqs))
+        a, b = eqs[:cut], eqs[cut:]
+        whole = lincon._gauss_jordan(a + b, keep)
+        first = lincon._gauss_jordan(a, keep)
+        if first is None:
+            assert whole is None, (a, b, keep)
+            inconsistent += 1
+            continue
+        assert whole == lincon._gauss_jordan(b, keep, first), (a, b, keep)
+        if whole is None:
+            inconsistent += 1
+            continue
+        deficient += len(whole) < len(eqs)
+        staged = lincon._substitute(whole, lincon._substitute(first, ineqs))
+        assert staged == lincon._substitute(whole, ineqs), (a, b, keep, ineqs)
+    assert (deficient, inconsistent) == (102, 230)
+
+
 def test_fm_first_decision_falls_back_to_simplex(monkeypatch):
     # With the row cap at 1 nearly every system with two or more rows
     # reaches the simplex fallback; the decision must not change.

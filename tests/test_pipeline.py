@@ -1,6 +1,10 @@
 """End-to-end pipeline wiring: stages, goal tracking, and configuration."""
 
+from conftest import fixture_text
+
+from hornchain import lincon, pipeline
 from hornchain.analyzer import AnalysisStats, Verdict, format_model
+from hornchain.chc import Clause
 from hornchain.parser import parse_program
 from hornchain.pipeline import PipelineConfig, run_pipeline
 
@@ -64,3 +68,36 @@ def test_stats_fields(twophase):
     st = run_pipeline(twophase).stats
     assert isinstance(st, AnalysisStats)
     assert st.passes >= st.updates >= st.widenings >= 0
+
+
+def test_each_clause_is_prepared_once_per_run(monkeypatch):
+    # Harvesting's three steps and the analysis read one prepared form per
+    # clause object; a fresh clause that compares equal gets an equal form.
+    prepared = []
+    used = []
+    prepare = lincon._clause_rows
+
+    def counting_prepare(clause):
+        prepared.append(clause)
+        return prepare(clause)
+
+    def recording(stage):
+        def run(program, *args):
+            used.extend(program.clauses)
+            return stage(program, *args)
+
+        return run
+
+    monkeypatch.setattr(lincon, "_clause_rows", counting_prepare)
+    for name in ("compute_thresholds", "analyze"):
+        monkeypatch.setattr(pipeline, name, recording(getattr(pipeline, name)))
+    res = run_pipeline(parse_program(fixture_text("twophase.chc")))
+    assert format_model(res.model) == fixture_text("twophase_model.txt")
+    distinct = {id(c): c for c in used}
+    assert len(prepared) == len(distinct) == 30
+    assert {id(c) for c in prepared} == distinct.keys()
+    # Each fresh copy is prepared on its own, and to the same form.
+    for c in distinct.values():
+        fresh = Clause(c.head, c.constr, c.body)
+        assert fresh == c and fresh.rows == c.rows
+    assert len(prepared) == 2 * len(distinct)

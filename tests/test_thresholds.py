@@ -2,13 +2,19 @@
 
 import random
 from fractions import Fraction
+from itertools import islice, product
 
 import pytest
 from bounded import bottom_interpretation
-from oracles import reference_compute_thresholds, reference_tp_step
+from oracles import (
+    reference_clause_rows,
+    reference_compute_thresholds,
+    reference_derive,
+    reference_tp_step,
+)
 from randprog import random_program
 
-from hornchain import lincon
+from hornchain import lincon, thresholds
 from hornchain.chc import AtomicConstraint, Constraint, LinExpr, Rel
 from hornchain.parser import parse_program
 from hornchain.thresholds import (
@@ -256,3 +262,82 @@ def test_row_harvest_matches_constraint_reference_on_random_programs():
             ref = reference_tp_step(program, ref, cap=4)
             assert interp == ref
         assert compute_thresholds(program) == reference_compute_thresholds(program)
+
+
+# -- prepared clauses against the step that eliminates every equality again --
+
+
+def _derivations_match_reference(program):
+    """Check every clause's prepared rows, and every body-fact combination of
+    ``compute_thresholds``' three steps, against ``reference_derive``.
+
+    Each clause's layout must be the reference's, and each derivation from
+    ``Clause.rows`` must equal the reference's derivation from the clause
+    constraint's rows.  Returns the number of derivations compared.
+    """
+    compared = 0
+    interp = top_interpretation(program)
+    order = {p: lincon._layout(k)[0] for p, k in program.arities.items()}
+    for _ in range(3):
+        known = {
+            p: [lincon._rows(f.conjuncts, order[p])[1] for f in interp.get(p, ())]
+            for p in program.arities
+        }
+        for clause in program.clauses:
+            n, constr, targets, source = reference_clause_rows(clause)
+            form = clause.rows
+            assert (form.n, form.targets, list(form.source)) == (n, targets, source), clause
+            facts = [
+                [lincon._embed(f, t, n) for f in known[atom.pred]]
+                for atom, t in zip(clause.body, targets)
+            ]
+            for combo in islice(product(*facts), thresholds._COMBO_BUDGET):
+                want = reference_derive(n, constr, source, combo, lincon.PROJECT_CAP)
+                assert lincon._derive(form, combo, lincon.PROJECT_CAP) == want, (clause, combo)
+                compared += 1
+        interp = tp_step(program, interp, cap=thresholds._TP_CAP)
+    return compared
+
+
+DERIVE_CASES = {
+    **HAND_CASES,
+    # r's own equalities say 4 = 3.
+    "contradictory equalities": parse_program(
+        "p(A) :- A >= 0.\n"
+        "r(A) :- p(B), A = B + 1, B = 2, A = 4.\n"
+    ),
+    # p's constraint pivots C on A = C + D, and the pivot row keeps D,
+    # which q's equality D = 3 pivots.
+    "body pivot in a constraint pivot row": parse_program(
+        "q(C,D) :- C >= 0, D = 3.\n"
+        "q(C,D) :- C = 2*D, D =< 1.\n"
+        "p(A,B) :- q(C,D), A = C + D, B >= C.\n"
+    ),
+}
+
+
+def test_prepared_derivations_match_reference_on_hand_cases():
+    counts = {name: _derivations_match_reference(p) for name, p in DERIVE_CASES.items()}
+    assert all(counts.values()), counts
+    contradictory = DERIVE_CASES["contradictory equalities"].clauses[1]
+    assert contradictory.rows.solved is None
+    fact = lincon._embed([((1, 0), Rel.GE)], contradictory.rows.targets[0], 2)
+    assert lincon._derive(contradictory.rows, [fact], None) is None
+    # The case does what its name says: the body's pivot column D (3) is in
+    # the constraint's pivot row and in its substituted inequality.
+    form = DERIVE_CASES["body pivot in a constraint pivot row"].clauses[2].rows
+    [(pivot, row)] = form.solved
+    assert pivot == 2 and row[3] and all(r[3] for r, _ in form.ineqs)
+
+
+def test_prepared_derivations_match_reference_under_one_row_cap(monkeypatch):
+    monkeypatch.setattr(lincon, "PROJECT_CAP", 1)
+    rng = random.Random(20261105)
+    programs = [*DERIVE_CASES.values(), *(random_program(rng) for _ in range(20))]
+    assert sum(map(_derivations_match_reference, programs)) == 394
+
+
+def test_prepared_derivations_match_reference_on_random_programs():
+    rng = random.Random(20261104)
+    compared = sum(_derivations_match_reference(random_program(rng)) for _ in range(150))
+    assert compared == 6955

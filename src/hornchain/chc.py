@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 FALSE_PRED = "false"
 
@@ -165,9 +165,6 @@ class AtomicConstraint:
     def vars(self) -> tuple[str, ...]:
         return self.expr.vars()
 
-    def subst(self, mapping: Mapping[str, LinExpr]) -> "AtomicConstraint":
-        return AtomicConstraint(self.expr.subst(mapping), self.rel)
-
     def rename(self, mapping: Mapping[str, str]) -> "AtomicConstraint":
         return AtomicConstraint(self.expr.rename(mapping), self.rel)
 
@@ -253,14 +250,8 @@ class Constraint:
     def conjoin(self, other: "Constraint") -> "Constraint":
         return Constraint(self.conjuncts + other.conjuncts)
 
-    def subst(self, mapping: Mapping[str, LinExpr]) -> "Constraint":
-        return Constraint(tuple(a.subst(mapping) for a in self.conjuncts))
-
     def rename(self, mapping: Mapping[str, str]) -> "Constraint":
         return Constraint(tuple(a.rename(mapping) for a in self.conjuncts))
-
-    def relax(self) -> "Constraint":
-        return Constraint(tuple(a.relax() for a in self.conjuncts))
 
     def __iter__(self) -> Iterator[AtomicConstraint]:
         return iter(self.conjuncts)
@@ -312,6 +303,20 @@ class Clause:
         from . import lincon
 
         return lincon._clause_rows(self)
+
+    def with_preds(self, head: str, body: Sequence[str]) -> "Clause":
+        """The clause with its atoms' predicates replaced, arguments kept.
+
+        Prepared rows depend only on the constraint and the argument lists,
+        so the new clause shares this clause's ``rows``.
+        """
+        clause = Clause(
+            Atom(head, self.head.args),
+            self.constr,
+            tuple([Atom(p, a.args) for p, a in zip(body, self.body)]),
+        )
+        object.__setattr__(clause, "rows", self.rows)
+        return clause
 
     def rename(self, mapping: Mapping[str, str]) -> "Clause":
         return Clause(
@@ -367,10 +372,6 @@ class Program:
 
     def clauses_for(self, pred: str) -> tuple[Clause, ...]:
         return tuple(c for c in self.clauses if c.head.pred == pred)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.clauses
 
 
 # ---------------------------------------------------------------------------

@@ -33,25 +33,14 @@ def _cmd_parse(args) -> int:
     return EXIT_SAFE
 
 
-def _cmd_raf(args) -> int:
-    sys.stdout.write(print_program(raf_filter(_load(args.file), args.goal)))
+def _cmd_stage(args) -> int:
+    sys.stdout.write(print_program(args.stage(_load(args.file), args.goal)))
     return EXIT_SAFE
 
 
-def _cmd_unfold(args) -> int:
-    sys.stdout.write(print_program(unfold_forward(_load(args.file), args.goal)))
-    return EXIT_SAFE
-
-
-def _cmd_qa(args) -> int:
-    sys.stdout.write(print_program(query_answer(_load(args.file), args.goal)))
-    return EXIT_SAFE
-
-
-def _cmd_split(args) -> int:
-    program = split_predicates(_load(args.file), protected=(args.goal,))
-    sys.stdout.write(print_program(program))
-    return EXIT_SAFE
+def _split(program, goal: str):
+    """``split_predicates`` in the ``(program, goal)`` shape of the other stages."""
+    return split_predicates(program, protected=(goal,))
 
 
 def _cmd_thresholds(args) -> int:
@@ -128,16 +117,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(func=_cmd_parse)
 
-    for name, func, help_text in (
-        ("raf", _cmd_raf, "print the argument-filtered program"),
-        ("unfold", _cmd_unfold, "print the forward-unfolded program"),
-        ("qa", _cmd_qa, "print the query-answer transformed program"),
-        ("split", _cmd_split, "print the predicate-split program"),
+    for name, stage, help_text in (
+        ("raf", raf_filter, "print the argument-filtered program"),
+        ("unfold", unfold_forward, "print the forward-unfolded program"),
+        ("qa", query_answer, "print the query-answer transformed program"),
+        ("split", _split, "print the predicate-split program"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file")
         _add_goal(p)
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_stage, stage=stage)
 
     p = sub.add_parser("thresholds", help="print widening thresholds for a program")
     p.add_argument("file")

@@ -1,8 +1,8 @@
 """Convex polyhedra in constraint form, used as an abstract domain.
 
 A polyhedron is a conjunction of closed linear constraints over a fixed
-tuple of dimension variables, or the distinguished empty element.  The
-constraint list is canonical: the equalities are the reduced row echelon
+tuple of dimension variables, or the distinguished empty element.  Its
+constraint rows are canonical: the equalities are the reduced row echelon
 basis of the affine hull, the inequalities are the facets only, with every
 pivot substituted out, and all rows are normalized and sorted.  That form
 is unique, so structural equality coincides with semantic equality.
@@ -22,27 +22,29 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from . import lincon
-from .chc import AtomicConstraint, Constraint, Rel, format_atomic_bracketed
+from .chc import AtomicConstraint, Rel, format_atomic_bracketed
 
 @dataclass(frozen=True)
 class Polyhedron:
-    """Closed convex polyhedron over ``dims``; ``constr`` is None when empty.
+    """Closed convex polyhedron over ``dims``, held as its canonical rows.
 
-    Besides ``constr``, its identity, a non-empty polyhedron holds two
-    values of the same set, each computed at most once: ``rows``, its
-    conjuncts as ``lincon`` rows, and ``generators``, its cone's lines and
-    extreme rays (the double description of the Parma Polyhedra Library:
-    Bagnara, Hill & Zaffanella, SCP 72(1-2), 2008).
+    ``rows`` are ``lincon`` rows over ``dims`` in name order (``V26`` sorts
+    between ``U`` and ``W``): None when the polyhedron is empty and ``()``
+    for the universe.  They are its identity, so ``==`` compares sets.
+    A non-empty polyhedron also holds its cone's lines and extreme rays,
+    ``generators``, computed at most once (the double description of the
+    Parma Polyhedra Library: Bagnara, Hill & Zaffanella, SCP 72(1-2),
+    2008).  Atoms are built only on demand, by :meth:`conjuncts`.
     """
 
     dims: tuple[str, ...]
-    constr: Constraint | None
+    rows: tuple[tuple[lincon._Vec, Rel], ...] | None
 
     # -- construction --------------------------------------------------------
 
     @staticmethod
     def universe(dims: Sequence[str]) -> "Polyhedron":
-        return Polyhedron(tuple(dims), Constraint.true())
+        return Polyhedron(tuple(dims), ())
 
     @staticmethod
     def empty(dims: Sequence[str]) -> "Polyhedron":
@@ -68,19 +70,18 @@ class Polyhedron:
 
     @property
     def is_empty(self) -> bool:
-        return self.constr is None
+        return self.rows is None
 
     @property
     def is_universe(self) -> bool:
-        return self.constr is not None and self.constr.is_true
+        return self.rows == ()
 
     def conjuncts(self) -> tuple[AtomicConstraint, ...]:
-        return () if self.constr is None else self.constr.conjuncts
-
-    @cached_property
-    def rows(self) -> tuple[tuple[lincon._Vec, Rel], ...]:
-        """The conjuncts as ``lincon`` rows over ``dims`` in name order."""
-        return tuple(lincon._rows(self.conjuncts(), sorted(self.dims))[1])
+        """The rows as atoms over ``dims``, for printing and checking."""
+        if self.rows is None:
+            return ()
+        names = sorted(self.dims)
+        return tuple([lincon._atom(names, r, rel) for r, rel in self.rows])
 
     @cached_property
     def generators(self):
@@ -291,7 +292,7 @@ def _canonical(dims: tuple[str, ...], cones) -> Polyhedron:
     equality of the affine hull) and irredundant (one row per facet), and
     one Gauss-Jordan pass makes it canonical: the equalities come out in
     reduced row echelon form and the facets with every pivot substituted
-    out.  The rows become ``Fraction`` atoms only for ``constr``.
+    out.
     """
     n = len(dims)
     lines = [v for cone_lines, _ in cones for v in cone_lines]
@@ -303,10 +304,7 @@ def _canonical(dims: tuple[str, ...], cones) -> Polyhedron:
     rows = lincon._normal_form(
         [(r, Rel.EQ) for _, r in solved] + [(r, Rel.GE) for r, _ in ineqs]
     )
-    names = sorted(dims)
-    p = Polyhedron(dims, Constraint(tuple([lincon._atom(names, r, rel) for r, rel in rows])))
-    p.__dict__["rows"] = tuple(rows)
-    return p
+    return Polyhedron(dims, tuple(rows))
 
 
 def _from_rows(dims: tuple[str, ...], rows) -> Polyhedron:

@@ -42,28 +42,6 @@ def top_interpretation(program: Program) -> Interpretation:
     return {p: (Constraint.true(),) for p in program.arities}
 
 
-def subsumed_by(f: Constraint, facts: Iterable[Constraint]) -> bool:
-    """True iff ``f`` entails some fact of ``facts``."""
-    return any(lincon.entails_all(f.conjuncts, g.conjuncts) for g in facts)
-
-
-def maximal(facts: Iterable[Constraint]) -> list[Constraint]:
-    """The facts that no other fact strictly subsumes, in input order.
-
-    Facts enter an antichain one at a time: a fact entailed by a kept fact
-    is skipped, otherwise it evicts the kept facts it subsumes.  Of a group
-    of equivalent facts the earliest is kept.  Every input fact entails
-    some fact of the result, so the result covers the same tuples.
-    """
-    kept: list[Constraint] = []
-    for f in facts:
-        if subsumed_by(f, kept):
-            continue
-        kept = [g for g in kept if not lincon.entails_all(g.conjuncts, f.conjuncts)]
-        kept.append(f)
-    return kept
-
-
 # Bounds on the work a single consequence step may do.  Thresholds are
 # candidate widening bounds, so skipping body-fact combinations, stopping a
 # flooded predicate early, or falling back to syntactic duplicate detection
@@ -79,8 +57,29 @@ _Row = tuple[lincon._Vec, Rel]
 _Fact = tuple[_Row, ...]
 
 
+def _entails(f: _Fact, g: _Fact, n: int) -> bool:
+    return all(lincon._entailed(f, g, n))
+
+
 def _equivalent(f: _Fact, g: _Fact, n: int) -> bool:
-    return all(lincon._entailed(f, g, n)) and all(lincon._entailed(g, f, n))
+    return _entails(f, g, n) and _entails(g, f, n)
+
+
+def _maximal(facts: Iterable[_Fact], n: int) -> list[_Fact]:
+    """The facts that no other fact strictly subsumes, in input order.
+
+    Facts enter an antichain one at a time: a fact entailed by a kept fact
+    is skipped, otherwise it evicts the kept facts it entails.  Of a group
+    of equivalent facts the earliest is kept.  Every input fact entails
+    some fact of the result, so the result covers the same tuples.
+    """
+    kept: list[_Fact] = []
+    for f in facts:
+        if any(_entails(f, g, n) for g in kept):
+            continue
+        kept = [g for g in kept if not _entails(g, f, n)]
+        kept.append(f)
+    return kept
 
 
 def tp_step(program: Program, interp: Interpretation, cap: int | None = None) -> Interpretation:
@@ -92,7 +91,7 @@ def tp_step(program: Program, interp: Interpretation, cap: int | None = None) ->
     (renamed to canonical names) as facts of the head predicate.  Facts
     equivalent to an already recorded one are skipped.
     With ``cap`` set, a predicate exceeding it keeps only its
-    :func:`maximal` facts and is then truncated to the first ``cap``.
+    :func:`_maximal` facts and is then truncated to the first ``cap``.
 
     Inside the step facts are ``lincon``'s integer rows: each fact of
     ``interp`` becomes rows over its predicate's canonical columns once.
@@ -101,8 +100,9 @@ def tp_step(program: Program, interp: Interpretation, cap: int | None = None) ->
     ``lincon.project`` would give the same conjuncts up to columns no row
     mentions, with its own equalities eliminated once per clause, not once
     per step.  The body facts move to those columns, and each combination
-    is one ``lincon._derive`` step.  Facts become ``Constraint`` values
-    only when the step returns.
+    is one ``lincon._derive`` step.  A capped predicate sheds facts on
+    rows too, and facts become ``Constraint`` values only when the step
+    returns.
     """
     layouts = {p: lincon._layout(k) for p, k in program.arities.items()}
     known = {
@@ -140,12 +140,12 @@ def tp_step(program: Program, interp: Interpretation, cap: int | None = None) ->
             bucket.append(fact)
     out: Interpretation = {}
     for p, facts in new.items():
+        if cap is not None and len(facts) > cap:
+            facts = _maximal(facts, program.arities[p])[:cap]
         order = layouts[p][0]
         out[p] = tuple(
             [Constraint(tuple([lincon._atom(order, r, rel) for r, rel in f])) for f in facts]
         )
-        if cap is not None and len(out[p]) > cap:
-            out[p] = tuple(maximal(out[p])[:cap])
     return out
 
 

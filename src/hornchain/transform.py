@@ -328,13 +328,6 @@ def query_answer(program: Program, goal_pred: str = FALSE_PRED) -> Program:
 # Predicate splitting
 # ---------------------------------------------------------------------------
 
-def _clause_projection(c: Clause) -> tuple[AtomicConstraint, ...]:
-    """The clause constraint projected onto canonical head argument names."""
-    proj = lincon.project(c.constr, c.head.args)
-    names = dict(zip(c.head.args, canonical_arg_names(len(c.head.args))))
-    return lincon.normalize(a.rename(names) for a in proj)
-
-
 def split_predicates(
     program: Program, protected: Iterable[str] = (FALSE_PRED,)
 ) -> Program:
@@ -346,6 +339,13 @@ def split_predicates(
     order of first clause appearance), and every call site is expanded to
     the disjunction over the variants, i.e. one clause per combination.
     Protected predicates (the goal) keep their name and single variant.
+
+    Overlaps are decided on each clause's prepared rows (``Clause.rows``):
+    its exact projection onto the head's canonical columns is one
+    ``lincon._derive`` step, None when the constraint is unsatisfiable, and
+    two projections overlap when they are jointly satisfiable.  A variant
+    differs from its source clause in predicate names only, so it shares
+    the source's prepared rows.
     """
     protected = set(protected) | {FALSE_PRED}
 
@@ -358,7 +358,7 @@ def split_predicates(
                 block_of[i] = pred
             variants[pred] = [pred]
             continue
-        projs = {i: _clause_projection(program.clauses[i]) for i in idxs}
+        projs = {i: lincon._derive(program.clauses[i].rows, (), None) for i in idxs}
         parent = {i: i for i in idxs}
 
         def find(x: int) -> int:
@@ -368,7 +368,10 @@ def split_predicates(
             return x
 
         for i, j in itertools.combinations(idxs, 2):
-            if find(i) != find(j) and lincon.is_satisfiable(projs[i] + projs[j]):
+            if find(i) == find(j) or projs[i] is None or projs[j] is None:
+                continue
+            joint = lincon._split(projs[i] + projs[j])
+            if lincon._satisfiable(*joint, program.arities[pred]):
                 parent[find(i)] = find(j)
         blocks: dict[int, list[int]] = {}
         for i in idxs:
@@ -382,10 +385,7 @@ def split_predicates(
 
     out: list[Clause] = []
     for i, c in enumerate(program.clauses):
-        head = Atom(block_of[i], c.head.args)
-        choice_lists = [
-            [Atom(v, b.args) for v in variants.get(b.pred, [])] for b in c.body
-        ]
+        choice_lists = [variants.get(b.pred, []) for b in c.body]
         for combo in itertools.product(*choice_lists):
-            out.append(Clause(head, c.constr, tuple(combo)))
+            out.append(c.with_preds(block_of[i], combo))
     return Program(tuple(out))

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from oracles import maximal, subsumed_by
+
 from hornchain.chc import FALSE_PRED, ChcError, Program
-from hornchain.thresholds import Interpretation, maximal, subsumed_by, tp_step
+from hornchain.thresholds import Interpretation, tp_step
 
 
 def bottom_interpretation(program: Program) -> Interpretation:

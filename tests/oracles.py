@@ -12,9 +12,10 @@ touches the generator conversion behind ``Polyhedron.of`` and
 the unit tests and the acceptance gate can share one run.  Later
 sections keep the ``Fraction`` versions of ``lincon.project``,
 ``is_satisfiable`` and ``normalize`` as the reference for the integer-row
-kernel, the ``Constraint``-level ``thresholds.tp_step`` as the reference
-for the row harvest, and the unfolding that decides every accumulated
-constraint whole, with the ``Fraction`` sums of ``LinExpr.rename`` and
+kernel, the ``Constraint``-level ``thresholds.tp_step`` and its shedding
+antichain ``maximal`` as the reference for the row harvest, and the
+unfolding that decides every accumulated constraint whole, with the
+``Fraction`` sums of ``LinExpr.rename`` and
 ``subst``, as the reference for the unfolding by summaries.  The last
 section but two keeps the constraint-form ``Polyhedron`` operations,
 clause contributions and fixpoint loop as the reference for the polyhedra
@@ -362,6 +363,11 @@ def point_polyhedron(z) -> Polyhedron:
     return Polyhedron.of(names, atoms)
 
 
+def rows_polyhedron(dims, atoms) -> Polyhedron:
+    """The polyhedron whose rows are those of ``atoms``, taken as canonical."""
+    return Polyhedron(dims, tuple(lincon._rows(atoms, sorted(dims))[1]))
+
+
 def canonical_by_lp(dims, conjuncts) -> Polyhedron:
     """Canonical polyhedron for a conjunction, by decision procedures alone.
 
@@ -389,7 +395,7 @@ def canonical_by_lp(dims, conjuncts) -> Polyhedron:
         for a in cs
         if a.rel is Rel.EQ or not lincon.entails([b for b in cs if b is not a], a)
     )
-    return Polyhedron(dims, Constraint(final))
+    return rows_polyhedron(dims, final)
 
 
 def hull_by_projection(p: Polyhedron, q: Polyhedron) -> Polyhedron:
@@ -850,12 +856,34 @@ def rational_project(conjuncts, keep, max_rows=None) -> tuple:
 #
 # ``thresholds.tp_step`` as it was before facts stayed integer rows inside
 # a step: every combination goes through ``lincon.project`` and each result
-# is renamed and normalized as atoms.  The row harvest must equal it.
+# is renamed and normalized as atoms, and a capped bucket sheds its facts
+# through ``maximal`` on atoms.  The row harvest must equal it.
 
 def _constraint_equivalent(f: Constraint, g: Constraint) -> bool:
     return lincon.entails_all(f.conjuncts, g.conjuncts) and lincon.entails_all(
         g.conjuncts, f.conjuncts
     )
+
+
+def subsumed_by(f: Constraint, facts) -> bool:
+    """True iff ``f`` entails some fact of ``facts``."""
+    return any(lincon.entails_all(f.conjuncts, g.conjuncts) for g in facts)
+
+
+def maximal(facts) -> list:
+    """The facts that no other fact strictly subsumes, in input order.
+
+    Facts enter an antichain one at a time: a fact entailed by a kept fact
+    is skipped, otherwise it evicts the kept facts it subsumes.  Of a group
+    of equivalent facts the earliest is kept.
+    """
+    kept: list[Constraint] = []
+    for f in facts:
+        if subsumed_by(f, kept):
+            continue
+        kept = [g for g in kept if not lincon.entails_all(g.conjuncts, f.conjuncts)]
+        kept.append(f)
+    return kept
 
 
 def reference_tp_step(program, interp, cap=None):
@@ -898,7 +926,7 @@ def reference_tp_step(program, interp, cap=None):
     if cap is not None:
         for p, facts in new.items():
             if len(facts) > cap:
-                new[p] = thresholds.maximal(facts)[:cap]
+                new[p] = maximal(facts)[:cap]
     return {p: tuple(facts) for p, facts in new.items()}
 
 
@@ -1056,7 +1084,7 @@ def _atom_canonical(dims, cones) -> Polyhedron:
 
     out = [AtomicConstraint(expr(v), Rel.EQ) for v in eqs]
     out += [AtomicConstraint(expr(v), Rel.GE) for v in facets if any(v[1:])]
-    return Polyhedron(dims, Constraint(lincon.project(out, dims)))
+    return rows_polyhedron(dims, lincon.project(out, dims))
 
 
 def reference_of(dims, conjuncts) -> Polyhedron:

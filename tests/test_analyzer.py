@@ -20,7 +20,7 @@ from hornchain.analyzer import (
     check_safety,
     format_model,
 )
-from hornchain.chc import ChcError, Constraint, canonical_arg_names
+from hornchain.chc import ChcError, canonical_arg_names
 from hornchain.parser import parse_program
 from hornchain.pipeline import run_pipeline
 from hornchain.polydom import Polyhedron
@@ -235,8 +235,8 @@ def test_check_model_rejects_a_dropped_facet(twophase):
     rejected = []
     for pred, poly in model.polys.items():
         for i in range(len(poly.conjuncts())):
-            rest = poly.conjuncts()[:i] + poly.conjuncts()[i + 1:]
-            broken = AbstractModel({**model.polys, pred: Polyhedron(poly.dims, Constraint(rest))})
+            rest = poly.rows[:i] + poly.rows[i + 1:]
+            broken = AbstractModel({**model.polys, pred: Polyhedron(poly.dims, rest)})
             if not check_model(program, broken, result.goal):
                 rejected.append((pred, i))
     assert len(rejected) == 5

@@ -6,7 +6,9 @@ from pathlib import Path
 
 from conftest import FIXTURES, fixture_text
 
+from hornchain.chc import print_program
 from hornchain.cli import main
+from hornchain.transform import query_answer, raf_filter, split_predicates, unfold_forward
 
 EXAMPLE = str(FIXTURES / "twophase.chc")
 
@@ -56,11 +58,25 @@ def test_verify_skip_thresholds_flag(capsys):
     assert capsys.readouterr().out.endswith("VERDICT: safe\n")
 
 
-def test_stage_subcommands_print_programs(capsys):
-    for cmd in ("parse", "raf", "unfold", "qa", "split"):
+def test_stage_subcommands_print_programs(capsys, twophase):
+    # Each stage subcommand prints what the library transform gives, with
+    # the default goal and with --goal.  new5's two clauses are disjoint, so
+    # split keeps it whole only when it is the goal.
+    assert main(["parse", EXAMPLE]) == 0
+    assert capsys.readouterr().out == print_program(twophase)
+    stages = {
+        "raf": (raf_filter(twophase), raf_filter(twophase, "new5")),
+        "unfold": (unfold_forward(twophase), unfold_forward(twophase, "new5")),
+        "qa": (query_answer(twophase), query_answer(twophase, "new5")),
+        "split": (split_predicates(twophase), split_predicates(twophase, protected=("new5",))),
+    }
+    for cmd, (default, goal) in stages.items():
         assert main([cmd, EXAMPLE]) == 0
-        out = capsys.readouterr().out
-        assert out.strip().endswith(".")  # clause syntax
+        assert capsys.readouterr().out == print_program(default), cmd
+        assert main([cmd, "--goal", "new5", EXAMPLE]) == 0
+        assert capsys.readouterr().out == print_program(goal), cmd
+    assert "new5___2(" in print_program(stages["split"][0])
+    assert "new5(" in print_program(stages["split"][1])
 
 
 def test_thresholds_subcommand(capsys, twophase_thresholds_text):

@@ -70,9 +70,15 @@ def test_stats_fields(twophase):
     assert st.passes >= st.updates >= st.widenings >= 0
 
 
+def _shape(clause):
+    return clause.constr, clause.head.args, tuple(b.args for b in clause.body)
+
+
 def test_each_clause_is_prepared_once_per_run(monkeypatch):
-    # Harvesting's three steps and the analysis read one prepared form per
-    # clause object; a fresh clause that compares equal gets an equal form.
+    # Splitting, harvesting's three steps and the analysis read one prepared
+    # form per clause shape: a split variant differs from its source clause
+    # in predicate names only and shares the source's form.  A fresh clause
+    # that compares equal gets an equal form.
     prepared = []
     used = []
     prepare = lincon._clause_rows
@@ -94,10 +100,14 @@ def test_each_clause_is_prepared_once_per_run(monkeypatch):
     res = run_pipeline(parse_program(fixture_text("twophase.chc")))
     assert format_model(res.model) == fixture_text("twophase_model.txt")
     distinct = {id(c): c for c in used}
-    assert len(prepared) == len(distinct) == 30
-    assert {id(c) for c in prepared} == distinct.keys()
+    sources = {_shape(c): c for c in prepared}
+    assert len(distinct) == 30
+    assert len(prepared) == len(sources) == len({_shape(c) for c in distinct.values()}) == 9
+    assert all(c in res.stage("qa").clauses for c in prepared)
+    for c in distinct.values():
+        assert c.rows is sources[_shape(c)].rows
     # Each fresh copy is prepared on its own, and to the same form.
     for c in distinct.values():
         fresh = Clause(c.head, c.constr, c.body)
         assert fresh == c and fresh.rows == c.rows
-    assert len(prepared) == 2 * len(distinct)
+    assert len(prepared) == 9 + len(distinct)

@@ -410,7 +410,7 @@ def test_row_paths_match_atom_path_reference():
 def test_cached_rows_and_generators_match_the_conjuncts():
     # Whatever path made a polyhedron, its rows and generators are those of
     # its conjuncts, and a non-empty one holds no ground conjunct.
-    # A fresh copy computes both from its conjuncts.
+    # A fresh copy computes its generators from its rows.
     rng = random.Random(20261103)
     seen = 0
     for i in range(250):
@@ -421,7 +421,7 @@ def test_cached_rows_and_generators_match_the_conjuncts():
             names = sorted(p.dims)
             assert p.rows == tuple(lincon._rows(p.conjuncts(), names)[1]), (i, p)
             assert p.generators == _cone(p.rows, d), (i, p)
-            fresh = Polyhedron(p.dims, p.constr)
+            fresh = Polyhedron(p.dims, p.rows)
             assert (fresh.rows, fresh.generators) == (p.rows, p.generators), (i, p)
             assert all(a.vars() for a in p.conjuncts()), (i, p)
             seen += 1

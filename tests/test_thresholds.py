@@ -7,10 +7,12 @@ from itertools import islice, product
 import pytest
 from bounded import bottom_interpretation
 from oracles import (
+    maximal,
     reference_clause_rows,
     reference_compute_thresholds,
     reference_derive,
     reference_tp_step,
+    subsumed_by,
 )
 from randprog import random_program
 
@@ -22,8 +24,6 @@ from hornchain.thresholds import (
     atomconstraints,
     compute_thresholds,
     format_thresholds,
-    maximal,
-    subsumed_by,
     top_interpretation,
     tp_step,
 )
@@ -136,7 +136,13 @@ def _variant(rng, f):
 
 
 def test_maximal_matches_pairwise_oracle():
+    # The reference ``maximal`` keeps what the pairwise rule keeps, and the
+    # antichain that sheds a capped bucket on rows keeps the same facts in
+    # the same order.  In 55 of the 60 lists a fact is shed, and in 32 a kept
+    # fact is equivalent to another input fact, so the earliest must win.
     rng = random.Random(20260815)
+    order = lincon._layout(2)[0]
+    shed = ties = 0
     for _ in range(60):
         facts = [_random_fact(rng) for _ in range(rng.randint(1, 6))]
         for _ in range(rng.randint(0, 3)):
@@ -146,6 +152,54 @@ def test_maximal_matches_pairwise_oracle():
         got = maximal(facts)
         assert [id(f) for f in got] == [id(f) for f in _maximal_by_pairs(facts)]
         assert all(subsumed_by(f, got) for f in facts)
+        rows = {id(f): tuple(lincon._rows(f.conjuncts, order)[1]) for f in facts}
+        shed_rows = thresholds._maximal([rows[id(f)] for f in facts], 2)
+        assert shed_rows == [rows[id(f)] for f in got]
+        shed += len(got) < len(facts)
+        ties += any(
+            f is not g
+            and lincon.entails_all(f.conjuncts, g.conjuncts)
+            and lincon.entails_all(g.conjuncts, f.conjuncts)
+            for f in got
+            for g in facts
+        )
+    assert (shed, ties) == (55, 32)
+
+
+def test_tp_cap_fires_on_a_random_draw(monkeypatch):
+    # Draw 59 of the random-program generator floods p.  Uncapped, three
+    # steps give 492 facts and 78 thresholds.  Capped, the third step stops
+    # at 2 * cap facts and sheds them on rows to the one fact that covers
+    # the rest, so no threshold is left.
+    rng = random.Random(20260815)
+    for _ in range(59):
+        random_program(rng)
+    program = random_program(rng)
+    interp = top_interpretation(program)
+    for _ in range(3):
+        interp = tp_step(program, interp)
+    assert len(interp["p"]) == 492
+    assert len(atomconstraints(interp)) == 78
+
+    shed = []
+    shed_rows = thresholds._maximal
+
+    def recording(facts, n):
+        kept = shed_rows(facts, n)
+        shed.append((len(facts), len(kept)))
+        return kept
+
+    monkeypatch.setattr(thresholds, "_maximal", recording)
+    sizes = []
+    interp = ref = top_interpretation(program)
+    for _ in range(3):
+        interp = tp_step(program, interp, cap=thresholds._TP_CAP)
+        ref = reference_tp_step(program, ref, cap=thresholds._TP_CAP)
+        assert interp == ref
+        sizes.append(len(interp["p"]))
+    assert sizes == [4, 25, 1]
+    assert shed == [(2 * thresholds._TP_CAP, 1)]
+    assert len(compute_thresholds(program)) == 0
 
 
 def test_atomconstraints_collects_normalized_atomics():

@@ -32,16 +32,17 @@ class ArityError(ChcError):
     """A predicate is used with inconsistent arities."""
 
 
+def _arg_name(i: int) -> str:
+    return chr(ord("A") + i) if i < 26 else f"V{i}"
+
+
 def canonical_arg_names(n: int) -> tuple[str, ...]:
     """Canonical argument variable names: A, B, ..., Z, V26, V27, ..."""
-    names = []
-    for i in range(n):
-        names.append(chr(ord("A") + i) if i < 26 else f"V{i}")
-    return tuple(names)
+    return tuple([_arg_name(i) for i in range(n)])
 
 
 def fresh_name(taken: Iterable[str], base: str = "V") -> str:
-    used = set(taken)
+    used = taken if isinstance(taken, (set, frozenset)) else set(taken)
     i = 0
     while f"{base}{i}" in used:
         i += 1
@@ -243,8 +244,8 @@ class Constraint:
     def vars(self) -> tuple[str, ...]:
         seen: dict[str, None] = {}
         for a in self.conjuncts:
-            for v in a.vars():
-                seen.setdefault(v)
+            for v, _ in a.expr.coeffs:
+                seen[v] = None  # a key keeps its first position
         return tuple(seen)
 
     def conjoin(self, other: "Constraint") -> "Constraint":
@@ -285,14 +286,12 @@ class Clause:
     body: tuple[Atom, ...] = ()
 
     def vars(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for v in self.head.args:
-            seen.setdefault(v)
+        seen = dict.fromkeys(self.head.args)
         for atom in self.body:
-            for v in atom.args:
-                seen.setdefault(v)
-        for v in self.constr.vars():
-            seen.setdefault(v)
+            seen.update(dict.fromkeys(atom.args))
+        for a in self.constr.conjuncts:
+            for v, _ in a.expr.coeffs:
+                seen[v] = None  # a key keeps its first position
         return tuple(seen)
 
     @cached_property
@@ -318,21 +317,60 @@ class Clause:
         object.__setattr__(clause, "rows", self.rows)
         return clause
 
-    def rename(self, mapping: Mapping[str, str]) -> "Clause":
-        return Clause(
-            self.head.rename(mapping),
-            self.constr.rename(mapping),
-            tuple(a.rename(mapping) for a in self.body),
-        )
+    def canonical_renaming(
+        self, extra: Iterable[AtomicConstraint] = (), mapping: Mapping[str, str] = {}
+    ) -> tuple["Clause", dict[str, str]]:
+        """The clause, with ``extra`` renamed by ``mapping`` conjoined to its
+        constraint, renamed to A, B, C, ... by first occurrence; and that
+        renaming.  ``mapping`` must be injective on the variables of
+        ``extra``.
 
-    def canonical_mapping(self) -> dict[str, str]:
-        """The renaming of the variables to A, B, C, ... by first occurrence."""
-        vs = self.vars()
-        return dict(zip(vs, canonical_arg_names(len(vs))))
+        One walk in :meth:`vars` order names each variable and renames each
+        conjunct as soon as its variables are named; a conjunct of the
+        clause that keeps every name is kept as it is.  A conjunct of
+        ``extra`` is renamed once, by the composition: its terms are sorted
+        by their names under ``mapping`` first, which decides the order of
+        first occurrence as renaming it twice would.
+        """
+        canon: dict[str, str] = {}
+        for atom in (self.head, *self.body):
+            for v in atom.args:
+                if v not in canon:
+                    canon[v] = _arg_name(len(canon))
+        conjuncts = []
+        for a in self.constr.conjuncts:
+            same = True
+            for v, _ in a.expr.coeffs:
+                w = canon.get(v)
+                if w is None:
+                    w = canon[v] = _arg_name(len(canon))
+                if w != v:
+                    same = False
+            if not same:
+                # The renaming is injective, so the terms are only re-sorted.
+                e = a.expr
+                terms = sorted([(canon[v], c) for v, c in e.coeffs])
+                a = AtomicConstraint(LinExpr(tuple(terms), e.const), a.rel)
+            conjuncts.append(a)
+        for a in extra:
+            e = a.expr
+            terms = [(mapping.get(v, v), c) for v, c in e.coeffs]
+            terms.sort()
+            for v, _ in terms:
+                if v not in canon:
+                    canon[v] = _arg_name(len(canon))
+            terms = sorted([(canon[v], c) for v, c in terms])
+            conjuncts.append(AtomicConstraint(LinExpr(tuple(terms), e.const), a.rel))
+        clause = Clause(
+            self.head.rename(canon),
+            Constraint(tuple(conjuncts)),
+            tuple([b.rename(canon) for b in self.body]),
+        )
+        return clause, canon
 
     def with_canonical_vars(self) -> "Clause":
         """Rename variables to A, B, C, ... by first occurrence."""
-        return self.rename(self.canonical_mapping())
+        return self.canonical_renaming()[0]
 
 
 @dataclass(frozen=True)

@@ -584,7 +584,10 @@ def _project_rows(
         if len(eqs) == len(kept_eqs):
             break
         start = ()
-    if not _satisfiable(eqs, ineqs, n):
+    # The equalities left are the reduced row echelon basis, and no other
+    # row mentions their pivots, so they hold once the inequalities do; a
+    # single inequality left is non-ground, and so satisfiable too.
+    if len(ineqs) > 1 and _fm_eliminate(ineqs, range(n), PROJECT_CAP)[0] is None:
         return None, capped
     return normal, capped
 
@@ -631,8 +634,7 @@ def project(
     conjuncts: Iterable[AtomicConstraint],
     keep: Iterable[str],
     max_rows: int | None = None,
-    exact: bool = False,
-) -> tuple[AtomicConstraint, ...] | None:
+) -> tuple[AtomicConstraint, ...]:
     """Eliminate all variables outside ``keep``, exactly by default.
 
     The projection of a satisfiable conjunction is its shadow on the kept
@@ -655,16 +657,11 @@ def project(
     the price of over-approximating (see :func:`_fm_eliminate`).  Capped or
     not, the result is ``(FALSUM,)`` if and only if the input is
     unsatisfiable, so callers may use ``project`` as their only decision.
-    With ``exact`` set, a satisfiable input whose elimination ``max_rows``
-    stopped gives None instead of the over-approximation, so any tuple
-    returned is the exact projection.
     """
     keep_set = frozenset(keep)
     names, rows = _rows(conjuncts)
     kept_cols = frozenset(j for j, v in enumerate(names) if v in keep_set)
-    normal, capped = _project_rows(*_split(rows), len(names), kept_cols, max_rows)
+    normal, _ = _project_rows(*_split(rows), len(names), kept_cols, max_rows)
     if normal is None:
         return (FALSUM,)
-    if capped and exact:
-        return None
     return tuple([_atom(names, r, rel) for r, rel in normal])

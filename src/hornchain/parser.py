@@ -16,7 +16,7 @@ be arbitrary linear expressions; normalization lifts them out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
 
 from .chc import (
@@ -43,15 +43,28 @@ class NonlinearTermError(ParseError):
     """A product or quotient of expressions that is not linear."""
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+# One alternative per token kind, tried in order.  ``skip`` is whitespace
+# and comments.  ASCII words are classified by the pattern; a word starting
+# with any other letter is ``word`` and is classified by ``str.isalpha`` and
+# ``str.isupper`` (``\w`` also takes digits such as ``²`` that
+# ``str.isalpha`` refuses).  ``bad`` is any other character.
+_TOKEN = re.compile(
+    r"""
+    (?P<skip>[ \t\r\n]+|%[^\n]*)
+  | (?P<op>:-|=<|>=|[,.()+\-*/<>=])
+  | (?P<int>[0-9]+)
+  | (?P<var>[A-Z_]\w*)
+  | (?P<ident>[a-z]\w*)
+  | (?P<word>\w+)
+  | (?P<bad>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
-
-_PUNCT = (":-", "=<", ">=", ",", ".", "(", ")", "+", "-", "*", "/", "<", ">", "=")
+# A token is ``(kind, text, offset)``; kinds are ``op``, ``int``, ``var``,
+# ``ident`` and ``eof``.  Punctuation is the text of ``op`` tokens alone, so
+# the parser tests a token's text without its kind.
+Token = tuple[str, str, int]
 
 # Parentheses and unary minus nested deeper than this are rejected.  Each
 # level costs the recursive descent up to three Python frames, so the limit
@@ -59,61 +72,61 @@ _PUNCT = (":-", "=<", ">=", ",", ".", "(", ")", "+", "-", "*", "/", "<", ">", "=
 _MAX_NESTING = 100
 
 
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of ``offset``; every character, a tab or
+    ``\r`` included, is one column."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    append = tokens.append
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "skip":
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        for op in _PUNCT:
-            if text.startswith(op, i):
-                tokens.append(Token("op", op, line, start_col))
-                i += len(op)
-                col += len(op)
-                break
-        else:
-            if "0" <= ch <= "9":
-                j = i
-                while j < n and "0" <= text[j] <= "9":
-                    j += 1
-                tokens.append(Token("int", text[i:j], line, start_col))
-                col += j - i
-                i = j
-            elif ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                word = text[i:j]
-                kind = "var" if ch.isupper() or ch == "_" else "ident"
-                tokens.append(Token(kind, word, line, start_col))
-                col += j - i
-                i = j
-            else:
-                raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(Token("eof", "", line, col))
+        if kind == "word" or kind == "bad":
+            ch = text[m.start()]
+            if not ch.isalpha():
+                raise ParseError(f"unexpected character {ch!r}", *_position(text, m.start()))
+            kind = "var" if ch.isupper() else "ident"
+        append((kind, m.group(), m.start()))
+    # A comment that runs to the end of the text ends it where it starts.
+    last = text.find("%", text.rfind("\n") + 1)
+    append(("eof", "", len(text) if last < 0 else last))
     return tokens
 
 
+def _linexpr(acc: dict[str, Fraction | int], sign: int = 1) -> LinExpr:
+    """The expression summed in ``acc`` (the constant under ``""``), times ``sign``."""
+    const = acc.pop("", 0)
+    if sign < 0:
+        acc = {v: -c for v, c in acc.items()}
+        const = -const
+    return LinExpr.build(acc, const)
+
+
+def _is_const(term: dict[str, Fraction | int]) -> bool:
+    return not any(c for v, c in term.items() if v)
+
+
 class _Parser:
+    """Recursive descent over the token list.
+
+    An expression is summed in one pass: every term adds its coefficients
+    into one dict that maps each variable, and ``""`` for the constant, to
+    its coefficient, and each atom argument and atomic constraint becomes
+    one ``LinExpr``.
+    """
+
     def __init__(self, text: str) -> None:
+        self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
         self.depth = 0
+
+    def error(self, message: str, tok: Token, kind: type = ParseError) -> ParseError:
+        return kind(message, *_position(self.text, tok[2]))
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -125,87 +138,98 @@ class _Parser:
 
     def expect(self, text: str) -> Token:
         tok = self.next()
-        if tok.text != text or tok.kind not in ("op", "ident"):
-            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
+        if tok[1] != text:
+            raise self.error(f"expected {text!r}, found {tok[1]!r}", tok)
         return tok
-
-    def fail(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.col)
 
     # -- expressions --------------------------------------------------------
 
-    def parse_expr(self) -> LinExpr:
-        expr = self.parse_term()
-        while self.peek().text in ("+", "-") and self.peek().kind == "op":
-            op = self.next().text
-            rhs = self.parse_term()
-            expr = expr + rhs if op == "+" else expr - rhs
-        return expr
+    def parse_expr(self, acc: dict[str, Fraction | int], k: int) -> None:
+        """Add ``k`` times the expression at the cursor into ``acc``."""
+        self.add_term(acc, k)
+        tokens = self.tokens
+        while True:
+            text = tokens[self.pos][1]
+            if text != "+" and text != "-":
+                return
+            self.pos += 1
+            self.add_term(acc, k if text == "+" else -k)
 
-    def parse_term(self) -> LinExpr:
-        expr = self.parse_factor()
-        while self.peek().text in ("*", "/") and self.peek().kind == "op":
-            tok = self.next()
+    def add_term(self, acc: dict[str, Fraction | int], k: int) -> None:
+        """Add ``k`` times the term at the cursor into ``acc``."""
+        tokens = self.tokens
+        kind, text, _ = tokens[self.pos]
+        if (kind == "var" or kind == "int") and tokens[self.pos + 1][1] not in ("*", "/"):
+            # A lone variable or literal, the common term, needs no term dict.
+            key, c = (text, k) if kind == "var" else ("", k * self.literal(tokens[self.pos]))
+            acc[key] = acc.get(key, 0) + c
+            self.pos += 1
+            return
+        term = self.parse_factor()
+        while True:
+            tok = tokens[self.pos]
+            if tok[1] != "*" and tok[1] != "/":
+                break
+            self.pos += 1
             rhs = self.parse_factor()
-            if tok.text == "*":
-                if not expr.is_const and not rhs.is_const:
-                    raise NonlinearTermError(
+            if tok[1] == "*":
+                if not _is_const(term) and not _is_const(rhs):
+                    raise self.error(
                         "nonlinear term: product of two non-constant expressions",
-                        tok.line,
-                        tok.col,
+                        tok,
+                        NonlinearTermError,
                     )
-                expr = rhs.scale(expr.const) if expr.is_const else expr.scale(rhs.const)
+                if _is_const(term):
+                    term, rhs = rhs, term
+                f = rhs.get("", 0)
             else:
-                if not rhs.is_const:
-                    raise NonlinearTermError(
+                if not _is_const(rhs):
+                    raise self.error(
                         "nonlinear term: division by a non-constant expression",
-                        tok.line,
-                        tok.col,
+                        tok,
+                        NonlinearTermError,
                     )
-                if rhs.const == 0:
-                    raise ParseError("division by zero", tok.line, tok.col)
-                expr = expr.scale(Fraction(1) / rhs.const)
-        return expr
+                f = rhs.get("", 0)
+                if f == 0:
+                    raise self.error("division by zero", tok)
+                f = Fraction(1) / f
+            term = {v: c * f for v, c in term.items()}
+        for v, c in term.items():
+            acc[v] = acc.get(v, 0) + k * c
 
-    def parse_factor(self) -> LinExpr:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in ("-", "("):
+    def parse_factor(self) -> dict[str, Fraction | int]:
+        tok = self.tokens[self.pos]
+        kind, text, _ = tok
+        if text == "-" or text == "(":
             if self.depth == _MAX_NESTING:
-                raise ParseError(
-                    f"expression nested more than {_MAX_NESTING} levels deep",
-                    tok.line,
-                    tok.col,
-                )
-            self.next()
+                raise self.error(f"expression nested more than {_MAX_NESTING} levels deep", tok)
+            self.pos += 1
             self.depth += 1
-            if tok.text == "-":
-                expr = -self.parse_factor()
+            if text == "-":
+                term = {v: -c for v, c in self.parse_factor().items()}
             else:
-                expr = self.parse_expr()
+                term = {}
+                self.parse_expr(term, 1)
                 self.expect(")")
             self.depth -= 1
-            return expr
-        if tok.kind == "int":
-            self.next()
-            try:
-                return LinExpr.constant(Fraction(int(tok.text)))
-            except ValueError:  # longer than the interpreter converts
-                raise ParseError(
-                    f"integer literal of {len(tok.text)} digits is too long",
-                    tok.line,
-                    tok.col,
-                ) from None
-        if tok.kind == "var":
-            self.next()
-            return LinExpr.var(tok.text)
-        if tok.kind == "ident":
-            raise ParseError(
-                f"unexpected {tok.text!r} in expression (function symbols are not supported)",
-                tok.line,
-                tok.col,
+            return term
+        if kind == "int":
+            self.pos += 1
+            return {"": self.literal(tok)}
+        if kind == "var":
+            self.pos += 1
+            return {text: 1}
+        if kind == "ident":
+            raise self.error(
+                f"unexpected {text!r} in expression (function symbols are not supported)", tok
             )
-        raise self.fail(f"expected an expression, found {tok.text!r}")
+        raise self.error(f"expected an expression, found {text!r}", tok)
+
+    def literal(self, tok: Token) -> int:
+        try:
+            return int(tok[1])
+        except ValueError:  # longer than the interpreter converts
+            raise self.error(f"integer literal of {len(tok[1])} digits is too long", tok) from None
 
     # -- constraints and atoms ----------------------------------------------
 
@@ -218,58 +242,65 @@ class _Parser:
         "is": (Rel.EQ, False),
     }
 
-    def parse_atomic(self, lhs: LinExpr) -> AtomicConstraint:
+    def parse_atomic(self) -> AtomicConstraint:
+        acc: dict[str, Fraction | int] = {}
+        self.parse_expr(acc, 1)
         tok = self.next()
-        entry = self._RELS.get(tok.text) if tok.kind in ("op", "ident") else None
+        entry = self._RELS.get(tok[1])
         if entry is None:
-            raise ParseError(
-                f"expected a relation (=<, <, >=, >, =, is), found {tok.text!r}",
-                tok.line,
-                tok.col,
+            raise self.error(
+                f"expected a relation (=<, <, >=, >, =, is), found {tok[1]!r}", tok
             )
         rel, flip = entry
-        rhs = self.parse_expr()
+        self.parse_expr(acc, -1)
         # ``a =< b`` / ``a < b`` store ``b - a REL 0``; the rest ``a - b REL 0``.
-        expr = rhs - lhs if flip else lhs - rhs
-        return AtomicConstraint(expr, rel)
+        return AtomicConstraint(_linexpr(acc, -1 if flip else 1), rel)
 
     def parse_item(self) -> RawAtom | AtomicConstraint:
-        tok = self.peek()
-        if tok.kind == "ident":
+        if self.peek()[0] == "ident":
             return self.parse_atom()
-        return self.parse_atomic(self.parse_expr())
+        return self.parse_atomic()
 
     def parse_atom(self) -> RawAtom:
         tok = self.next()
-        if tok.kind != "ident":
-            raise ParseError(f"expected a predicate name, found {tok.text!r}", tok.line, tok.col)
+        if tok[0] != "ident":
+            raise self.error(f"expected a predicate name, found {tok[1]!r}", tok)
         args: list[LinExpr] = []
-        if self.peek().text == "(" and self.peek().kind == "op":
+        if self.peek()[1] == "(":
             self.next()
-            args.append(self.parse_expr())
-            while self.peek().text == ",":
+            tokens = self.tokens
+            while True:
+                kind, text, _ = tokens[self.pos]
+                if kind == "var" and tokens[self.pos + 1][1] in (",", ")"):
+                    args.append(LinExpr.var(text))  # a bare variable, the common argument
+                    self.pos += 1
+                else:
+                    acc: dict[str, Fraction | int] = {}
+                    self.parse_expr(acc, 1)
+                    args.append(_linexpr(acc))
+                if self.peek()[1] != ",":
+                    break
                 self.next()
-                args.append(self.parse_expr())
             self.expect(")")
-        return RawAtom(tok.text, tuple(args))
+        return RawAtom(tok[1], tuple(args))
 
     def parse_clause(self) -> RawClause:
         head = self.parse_item()
         items: list[RawAtom | AtomicConstraint] = []
         tok = self.next()
-        if tok.text == ":-" and tok.kind == "op":
+        if tok[1] == ":-":
             items.append(self.parse_item())
-            while self.peek().text == "," and self.peek().kind == "op":
+            while self.peek()[1] == ",":
                 self.next()
                 items.append(self.parse_item())
             tok = self.next()
-        if not (tok.kind == "op" and tok.text == "."):
-            raise ParseError(f"expected '.', found {tok.text!r}", tok.line, tok.col)
+        if tok[1] != ".":
+            raise self.error(f"expected '.', found {tok[1]!r}", tok)
         return RawClause(head, tuple(items))
 
     def parse_program(self) -> list[RawClause]:
         clauses = []
-        while self.peek().kind != "eof":
+        while self.peek()[0] != "eof":
             clauses.append(self.parse_clause())
         return clauses
 
@@ -285,13 +316,13 @@ def parse_program(text: str) -> Program:
 def parse_constraint(text: str) -> tuple[AtomicConstraint, ...]:
     """Parse a comma-separated conjunction of atomic constraints."""
     parser = _Parser(text)
-    if parser.peek().kind == "eof":
+    if parser.peek()[0] == "eof":
         return ()
-    items = [parser.parse_atomic(parser.parse_expr())]
-    while parser.peek().text == ",":
+    items = [parser.parse_atomic()]
+    while parser.peek()[1] == ",":
         parser.next()
-        items.append(parser.parse_atomic(parser.parse_expr()))
+        items.append(parser.parse_atomic())
     tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+    if tok[0] != "eof":
+        raise parser.error(f"unexpected trailing input {tok[1]!r}", tok)
     return tuple(items)

@@ -26,7 +26,6 @@ from typing import Iterable, Sequence
 from . import lincon
 from .chc import (
     FALSE_PRED,
-    FALSUM,
     Atom,
     AtomicConstraint,
     ChcError,
@@ -48,10 +47,14 @@ _UNFOLD_BUDGET = 100_000
 # ---------------------------------------------------------------------------
 
 # The projection of a clause's constraint onto the arguments of its atoms,
-# head and body: ``(FALSUM,)`` when the constraint is unsatisfiable, and None
-# when it is unknown because ``lincon.PROJECT_CAP`` stopped the projection
-# (or because it is never read).
-Summary = tuple[AtomicConstraint, ...] | None
+# head and body, as ``lincon`` rows: ``(names, rows)``, where column ``j`` of
+# every row holds the coefficient of ``names[j]`` and the last the constant.
+# The names are exactly the atom arguments, so renaming a summary renames
+# its names alone.  ``_UNSAT``, the ground row ``-1 >= 0``, stands for an
+# unsatisfiable constraint, and None for one that is unknown because
+# ``lincon.PROJECT_CAP`` stopped the projection (or because it is never read).
+Summary = tuple[tuple[str, ...], tuple[tuple[tuple[int, ...], Rel], ...]] | None
+_UNSAT: Summary = ((), (((-1,), Rel.GE),))
 
 
 def _atom_args(head: Atom, body: Iterable[Atom]) -> set[str]:
@@ -61,12 +64,44 @@ def _atom_args(head: Atom, body: Iterable[Atom]) -> set[str]:
     return args
 
 
-def _exact_projection(conjuncts: Iterable[AtomicConstraint], keep: set[str]) -> Summary:
-    return lincon.project(conjuncts, keep, lincon.PROJECT_CAP, exact=True)
+def _project(names: Sequence[str], rows: list, keep: set[str]) -> Summary:
+    """The summary that projects ``rows``, laid out over ``names`` in name
+    order, onto ``keep``: ``_UNSAT`` when the rows are unsatisfiable, None
+    when ``lincon.PROJECT_CAP`` stopped an elimination step."""
+    kept = [j for j, v in enumerate(names) if v in keep]
+    proj, capped = lincon._project_rows(
+        *lincon._split(rows), len(names), frozenset(kept), lincon.PROJECT_CAP
+    )
+    if proj is None:
+        return _UNSAT
+    if capped:
+        return None
+    return (
+        tuple([names[j] for j in kept]),
+        tuple([(tuple([r[j] for j in kept] + [r[-1]]), rel) for r, rel in proj]),
+    )
 
 
 def _summary(clause: Clause) -> Summary:
-    return _exact_projection(clause.constr, _atom_args(clause.head, clause.body))
+    names = sorted(clause.vars())
+    rows = lincon._rows(clause.constr.conjuncts, names)[1]
+    return _project(names, rows, _atom_args(clause.head, clause.body))
+
+
+def _joint(
+    summary: Summary, d_summary: Summary, mapping: dict[str, str], keep: set[str]
+) -> Summary:
+    """The projection onto ``keep`` of ``summary`` and ``d_summary`` renamed
+    by ``mapping``, both embedded in the sorted union of their names; the
+    columns of names that ``mapping`` merges add up."""
+    s_names, s_rows = summary
+    d_names = [mapping.get(v, v) for v in d_summary[0]]
+    names = sorted({*s_names, *d_names})
+    col = {v: j for j, v in enumerate(names)}
+    n = len(names)
+    rows = lincon._embed(s_rows, [col[v] for v in s_names], n)
+    rows += lincon._embed(d_summary[1], [col[v] for v in d_names], n)
+    return _project(names, rows, keep)
 
 
 def _standardize_apart(clause: Clause, taken: set[str]) -> dict[str, str]:
@@ -94,11 +129,12 @@ def _unfold_with_defs(
     both.  So existential quantification over every other variable
     distributes over the conjunction: the summary of the unfolding is the
     projection of the two summaries onto its own atom arguments, and it is
-    ``(FALSUM,)`` exactly when the unfolding is unsatisfiable.  Only when a
-    summary is unknown is the whole constraint decided.
+    ``_UNSAT`` exactly when the unfolding is unsatisfiable.  Only when a
+    summary is unknown is the whole constraint built before it is decided.
     """
     call = clause.body[at]
     taken = set(clause.vars())
+    distinct = len(set(call.args)) == len(call.args)
     out: list[tuple[Clause, Summary]] = []
     for d, d_summary in defs:
         # Bind the fresh head parameters to the call's arguments; head
@@ -110,20 +146,23 @@ def _unfold_with_defs(
             + tuple(b.rename(mapping) for b in d.body)
             + clause.body[at + 1 :]
         )
-        unfolded = Clause(clause.head, clause.constr.conjoin(d.constr.rename(mapping)), body)
         if summary is None or d_summary is None:
-            if not lincon.is_satisfiable(unfolded.constr):
+            if not lincon.is_satisfiable(clause.constr.conjoin(d.constr.rename(mapping))):
                 continue
             new_summary = None
         else:
-            joint = summary + tuple(a.rename(mapping) for a in d_summary)
-            new_summary = _exact_projection(joint, _atom_args(clause.head, body))
-            if new_summary == (FALSUM,):
+            new_summary = _joint(summary, d_summary, mapping, _atom_args(clause.head, body))
+            if new_summary is _UNSAT:
                 continue
-        canon = unfolded.canonical_mapping()
+        # A repeated call argument makes the binding merge variables, so
+        # the definition's constraint is renamed on its own first.
+        extra, extra_map = (d.constr, mapping) if distinct else (d.constr.rename(mapping), {})
+        unfolded, canon = Clause(clause.head, clause.constr, body).canonical_renaming(
+            extra, extra_map
+        )
         if new_summary is not None:
-            new_summary = tuple(a.rename(canon) for a in new_summary)
-        out.append((unfolded.rename(canon), new_summary))
+            new_summary = (tuple([canon[v] for v in new_summary[0]]), new_summary[1])
+        out.append((unfolded, new_summary))
     return out
 
 

@@ -23,7 +23,9 @@ on integer rows, the next keeps the double description's own null-space
 elimination as the reference for the one that runs on
 ``lincon._gauss_jordan``, and the last keeps the consequence step that
 eliminates a clause's own equalities again in every derivation as the
-reference for the one that resumes from the clause's prepared rows.
+reference for the one that resumes from the clause's prepared rows.  The
+character-by-character scanner that the parser's one-regex scanner
+replaced closes the file as the reference for its token stream.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from hornchain.chc import (
     canonical_arg_names,
     fresh_name,
 )
+from hornchain.parser import ParseError
 from hornchain.polydom import Polyhedron, _dual
 from hornchain.thresholds import ThresholdSet
 
@@ -1244,3 +1247,65 @@ def reference_derive(n: int, constr, source, bodies, max_rows):
     return tuple(
         lincon._normal_form([(tuple([r[j] for j in source] + [r[-1]]), rel) for r, rel in proj])
     )
+
+
+# ---------------------------------------------------------------------------
+# The character-by-character scanner
+# ---------------------------------------------------------------------------
+#
+# ``parser.tokenize`` before it became one compiled regex: each position
+# tries every punctuation string in turn, and each token carries the line
+# and column that the scan counts as it goes.  A character is one column,
+# a tab and ``\r`` included, and a comment is skipped without counting.
+
+_PUNCT = (":-", "=<", ">=", ",", ".", "(", ")", "+", "-", "*", "/", "<", ">", "=")
+
+
+def reference_tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """``(kind, text, line, column)`` per token, ``eof`` last."""
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "%":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        start_col = col
+        for op in _PUNCT:
+            if text.startswith(op, i):
+                tokens.append(("op", op, line, start_col))
+                i += len(op)
+                col += len(op)
+                break
+        else:
+            if "0" <= ch <= "9":
+                j = i
+                while j < n and "0" <= text[j] <= "9":
+                    j += 1
+                tokens.append(("int", text[i:j], line, start_col))
+                col += j - i
+                i = j
+            elif ch.isalpha() or ch == "_":
+                j = i
+                while j < n and (text[j].isalnum() or text[j] == "_"):
+                    j += 1
+                kind = "var" if ch.isupper() or ch == "_" else "ident"
+                tokens.append((kind, text[i:j], line, start_col))
+                col += j - i
+                i = j
+            else:
+                raise ParseError(f"unexpected character {ch!r}", line, start_col)
+    tokens.append(("eof", "", line, col))
+    return tokens

@@ -422,3 +422,26 @@ def test_integer_kernel_matches_rational_reference():
                 assert proj == rational_project(raw, keep, max_rows), (raw, keep, max_rows)
                 assert lincon.normalize(proj) == rational_normalize(proj)
     assert merged > 10
+
+
+def test_projection_decides_emptiness_as_satisfiable_does():
+    # ``_project_rows`` closes with elimination over the inequalities left
+    # alone, or with no check when at most one is left; its emptiness
+    # decision must be ``_satisfiable``'s on the same rows.  With every
+    # column kept nothing is eliminated before that closing check.
+    rng = random.Random(20261019)
+    at_most_one_left = empty_all_kept = 0
+    for raw, keeps in _systems(rng):
+        names, rows = lincon._rows(raw)
+        n = len(names)
+        sat = lincon._satisfiable(*lincon._split(rows), n)
+        for keep in [*keeps, names]:
+            kept = frozenset(j for j, v in enumerate(names) if v in keep)
+            for max_rows in (None, 1):
+                proj, _ = lincon._project_rows(*lincon._split(rows), n, kept, max_rows)
+                assert (proj is not None) == sat, (raw, keep, max_rows)
+                if proj is not None:
+                    at_most_one_left += sum(rel is not Rel.EQ for _, rel in proj) <= 1
+                elif len(kept) == n:
+                    empty_all_kept += 1
+    assert (at_most_one_left, empty_all_kept) == (1173, 670)

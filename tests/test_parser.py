@@ -7,10 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import same_program
+from oracles import reference_tokenize
 from randprog import random_program
 
 from hornchain.chc import ArityError, ChcError, print_program
-from hornchain.parser import NonlinearTermError, ParseError, parse_constraint, parse_program
+from hornchain.parser import (
+    NonlinearTermError,
+    ParseError,
+    _position,
+    parse_constraint,
+    parse_program,
+    tokenize,
+)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -135,3 +143,74 @@ def test_only_chc_errors_escape_the_parser(text):
             parse(text)
         except ChcError:
             pass
+
+
+# -- the scanner against the character-by-character reference ------------------
+
+
+def _scan(scanner, text):
+    """The token stream, or the error's message and position."""
+    try:
+        return scanner(text)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.col
+
+
+def _positioned(text):
+    return [(kind, word, *_position(text, offset)) for kind, word, offset in tokenize(text)]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.text(),
+    st.lists(
+        st.one_of(_PIECES, st.sampled_from(["\t", "\r\n", "\u00c9a", "\u00e9a", "a\u00b2", "#"])),
+        max_size=40,
+    ).map("".join),
+))
+def test_scanner_matches_reference(text):
+    assert _scan(_positioned, text) == _scan(reference_tokenize, text)
+
+
+def test_non_ascii_letters_start_names():
+    # The case of the first letter decides, as for ASCII names; a digit
+    # that is not ASCII may continue a name.
+    assert _positioned("\u00c9a \u00e9a a\u00b2") == [
+        ("var", "\u00c9a", 1, 1),
+        ("ident", "\u00e9a", 1, 4),
+        ("ident", "a\u00b2", 1, 7),
+        ("eof", "", 1, 9),
+    ]
+    p = parse_program("\u00e9a(\u00c9a) :- \u00c9a >= 1.")
+    assert p.preds() == ("\u00e9a",)
+
+
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])
+def test_non_ascii_digits_rejected_at_their_column(digit):
+    # ``\u00b2`` is a word character to a regex, but no letter, so it
+    # cannot start a name; neither digit is a number.
+    for text in (f"p(A) :- A >= {digit}.", f"p(A) :- A >= {digit}A."):
+        with pytest.raises(ParseError, match="unexpected character") as exc:
+            parse_program(text)
+        assert (exc.value.line, exc.value.col) == (1, 14)
+        assert _scan(_positioned, text) == _scan(reference_tokenize, text)
+
+
+def test_crlf_and_tab_columns():
+    # ``\r`` and a tab are one column each.
+    tokens = _positioned("p(A) :-\r\n\tA >= 1.\r\n")
+    assert tokens[5:7] == [("var", "A", 2, 2), ("op", ">=", 2, 4)]
+    text = "p(A) :-\r\n\tA >= 1.\r\nq(B) :-\tB >= #."
+    with pytest.raises(ParseError) as exc:
+        parse_program(text)
+    assert (exc.value.line, exc.value.col) == (3, 14)
+    assert _scan(_positioned, text) == _scan(reference_tokenize, text)
+
+
+def test_comment_at_end_without_newline():
+    # The end of the text sits where its last comment starts.
+    assert _positioned("p(A) :- A >= 1. % done")[-1] == ("eof", "", 1, 17)
+    with pytest.raises(ParseError, match="expected '.', found ''") as exc:
+        parse_program("p(0).\np(A) :- A >= 1 % no period")
+    assert (exc.value.line, exc.value.col) == (2, 16)
+    assert parse_program("p(0). % done") == parse_program("p(0).")

@@ -8,7 +8,7 @@ from helpers import clause_multiset, same_program
 from oracles import reference_unfold_clause, reference_unfold_forward
 from randprog import random_program
 
-from hornchain import lincon
+from hornchain import lincon, transform
 from hornchain.chc import ChcError, FALSE_PRED, print_program
 from hornchain.parser import parse_program
 from hornchain.transform import (
@@ -199,6 +199,68 @@ def test_unfold_matches_reference_when_summaries_hit_the_cap(monkeypatch):
         assert got == expect
         assert print_program(got) == print_program(expect)
     assert calls
+
+
+def test_unsatisfiable_definition_has_the_unsatisfiable_summary():
+    p = parse_program(
+        "p(A,B) :- A >= B + 1, B >= A.\n"
+        "p(A,B) :- A = B.\n"
+        "q(A) :- A > 0, A < 0, p(A,A).\n"
+        "false :- p(X,Y), X >= 3.\n"
+        "false :- q(X).\n"
+    )
+    dead, live, goal = p.clauses[0], p.clauses[1], p.clauses[3]
+    assert transform._summary(dead) is transform._UNSAT
+    assert transform._summary(p.clauses[2]) is transform._UNSAT
+    names, rows = transform._summary(live)
+    assert names == ("A", "B") and len(rows) == 1
+    _assert_unfolds_like_reference(p)
+    # Of the goal's two unfoldings only the live definition's is kept, and
+    # the caller whose own constraint is unsatisfiable unfolds to nothing.
+    out = unfold_clause(p, goal, 0)
+    assert out == reference_unfold_clause(p, goal, 0) and len(out.clauses) == len(p.clauses)
+    assert len(unfold_forward(p).clauses) == 1
+
+
+def test_repeated_call_argument_merges_summary_columns():
+    # Bound to p(X,X), ``A >= B + 1`` becomes the ground ``0 >= 1`` and
+    # ``A - B >= 0`` the ground ``0 >= 0``, and ``2*A = B + 4`` pins X to 4:
+    # only the second unfolding is kept.
+    p = parse_program(
+        "p(A,B) :- A >= B + 1, A >= 0.\n"
+        "p(A,B) :- A >= B, A =< 9.\n"
+        "p(A,B) :- 2*A = B + 4.\n"
+        "false :- p(X,X), X >= 5.\n"
+    )
+    _assert_unfolds_like_reference(p)
+    out = unfold_forward(p)
+    assert len(out.clauses) == 1 and print_program(out).endswith(", A=<9.\n")
+
+
+def test_unfolding_never_turns_rows_into_atoms(monkeypatch):
+    # Summaries stay rows from the clause constraint's projection to the
+    # last unfolding, for the whole pass and for one clause alike.
+    calls = []
+    for name in ("_atom", "project"):
+        fn = getattr(lincon, name)
+        monkeypatch.setattr(
+            lincon, name, lambda *a, fn=fn, name=name, **k: calls.append(name) or fn(*a, **k)
+        )
+    programs = [parse_program(text) for text in HAND_MADE.values()]
+    rng = random.Random(20261020)
+    programs += [random_program(rng) for _ in range(100)]
+    unfolded = 0
+    for p in programs:
+        try:
+            unfold_forward(p)
+        except ChcError:
+            continue
+        for c in p.clauses:
+            for at in range(len(c.body)):
+                unfold_clause(p, c, at)
+                unfolded += 1
+    assert calls == []
+    assert unfolded > 100
 
 
 # -- query-answer -------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .chc import (
     ChcError,
     Clause,
     Program,
+    _walk,
     canonical_arg_names,
     format_atom,
 )
@@ -75,55 +76,6 @@ class AnalysisStats:
     passes: int      # total round-robin passes over components
     updates: int     # predicate value updates that strictly grew a value
     widenings: int   # updates that went through the widening operator
-
-
-def _sccs(nodes: Sequence[str], succs: Mapping[str, Sequence[str]]) -> list[tuple[str, ...]]:
-    """Tarjan's algorithm, iterative; components come out callees-first."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    out: list[tuple[str, ...]] = []
-    counter = 0
-
-    for root in nodes:
-        if root in index:
-            continue
-        work: list[tuple[str, int]] = [(root, 0)]
-        while work:
-            node, next_child = work[-1]
-            if next_child == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            adj = succs[node]
-            descended = False
-            for k in range(next_child, len(adj)):
-                child = adj[k]
-                if child not in index:
-                    work[-1] = (node, k + 1)
-                    work.append((child, 0))
-                    descended = True
-                    break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if descended:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                out.append(tuple(comp))
-    return out
 
 
 def contribution(
@@ -179,7 +131,7 @@ def analyze(
             out.append(entry[1])
         return out
 
-    for comp in _sccs(preds, succs):
+    for comp in _walk(program, preds)[0]:
         members = sorted(comp, key=order.__getitem__)
         cyclic = len(members) > 1 or any(p in succs[p] for p in members)
         while True:

@@ -432,6 +432,35 @@ class RawClause:
     items: tuple[RawAtom | AtomicConstraint, ...] = ()
 
 
+def _lift(
+    atom: RawAtom, taken: set[str], head_args: set[str] | None
+) -> tuple[Atom, list[AtomicConstraint]]:
+    """The atom over variables, and the equalities that bind them.
+
+    Each argument that is not a bare variable, or that is a bare variable
+    already in ``head_args`` (when given), becomes a fresh variable ``w``
+    outside ``taken`` with the equality ``w - arg = 0``.  ``taken`` and
+    ``head_args`` take in every name the atom ends up with.
+    """
+    args: list[str] = []
+    eqs: list[AtomicConstraint] = []
+    for e in atom.args:
+        is_bare = len(e.coeffs) == 1 and e.coeffs[0][1] == 1 and e.const == 0
+        v = e.coeffs[0][0] if is_bare else None
+        if v is not None and (head_args is None or v not in head_args):
+            args.append(v)
+            if head_args is not None:
+                head_args.add(v)
+            continue
+        w = fresh_name(taken)
+        taken.add(w)
+        eqs.append(AtomicConstraint(LinExpr.var(w) - e, Rel.EQ))
+        args.append(w)
+        if head_args is not None:
+            head_args.add(w)
+    return Atom(atom.pred, tuple(args)), eqs
+
+
 def normalize_clause(raw: RawClause) -> list[Clause]:
     """Bring a raw clause into normal form.
 
@@ -455,32 +484,13 @@ def normalize_clause(raw: RawClause) -> list[Clause]:
         else:
             taken.update(item.vars())
 
-    def lift(atom: RawAtom, head_args: set[str] | None) -> tuple[Atom, list[AtomicConstraint]]:
-        args: list[str] = []
-        eqs: list[AtomicConstraint] = []
-        for e in atom.args:
-            is_bare = len(e.coeffs) == 1 and e.coeffs[0][1] == 1 and e.const == 0
-            v = e.coeffs[0][0] if is_bare else None
-            if v is not None and (head_args is None or v not in head_args):
-                args.append(v)
-                if head_args is not None:
-                    head_args.add(v)
-                continue
-            w = fresh_name(taken)
-            taken.add(w)
-            eqs.append(AtomicConstraint(LinExpr.var(w) - e, Rel.EQ))
-            args.append(w)
-            if head_args is not None:
-                head_args.add(w)
-        return Atom(atom.pred, tuple(args)), eqs
-
-    head, conjuncts = lift(raw.head, set())
+    head, conjuncts = _lift(raw.head, taken, set())
     body: list[Atom] = []
     for item in raw.items:
         if isinstance(item, AtomicConstraint):
             conjuncts.append(item)
         else:
-            atom, eqs = lift(item, None)
+            atom, eqs = _lift(item, taken, None)
             conjuncts.extend(eqs)
             body.append(atom)
     clause = Clause(head, Constraint.of(conjuncts), tuple(body))
@@ -491,47 +501,70 @@ def normalize_clause(raw: RawClause) -> list[Clause]:
 # Predicate dependency graph
 # ---------------------------------------------------------------------------
 
-def backward_targets(program: Program) -> frozenset[str]:
-    """Targets of the backward edges of the predicate dependency graph.
+def _walk(program: Program, roots: Iterable[str]) -> tuple[list[tuple[str, ...]], set[str]]:
+    """One depth-first search of the predicate dependency graph.
 
-    The graph has an edge from each clause head to each body predicate.  A
-    depth-first search starts at ``false`` and then covers remaining
-    predicates in first-appearance order, visiting clauses in program order
-    and body atoms left to right; an edge (p, q) is backward iff q is on the
-    DFS stack when the edge is examined.
+    The graph has an edge from each clause head to each body predicate
+    (``Program.succs``).  The search starts from each root in turn that it
+    has not reached yet, and skips roots the program lacks.  Returns the
+    strongly connected components of the reached predicates, callees first
+    (Tarjan, SIAM J. Comput. 1(2), 1972), and the targets of the backward
+    edges: an edge (p, q) is backward iff q is on the search path when the
+    edge is examined.
     """
     succs = program.succs
-    backward: set[str] = set()
-    visited: set[str] = set()
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []  # reached predicates not yet in a component
     on_stack: set[str] = set()
+    path: set[str] = set()
+    comps: list[tuple[str, ...]] = []
+    backward: set[str] = set()
 
-    def dfs(root: str) -> None:
-        # Iterative DFS; each stack entry is (node, iterator over successors).
-        stack = [(root, iter(succs[root]))]
-        visited.add(root)
-        on_stack.add(root)
-        while stack:
-            node, it = stack[-1]
-            advanced = False
+    def enter(p: str) -> tuple[str, Iterator[str]]:
+        index[p] = low[p] = len(index)
+        stack.append(p)
+        on_stack.add(p)
+        path.add(p)
+        return p, iter(succs[p])
+
+    for root in roots:
+        if root in index or root not in succs:
+            continue
+        work = [enter(root)]
+        while work:
+            node, it = work[-1]
             for q in it:
-                if q in on_stack:
-                    backward.add(q)
-                elif q not in visited:
-                    visited.add(q)
-                    on_stack.add(q)
-                    stack.append((q, iter(succs[q])))
-                    advanced = True
+                if q not in index:
+                    work.append(enter(q))
                     break
-            if not advanced:
-                stack.pop()
-                on_stack.discard(node)
+                if q in path:
+                    backward.add(q)
+                if q in on_stack and index[q] < low[node]:
+                    low[node] = index[q]
+            else:
+                work.pop()
+                path.discard(node)
+                if work and low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
+                if low[node] == index[node]:
+                    comp = []
+                    while True:
+                        p = stack.pop()
+                        on_stack.discard(p)
+                        comp.append(p)
+                        if p == node:
+                            break
+                    comps.append(tuple(comp))
+    return comps, backward
 
-    roots = [FALSE_PRED] if FALSE_PRED in succs else []
-    roots.extend(p for p in program.preds() if p != FALSE_PRED)
-    for r in roots:
-        if r not in visited:
-            dfs(r)
-    return frozenset(backward)
+
+def backward_targets(program: Program) -> frozenset[str]:
+    """Targets of the backward edges of the predicate dependency graph,
+    searched from ``false`` and then from the other predicates in
+    first-appearance order, clauses in program order and body atoms left
+    to right (see :func:`_walk`)."""
+    return frozenset(_walk(program, (FALSE_PRED, *program.arities))[1])
 
 
 # ---------------------------------------------------------------------------

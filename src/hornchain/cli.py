@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .analyzer import Verdict, analyze, check_safety, format_model
+from .analyzer import Verdict, format_model
 from .chc import FALSE_PRED, ChcError, print_program
 from .parser import parse_program
 from .pipeline import PipelineConfig, run_pipeline
@@ -48,15 +48,6 @@ def _cmd_thresholds(args) -> int:
     ts = compute_thresholds(program)
     sys.stdout.write(format_thresholds(ts, program.arities))
     return EXIT_SAFE
-
-
-def _cmd_analyze(args) -> int:
-    program = _load(args.file)
-    model, _ = analyze(program, compute_thresholds(program))
-    verdict = check_safety(model, args.goal)
-    sys.stdout.write(format_model(model))
-    sys.stdout.write(f"VERDICT: {verdict.value}\n")
-    return EXIT_SAFE if verdict is Verdict.SAFE else EXIT_UNKNOWN
 
 
 def _cmd_verify(args) -> int:
@@ -132,10 +123,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(func=_cmd_thresholds)
 
+    # ``verify`` with every transformation skipped.
     p = sub.add_parser("analyze", help="analyze a program as-is (no transformations)")
     p.add_argument("file")
     _add_goal(p)
-    p.set_defaults(func=_cmd_analyze)
+    skips = dict.fromkeys(("skip_raf", "skip_unfold", "skip_qa", "skip_split"), True)
+    p.set_defaults(func=_cmd_verify, dump=False, skip_thresholds=False, **skips)
 
     return parser
 

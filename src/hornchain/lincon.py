@@ -30,10 +30,11 @@ from .chc import FALSUM, Atom, AtomicConstraint, Clause, LinExpr, Rel, canonical
 _Vec = tuple[int, ...]  # coefficients in name order, then the constant
 _Ineq = tuple[_Vec, bool]  # row >= 0, or row > 0 when the flag is set
 
-# The ``max_rows`` growth cap that the analyzer and threshold harvesting
-# pass to ``project``, and the row count at which ``is_satisfiable`` hands a
-# system to the simplex.  Hitting it in ``project`` loses constraints, which
-# only coarsens over-approximations; verdict soundness is kept.
+# The ``max_rows`` growth cap that the analyzer, threshold harvesting and
+# unfolding pass to :func:`_project_rows`, and the row count at which
+# elimination hands a system to the simplex.  Hitting it loses constraints,
+# which only coarsens over-approximations; verdict soundness is kept, and
+# unfolding keeps the unprojected rows instead.
 PROJECT_CAP = 400
 
 
@@ -557,7 +558,8 @@ def _project_rows(
     Returns the normal form (see :func:`_normal_form`) of the projection
     onto ``kept_cols``, and whether ``max_rows`` stopped an elimination step
     (see :func:`_fm_eliminate`), so that the rows may over-approximate the
-    projection.  Columns that no row mentions change nothing, so a
+    projection.  A stop never hides unsatisfiability: None comes back
+    exactly when the rows are unsatisfiable, stopped or not.  Columns that no row mentions change nothing, so a
     caller may lay rows out over any superset of their variables, in the
     same relative order, and get the same rows back in the wider layout.
     The first Gauss-Jordan pass resumes from ``start`` (see

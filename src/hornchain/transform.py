@@ -27,13 +27,15 @@ from . import lincon
 from .chc import (
     FALSE_PRED,
     Atom,
-    AtomicConstraint,
     ChcError,
     Clause,
     Constraint,
     LinExpr,
     Program,
+    RawAtom,
     Rel,
+    _lift,
+    _walk,
     backward_targets,
     canonical_arg_names,
     fresh_name,
@@ -50,9 +52,12 @@ _UNFOLD_BUDGET = 100_000
 # head and body, as ``lincon`` rows: ``(names, rows)``, where column ``j`` of
 # every row holds the coefficient of ``names[j]`` and the last the constant.
 # The names are exactly the atom arguments, so renaming a summary renames
-# its names alone.  ``_UNSAT``, the ground row ``-1 >= 0``, stands for an
-# unsatisfiable constraint, and None for one that is unknown because
-# ``lincon.PROJECT_CAP`` stopped the projection (or because it is never read).
+# its names alone.  When ``lincon.PROJECT_CAP`` stops the projection, the
+# summary keeps the constraint's own rows over all of its variables instead:
+# every decision projects a summary again, so rows whose projection onto
+# the atom arguments is exact will do.  ``_UNSAT``, the ground row
+# ``-1 >= 0``, stands for an unsatisfiable constraint, and None for a
+# summary that is never read.
 Summary = tuple[tuple[str, ...], tuple[tuple[tuple[int, ...], Rel], ...]] | None
 _UNSAT: Summary = ((), (((-1,), Rel.GE),))
 
@@ -66,8 +71,9 @@ def _atom_args(head: Atom, body: Iterable[Atom]) -> set[str]:
 
 def _project(names: Sequence[str], rows: list, keep: set[str]) -> Summary:
     """The summary that projects ``rows``, laid out over ``names`` in name
-    order, onto ``keep``: ``_UNSAT`` when the rows are unsatisfiable, None
-    when ``lincon.PROJECT_CAP`` stopped an elimination step."""
+    order, onto ``keep``: ``_UNSAT`` when the rows are unsatisfiable, and
+    ``rows`` over ``names`` themselves when ``lincon.PROJECT_CAP`` stopped
+    an elimination step."""
     kept = [j for j, v in enumerate(names) if v in keep]
     proj, capped = lincon._project_rows(
         *lincon._split(rows), len(names), frozenset(kept), lincon.PROJECT_CAP
@@ -75,7 +81,7 @@ def _project(names: Sequence[str], rows: list, keep: set[str]) -> Summary:
     if proj is None:
         return _UNSAT
     if capped:
-        return None
+        return tuple(names), tuple(rows)
     return (
         tuple([names[j] for j in kept]),
         tuple([(tuple([r[j] for j in kept] + [r[-1]]), rel) for r, rel in proj]),
@@ -129,8 +135,7 @@ def _unfold_with_defs(
     both.  So existential quantification over every other variable
     distributes over the conjunction: the summary of the unfolding is the
     projection of the two summaries onto its own atom arguments, and it is
-    ``_UNSAT`` exactly when the unfolding is unsatisfiable.  Only when a
-    summary is unknown is the whole constraint built before it is decided.
+    ``_UNSAT`` exactly when the unfolding is unsatisfiable.
     """
     call = clause.body[at]
     taken = set(clause.vars())
@@ -146,22 +151,21 @@ def _unfold_with_defs(
             + tuple(b.rename(mapping) for b in d.body)
             + clause.body[at + 1 :]
         )
-        if summary is None or d_summary is None:
-            if not lincon.is_satisfiable(clause.constr.conjoin(d.constr.rename(mapping))):
-                continue
-            new_summary = None
-        else:
-            new_summary = _joint(summary, d_summary, mapping, _atom_args(clause.head, body))
-            if new_summary is _UNSAT:
-                continue
+        keep = _atom_args(clause.head, body)
+        new_summary = _joint(summary, d_summary, mapping, keep)
+        if new_summary is _UNSAT:
+            continue
         # A repeated call argument makes the binding merge variables, so
         # the definition's constraint is renamed on its own first.
         extra, extra_map = (d.constr, mapping) if distinct else (d.constr.rename(mapping), {})
         unfolded, canon = Clause(clause.head, clause.constr, body).canonical_renaming(
             extra, extra_map
         )
-        if new_summary is not None:
+        if set(new_summary[0]) <= keep:
             new_summary = (tuple([canon[v] for v in new_summary[0]]), new_summary[1])
+        else:
+            # A capped joint keeps names that the unfolding may have dropped.
+            new_summary = _summary(unfolded)
         out.append((unfolded, new_summary))
     return out
 
@@ -186,14 +190,7 @@ def unfold_clause(program: Program, clause: Clause, at: int) -> Program:
 
 def _drop_unreachable(program: Program, root: str) -> Program:
     """Keep the clauses of the predicates that ``root`` depends on."""
-    seen: set[str] = set()
-    work = [root]
-    while work:
-        p = work.pop()
-        if p in seen:
-            continue
-        seen.add(p)
-        work.extend(program.succs.get(p, ()))
+    seen = {p for comp in _walk(program, (root,))[0] for p in comp}
     return Program(tuple(c for c in program.clauses if c.head.pred in seen))
 
 
@@ -210,9 +207,8 @@ def unfold_forward(program: Program, goal_pred: str = FALSE_PRED) -> Program:
     onto the arguments of its atoms, and each unfolding is decided by one
     small projection of two summaries, which is also the new clause's
     summary (see :func:`_unfold_with_defs`).  So the accumulated constraint
-    is built but not decided again, unless a summary past
-    ``lincon.PROJECT_CAP`` is unknown.  The clauses keep the constraints
-    of a plain unfolding; only the decision is made on summaries.
+    is built but never decided again.  The clauses keep the constraints of
+    a plain unfolding; only the decision is made on summaries.
     """
     program = _drop_unreachable(program, goal_pred)
     targets = backward_targets(program)
@@ -310,24 +306,6 @@ def _qa_name(pred: str, suffix: str, program: Program | None) -> str:
     return name
 
 
-def _distinct_head(atom: Atom, taken: set[str]) -> tuple[Atom, list[AtomicConstraint]]:
-    """Make head argument variables distinct, adding binding equalities."""
-    seen: set[str] = set()
-    args: list[str] = []
-    eqs: list[AtomicConstraint] = []
-    for v in atom.args:
-        if v not in seen:
-            seen.add(v)
-            args.append(v)
-            continue
-        w = fresh_name(taken)
-        taken.add(w)
-        seen.add(w)
-        args.append(w)
-        eqs.append(AtomicConstraint(LinExpr.var(w) - LinExpr.var(v), Rel.EQ))
-    return Atom(atom.pred, tuple(args)), eqs
-
-
 def query_answer(program: Program, goal_pred: str = FALSE_PRED) -> Program:
     """Specialize the program with respect to the goal.
 
@@ -351,8 +329,9 @@ def query_answer(program: Program, goal_pred: str = FALSE_PRED) -> Program:
         out.append(Clause(head, c.constr, body).with_canonical_vars())
     for c in program.clauses:
         for i, b in enumerate(c.body):
-            taken = set(c.vars())
-            head, eqs = _distinct_head(Atom(q[b.pred], b.args), taken)
+            # Call arguments need not be distinct; head arguments must be.
+            call = RawAtom(q[b.pred], tuple([LinExpr.var(v) for v in b.args]))
+            head, eqs = _lift(call, set(c.vars()), set())
             body = (Atom(q[c.head.pred], c.head.args),) + tuple(
                 Atom(a[c.body[j].pred], c.body[j].args) for j in range(i)
             )

@@ -13,7 +13,9 @@ the unit tests and the acceptance gate can share one run.  Later
 sections keep the ``Fraction`` versions of ``lincon.project``,
 ``is_satisfiable`` and ``normalize`` as the reference for the integer-row
 kernel, the ``Constraint``-level ``thresholds.tp_step`` and its shedding
-antichain ``maximal`` as the reference for the row harvest, and the
+antichain ``maximal`` as the reference for the row harvest, the
+analyzer's Tarjan search and the unfolding's backward-edge search as the
+reference for the one dependency-graph walk ``chc._walk``, and the
 unfolding that decides every accumulated constraint whole, with the
 ``Fraction`` sums of ``LinExpr.rename`` and
 ``subst``, as the reference for the unfolding by summaries.  The last
@@ -49,7 +51,6 @@ from hornchain.chc import (
     LinExpr,
     Program,
     Rel,
-    backward_targets,
     canonical_arg_names,
     fresh_name,
 )
@@ -941,6 +942,100 @@ def reference_compute_thresholds(program):
 
 
 # ---------------------------------------------------------------------------
+# Dependency-graph walks
+# ---------------------------------------------------------------------------
+#
+# The two searches that ``chc._walk`` replaced: the analyzer's own Tarjan
+# search for the components, and the unfolding's own search for the
+# backward edges.  ``reference_reachable`` below keeps the unfolding's worklist
+# for the reachable predicates.
+
+def reference_sccs(nodes, succs) -> list:
+    """Tarjan's algorithm, iterative; components come out callees-first."""
+    index = {}
+    low = {}
+    on_stack = set()
+    stack = []
+    out = []
+    counter = 0
+
+    for root in nodes:
+        if root in index:
+            continue
+        work = [(root, 0)]
+        while work:
+            node, next_child = work[-1]
+            if next_child == 0:
+                index[node] = low[node] = counter
+                counter += 1
+                stack.append(node)
+                on_stack.add(node)
+            adj = succs[node]
+            descended = False
+            for k in range(next_child, len(adj)):
+                child = adj[k]
+                if child not in index:
+                    work[-1] = (node, k + 1)
+                    work.append((child, 0))
+                    descended = True
+                    break
+                if child in on_stack:
+                    low[node] = min(low[node], index[child])
+            if descended:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index[node]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == node:
+                        break
+                out.append(tuple(comp))
+    return out
+
+
+def reference_backward_targets(program: Program) -> frozenset:
+    """Targets of the edges (p, q) whose q is on the DFS stack when the
+    edge is examined, searching from ``false`` first."""
+    succs = program.succs
+    backward = set()
+    visited = set()
+    on_stack = set()
+
+    def dfs(root):
+        stack = [(root, iter(succs[root]))]
+        visited.add(root)
+        on_stack.add(root)
+        while stack:
+            node, it = stack[-1]
+            advanced = False
+            for q in it:
+                if q in on_stack:
+                    backward.add(q)
+                elif q not in visited:
+                    visited.add(q)
+                    on_stack.add(q)
+                    stack.append((q, iter(succs[q])))
+                    advanced = True
+                    break
+            if not advanced:
+                stack.pop()
+                on_stack.discard(node)
+
+    roots = [FALSE_PRED] if FALSE_PRED in succs else []
+    roots.extend(p for p in program.preds() if p != FALSE_PRED)
+    for r in roots:
+        if r not in visited:
+            dfs(r)
+    return frozenset(backward)
+
+
+# ---------------------------------------------------------------------------
 # Reference unfolding
 # ---------------------------------------------------------------------------
 #
@@ -1024,20 +1119,26 @@ def reference_unfold_clause(program: Program, clause: Clause, at: int) -> Progra
     return Program(program.clauses[:idx] + tuple(reps) + program.clauses[idx + 1 :])
 
 
-def _ref_drop_unreachable(program: Program, root: str) -> Program:
+def reference_reachable(program: Program, root: str) -> set:
+    """The predicates of the program that ``root`` depends on, itself included."""
     seen = set()
     work = [root]
     while work:
         p = work.pop()
-        if p not in seen:
+        if p not in seen and p in program.succs:
             seen.add(p)
-            work.extend(program.succs.get(p, ()))
+            work.extend(program.succs[p])
+    return seen
+
+
+def _ref_drop_unreachable(program: Program, root: str) -> Program:
+    seen = reference_reachable(program, root)
     return Program(tuple(c for c in program.clauses if c.head.pred in seen))
 
 
 def reference_unfold_forward(program: Program, goal_pred: str = FALSE_PRED) -> Program:
     program = _ref_drop_unreachable(program, goal_pred)
-    targets = backward_targets(program)
+    targets = reference_backward_targets(program)
     clauses = list(program.clauses)
     steps = 0
     i = 0
@@ -1146,7 +1247,7 @@ def reference_analyze(program: Program, thresholds=None):
     values = {p: Polyhedron.empty(dims[p]) for p in preds}
     update_count = {p: 0 for p in preds}
     passes = updates = widenings = 0
-    for comp in analyzer._sccs(preds, succs):
+    for comp in reference_sccs(preds, succs):
         members = sorted(comp, key=order.__getitem__)
         cyclic = len(members) > 1 or any(p in succs[p] for p in members)
         while True:

@@ -1,11 +1,19 @@
-"""Linear expressions: renaming and substitution against the ``Fraction`` sums."""
+"""Linear expressions: renaming and substitution against the ``Fraction`` sums.
+The dependency-graph walk against the searches it replaced."""
 
 import random
 from fractions import Fraction
 
-from oracles import reference_rename, reference_subst
+from oracles import (
+    reference_backward_targets,
+    reference_reachable,
+    reference_rename,
+    reference_sccs,
+    reference_subst,
+)
 
-from hornchain.chc import LinExpr
+from hornchain.chc import FALSE_PRED, Atom, Clause, LinExpr, Program, _walk, backward_targets
+from hornchain.transform import _drop_unreachable
 
 NAMES = ("A", "B", "C", "V26", "X", "Y", "Z")
 
@@ -55,3 +63,39 @@ def test_rename_and_subst_match_the_fraction_sums():
         assert all(c for _, c in got.coeffs)
         variables = {v: LinExpr.var(w) for v, w in names.items()}
         assert e.subst(variables) == e.rename(names)
+
+
+def _random_graph(rng: random.Random) -> Program:
+    """Nullary clauses whose heads and bodies draw a random dependency graph;
+    ``false`` heads some clauses of most graphs."""
+    preds = [f"p{i}" for i in range(rng.randint(1, 8))]
+    heads = preds + [FALSE_PRED] * rng.choice((0, 1, 2))
+    clauses = []
+    for _ in range(rng.randint(1, 12)):
+        head = rng.choice(heads)
+        body = [Atom(rng.choice(preds)) for _ in range(rng.randint(0, 3))]
+        if head != FALSE_PRED and rng.random() < 0.15:
+            body.append(Atom(head))
+        clauses.append(Clause(Atom(head), body=tuple(body)))
+    return Program(tuple(clauses))
+
+
+def test_walk_matches_the_searches_it_replaced():
+    rng = random.Random(20261019)
+    seen = {"self-loop": 0, "unreachable": 0, "no false": 0}
+    for _ in range(1500):
+        program = _random_graph(rng)
+        succs = program.succs
+        preds = list(program.arities)
+        comps, _ = _walk(program, preds)
+        assert comps == reference_sccs(preds, succs)
+        assert backward_targets(program) == reference_backward_targets(program)
+        for goal in (FALSE_PRED, rng.choice(preds), "nowhere"):
+            reached = {p for comp in _walk(program, (goal,))[0] for p in comp}
+            assert reached == reference_reachable(program, goal)
+            kept = _drop_unreachable(program, goal)
+            assert kept.clauses == tuple(c for c in program.clauses if c.head.pred in reached)
+        seen["self-loop"] += any(p in succs[p] for p in preds)
+        seen["no false"] += FALSE_PRED not in succs
+        seen["unreachable"] += len(reference_reachable(program, FALSE_PRED)) < len(preds)
+    assert min(seen.values()) > 100, seen

@@ -92,6 +92,21 @@ def test_analyze_subcommand_no_transformations(capsys, tmp_path):
     assert capsys.readouterr().out.endswith("VERDICT: safe\n")
 
 
+def test_analyze_is_verify_with_every_transformation_skipped(capsys, tmp_path):
+    unknown = tmp_path / "unknown.chc"
+    unknown.write_text("p(A) :- A = 1.\np(B) :- p(A), B = A + 1.\nfalse :- p(A), A >= 5.\n")
+    files = sorted(str(f) for f in FIXTURES.glob("*.chc")) + [str(unknown)]
+    skips = ["--skip-raf", "--skip-unfold", "--skip-qa", "--skip-split"]
+    codes = []
+    for f in files:
+        code = main(["analyze", f])
+        out = capsys.readouterr().out
+        assert main(["verify", *skips, f]) == code, f
+        assert capsys.readouterr().out == out, f
+        codes.append(code)
+    assert codes[-1] == 2 and 0 in codes
+
+
 def test_custom_goal_flag(capsys, tmp_path):
     f = tmp_path / "goal.chc"
     f.write_text("p(A) :- A = 1.\nbad(A) :- A = 2, p(A).\n")

@@ -175,8 +175,9 @@ def test_unfold_clause_matches_reference():
 
 def test_unfold_matches_reference_when_summaries_hit_the_cap(monkeypatch):
     # With the row cap at 1, every summary that needs an inequality
-    # eliminated stops at the cap, so its clause carries none and its
-    # unfoldings are decided on the whole constraint.
+    # eliminated stops at the cap and keeps its constraint's own rows, over
+    # every variable; each decision projects them again, so unfolding is
+    # still decided on summaries alone.
     monkeypatch.setattr(lincon, "PROJECT_CAP", 1)
     is_satisfiable = lincon.is_satisfiable
     calls = []
@@ -185,7 +186,22 @@ def test_unfold_matches_reference_when_summaries_hit_the_cap(monkeypatch):
         calls.append(None)
         return is_satisfiable(conjuncts)
 
-    programs = [parse_program(text) for text in HAND_MADE.values()]
+    project = transform._project
+    kept_whole = []
+
+    def recorded(names, rows, keep):
+        out = project(names, rows, keep)
+        if out is not transform._UNSAT and not set(out[0]) <= keep:
+            assert out == (tuple(names), tuple(rows))
+            kept_whole.append(out)
+        return out
+
+    monkeypatch.setattr(transform, "_project", recorded)
+    # Stopped at the cap, p's projection would lose ``A >= 5``, which
+    # refutes the call; the rows it keeps still decide the call.
+    refuted = parse_program("p(A) :- X >= 5, A >= X, A =< 100.\nfalse :- p(A), A < 3.\n")
+    assert unfold_forward(refuted).clauses == ()
+    programs = [refuted] + [parse_program(text) for text in HAND_MADE.values()]
     rng = random.Random(20261019)
     programs += [random_program(rng) for _ in range(150)]
     for p in programs:
@@ -198,7 +214,8 @@ def test_unfold_matches_reference_when_summaries_hit_the_cap(monkeypatch):
         monkeypatch.setattr(lincon, "is_satisfiable", is_satisfiable)
         assert got == expect
         assert print_program(got) == print_program(expect)
-    assert calls
+    assert calls == []
+    assert kept_whole
 
 
 def test_unsatisfiable_definition_has_the_unsatisfiable_summary():

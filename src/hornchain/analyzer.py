@@ -49,8 +49,7 @@ class Verdict(Enum):
 # replaced by widening.
 _WIDEN_DELAY = 2
 
-# Round-robin passes, counted over all components, before the analysis
-# gives up.
+# Round-robin passes of one component before the analysis gives up.
 _MAX_PASSES = 10_000
 
 
@@ -134,7 +133,7 @@ def analyze(
     for comp in _walk(program, preds)[0]:
         members = sorted(comp, key=order.__getitem__)
         cyclic = len(members) > 1 or any(p in succs[p] for p in members)
-        while True:
+        for _ in range(_MAX_PASSES):
             passes += 1
             changed = False
             for p in members:
@@ -155,8 +154,8 @@ def analyze(
                 changed = True
             if not changed or not cyclic:
                 break
-            if passes > _MAX_PASSES:
-                raise ChcError("abstract iteration exceeded its pass budget")
+        else:
+            raise ChcError("abstract iteration exceeded its pass budget")
 
     model = AbstractModel(dict(values))
     return model, AnalysisStats(passes, updates, widenings)

@@ -25,7 +25,11 @@ EXIT_UNKNOWN = 2
 
 
 def _load(path: str):
-    return parse_program(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ChcError(f"{path} is not UTF-8 text: {exc}") from None
+    return parse_program(text)
 
 
 def _cmd_parse(args) -> int:

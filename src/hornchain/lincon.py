@@ -112,7 +112,7 @@ def _embed(
 
 
 class _Prepared(NamedTuple):
-    """The fixed part of a consequence step (see :func:`_prepare`)."""
+    """The fixed part of a consequence step (see :func:`_clause_rows`)."""
 
     n: int
     source: Sequence[int]
@@ -121,38 +121,17 @@ class _Prepared(NamedTuple):
     ineqs: list[_Ineq]
 
 
-def _prepare(
-    n: int,
-    rows: Iterable[tuple[_Vec, Rel]],
-    source: Sequence[int],
-    targets: Iterable[list[int]] = (),
-) -> _Prepared:
-    """Rows over ``n`` columns made ready for :func:`_derive` onto ``source``.
-
-    Holds the layout (``n``, the head's columns ``source`` and the body
-    atoms' ``targets``), the Gauss-Jordan state of the rows' own equalities
-    pivoted with ``source`` kept, None when they are contradictory, and
-    their inequalities with those pivots substituted out.
-    """
-    eqs, ineqs = _split(rows)
-    solved = _gauss_jordan(eqs, source)
-    if solved is not None:
-        ineqs = _substitute(solved, ineqs)
-    return _Prepared(n, source, list(targets), solved, ineqs)
-
-
 def _clause_rows(clause: Clause) -> _Prepared:
-    """A clause's constraint laid out over its variables in name order and
-    prepared by :func:`_prepare`; ``Clause.rows`` holds the result.
+    """A clause's constraint made ready for :func:`_derive`; ``Clause.rows``
+    holds the result.
 
-    Per body atom and for the head, the target is what :func:`_embed`
-    takes: the clause column of each of the predicate's canonical columns
-    in name order (see :func:`_layout`).  The constraint's own equalities
-    are eliminated here, once per clause, not once per derivation.  That
-    is exact: resuming the elimination with the body facts' equalities is
-    the same computation as one pass over all of them, and substituting
-    the final pivots out of the pre-substituted inequalities gives the
-    rows that substituting them once gives (see :func:`_derive`).
+    The layout is the clause's variables in name order and, per body atom
+    and for the head (``source``), what :func:`_embed` takes: the clause
+    column of each of the predicate's canonical columns in name order (see
+    :func:`_layout`).  The constraint's own equalities are eliminated here,
+    once per clause, with ``source`` kept (``solved``, None when they are
+    contradictory), and their pivots substituted out of its inequalities;
+    resuming from that state is exact (see :func:`_derive`).
     """
     names = sorted(clause.vars())
     col = {v: j for j, v in enumerate(names)}
@@ -160,8 +139,12 @@ def _clause_rows(clause: Clause) -> _Prepared:
     def cols(atom: Atom) -> list[int]:
         return [col[atom.args[i]] for i in _layout(atom.arity)[1]]
 
-    constr = _rows(clause.constr.conjuncts, names)[1]
-    return _prepare(len(names), constr, cols(clause.head), [cols(a) for a in clause.body])
+    eqs, ineqs = _split(_rows(clause.constr.conjuncts, names)[1])
+    source = cols(clause.head)
+    solved = _gauss_jordan(eqs, source)
+    if solved is not None:
+        ineqs = _substitute(solved, ineqs)
+    return _Prepared(len(names), source, [cols(a) for a in clause.body], solved, ineqs)
 
 
 def _atom(names: Sequence[str], row: _Vec, rel: Rel) -> AtomicConstraint:
@@ -435,19 +418,10 @@ def _lp_feasible(ineqs: list[_Ineq]) -> bool:
         basis[r] = enter
 
 
-def _satisfiable(eqs: list[_Vec], ineqs: list[_Ineq], n: int) -> bool:
-    """Decide rows over ``n`` variables: elimination first, simplex past the cap."""
-    solved = _gauss_jordan(eqs)
-    return (
-        solved is not None
-        and _fm_eliminate(_substitute(solved, ineqs), range(n), PROJECT_CAP)[0] is not None
-    )
-
-
 def is_satisfiable(conjuncts: Iterable[AtomicConstraint]) -> bool:
     """Decide satisfiability over the rationals."""
     names, rows = _rows(conjuncts)
-    return _satisfiable(*_split(rows), len(names))
+    return _project_rows(*_split(rows), len(names), (), PROJECT_CAP)[0] is not None
 
 
 def _entailed(
@@ -549,47 +523,55 @@ def _project_rows(
     eqs: list[_Vec],
     ineqs: list[_Ineq],
     n: int,
-    kept_cols: Collection[int],
+    kept: Sequence[int],
     max_rows: int | None,
     start: Iterable[tuple[int, _Vec]] = (),
 ) -> tuple[list[tuple[_Vec, Rel]] | None, bool]:
     """:func:`project` on rows over ``n`` columns; None when they are unsatisfiable.
 
-    Returns the normal form (see :func:`_normal_form`) of the projection
-    onto ``kept_cols``, and whether ``max_rows`` stopped an elimination step
-    (see :func:`_fm_eliminate`), so that the rows may over-approximate the
-    projection.  A stop never hides unsatisfiability: None comes back
-    exactly when the rows are unsatisfiable, stopped or not.  Columns that no row mentions change nothing, so a
-    caller may lay rows out over any superset of their variables, in the
-    same relative order, and get the same rows back in the wider layout.
-    The first Gauss-Jordan pass resumes from ``start`` (see
+    Returns the projection onto the columns ``kept`` as rows over exactly
+    those columns, in that order, in :func:`_normal_form`, and whether
+    ``max_rows`` stopped an elimination step (see :func:`_fm_eliminate`),
+    so that the rows may over-approximate the projection.  A stop never
+    hides unsatisfiability: None comes back exactly when the rows are
+    unsatisfiable, stopped or not; projecting onto no columns decides
+    satisfiability alone, and a satisfiable system comes back as ``[]``.
+    Columns that no row mentions change nothing, so a caller may lay rows
+    out over any superset of their variables.  The first Gauss-Jordan pass
+    resumes from ``start``, a pass with the same columns kept (see
     :func:`_gauss_jordan`), whose equalities are then part of the input.
+
+    When the normal form merges an opposed pair into a new equality, the
+    elimination runs again over the result, in its own layout with every
+    column kept, until no new equality appears.
     """
-    elim = [j for j in range(n) if j not in kept_cols]
+    keep: Collection[int] = frozenset(kept)
+    cols: Sequence[int] = kept
+    elim = [j for j in range(n) if j not in keep]
     capped = False
     while True:
-        solved = _gauss_jordan(eqs, kept_cols, start)
+        solved = _gauss_jordan(eqs, keep, start)
         if solved is None:
             return None, capped
-        kept_eqs = [p for j, p in solved if j in kept_cols]
+        kept_eqs = [p for j, p in solved if j in keep]
         remaining, stopped = _fm_eliminate(_substitute(solved, ineqs), elim, max_rows)
         capped = capped or stopped
         if remaining is None:
             return None, capped
-        normal = _normal_form(
-            [(r, Rel.EQ) for r in kept_eqs]
-            + [(r, Rel.GT if s else Rel.GE) for r, s in remaining]
-        )
+        rows = [(r, Rel.EQ) for r in kept_eqs]
+        rows += [(r, Rel.GT if s else Rel.GE) for r, s in remaining]
+        normal = _normal_form([(tuple([r[j] for j in cols] + [r[-1]]), rel) for r, rel in rows])
         if normal is None:
             return None, capped
         eqs, ineqs = _split(normal)
         if len(eqs) == len(kept_eqs):
             break
-        start = ()
+        keep = cols = range(len(kept))
+        elim, start = [], ()
     # The equalities left are the reduced row echelon basis, and no other
     # row mentions their pivots, so they hold once the inequalities do; a
     # single inequality left is non-ground, and so satisfiable too.
-    if len(ineqs) > 1 and _fm_eliminate(ineqs, range(n), PROJECT_CAP)[0] is None:
+    if len(ineqs) > 1 and _fm_eliminate(ineqs, range(len(kept)), PROJECT_CAP)[0] is None:
         return None, capped
     return normal, capped
 
@@ -597,15 +579,14 @@ def _project_rows(
 def _derive(
     form: _Prepared, bodies: Iterable[Iterable[tuple[_Vec, Rel]]], max_rows: int | None
 ) -> tuple[tuple[_Vec, Rel], ...] | None:
-    """One consequence step of rows prepared by :func:`_prepare`.
+    """One consequence step of a clause's prepared rows (see :func:`_clause_rows`).
 
     ``bodies`` holds one fact per body atom, moved to the prepared columns
     by :func:`_embed`.  One :func:`_project_rows` of the prepared rows and
     the facts onto the head's columns ``form.source`` decides emptiness,
     strict rows and ``max_rows`` included: None when the rows are
     unsatisfiable, else the head's rows over its canonical columns in name
-    order, in :func:`_normal_form`.  Head arguments are distinct, so those
-    rows only move from columns ``source``.
+    order, in :func:`_normal_form`.
 
     Its first Gauss-Jordan pass resumes from the prepared state and takes
     only the facts' equalities, and only the facts' inequalities and the
@@ -626,10 +607,7 @@ def _derive(
     proj, _ = _project_rows(
         eqs, form.ineqs + ineqs, form.n, form.source, max_rows, form.solved
     )
-    if proj is None:
-        return None
-    source = form.source
-    return tuple(_normal_form([(tuple([r[j] for j in source] + [r[-1]]), rel) for r, rel in proj]))
+    return None if proj is None else tuple(proj)
 
 
 def project(
@@ -662,8 +640,9 @@ def project(
     """
     keep_set = frozenset(keep)
     names, rows = _rows(conjuncts)
-    kept_cols = frozenset(j for j, v in enumerate(names) if v in keep_set)
-    normal, _ = _project_rows(*_split(rows), len(names), kept_cols, max_rows)
+    kept = [j for j, v in enumerate(names) if v in keep_set]
+    normal, _ = _project_rows(*_split(rows), len(names), kept, max_rows)
     if normal is None:
         return (FALSUM,)
-    return tuple([_atom(names, r, rel) for r, rel in normal])
+    kept_names = [names[j] for j in kept]
+    return tuple([_atom(kept_names, r, rel) for r, rel in normal])

@@ -55,15 +55,14 @@ class Polyhedron:
         """Canonical polyhedron for a conjunction (strict parts relaxed).
 
         The conjunction is laid out over ``dims`` and its own variables in
-        name order, prepared by ``lincon._prepare`` and projected onto
-        ``dims`` by ``lincon._derive``.
+        name order and projected onto ``dims`` by ``lincon._project_rows``.
         """
         dims = tuple(dims)
         atoms = [a.relax() for a in conjuncts]
         names = sorted(set(dims).union(*(a.vars() for a in atoms)))
-        source = [j for j, v in enumerate(names) if v in dims]
-        form = lincon._prepare(len(names), lincon._rows(atoms, names)[1], source)
-        rows = lincon._derive(form, (), None)
+        kept = [j for j, v in enumerate(names) if v in dims]
+        eqs, ineqs = lincon._split(lincon._rows(atoms, names)[1])
+        rows, _ = lincon._project_rows(eqs, ineqs, len(names), kept, None)
         return Polyhedron.empty(dims) if rows is None else _from_rows(dims, rows)
 
     # -- basic queries --------------------------------------------------------
@@ -120,7 +119,9 @@ class Polyhedron:
         if self.is_empty or other.is_empty:
             return Polyhedron.empty(self.dims)
         n = len(self.dims)
-        rows = lincon._derive(lincon._prepare(n, self.rows, range(n)), (other.rows,), None)
+        rows, _ = lincon._project_rows(
+            *lincon._split(self.rows + other.rows), n, range(n), None
+        )
         return Polyhedron.empty(self.dims) if rows is None else _from_rows(self.dims, rows)
 
     def hull(self, *others: "Polyhedron") -> "Polyhedron":

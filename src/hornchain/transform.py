@@ -76,16 +76,13 @@ def _project(names: Sequence[str], rows: list, keep: set[str]) -> Summary:
     an elimination step."""
     kept = [j for j, v in enumerate(names) if v in keep]
     proj, capped = lincon._project_rows(
-        *lincon._split(rows), len(names), frozenset(kept), lincon.PROJECT_CAP
+        *lincon._split(rows), len(names), kept, lincon.PROJECT_CAP
     )
     if proj is None:
         return _UNSAT
     if capped:
         return tuple(names), tuple(rows)
-    return (
-        tuple([names[j] for j in kept]),
-        tuple([(tuple([r[j] for j in kept] + [r[-1]]), rel) for r, rel in proj]),
-    )
+    return tuple([names[j] for j in kept]), tuple(proj)
 
 
 def _summary(clause: Clause) -> Summary:
@@ -361,7 +358,8 @@ def split_predicates(
     Overlaps are decided on each clause's prepared rows (``Clause.rows``):
     its exact projection onto the head's canonical columns is one
     ``lincon._derive`` step, None when the constraint is unsatisfiable, and
-    two projections overlap when they are jointly satisfiable.  A variant
+    two projections overlap when ``lincon._project_rows`` of both onto no
+    columns finds them jointly satisfiable.  A variant
     differs from its source clause in predicate names only, so it shares
     the source's prepared rows.
     """
@@ -388,8 +386,10 @@ def split_predicates(
         for i, j in itertools.combinations(idxs, 2):
             if find(i) == find(j) or projs[i] is None or projs[j] is None:
                 continue
-            joint = lincon._split(projs[i] + projs[j])
-            if lincon._satisfiable(*joint, program.arities[pred]):
+            joint, _ = lincon._project_rows(
+                *lincon._split(projs[i] + projs[j]), program.arities[pred], (), lincon.PROJECT_CAP
+            )
+            if joint is not None:
                 parent[find(i)] = find(j)
         blocks: dict[int, list[int]] = {}
         for i in idxs:

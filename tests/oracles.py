@@ -12,8 +12,9 @@ touches the generator conversion behind ``Polyhedron.of`` and
 the unit tests and the acceptance gate can share one run.  Later
 sections keep the ``Fraction`` versions of ``lincon.project``,
 ``is_satisfiable`` and ``normalize`` as the reference for the integer-row
-kernel, the ``Constraint``-level ``thresholds.tp_step`` and its shedding
-antichain ``maximal`` as the reference for the row harvest, the
+kernel, ``_project_rows``' emptiness decision included, the
+``Constraint``-level ``thresholds.tp_step`` and its shedding antichain
+``maximal`` as the reference for the row harvest, the
 analyzer's Tarjan search and the unfolding's backward-edge search as the
 reference for the one dependency-graph walk ``chc._walk``, and the
 unfolding that decides every accumulated constraint whole, with the
@@ -24,8 +25,10 @@ clause contributions and fixpoint loop as the reference for the polyhedra
 on integer rows, the next keeps the double description's own null-space
 elimination as the reference for the one that runs on
 ``lincon._gauss_jordan``, and the last keeps the consequence step that
-eliminates a clause's own equalities again in every derivation as the
-reference for the one that resumes from the clause's prepared rows.  The
+eliminates a clause's own equalities again in every derivation, one
+``lincon._project_rows`` of all its rows onto the head's columns, whose
+rows come back over those columns in normal form, as the reference for
+the one that resumes from the clause's prepared rows.  The
 character-by-character scanner that the parser's one-regex scanner
 replaced closes the file as the reference for its token stream.
 """
@@ -1343,11 +1346,7 @@ def reference_derive(n: int, constr, source, bodies, max_rows):
     them, which eliminates the constraint's own equalities again."""
     rows = [row for part in (constr, *bodies) for row in part]
     proj, _ = lincon._project_rows(*lincon._split(rows), n, source, max_rows)
-    if proj is None:
-        return None
-    return tuple(
-        lincon._normal_form([(tuple([r[j] for j in source] + [r[-1]]), rel) for r, rel in proj])
-    )
+    return None if proj is None else tuple(proj)
 
 
 # ---------------------------------------------------------------------------

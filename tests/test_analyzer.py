@@ -1,5 +1,6 @@
 """Fixpoint analysis, safety judgement, model checking, and bounded concrete evaluation."""
 
+import hashlib
 import random
 import sys
 from pathlib import Path
@@ -20,11 +21,11 @@ from hornchain.analyzer import (
     check_safety,
     format_model,
 )
-from hornchain.chc import ChcError, canonical_arg_names
+from hornchain.chc import ChcError, canonical_arg_names, print_program
 from hornchain.parser import parse_program
 from hornchain.pipeline import run_pipeline
 from hornchain.polydom import Polyhedron
-from hornchain.thresholds import compute_thresholds
+from hornchain.thresholds import compute_thresholds, format_thresholds
 
 # The benchmark's workload generator, read-only; it does not import hornchain.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -123,6 +124,25 @@ def test_clause_contributions_are_joined_by_one_hull(monkeypatch):
     assert stats.passes == len(joined)
 
 
+def test_pass_budget_counts_the_passes_of_one_component(monkeypatch):
+    # Six one-pass components come before q's loop, which settles in four
+    # passes of its own; the whole run takes eleven.
+    p = parse_program(
+        "p0(A) :- A = 0.\n"
+        + "".join(f"p{i}(A) :- p{i - 1}(A).\n" for i in range(1, 6))
+        + "q(A) :- p5(A).\n"
+        "q(B) :- q(A), B = A + 1, A =< 3.\n"
+        "false :- q(A), A >= 10.\n"
+    )
+    model, stats = analyze(p)
+    assert stats == AnalysisStats(passes=11, updates=10, widenings=1)
+    monkeypatch.setattr(analyzer, "_MAX_PASSES", 4)
+    assert analyze(p) == (model, stats)
+    monkeypatch.setattr(analyzer, "_MAX_PASSES", 3)
+    with pytest.raises(ChcError, match="pass budget"):
+        analyze(p)
+
+
 def test_model_formatting_matches_committed_model(twophase, twophase_model_text):
     result = run_pipeline(twophase)
     assert format_model(result.model) == twophase_model_text
@@ -215,16 +235,45 @@ def test_check_model_accepts_every_safe_golden():
     assert len(fixtures) == 5
 
 
-def test_check_model_accepts_every_safe_workload_program():
-    # The benchmark's seed-0 programs of every workload.
+@pytest.fixture(scope="module")
+def workload_runs():
+    """The pipeline result of each of the benchmark's seed-0 programs, every workload."""
+    return [
+        (f"{workload}/{case.name}", run_pipeline(parse_program(case.text())))
+        for workload in gen.SIZES
+        for case, _ in gen.instance(workload, 0)
+    ]
+
+
+def test_check_model_accepts_every_safe_workload_program(workload_runs):
     checked = 0
-    for workload in gen.SIZES:
-        for case, _ in gen.instance(workload, 0):
-            result = run_pipeline(parse_program(case.text()))
-            if result.verdict is Verdict.SAFE:
-                assert check_model(result.stages[-1][1], result.model, result.goal), case.name
-                checked += 1
+    for name, result in workload_runs:
+        if result.verdict is Verdict.SAFE:
+            assert check_model(result.stages[-1][1], result.model, result.goal), name
+            checked += 1
     assert checked == 28
+
+
+def test_workload_and_fixture_outputs_match_golden(workload_runs):
+    # One md5 over what the pipeline prints for the seed-0 workload programs
+    # and the fixtures: verdict, model, stats, the final program's
+    # thresholds and every stage's program.  CI runs it again under a
+    # second hash seed.
+    fixtures = sorted((Path(__file__).parent / "fixtures").glob("*.chc"))
+    runs = workload_runs + [(p.name, run_pipeline(parse_program(p.read_text()))) for p in fixtures]
+    digest = hashlib.md5()
+    for name, result in runs:
+        final = result.stages[-1][1]
+        parts = [
+            name,
+            result.verdict.value,
+            format_model(result.model),
+            repr(result.stats),
+            format_thresholds(result.thresholds, final.arities),
+            *(f"{stage}:\n{print_program(program)}" for stage, program in result.stages),
+        ]
+        digest.update("\n".join(parts).encode())
+    assert (len(runs), digest.hexdigest()) == (71, "d10d196d84dfba9bab1617cb0d014a51")
 
 
 def test_check_model_rejects_a_dropped_facet(twophase):

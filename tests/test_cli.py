@@ -39,6 +39,14 @@ def test_parse_error_reports_position(capsys, tmp_path):
     assert "error:" in err and "line 1" in err
 
 
+def test_input_that_is_not_utf8_is_an_error(capsys, tmp_path):
+    f = tmp_path / "latin1.chc"
+    f.write_bytes(b"\xffp(A) :- A = 1.\n")
+    assert main(["verify", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not UTF-8" in err
+
+
 def test_verify_dump_writes_stages(tmp_path, capsys):
     f = tmp_path / "prog.chc"
     f.write_text(fixture_text("twophase.chc"))

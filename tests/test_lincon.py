@@ -427,16 +427,16 @@ def test_integer_kernel_matches_rational_reference():
 def test_projection_decides_emptiness_as_satisfiable_does():
     # ``_project_rows`` closes with elimination over the inequalities left
     # alone, or with no check when at most one is left; its emptiness
-    # decision must be ``_satisfiable``'s on the same rows.  With every
-    # column kept nothing is eliminated before that closing check.
+    # decision must be the rational reference's on the same system.  With
+    # every column kept nothing is eliminated before that closing check.
     rng = random.Random(20261019)
     at_most_one_left = empty_all_kept = 0
     for raw, keeps in _systems(rng):
         names, rows = lincon._rows(raw)
         n = len(names)
-        sat = lincon._satisfiable(*lincon._split(rows), n)
+        sat = rational_is_satisfiable(raw)
         for keep in [*keeps, names]:
-            kept = frozenset(j for j, v in enumerate(names) if v in keep)
+            kept = [j for j, v in enumerate(names) if v in keep]
             for max_rows in (None, 1):
                 proj, _ = lincon._project_rows(*lincon._split(rows), n, kept, max_rows)
                 assert (proj is not None) == sat, (raw, keep, max_rows)
@@ -445,3 +445,43 @@ def test_projection_decides_emptiness_as_satisfiable_does():
                 elif len(kept) == n:
                     empty_all_kept += 1
     assert (at_most_one_left, empty_all_kept) == (1173, 670)
+
+
+def test_projection_rows_come_over_kept_in_its_order(monkeypatch):
+    # ``_project_rows`` returns its rows over ``kept`` in the order given,
+    # already in normal form.  A shuffled order describes the set that the
+    # sorted order gives with its columns permuted; its equality basis may
+    # differ where the implicit-equality loop runs.
+    passes = []
+    gauss_jordan = lincon._gauss_jordan
+
+    def counting(*args):
+        passes.append(None)
+        return gauss_jordan(*args)
+
+    monkeypatch.setattr(lincon, "_gauss_jordan", counting)
+    rng = random.Random(20261020)
+    compared = looped = other_basis = 0
+    for raw, keeps in _systems(rng):
+        names, rows = lincon._rows(raw)
+        n = len(names)
+        for keep in [*keeps, names]:
+            ordered = [j for j, v in enumerate(names) if v in keep]
+            shuffled = rng.sample(ordered, len(ordered))
+            moved = [ordered.index(j) for j in shuffled]
+            for max_rows in (None, 1):
+                want, want_capped = lincon._project_rows(*lincon._split(rows), n, ordered, max_rows)
+                passes.clear()
+                got, capped = lincon._project_rows(*lincon._split(rows), n, shuffled, max_rows)
+                looped += len(passes) > 1
+                assert (got is None, capped) == (want is None, want_capped), (raw, shuffled)
+                if got is None:
+                    continue
+                assert lincon._normal_form(got) == got, (raw, shuffled)
+                want = [(tuple([r[i] for i in moved] + [r[-1]]), rel) for r, rel in want]
+                m = len(ordered)
+                assert all(lincon._entailed(got, want, m)), (raw, shuffled)
+                assert all(lincon._entailed(want, got, m)), (raw, shuffled)
+                compared += 1
+                other_basis += got != lincon._normal_form(want)
+    assert (compared, looped, other_basis) == (1498, 116, 20)

@@ -17,7 +17,7 @@ from oracles import (
 from randprog import random_program
 
 from hornchain import lincon, thresholds
-from hornchain.chc import AtomicConstraint, Constraint, LinExpr, Rel
+from hornchain.chc import Atom, AtomicConstraint, Clause, Constraint, LinExpr, Rel
 from hornchain.parser import parse_program
 from hornchain.thresholds import (
     ThresholdSet,
@@ -382,6 +382,31 @@ def test_prepared_derivations_match_reference_on_hand_cases():
     form = DERIVE_CASES["body pivot in a constraint pivot row"].clauses[2].rows
     [(pivot, row)] = form.solved
     assert pivot == 2 and row[3] and all(r[3] for r, _ in form.ineqs)
+
+
+def test_head_out_of_name_order_derives_the_same_set():
+    # p(C,B,A): the head's columns come in decreasing order.  The constraint
+    # ties A to B and B to C only once D and E are eliminated, so the
+    # equalities surface in the implicit-equality loop, which pivots in the
+    # head's layout.  Its basis is not the one that pivoting over the
+    # clause's columns and then moving the rows gives, but its set is.
+    constr = parse_program(
+        "h(A,B,C,D,E) :- A >= B + 1, A + D =< B + 1, D >= 0,"
+        " B >= C + 2, B + E =< C + 2, E >= 0, A =< 7.\n"
+    ).clauses[0].constr
+    clause = Clause(Atom("p", ("C", "B", "A")), constr)
+    form = clause.rows
+    assert list(form.source) == [2, 1, 0]
+    got = lincon._derive(form, (), None)
+    assert list(got) == lincon._normal_form(got)
+    # The projection onto the clause's columns in order, moved to the head's.
+    rows, _ = lincon._project_rows([], form.ineqs, form.n, [0, 1, 2], None, form.solved)
+    moved = lincon._normal_form([((r[2], r[1], r[0], r[3]), rel) for r, rel in rows])
+    # Over the head's columns (C, B, A): C =< 4, B = C + 2, A = C + 3,
+    # against A =< 7, B = A - 1, C = A - 3.
+    assert got == (((-1, 0, 0, 4), Rel.GE), ((1, -1, 0, 2), Rel.EQ), ((1, 0, -1, 3), Rel.EQ))
+    assert moved == [((1, 0, -1, 3), Rel.EQ), ((0, 1, -1, 1), Rel.EQ), ((0, 0, -1, 7), Rel.GE)]
+    assert all(lincon._entailed(got, moved, 3)) and all(lincon._entailed(moved, got, 3))
 
 
 def test_prepared_derivations_match_reference_under_one_row_cap(monkeypatch):

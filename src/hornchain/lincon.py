@@ -226,12 +226,17 @@ def _ground_ok(ineqs: Iterable[_Ineq]) -> bool:
     )
 
 
-# A working row during elimination: inequality, strictness, and the set of
-# input rows it was combined from (its history).
-_Row = tuple[_Vec, bool, frozenset]
+# A working row during elimination: inequality, strictness, and its history,
+# the set of input rows it was combined from as a bitmask (bit ``i`` stands
+# for input row ``i``).
+_Row = tuple[_Vec, bool, int]
+# A row kept as the tightest of its slope (see :func:`_prune_rows`): the
+# working row, then its constant and the gcd of its coefficients, which
+# rank it against the rows parallel to it.
+_Kept = tuple[_Vec, bool, int, int, int]
 
 
-def _prune_rows(rows: list[_Row]) -> list[_Row] | None:
+def _prune_rows(rows: Iterable[_Row]) -> dict[_Vec, _Kept] | None:
     """Keep only the tightest of parallel inequalities (same coprime slope).
 
     Rows are keyed on their coefficients alone, divided by their gcd, so
@@ -239,16 +244,20 @@ def _prune_rows(rows: list[_Row]) -> list[_Row] | None:
     survives.  Removing a constraint implied by a parallel tighter one never
     changes the solution set, so this is exact, and afterwards no row is
     entailed by another single row: a half-space contains another only when
-    their normals point the same way.  Kept rows come out coprime.  Returns
-    None on a ground contradiction; satisfied ground rows are dropped.
+    their normals point the same way.  Kept rows come out coprime, keyed on
+    their slope in the order the slopes first occur; ties keep the first
+    row.  Returns None on a ground contradiction; satisfied ground rows are
+    dropped.
 
-    The kept row's history is the intersection of the colliding rows'
-    histories.  Kohler's criterion drops a row by the size of its history,
-    and a row combined later from a looser parallel row with a smaller
-    history may be one that the criterion must keep; the intersection is a
-    subset of every colliding history, so no such row is dropped.
+    The kept row's history is the intersection (``&``) of the colliding
+    rows' histories.  Kohler's criterion drops a row by the size of its
+    history, and a row combined later from a looser parallel row with a
+    smaller history may be one that the criterion must keep; the
+    intersection is a subset of every colliding history, so no such row is
+    dropped.  :func:`_fm_eliminate` prunes its input here and each of its
+    combinations the same way, as it makes them.
     """
-    best: dict[_Vec, tuple[int, int, bool, frozenset, _Vec]] = {}
+    best: dict[_Vec, _Kept] = {}
     for r, s, h in rows:
         coeffs = r[:-1]
         g = math.gcd(*coeffs)
@@ -264,16 +273,16 @@ def _prune_rows(rows: list[_Row]) -> list[_Row] | None:
         key = coeffs if g == 1 else tuple([c // g for c in coeffs])
         cur = best.get(key)
         if cur is not None:
-            h = h & cur[3]
+            h &= cur[2]
             # Compare const/g with the kept row's: smaller is tighter
             # (expr + const >= 0); strict beats non-strict at equal
             # constants.
-            mine, theirs = const * cur[1], cur[0] * g
-            if not (mine < theirs or (mine == theirs and s and not cur[2])):
-                best[key] = (cur[0], cur[1], cur[2], h, cur[4])
+            mine, theirs = const * cur[4], cur[3] * g
+            if not (mine < theirs or (mine == theirs and s and not cur[1])):
+                best[key] = (cur[0], cur[1], h, cur[3], cur[4])
                 continue
-        best[key] = (const, g, s, h, r)
-    return [(r, s, h) for _, _, s, h, r in best.values()]
+        best[key] = (r, s, h, const, g)
+    return best
 
 
 def _fm_eliminate(
@@ -281,86 +290,124 @@ def _fm_eliminate(
 ) -> tuple[list[_Ineq] | None, bool]:
     """Eliminate every column in ``elim``: the rows left, None on contradiction.
 
-    Variables go cheapest-first (fewest lower*upper pairings).  Two exact
-    prunings keep the intermediate systems small: parallel constraints
-    collapse to their tightest representative, and any non-strict row
-    combining more than j+1 input rows after j eliminations is a positive
-    combination of others and is dropped (Kohler's criterion).  Every row
-    set returned has passed through :func:`_prune_rows`, or is a subset of
-    one that has, so it holds at most one inequality per slope and none is
+    Variables go cheapest-first (fewest lower*upper pairings, the lowest
+    column on ties).  Two exact prunings keep the intermediate systems
+    small: parallel constraints collapse to their tightest representative
+    (see :func:`_prune_rows`), and any non-strict row combining more than
+    j+1 input rows after j eliminations is a positive combination of others
+    and is dropped (Kohler's criterion, the popcount of its history).  Every
+    row set returned holds at most one inequality per slope, and none is
     entailed by another single row.
+
+    Each step is one pass over its rows.  The rows without the variable
+    pass through with their slope, constant and gcd, and are never keyed
+    again; each combination is keyed as it is made and goes straight into
+    the step's table after them, so the rows come out in the order that
+    pruning the whole step at once would give.
 
     With ``max_rows`` set, an elimination step whose combination output would
     exceed that many rows instead drops every row mentioning the variable.
-    That over-approximates the projection (constraints are only lost), so it
-    is for callers computing upper bounds.  Unsatisfiability stays exact:
-    every step before the first one that stops is exact, so the first stop
-    decides the rows it has with the simplex and returns None if they are
-    contradictory.  Later stops drop rows of a satisfiable system, whose
-    relaxations stay satisfiable.  The second item of the result tells
-    whether a step stopped, that is, whether returned rows may be an
-    over-approximation.
+    The output counts the rows passed through plus every combination made,
+    before pruning: one that collides with a kept row counts too, and a
+    satisfied ground one does not.  Stopping over-approximates the
+    projection (constraints are only lost), so it is for callers computing
+    upper bounds.  Unsatisfiability stays exact: every step before the first
+    one that stops is exact, so the first stop decides the rows it has with
+    the simplex and returns None if they are contradictory.  Later stops
+    drop rows of a satisfiable system, whose relaxations stay satisfiable.
+    The second item of the result tells whether a step stopped, that is,
+    whether returned rows may be an over-approximation.
     """
-    rows = _prune_rows([(r, s, frozenset((i,))) for i, (r, s) in enumerate(ineqs)])
-    if rows is None:
+    table = _prune_rows([(r, s, 1 << i) for i, (r, s) in enumerate(ineqs)])
+    if table is None:
         return None, False
+    cap = math.inf if max_rows is None else max_rows
+    live = list(elim)
     steps = 0
     decided = False
     while True:
-        counts: dict[int, list[int]] = {}
-        for r, _, _ in rows:
-            for j in elim:
+        # A column that no row mentions stays unmentioned: every later row
+        # combines earlier ones.
+        vecs = [kept[0] for kept in table.values()]
+        mentioned = []
+        v = cost = -1
+        for j in live:
+            lo = up = 0
+            for r in vecs:
                 c = r[j]
-                if c:
-                    pair = counts.setdefault(j, [0, 0])
-                    pair[0 if c > 0 else 1] += 1
-        if not counts:
-            return [(r, s) for r, s, _ in rows], decided
-        v = min(counts, key=lambda u: (counts[u][0] * counts[u][1], u))
+                if c > 0:
+                    lo += 1
+                elif c < 0:
+                    up += 1
+            if lo or up:
+                mentioned.append(j)
+                pairs = lo * up
+                if v < 0 or pairs < cost or (pairs == cost and j < v):
+                    v, cost = j, pairs
+        if v < 0:
+            return [(r, s) for r, s, _, _, _ in table.values()], decided
+        mentioned.remove(v)
+        live = mentioned
         steps += 1
-        lowers: list[_Row] = []
-        uppers: list[_Row] = []
-        nxt: list[_Row] = []
-        for row in rows:
-            c = row[0][v]
+        lowers: list[_Kept] = []
+        uppers: list[_Kept] = []
+        nxt: dict[_Vec, _Kept] = {}
+        for key, kept in table.items():
+            c = kept[0][v]
             if c > 0:
-                lowers.append(row)
+                lowers.append(kept)
             elif c < 0:
-                uppers.append(row)
+                uppers.append(kept)
             else:
-                nxt.append(row)
-        passthrough = len(nxt)
-        aborted = False
-        for lr, ls, lh in lowers:
+                nxt[key] = kept
+        count = len(nxt)
+        for lr, ls, lh, _, _ in lowers:
             lc = lr[v]
-            for ur, us, uh in uppers:
+            for ur, us, uh, _, _ in uppers:
                 strict = ls or us
-                hist = lh | uh
-                if not strict and len(hist) > steps + 1:
+                h = lh | uh
+                if not strict and h.bit_count() > steps + 1:
                     continue
                 uc = -ur[v]
                 g = math.gcd(lc, uc)
                 a, b = uc // g, lc // g
-                combined = [a * x + b * y for x, y in zip(lr, ur)]
-                if not any(combined[:-1]):
-                    if combined[-1] < 0 or (strict and combined[-1] == 0):
+                coeffs = [a * x + b * y for x, y in zip(lr, ur)]
+                const = coeffs.pop()
+                g = math.gcd(*coeffs)
+                if not g:
+                    if const < 0 or (strict and const == 0):
                         return None, decided
-                elif max_rows is not None and len(nxt) >= max_rows:
-                    aborted = True
+                    continue
+                if count >= cap:
                     break
-                else:
-                    nxt.append((tuple(combined), strict, hist))
-            if aborted:
-                break
-        if aborted:
-            if not decided and not _lp_feasible([(r, s) for r, s, _ in rows]):
-                return None, False
-            decided = True
-            rows = nxt[:passthrough]
+                count += 1
+                # _prune_rows on this one row, inlined: a call per
+                # combination is the cost this loop is written to avoid.
+                d = math.gcd(g, const)
+                if d > 1:
+                    coeffs = [c // d for c in coeffs]
+                    g, const = g // d, const // d
+                key = tuple(coeffs) if g == 1 else tuple([c // g for c in coeffs])
+                cur = nxt.get(key)
+                if cur is not None:
+                    h &= cur[2]
+                    mine, theirs = const * cur[4], cur[3] * g
+                    if not (mine < theirs or (mine == theirs and strict and not cur[1])):
+                        nxt[key] = (cur[0], cur[1], h, cur[3], cur[4])
+                        continue
+                coeffs.append(const)
+                nxt[key] = (tuple(coeffs), strict, h, const, g)
+            else:
+                continue
+            break  # out of both loops: the cap stopped the step
+        else:
+            table = nxt
             continue
-        rows = _prune_rows(nxt)
-        if rows is None:
-            return None, decided
+        # The step stopped: keep the rows without the variable.
+        if not decided and not _lp_feasible([(r, s) for r, s, _, _, _ in table.values()]):
+            return None, False
+        decided = True
+        table = {key: kept for key, kept in table.items() if not kept[0][v]}
 
 
 def _lp_feasible(ineqs: list[_Ineq]) -> bool:
@@ -425,14 +472,16 @@ def is_satisfiable(conjuncts: Iterable[AtomicConstraint]) -> bool:
 
 
 def _entailed(
-    base: Iterable[tuple[_Vec, Rel]], goals: Iterable[tuple[_Vec, Rel]], n: int
+    base: Sequence[tuple[_Vec, Rel]], goals: Iterable[tuple[_Vec, Rel]], n: int
 ) -> Iterator[bool]:
     """Whether the rows ``base`` entail each row of ``goals``, all over ``n`` columns.
 
-    One Gauss-Jordan pass over ``base``'s equalities serves every goal:
-    each goal is decided by the satisfiability of ``base`` plus one
-    inequality of the goal's negation, with the pivots substituted out of
-    that inequality alone.  The answers come lazily, in goal order.
+    A goal that is itself a row of ``base``, relation included, holds
+    without elimination.  One Gauss-Jordan pass over ``base``'s equalities
+    serves every other goal: each is decided by the satisfiability of
+    ``base`` plus one inequality of the goal's negation, with the pivots
+    substituted out of that inequality alone.  The answers come lazily, in
+    goal order.
     """
     eqs, ineqs = _split(base)
     solved = _gauss_jordan(eqs)
@@ -440,7 +489,11 @@ def _entailed(
         yield from (True for _ in goals)
         return
     ineqs = _substitute(solved, ineqs)
-    for r, rel in goals:
+    for goal in goals:
+        if goal in base:
+            yield True
+            continue
+        r, rel = goal
         if rel is Rel.EQ:
             negations = [(r, True), (_neg(r), True)]
         else:

@@ -61,6 +61,10 @@ _TOKEN = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
+# Digits, a point and digits: a decimal literal, which the scanner splits
+# into three tokens (see ``_Parser.literal``).
+_DECIMAL = re.compile(r"[0-9]+\.[0-9]+")
+
 # A token is ``(kind, text, offset)``; kinds are ``op``, ``int``, ``var``,
 # ``ident`` and ``eof``.  Punctuation is the text of ``op`` tokens alone, so
 # the parser tests a token's text without its kind.
@@ -161,7 +165,7 @@ class _Parser:
         kind, text, _ = tokens[self.pos]
         if (kind == "var" or kind == "int") and tokens[self.pos + 1][1] not in ("*", "/"):
             # A lone variable or literal, the common term, needs no term dict.
-            key, c = (text, k) if kind == "var" else ("", k * self.literal(tokens[self.pos]))
+            key, c = (text, k) if kind == "var" else ("", k * self.literal())
             acc[key] = acc.get(key, 0) + c
             self.pos += 1
             return
@@ -214,8 +218,9 @@ class _Parser:
             self.depth -= 1
             return term
         if kind == "int":
+            value = self.literal()
             self.pos += 1
-            return {"": self.literal(tok)}
+            return {"": value}
         if kind == "var":
             self.pos += 1
             return {text: 1}
@@ -225,7 +230,20 @@ class _Parser:
             )
         raise self.error(f"expected an expression, found {text!r}", tok)
 
-    def literal(self, tok: Token) -> int:
+    def literal(self) -> int:
+        """The integer literal at the cursor.
+
+        The scanner reads ``0.5`` as ``0``, ``.`` and ``5``; a decimal
+        literal is refused here, at its first digit, while ``X >= 0.``
+        followed by a newline or the end of the text still ends a clause.
+        """
+        tok = self.tokens[self.pos]
+        decimal = _DECIMAL.match(self.text, tok[2])
+        if decimal:
+            text = decimal.group()
+            raise self.error(
+                f"decimal literal {text} is not supported; write {Fraction(text)}", tok
+            )
         try:
             return int(tok[1])
         except ValueError:  # longer than the interpreter converts

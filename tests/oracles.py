@@ -19,18 +19,21 @@ analyzer's Tarjan search and the unfolding's backward-edge search as the
 reference for the one dependency-graph walk ``chc._walk``, and the
 unfolding that decides every accumulated constraint whole, with the
 ``Fraction`` sums of ``LinExpr.rename`` and
-``subst``, as the reference for the unfolding by summaries.  The last
-section but two keeps the constraint-form ``Polyhedron`` operations,
-clause contributions and fixpoint loop as the reference for the polyhedra
-on integer rows, the next keeps the double description's own null-space
-elimination as the reference for the one that runs on
-``lincon._gauss_jordan``, and the last keeps the consequence step that
-eliminates a clause's own equalities again in every derivation, one
-``lincon._project_rows`` of all its rows onto the head's columns, whose
+``subst``, as the reference for the unfolding by summaries.  Five
+sections close the file.  The first keeps the constraint-form
+``Polyhedron`` operations, clause contributions and fixpoint loop as the
+reference for the polyhedra on integer rows.  The second keeps the double
+description's own null-space elimination as the reference for the one
+that runs on ``lincon._gauss_jordan``.  The third keeps the consequence
+step that eliminates a clause's own equalities again in every derivation,
+one ``lincon._project_rows`` of all its rows onto the head's columns, whose
 rows come back over those columns in normal form, as the reference for
-the one that resumes from the clause's prepared rows.  The
-character-by-character scanner that the parser's one-regex scanner
-replaced closes the file as the reference for its token stream.
+the one that resumes from the clause's prepared rows.  The fourth keeps
+the Fourier-Motzkin elimination with ``frozenset`` histories and a prune
+pass over each step's rows, as the reference for the one that prunes each
+combination as it makes it.  The character-by-character scanner that the
+parser's one-regex scanner replaced closes the file, as the reference for
+its token stream.
 """
 
 from __future__ import annotations
@@ -1347,6 +1350,100 @@ def reference_derive(n: int, constr, source, bodies, max_rows):
     rows = [row for part in (constr, *bodies) for row in part]
     proj, _ = lincon._project_rows(*lincon._split(rows), n, source, max_rows)
     return None if proj is None else tuple(proj)
+
+
+# ---------------------------------------------------------------------------
+# Fourier-Motzkin with set histories and a separate prune pass
+# ---------------------------------------------------------------------------
+
+def reference_prune_rows(rows):
+    """``lincon._prune_rows`` before it kept each row's slope, constant and
+    gcd: ``(row, strict, history)`` triples in, with ``frozenset``
+    histories, and the kept triples out as a list; None on a ground
+    contradiction."""
+    best = {}
+    for r, s, h in rows:
+        coeffs = r[:-1]
+        g = math.gcd(*coeffs)
+        const = r[-1]
+        if not g:
+            if const < 0 or (s and const == 0):
+                return None
+            continue
+        d = math.gcd(g, const)
+        if d > 1:
+            r = tuple([c // d for c in r])
+            coeffs, g, const = r[:-1], g // d, const // d
+        key = coeffs if g == 1 else tuple([c // g for c in coeffs])
+        cur = best.get(key)
+        if cur is not None:
+            h = h & cur[3]
+            mine, theirs = const * cur[1], cur[0] * g
+            if not (mine < theirs or (mine == theirs and s and not cur[2])):
+                best[key] = (cur[0], cur[1], cur[2], h, cur[4])
+                continue
+        best[key] = (const, g, s, h, r)
+    return [(r, s, h) for _, _, s, h, r in best.values()]
+
+
+def reference_fm_eliminate(ineqs, elim, max_rows=None):
+    """``lincon._fm_eliminate`` before each step was one pass: histories are
+    sets of input indices, Kohler's test takes their size, every step
+    collects its passthrough rows and combinations in one list, and
+    :func:`reference_prune_rows` prunes the list afterwards."""
+    rows = reference_prune_rows([(r, s, frozenset((i,))) for i, (r, s) in enumerate(ineqs)])
+    if rows is None:
+        return None, False
+    steps = 0
+    decided = False
+    while True:
+        counts = {}
+        for r, _, _ in rows:
+            for j in elim:
+                c = r[j]
+                if c:
+                    pair = counts.setdefault(j, [0, 0])
+                    pair[0 if c > 0 else 1] += 1
+        if not counts:
+            return [(r, s) for r, s, _ in rows], decided
+        v = min(counts, key=lambda u: (counts[u][0] * counts[u][1], u))
+        steps += 1
+        lowers, uppers, nxt = [], [], []
+        for row in rows:
+            c = row[0][v]
+            (lowers if c > 0 else uppers if c < 0 else nxt).append(row)
+        passthrough = len(nxt)
+        aborted = False
+        for lr, ls, lh in lowers:
+            lc = lr[v]
+            for ur, us, uh in uppers:
+                strict = ls or us
+                hist = lh | uh
+                if not strict and len(hist) > steps + 1:
+                    continue
+                uc = -ur[v]
+                g = math.gcd(lc, uc)
+                a, b = uc // g, lc // g
+                combined = [a * x + b * y for x, y in zip(lr, ur)]
+                if not any(combined[:-1]):
+                    if combined[-1] < 0 or (strict and combined[-1] == 0):
+                        return None, decided
+                elif max_rows is not None and len(nxt) >= max_rows:
+                    aborted = True
+                    break
+                else:
+                    nxt.append((tuple(combined), strict, hist))
+            if aborted:
+                break
+        if aborted:
+            if not decided and not lincon._lp_feasible([(r, s) for r, s, _ in rows]):
+                return None, False
+            decided = True
+            rows = nxt[:passthrough]
+            continue
+        rows = reference_prune_rows(nxt)
+        if rows is None:
+            return None, decided
 
 
 # ---------------------------------------------------------------------------

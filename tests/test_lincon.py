@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from oracles import (
     POINT_RANGE,
     random_system,
+    reference_fm_eliminate,
+    reference_prune_rows,
     rational_is_satisfiable,
     rational_normalize,
     rational_project,
@@ -197,6 +199,33 @@ def test_entailment_basics():
     assert lincon.entails_all([eq(-5, A=1)], [ge(-5, A=1), ge(5, A=-1)])
 
 
+def test_goal_held_by_a_base_row_needs_no_elimination(monkeypatch):
+    calls = []
+    fm_eliminate = lincon._fm_eliminate
+
+    def counted(*args):
+        calls.append(args)
+        return fm_eliminate(*args)
+
+    monkeypatch.setattr(lincon, "_fm_eliminate", counted)
+    # Columns A, B; rows are (A, B, constant).
+    base = [((1, -1, 0), Rel.EQ), ((1, 0, 0), Rel.GE), ((0, 1, -3), Rel.GT)]
+    # A >= 0 and B - 3 > 0 are base rows: answered without a call.
+    assert list(lincon._entailed(base, [base[1], base[2]], 2)) == [True, True]
+    assert calls == []
+    # A > 0 is not A >= 0: strictness is part of the match.  A >= 0 alone
+    # does not give A > 0, though B > 3 and A = B do.
+    assert list(lincon._entailed(base[1:2], [((1, 0, 0), Rel.GT)], 2)) == [False]
+    assert list(lincon._entailed(base, [((1, 0, 0), Rel.GT)], 2)) == [True]
+    assert len(calls) == 2
+    # B - A = 0 is the base's A - B = 0 oriented the other way; it is
+    # decided by elimination, as is A = 0, which does not follow.
+    calls.clear()
+    goals = [((-1, 1, 0), Rel.EQ), ((1, 0, 0), Rel.EQ)]
+    assert list(lincon._entailed(base, goals, 2)) == [True, False]
+    assert len(calls) == 3  # both negations of the first, one of the second
+
+
 # -- normalization ---------------------------------------------------------------
 
 
@@ -224,11 +253,87 @@ def test_prune_rows_keys_on_slope_alone():
     # 2A-1 >= 0 and A+6 > 0 are parallel; only the tighter A >= 1/2 stays,
     # with the intersection of the two histories.
     rows = [
-        ((2, -1), False, frozenset((0,))),
-        ((1, 6), True, frozenset((1,))),
+        ((2, -1), False, 0b01),
+        ((1, 6), True, 0b10),
     ]
-    (kept,) = lincon._prune_rows(rows)
-    assert kept == ((2, -1), False, frozenset())
+    (kept,) = lincon._prune_rows(rows).values()
+    assert kept[:3] == ((2, -1), False, 0)
+
+
+def test_prune_rows_intersects_every_colliding_history():
+    # Three parallel rows, the tightest last and scaled by 2: it is kept,
+    # coprime, with the bits all three histories share.
+    rows = [
+        ((1, 2, 5), False, 0b011),
+        ((1, 2, 3), True, 0b110),
+        ((2, 4, 2), False, 0b111),
+    ]
+    table = lincon._prune_rows(rows)
+    assert table == {(1, 2): ((1, 2, 1), False, 0b010, 1, 1)}
+
+
+def _random_ineqs(rng, width):
+    """Rows over ``width`` columns with the collisions pruning must settle:
+    parallel rows, often at the same constant, strict and non-strict, some
+    scaled off coprime, and the odd ground row."""
+    rows = []
+    for _ in range(rng.randint(1, 8)):
+        r = lincon._coprime([rng.randint(-2, 2) for _ in range(width)] + [rng.randint(-4, 4)])
+        rows.append((r, rng.random() < 0.3))
+        if rng.random() < 0.5:  # a parallel row
+            k = rng.randint(1, 3)
+            const = k * r[-1] if rng.random() < 0.6 else rng.randint(-6, 6)
+            rows.append((tuple([k * c for c in r[:-1]] + [const]), rng.random() < 0.5))
+    if rng.random() < 0.15:
+        rows.append(((0,) * width + (rng.randint(-1, 3),), rng.random() < 0.3))
+    rng.shuffle(rows)
+    return rows
+
+
+def test_one_pass_elimination_matches_reference(monkeypatch):
+    # The one-pass kernel against the one with set histories and a prune
+    # pass per step: the same rows in the same order, the same stop flag,
+    # and the same rows handed to the simplex when a step stops.
+    lp_feasible = lincon._lp_feasible
+    simplex: list = []
+
+    def recorded(ineqs):
+        simplex.append((list(ineqs), lp_feasible(ineqs)))
+        return simplex[-1][1]
+
+    monkeypatch.setattr(lincon, "_lp_feasible", recorded)
+    rng = random.Random(20261019)
+    stats = dict.fromkeys(("calls", "none", "stopped", "simplex", "simplex_none", "collided"), 0)
+    for _ in range(1500):
+        width = rng.randint(2, 7)
+        ineqs = _random_ineqs(rng, width)
+        elim = sorted(rng.sample(range(width), rng.randint(1, width)))
+        if rng.random() < 0.3:
+            rng.shuffle(elim)
+        table = lincon._prune_rows((r, s, 1 << i) for i, (r, s) in enumerate(ineqs))
+        ref = reference_prune_rows([(r, s, frozenset((i,))) for i, (r, s) in enumerate(ineqs)])
+        if ref is None:
+            assert table is None, ineqs
+        else:
+            bits = [(r, s, sum(1 << i for i in h)) for r, s, h in ref]
+            assert [kept[:3] for kept in table.values()] == bits, ineqs
+            stats["collided"] += len(ref) < len(ineqs)
+        for max_rows in (None, 3, 5, 8):
+            simplex.clear()
+            got = lincon._fm_eliminate(ineqs, elim, max_rows)
+            handed = simplex[:]
+            simplex.clear()
+            want = reference_fm_eliminate(ineqs, elim, max_rows)
+            assert got == want and handed == simplex, (ineqs, elim, max_rows)
+            stats["calls"] += 1
+            stats["none"] += got[0] is None
+            stats["stopped"] += got[1]
+            stats["simplex"] += len(handed)
+            stats["simplex_none"] += any(not ok for _, ok in handed)
+    assert stats == {
+        "calls": 6000, "none": 973, "stopped": 649, "simplex": 931, "simplex_none": 282,
+        "collided": 1247,
+    }
 
 
 def test_projection_substitutes_equality():

@@ -1,6 +1,7 @@
 """Parser round-trips, normalization on entry, and error reporting."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -214,3 +215,24 @@ def test_comment_at_end_without_newline():
         parse_program("p(0).\np(A) :- A >= 1 % no period")
     assert (exc.value.line, exc.value.col) == (2, 16)
     assert parse_program("p(0). % done") == parse_program("p(0).")
+
+
+def test_decimal_literal_is_refused_at_its_column():
+    # The scanner splits 0.5 into 0, . and 5; the parser names the literal
+    # and the fraction to write instead, wherever the literal stands.
+    cases = [
+        ("false :- X > 0.5, X < 1.", "0.5", "1/2", (1, 14)),
+        ("p(0).\np(A) :- p(B),\n  A = 2*B + 12.50.", "12.50", "25/2", (3, 13)),
+        ("p(3.0).", "3.0", "3", (1, 3)),
+    ]
+    for text, literal, fraction, position in cases:
+        message = f"decimal literal {literal} is not supported; write {fraction}"
+        with pytest.raises(ParseError, match=re.escape(message)) as exc:
+            parse_program(text)
+        assert (exc.value.line, exc.value.col) == position
+    # A literal and the clause's full stop still end the clause, before a
+    # newline or the end of the text.
+    two = parse_program("p(X) :- X >= 0.\nfalse :- p(X), X < 0.")
+    assert two == parse_program("p(X) :- X >= 0. false :- p(X), X < 0 .")
+    assert len(two.clauses) == 2
+    assert parse_program("p(X) :- X >= 0.") == parse_program("p(X) :- X >= 0 .")

@@ -151,6 +151,10 @@ class Rel(Enum):
     GT = ">"
     EQ = "="
 
+    def holds(self, value: Fraction | int) -> bool:
+        """Whether ``value REL 0``."""
+        return value > 0 if self is Rel.GT else (value >= 0 if self is Rel.GE else value == 0)
+
 
 @dataclass(frozen=True)
 class AtomicConstraint:
@@ -185,10 +189,7 @@ class AtomicConstraint:
         )
 
     def is_trivially_true(self) -> bool:
-        if not self.expr.is_const:
-            return False
-        k = self.expr.const
-        return k > 0 if self.rel is Rel.GT else (k >= 0 if self.rel is Rel.GE else k == 0)
+        return self.expr.is_const and self.rel.holds(self.expr.const)
 
     def is_trivially_false(self) -> bool:
         return self.expr.is_const and not self.is_trivially_true()

@@ -169,8 +169,12 @@ def _reduce(r: _Vec, p: _Vec, j: int) -> _Vec:
     if a < 0:
         a, b = -a, -b
     g = math.gcd(a, b)
-    a, b = a // g, b // g
-    return _coprime([a * x - b * y for x, y in zip(r, p)])
+    return _combine(a // g, r, b // g, p)
+
+
+def _combine(a: int, u: Sequence[int], b: int, v: Sequence[int]) -> _Vec:
+    """Primitive form of ``a * u - b * v``: the one fraction-free combination."""
+    return _coprime([a * x - b * y for x, y in zip(u, v)])
 
 
 def _gauss_jordan(
@@ -220,69 +224,68 @@ def _substitute(solved: list[tuple[int, _Vec]], ineqs: list[_Ineq]) -> list[_Ine
     return reduced
 
 
-def _ground_ok(ineqs: Iterable[_Ineq]) -> bool:
-    return all(
-        any(r[:-1]) or r[-1] > 0 or (r[-1] == 0 and not s) for r, s in ineqs
-    )
-
-
-# A working row during elimination: inequality, strictness, and its history,
-# the set of input rows it was combined from as a bitmask (bit ``i`` stands
-# for input row ``i``).
-_Row = tuple[_Vec, bool, int]
-# A row kept as the tightest of its slope (see :func:`_prune_rows`): the
-# working row, then its constant and the gcd of its coefficients, which
-# rank it against the rows parallel to it.
+# A row kept as the tightest of its slope (see :func:`_key`): the row,
+# strictness, its history, the set of input rows it was combined from as a
+# bitmask (bit ``i`` stands for input row ``i``), then its constant and the
+# gcd of its coefficients, which rank it against the rows parallel to it.
 _Kept = tuple[_Vec, bool, int, int, int]
 
 
-def _prune_rows(rows: Iterable[_Row]) -> dict[_Vec, _Kept] | None:
-    """Keep only the tightest of parallel inequalities (same coprime slope).
+def _key(table: dict[_Vec, _Kept], r: Sequence[int], s: bool, h: int) -> bool | None:
+    """Key the row ``r`` (``> 0`` when ``s`` is set) with history ``h`` into ``table``.
 
-    Rows are keyed on their coefficients alone, divided by their gcd, so
-    ``2A-1 >= 0`` and ``A+6 > 0`` share a key and only ``2A-1 >= 0``
+    Returns None when the row is a ground contradiction, False when it is a
+    satisfied ground row, which is dropped, and True when it is kept.
+
+    The table holds the tightest of parallel inequalities (same coprime
+    slope).  Rows are keyed on their coefficients alone, divided by their
+    gcd, so ``2A-1 >= 0`` and ``A+6 > 0`` share a key and only ``2A-1 >= 0``
     survives.  Removing a constraint implied by a parallel tighter one never
     changes the solution set, so this is exact, and afterwards no row is
     entailed by another single row: a half-space contains another only when
-    their normals point the same way.  Kept rows come out coprime, keyed on
-    their slope in the order the slopes first occur; ties keep the first
-    row.  Returns None on a ground contradiction; satisfied ground rows are
-    dropped.
+    their normals point the same way.  Kept rows are stored coprime, keyed
+    on their slope in the order the slopes first occur; ties keep the first
+    row.
 
     The kept row's history is the intersection (``&``) of the colliding
     rows' histories.  Kohler's criterion drops a row by the size of its
     history, and a row combined later from a looser parallel row with a
     smaller history may be one that the criterion must keep; the
     intersection is a subset of every colliding history, so no such row is
-    dropped.  :func:`_fm_eliminate` prunes its input here and each of its
-    combinations the same way, as it makes them.
+    dropped.  :func:`_table` keys elimination's input rows here, and
+    :func:`_eliminate` each combination as it makes it.
     """
-    best: dict[_Vec, _Kept] = {}
-    for r, s, h in rows:
-        coeffs = r[:-1]
-        g = math.gcd(*coeffs)
-        const = r[-1]
-        if not g:
-            if const < 0 or (s and const == 0):
-                return None
-            continue
-        d = math.gcd(g, const)
-        if d > 1:
-            r = tuple([c // d for c in r])
-            coeffs, g, const = r[:-1], g // d, const // d
-        key = coeffs if g == 1 else tuple([c // g for c in coeffs])
-        cur = best.get(key)
-        if cur is not None:
-            h &= cur[2]
-            # Compare const/g with the kept row's: smaller is tighter
-            # (expr + const >= 0); strict beats non-strict at equal
-            # constants.
-            mine, theirs = const * cur[4], cur[3] * g
-            if not (mine < theirs or (mine == theirs and s and not cur[1])):
-                best[key] = (cur[0], cur[1], h, cur[3], cur[4])
-                continue
-        best[key] = (r, s, h, const, g)
-    return best
+    coeffs = r[:-1]
+    const = r[-1]
+    g = math.gcd(*coeffs)
+    if not g:
+        return None if const < 0 or (s and const == 0) else False
+    d = math.gcd(g, const)
+    if d > 1:
+        r = [c // d for c in r]
+        coeffs, g, const = r[:-1], g // d, const // d
+    key = tuple(coeffs) if g == 1 else tuple([c // g for c in coeffs])
+    cur = table.get(key)
+    if cur is not None:
+        h &= cur[2]
+        # Compare const/g with the kept row's: smaller is tighter
+        # (expr + const >= 0); strict beats non-strict at equal constants.
+        mine, theirs = const * cur[4], cur[3] * g
+        if not (mine < theirs or (mine == theirs and s and not cur[1])):
+            table[key] = (cur[0], cur[1], h, cur[3], cur[4])
+            return True
+    table[key] = (tuple(r), s, h, const, g)
+    return True
+
+
+def _table(ineqs: Iterable[_Ineq]) -> dict[_Vec, _Kept] | None:
+    """Input rows keyed by :func:`_key`, row ``i`` with history bit ``i``;
+    None on a ground contradiction."""
+    table: dict[_Vec, _Kept] = {}
+    for i, (r, s) in enumerate(ineqs):
+        if _key(table, r, s, 1 << i) is None:
+            return None
+    return table
 
 
 def _fm_eliminate(
@@ -290,37 +293,49 @@ def _fm_eliminate(
 ) -> tuple[list[_Ineq] | None, bool]:
     """Eliminate every column in ``elim``: the rows left, None on contradiction.
 
+    The rows are keyed by :func:`_table` and eliminated by :func:`_eliminate`.
+    """
+    table = _table(ineqs)
+    if table is None:
+        return None, False
+    return _eliminate(table, elim, max_rows)
+
+
+def _eliminate(
+    table: dict[_Vec, _Kept], elim: Sequence[int], max_rows: int | None
+) -> tuple[list[_Ineq] | None, bool]:
+    """:func:`_fm_eliminate` on its keyed input rows, which ``table`` holds.
+
     Variables go cheapest-first (fewest lower*upper pairings, the lowest
     column on ties).  Two exact prunings keep the intermediate systems
     small: parallel constraints collapse to their tightest representative
-    (see :func:`_prune_rows`), and any non-strict row combining more than
-    j+1 input rows after j eliminations is a positive combination of others
-    and is dropped (Kohler's criterion, the popcount of its history).  Every
-    row set returned holds at most one inequality per slope, and none is
-    entailed by another single row.
+    (see :func:`_key`), and any non-strict row combining more than j+1
+    input rows after j eliminations is a positive combination of others
+    and is dropped (Kohler's criterion, the popcount of its history).
+    Every row set returned holds at most one inequality per slope, and
+    none is entailed by another single row.
 
     Each step is one pass over its rows.  The rows without the variable
     pass through with their slope, constant and gcd, and are never keyed
     again; each combination is keyed as it is made and goes straight into
     the step's table after them, so the rows come out in the order that
-    pruning the whole step at once would give.
+    keying the whole step at once would give.
 
     With ``max_rows`` set, an elimination step whose combination output would
     exceed that many rows instead drops every row mentioning the variable.
     The output counts the rows passed through plus every combination made,
     before pruning: one that collides with a kept row counts too, and a
-    satisfied ground one does not.  Stopping over-approximates the
-    projection (constraints are only lost), so it is for callers computing
-    upper bounds.  Unsatisfiability stays exact: every step before the first
-    one that stops is exact, so the first stop decides the rows it has with
+    satisfied ground one does not.  Each combination is keyed before it is
+    counted; one keyed past the cap lands in the step's table, which the
+    stop throws away.  Stopping over-approximates the projection
+    (constraints are only lost), so it is for callers computing upper
+    bounds.  Unsatisfiability stays exact: every step before the first one
+    that stops is exact, so the first stop decides the rows it has with
     the simplex and returns None if they are contradictory.  Later stops
     drop rows of a satisfiable system, whose relaxations stay satisfiable.
     The second item of the result tells whether a step stopped, that is,
     whether returned rows may be an over-approximation.
     """
-    table = _prune_rows([(r, s, 1 << i) for i, (r, s) in enumerate(ineqs)])
-    if table is None:
-        return None, False
     cap = math.inf if max_rows is None else max_rows
     live = list(elim)
     steps = 0
@@ -371,32 +386,13 @@ def _fm_eliminate(
                 uc = -ur[v]
                 g = math.gcd(lc, uc)
                 a, b = uc // g, lc // g
-                coeffs = [a * x + b * y for x, y in zip(lr, ur)]
-                const = coeffs.pop()
-                g = math.gcd(*coeffs)
-                if not g:
-                    if const < 0 or (strict and const == 0):
-                        return None, decided
-                    continue
-                if count >= cap:
-                    break
-                count += 1
-                # _prune_rows on this one row, inlined: a call per
-                # combination is the cost this loop is written to avoid.
-                d = math.gcd(g, const)
-                if d > 1:
-                    coeffs = [c // d for c in coeffs]
-                    g, const = g // d, const // d
-                key = tuple(coeffs) if g == 1 else tuple([c // g for c in coeffs])
-                cur = nxt.get(key)
-                if cur is not None:
-                    h &= cur[2]
-                    mine, theirs = const * cur[4], cur[3] * g
-                    if not (mine < theirs or (mine == theirs and strict and not cur[1])):
-                        nxt[key] = (cur[0], cur[1], h, cur[3], cur[4])
-                        continue
-                coeffs.append(const)
-                nxt[key] = (tuple(coeffs), strict, h, const, g)
+                kept = _key(nxt, [a * x + b * y for x, y in zip(lr, ur)], strict, h)
+                if kept is None:
+                    return None, decided
+                if kept:
+                    count += 1
+                    if count > cap:
+                        break
             else:
                 continue
             break  # out of both loops: the cap stopped the step
@@ -425,7 +421,7 @@ def _lp_feasible(ineqs: list[_Ineq]) -> bool:
     width = len(ineqs[0][0]) - 1 if ineqs else 0
     cols = [j for j in range(width) if any(r[j] for r, _ in ineqs)]
     if not cols:
-        return _ground_ok(ineqs)
+        return _table(ineqs) is not None
     n, m = len(cols), len(ineqs)
     ncols = 2 * n + m
     tab: list[Sequence[int]] = []
@@ -459,9 +455,9 @@ def _lp_feasible(ineqs: list[_Ineq]) -> bool:
         for i in range(m):
             f = tab[i][enter]
             if i != r and f:
-                tab[i] = _coprime([p * a - f * b for a, b in zip(tab[i], prow)])
+                tab[i] = _combine(p, tab[i], f, prow)
         f = z[enter]
-        z = _coprime([p * a - f * b for a, b in zip(z, prow)])
+        z = _combine(p, z, f, prow)
         basis[r] = enter
 
 
@@ -477,18 +473,22 @@ def _entailed(
     """Whether the rows ``base`` entail each row of ``goals``, all over ``n`` columns.
 
     A goal that is itself a row of ``base``, relation included, holds
-    without elimination.  One Gauss-Jordan pass over ``base``'s equalities
-    serves every other goal: each is decided by the satisfiability of
-    ``base`` plus one inequality of the goal's negation, with the pivots
-    substituted out of that inequality alone.  The answers come lazily, in
-    goal order.
+    without elimination.  Every other goal is decided by the
+    satisfiability of ``base`` plus one inequality of the goal's negation.
+    ``base`` is prepared once for all of them: one Gauss-Jordan pass over
+    its equalities, whose pivots are substituted out of its inequalities,
+    and those keyed once by :func:`_table`.  Each negation, with the pivots
+    substituted out, is keyed into a copy of that table, with the history
+    bit after the base's inequalities, and the copy is eliminated.  The
+    answers come lazily, in goal order.
     """
     eqs, ineqs = _split(base)
     solved = _gauss_jordan(eqs)
-    if solved is None:  # an unsatisfiable base entails everything
+    table = None if solved is None else _table(_substitute(solved, ineqs))
+    if table is None:  # an unsatisfiable base entails everything
         yield from (True for _ in goals)
         return
-    ineqs = _substitute(solved, ineqs)
+    bit = 1 << len(ineqs)
     for goal in goals:
         if goal in base:
             yield True
@@ -499,8 +499,9 @@ def _entailed(
         else:
             negations = [(_neg(r), rel is Rel.GE)]
         yield all(
-            _fm_eliminate(ineqs + [neg], range(n), PROJECT_CAP)[0] is None
-            for neg in _substitute(solved, negations)
+            _key(rows := dict(table), neg, strict, bit) is None
+            or _eliminate(rows, range(n), PROJECT_CAP)[0] is None
+            for neg, strict in _substitute(solved, negations)
         )
 
 
@@ -535,8 +536,7 @@ def _normal_form(rows: Iterable[tuple[_Vec, Rel]]) -> list[tuple[_Vec, Rel]] | N
     cleaned: list[tuple[_Vec, Rel]] = []
     for r, rel in rows:
         if not any(r[:-1]):
-            c = r[-1]
-            if c > 0 if rel is Rel.GT else (c >= 0 if rel is Rel.GE else c == 0):
+            if rel.holds(r[-1]):
                 continue
             return None
         cleaned.append((_oriented(r) if rel is Rel.EQ else r, rel))
@@ -680,7 +680,7 @@ def project(
     when their normals are parallel.  The equalities are reduced rows, so
     no two are parallel, and each has a pivot variable that occurs in no
     other conjunct, so no inequality is parallel to one.  Fourier-Motzkin
-    returns at most one inequality per slope (see :func:`_prune_rows`), and
+    returns at most one inequality per slope (see :func:`_key`), and
     opposed inequalities never entail each other.  When the normal form
     merges an opposed pair into a new equality, the Gauss-Jordan pass runs
     again over all the equalities, so the result always holds the reduced

@@ -105,12 +105,7 @@ class Polyhedron:
         if self.is_empty:
             return False
         env = {d: Fraction(x) for d, x in zip(self.dims, point)}
-        for a in self.conjuncts():
-            v = a.expr.evaluate(env)
-            ok = v > 0 if a.rel is Rel.GT else (v >= 0 if a.rel is Rel.GE else v == 0)
-            if not ok:
-                return False
-        return True
+        return all(a.rel.holds(a.expr.evaluate(env)) for a in self.conjuncts())
 
     # -- lattice operations ----------------------------------------------------
 
@@ -190,11 +185,6 @@ class Polyhedron:
 # number of generators.  Rows and generators are tuples of coprime ints.
 # ---------------------------------------------------------------------------
 
-def _combine(a: int, u: Sequence[int], b: int, v: Sequence[int]) -> tuple[int, ...]:
-    """Primitive form of ``a * u - b * v``."""
-    return lincon._coprime([a * x - b * y for x, y in zip(u, v)])
-
-
 def _nullspace(rows: Iterable[Sequence[int]], n: int) -> list[tuple[int, ...]]:
     """Primitive basis of the solutions of ``r . y = 0`` for every row.
 
@@ -247,8 +237,8 @@ def _dual(rays, lines, n: int):
             v, s = basis.pop(k), dots.pop(k)
             if s < 0:
                 v, s = tuple(-x for x in v), -s
-            basis = [_combine(s, u, d, v) if d else u for u, d in zip(basis, dots)]
-            gens = [_combine(s, g, d, v) if d else g for g, d in zip(gens, sides)] + [v]
+            basis = [lincon._combine(s, u, d, v) if d else u for u, d in zip(basis, dots)]
+            gens = [lincon._combine(s, g, d, v) if d else g for g, d in zip(gens, sides)] + [v]
             tight = [z | bit for z in tight] + [bit - 1]
             continue
         minus = [k for k, s in enumerate(sides) if s < 0]
@@ -263,7 +253,7 @@ def _dual(rays, lines, n: int):
                 common = tight[p] & tight[q]
                 if any(common & z == common for j, z in enumerate(tight) if j != p and j != q):
                     continue
-                new_gens.append(_combine(sides[p], gens[q], sides[q], gens[p]))
+                new_gens.append(lincon._combine(sides[p], gens[q], sides[q], gens[p]))
                 new_tight.append(common | bit)
         gens, tight = new_gens, new_tight
     return out_lines, sorted(gens)

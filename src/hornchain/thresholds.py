@@ -96,13 +96,12 @@ def tp_step(program: Program, interp: Interpretation, cap: int | None = None) ->
     Inside the step facts are ``lincon``'s integer rows: each fact of
     ``interp`` becomes rows over its predicate's canonical columns once.
     Each clause reads its prepared rows (``Clause.rows``): its constraint
-    laid out over the clause's variables in name order, which is the layout
-    ``lincon.project`` would give the same conjuncts up to columns no row
-    mentions, with its own equalities eliminated once per clause, not once
-    per step.  The body facts move to those columns, and each combination
-    is one ``lincon._derive`` step.  A capped predicate sheds facts on
-    rows too, and facts become ``Constraint`` values only when the step
-    returns.
+    laid out over the clause's variables in name order (columns that its
+    constraint never mentions change nothing in ``lincon._project_rows``),
+    with its own equalities eliminated once per clause, not once per step.
+    The body facts move to those columns, and each combination is one
+    ``lincon._derive`` step.  A capped predicate sheds facts on rows too,
+    and facts become ``Constraint`` values only when the step returns.
     """
     layouts = {p: lincon._layout(k) for p, k in program.arities.items()}
     known = {

@@ -1446,6 +1446,32 @@ def reference_fm_eliminate(ineqs, elim, max_rows=None):
             return None, decided
 
 
+def reference_entailed(base, goals, n):
+    """``lincon._entailed`` before it keyed its base once: each goal that is
+    not a base row runs ``lincon._fm_eliminate`` over the substituted base
+    inequalities plus one negation, so every elimination keys the whole
+    base again."""
+    eqs, ineqs = lincon._split(base)
+    solved = lincon._gauss_jordan(eqs)
+    if solved is None:  # an unsatisfiable base entails everything
+        yield from (True for _ in goals)
+        return
+    ineqs = lincon._substitute(solved, ineqs)
+    for goal in goals:
+        if goal in base:
+            yield True
+            continue
+        r, rel = goal
+        if rel is Rel.EQ:
+            negations = [(r, True), (lincon._neg(r), True)]
+        else:
+            negations = [(lincon._neg(r), rel is Rel.GE)]
+        yield all(
+            lincon._fm_eliminate(ineqs + [neg], range(n), lincon.PROJECT_CAP)[0] is None
+            for neg in lincon._substitute(solved, negations)
+        )
+
+
 # ---------------------------------------------------------------------------
 # The character-by-character scanner
 # ---------------------------------------------------------------------------

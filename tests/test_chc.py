@@ -1,5 +1,6 @@
 """Linear expressions: renaming and substitution against the ``Fraction`` sums.
-The dependency-graph walk against the searches it replaced."""
+The dependency-graph walk against the searches it replaced.  The one
+relation test, ``Rel.holds``."""
 
 import random
 from fractions import Fraction
@@ -12,7 +13,16 @@ from oracles import (
     reference_subst,
 )
 
-from hornchain.chc import FALSE_PRED, Atom, Clause, LinExpr, Program, _walk, backward_targets
+from hornchain.chc import (
+    FALSE_PRED,
+    Atom,
+    Clause,
+    LinExpr,
+    Program,
+    Rel,
+    _walk,
+    backward_targets,
+)
 from hornchain.transform import _drop_unreachable
 
 NAMES = ("A", "B", "C", "V26", "X", "Y", "Z")
@@ -20,6 +30,18 @@ NAMES = ("A", "B", "C", "V26", "X", "Y", "Z")
 
 def lin(const=0, **coeffs):
     return LinExpr.build({v: Fraction(c) for v, c in coeffs.items()}, Fraction(const))
+
+
+def test_rel_holds_of_each_sign():
+    # Each relation at -1, 0 and 1.
+    want = {
+        Rel.GE: [False, True, True],
+        Rel.GT: [False, False, True],
+        Rel.EQ: [False, True, False],
+    }
+    for rel, expected in want.items():
+        assert [rel.holds(v) for v in (-1, 0, 1)] == expected, rel
+        assert [rel.holds(Fraction(v, 3)) for v in (-1, 0, 1)] == expected, rel
 
 
 def test_rename_merging_names_adds_coefficients():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     POINT_RANGE,
     random_system,
+    reference_entailed,
     reference_fm_eliminate,
     reference_prune_rows,
     rational_is_satisfiable,
@@ -201,13 +202,13 @@ def test_entailment_basics():
 
 def test_goal_held_by_a_base_row_needs_no_elimination(monkeypatch):
     calls = []
-    fm_eliminate = lincon._fm_eliminate
+    eliminate = lincon._eliminate
 
     def counted(*args):
         calls.append(args)
-        return fm_eliminate(*args)
+        return eliminate(*args)
 
-    monkeypatch.setattr(lincon, "_fm_eliminate", counted)
+    monkeypatch.setattr(lincon, "_eliminate", counted)
     # Columns A, B; rows are (A, B, constant).
     base = [((1, -1, 0), Rel.EQ), ((1, 0, 0), Rel.GE), ((0, 1, -3), Rel.GT)]
     # A >= 0 and B - 3 > 0 are base rows: answered without a call.
@@ -218,12 +219,106 @@ def test_goal_held_by_a_base_row_needs_no_elimination(monkeypatch):
     assert list(lincon._entailed(base[1:2], [((1, 0, 0), Rel.GT)], 2)) == [False]
     assert list(lincon._entailed(base, [((1, 0, 0), Rel.GT)], 2)) == [True]
     assert len(calls) == 2
-    # B - A = 0 is the base's A - B = 0 oriented the other way; it is
-    # decided by elimination, as is A = 0, which does not follow.
+    # B - A = 0 is the base's A - B = 0 oriented the other way.  With A = B
+    # substituted, both its negations are the ground 0 > 0, which keying
+    # refutes without elimination; A = 0, which does not follow, takes one.
     calls.clear()
     goals = [((-1, 1, 0), Rel.EQ), ((1, 0, 0), Rel.EQ)]
     assert list(lincon._entailed(base, goals, 2)) == [True, False]
-    assert len(calls) == 3  # both negations of the first, one of the second
+    assert len(calls) == 1
+
+
+def test_entailment_keys_its_base_once(monkeypatch):
+    keyed = []
+    key = lincon._key
+
+    def recorded(table, r, s, h):
+        keyed.append((tuple(r), s, h))
+        return key(table, r, s, h)
+
+    monkeypatch.setattr(lincon, "_key", recorded)
+    # Columns A, B: A >= 0, B >= 0 and A + B =< 3.
+    base = [((1, 0, 0), Rel.GE), ((0, 1, 0), Rel.GE), ((-1, -1, 3), Rel.GE)]
+    goals = [
+        ((-1, 0, 3), Rel.GE),  # A =< 3 follows
+        ((1, 0, -1), Rel.GE),  # A >= 1 does not
+        ((1, 1, -3), Rel.EQ),  # nor does A + B = 3
+        ((1, 1, 1), Rel.GT),  # A + B + 1 > 0 does
+    ]
+    assert list(lincon._entailed(base, goals, 2)) == [True, False, False, True]
+    # Each base row is keyed once, with its own bit, across all four goals,
+    # and each negation once, with the next bit (A + B = 3 needs both).
+    assert keyed[:3] == [(r, False, 1 << i) for i, (r, _) in enumerate(base)]
+    assert all(keyed.count((r, False, 1 << i)) == 1 for i, (r, _) in enumerate(base))
+    negations = [
+        ((1, 0, -3), True), ((-1, 0, 1), True), ((1, 1, -3), True), ((-1, -1, 3), True),
+        ((-1, -1, -1), False),
+    ]
+    assert [keyed.count((r, s, 1 << 3)) for r, s in negations] == [1] * 5
+
+
+def _random_base(rng, width):
+    """Rows over ``width`` columns: equalities, inequalities strict or not,
+    parallel rows and the odd ground row, so some bases are contradictory."""
+    rows = []
+    for _ in range(rng.randint(0, 6)):
+        r = lincon._coprime([rng.randint(-2, 2) for _ in range(width)] + [rng.randint(-4, 4)])
+        rows.append((r, rng.choice((Rel.GE, Rel.GE, Rel.GT, Rel.EQ))))
+        if rng.random() < 0.3:  # a parallel row
+            k = rng.randint(1, 3)
+            r = lincon._coprime([k * c for c in r[:-1]] + [rng.randint(-6, 6)])
+            rows.append((r, rng.choice((Rel.GE, Rel.GT))))
+    return rows
+
+
+def _random_goals(rng, base, width):
+    """Goals of every kind ``_entailed`` tells apart: base rows, equalities
+    in both orientations, strict and non-strict rows, and sums of two base
+    rows loosened by a constant, which the base often entails."""
+    goals = []
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.random()
+        r = lincon._coprime([rng.randint(-2, 2) for _ in range(width)] + [rng.randint(-3, 3)])
+        if base and kind < 0.25:
+            goals.append(rng.choice(base))
+        elif kind < 0.45:
+            goals += [(r, Rel.EQ), (lincon._neg(r), Rel.EQ)]
+        elif base and kind < 0.7:
+            (p, _), (q, _) = rng.choice(base), rng.choice(base)
+            r = lincon._coprime([x + y for x, y in zip(p, q)])
+            goals.append((r[:-1] + (r[-1] + rng.randint(0, 2),), rng.choice((Rel.GE, Rel.GT))))
+        else:
+            goals.append((r, rng.choice((Rel.GE, Rel.GT))))
+    return goals
+
+
+def test_entailment_matches_reference():
+    # Keying the base once answers every goal as keying it per goal did.
+    rng = random.Random(20261020)
+    stats = dict.fromkeys(
+        ("contradictory", "parallel", "base_goal", "eq_both", "strict", "held", "not_held"), 0
+    )
+    for _ in range(600):
+        width = rng.randint(1, 4)
+        base = _random_base(rng, width)
+        goals = _random_goals(rng, base, width)
+        got = list(lincon._entailed(base, goals, width))
+        assert got == list(reference_entailed(base, goals, width)), (base, goals)
+        eqs, ineqs = lincon._split(base)
+        stats["contradictory"] += lincon._project_rows(eqs, ineqs, width, (), None)[0] is None
+        slopes = [lincon._coprime(r[:-1]) for r, _ in ineqs if any(r[:-1])]
+        stats["parallel"] += len(set(slopes)) < len(slopes)
+        stats["base_goal"] += any(g in base for g in goals)
+        stats["eq_both"] += any(
+            (lincon._neg(r), Rel.EQ) in goals for r, rel in goals if rel is Rel.EQ
+        )
+        stats["strict"] += any(rel is Rel.GT for _, rel in goals)
+        stats["held"] += sum(ok for g, ok in zip(goals, got) if g not in base)
+        stats["not_held"] += got.count(False)
+    assert stats == {
+        "contradictory": 200, "parallel": 309, "base_goal": 316, "eq_both": 320, "strict": 406,
+        "held": 960, "not_held": 1111,
+    }
 
 
 # -- normalization ---------------------------------------------------------------
@@ -249,6 +344,13 @@ def test_normalize_merges_opposed_pair_into_equality():
 # -- projection -------------------------------------------------------------------
 
 
+def _keyed(rows):
+    table = {}
+    for r, s, h in rows:
+        assert lincon._key(table, r, s, h) is True
+    return table
+
+
 def test_prune_rows_keys_on_slope_alone():
     # 2A-1 >= 0 and A+6 > 0 are parallel; only the tighter A >= 1/2 stays,
     # with the intersection of the two histories.
@@ -256,7 +358,7 @@ def test_prune_rows_keys_on_slope_alone():
         ((2, -1), False, 0b01),
         ((1, 6), True, 0b10),
     ]
-    (kept,) = lincon._prune_rows(rows).values()
+    (kept,) = _keyed(rows).values()
     assert kept[:3] == ((2, -1), False, 0)
 
 
@@ -268,8 +370,16 @@ def test_prune_rows_intersects_every_colliding_history():
         ((1, 2, 3), True, 0b110),
         ((2, 4, 2), False, 0b111),
     ]
-    table = lincon._prune_rows(rows)
-    assert table == {(1, 2): ((1, 2, 1), False, 0b010, 1, 1)}
+    assert _keyed(rows) == {(1, 2): ((1, 2, 1), False, 0b010, 1, 1)}
+
+
+def test_key_settles_ground_rows_without_keying_them():
+    table = {}
+    assert lincon._key(table, (0, 0, -1), False, 1) is None  # -1 >= 0
+    assert lincon._key(table, (0, 0, 0), True, 1) is None  # 0 > 0
+    assert lincon._key(table, (0, 0, 0), False, 1) is False  # 0 >= 0
+    assert lincon._key(table, [0, 0, 2], True, 1) is False  # 2 > 0
+    assert table == {}
 
 
 def _random_ineqs(rng, width):
@@ -310,7 +420,7 @@ def test_one_pass_elimination_matches_reference(monkeypatch):
         elim = sorted(rng.sample(range(width), rng.randint(1, width)))
         if rng.random() < 0.3:
             rng.shuffle(elim)
-        table = lincon._prune_rows((r, s, 1 << i) for i, (r, s) in enumerate(ineqs))
+        table = lincon._table(ineqs)
         ref = reference_prune_rows([(r, s, frozenset((i,))) for i, (r, s) in enumerate(ineqs)])
         if ref is None:
             assert table is None, ineqs

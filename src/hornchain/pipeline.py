@@ -2,10 +2,13 @@
 
 The stages run in a fixed order, each on the previous stage's output:
 argument filtering, forward unfolding, query-answer specialization,
-predicate splitting, threshold computation, and finally the polyhedral
-fixpoint analysis.  Every transformation preserves derivability of the
-goal, so emptiness of the goal's polyhedron in the final model proves the
-original program safe.
+predicate splitting, and finally the polyhedral fixpoint analysis, which
+widens up to thresholds of the final program.  Those are harvested per
+predicate when the analysis first widens it, so a run that never widens
+harvests none; ``PipelineResult.thresholds`` gives the full set, harvested
+when asked.  Every transformation preserves derivability of the goal, so
+emptiness of the goal's polyhedron in the final model proves the original
+program safe.
 """
 
 from __future__ import annotations

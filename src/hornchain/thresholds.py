@@ -8,17 +8,21 @@ every tuple), each fact projected onto the predicate's canonical argument
 variables.  Every atomic conjunct appearing in those facts becomes a
 threshold for its predicate.
 
-Facts are ``Constraint`` values at the boundary of a step, in the
-interpretations it takes and returns.  Inside a step they are ``lincon``'s
-integer rows, so each body-fact combination costs one row projection and
-no conversion.
+Each predicate's facts in a step depend only on its own clauses and on its
+body predicates' facts in the step before, so ``compute_thresholds``
+harvests per predicate, on first read: the analysis reads a predicate's
+thresholds only when it widens it, and a program that never widens
+harvests nothing.  The harvest keeps facts as ``lincon``'s integer rows
+through all three steps, so each body-fact combination costs one row
+projection and no conversion; they become atoms only as thresholds.
+``tp_step`` takes and returns ``Constraint`` facts for a whole step.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
 
 from . import lincon
 from .chc import (
@@ -51,7 +55,7 @@ _SEMANTIC_DEDUP_LIMIT = 24
 # Facts kept per predicate after each step of ``compute_thresholds``.
 _TP_CAP = 200
 
-# Inside ``tp_step`` a fact is a tuple of ``lincon`` rows (coprime ints, the
+# Inside a step a fact is a tuple of ``lincon`` rows (coprime ints, the
 # constant last) over its predicate's canonical columns in name order.
 _Row = tuple[lincon._Vec, Rel]
 _Fact = tuple[_Row, ...]
@@ -82,66 +86,73 @@ def _maximal(facts: Iterable[_Fact], n: int) -> list[_Fact]:
     return kept
 
 
-def tp_step(program: Program, interp: Interpretation, cap: int | None = None) -> Interpretation:
-    """One immediate-consequence step: facts derivable in a single round.
+def _head_facts(
+    program: Program, p: str, known: Callable[[str], list[_Fact]], cap: int | None
+) -> list[_Fact]:
+    """The facts one consequence step derives for head ``p``.
 
-    For each clause, every combination of body facts is conjoined with the
-    clause constraint and projected onto the head arguments; one that
-    is unsatisfiable is skipped, and the others are recorded
-    (renamed to canonical names) as facts of the head predicate.  Facts
-    equivalent to an already recorded one are skipped.
-    With ``cap`` set, a predicate exceeding it keeps only its
-    :func:`_maximal` facts and is then truncated to the first ``cap``.
-
-    Inside the step facts are ``lincon``'s integer rows: each fact of
-    ``interp`` becomes rows over its predicate's canonical columns once.
-    Each clause reads its prepared rows (``Clause.rows``): its constraint
-    laid out over the clause's variables in name order (columns that its
-    constraint never mentions change nothing in ``lincon._project_rows``),
-    with its own equalities eliminated once per clause, not once per step.
-    The body facts move to those columns, and each combination is one
-    ``lincon._derive`` step.  A capped predicate sheds facts on rows too,
-    and facts become ``Constraint`` values only when the step returns.
+    ``known(q)`` gives the previous step's facts of body predicate ``q``,
+    as rows over its canonical columns in name order; it is asked only for
+    the body predicates of ``p``'s clauses, and only while every body atom
+    before it has a fact.  For each of ``p``'s clauses in program order,
+    every combination of body facts, up to ``_COMBO_BUDGET`` of them, is
+    conjoined with the clause constraint and projected onto the head
+    arguments, one ``lincon._derive`` step from the clause's prepared rows
+    (``Clause.rows``).  An unsatisfiable combination derives nothing, and a
+    fact already derived is skipped.  While the bucket holds at most
+    ``_SEMANTIC_DEDUP_LIMIT`` facts, a fact equivalent to one in it is
+    skipped too; past that only syntactic duplicates are.  With ``cap``
+    set, the step stops at ``2 * cap`` facts, and a bucket past ``cap``
+    keeps only its :func:`_maximal` facts, truncated to the first ``cap``.
     """
-    layouts = {p: lincon._layout(k) for p, k in program.arities.items()}
-    known = {
-        p: [lincon._rows(f.conjuncts, layouts[p][0])[1] for f in interp.get(p, ())]
-        for p in program.arities
-    }
-    new: dict[str, list[_Fact]] = {p: [] for p in program.arities}
-    seen: dict[str, set[_Fact]] = {p: set() for p in program.arities}
-    for clause in program.clauses:
-        head = clause.head
-        bucket = new[head.pred]
+    n = program.arities[p]
+    bucket: list[_Fact] = []
+    seen: set[_Fact] = set()
+    for clause in program.clauses_for(p):
         if cap is not None and len(bucket) >= 2 * cap:
-            continue
-        if not all(known[atom.pred] for atom in clause.body):
+            break
+        if not all(known(atom.pred) for atom in clause.body):
             continue
         form = clause.rows
         fact_lists = [
-            [lincon._embed(f, target, form.n) for f in known[atom.pred]]
+            [lincon._embed(f, target, form.n) for f in known(atom.pred)]
             for atom, target in zip(clause.body, form.targets)
         ]
-        combos = itertools.islice(itertools.product(*fact_lists), _COMBO_BUDGET)
-        for combo in combos:
+        for combo in itertools.islice(itertools.product(*fact_lists), _COMBO_BUDGET):
             if cap is not None and len(bucket) >= 2 * cap:
                 break
             # Capped growth: threshold facts are candidate bounds, so an
             # over-approximate projection only makes candidates weaker.
             fact = lincon._derive(form, combo, lincon.PROJECT_CAP)
-            if fact is None or fact in seen[head.pred]:
+            if fact is None or fact in seen:
                 continue
-            seen[head.pred].add(fact)
+            seen.add(fact)
             if len(bucket) <= _SEMANTIC_DEDUP_LIMIT and any(
-                _equivalent(fact, g, head.arity) for g in bucket
+                _equivalent(fact, g, n) for g in bucket
             ):
                 continue
             bucket.append(fact)
+    if cap is not None and len(bucket) > cap:
+        bucket = _maximal(bucket, n)[:cap]
+    return bucket
+
+
+def tp_step(program: Program, interp: Interpretation, cap: int | None = None) -> Interpretation:
+    """One immediate-consequence step: facts derivable in a single round.
+
+    Each predicate's facts are :func:`_head_facts` of the facts of
+    ``interp``, which become rows over their predicate's canonical columns
+    once; a predicate ``interp`` leaves out has none.  The derived rows
+    become ``Constraint`` values when the step returns.
+    """
+    orders = {p: lincon._layout(k)[0] for p, k in program.arities.items()}
+    known = {
+        p: [lincon._rows(f.conjuncts, orders[p])[1] for f in interp.get(p, ())]
+        for p in program.arities
+    }
     out: Interpretation = {}
-    for p, facts in new.items():
-        if cap is not None and len(facts) > cap:
-            facts = _maximal(facts, program.arities[p])[:cap]
-        order = layouts[p][0]
+    for p, order in orders.items():
+        facts = _head_facts(program, p, known.__getitem__, cap)
         out[p] = tuple(
             [Constraint(tuple([lincon._atom(order, r, rel) for r, rel in f])) for f in facts]
         )
@@ -150,7 +161,11 @@ def tp_step(program: Program, interp: Interpretation, cap: int | None = None) ->
 
 @dataclass(frozen=True)
 class ThresholdSet:
-    """Per-predicate candidate bounds over canonical argument names."""
+    """Per-predicate candidate bounds over canonical argument names.
+
+    ``entries`` is read-only; from :func:`compute_thresholds` it harvests
+    each predicate on first read.
+    """
 
     entries: Mapping[str, tuple[AtomicConstraint, ...]] = field(default_factory=dict)
 
@@ -165,26 +180,73 @@ class ThresholdSet:
         return sum(len(v) for v in self.entries.values())
 
 
+def _atomics(atoms: Iterable[AtomicConstraint]) -> tuple[AtomicConstraint, ...]:
+    """The distinct normal forms of the atoms that are neither trivially
+    true nor trivially false, in sort order."""
+    acc: set[AtomicConstraint] = set()
+    for a in atoms:
+        na = a.normalized()
+        if not (na.is_trivially_true() or na.is_trivially_false()):
+            acc.add(na)
+    return tuple(sorted(acc, key=AtomicConstraint.sort_key))
+
+
 def atomconstraints(interp: Interpretation) -> ThresholdSet:
     """All atomic conjuncts of an interpretation's facts, per predicate."""
-    entries: dict[str, tuple[AtomicConstraint, ...]] = {}
-    for p, facts in interp.items():
-        acc: set[AtomicConstraint] = set()
-        for f in facts:
-            for a in f:
-                na = a.normalized()
-                if not (na.is_trivially_true() or na.is_trivially_false()):
-                    acc.add(na)
-        entries[p] = tuple(sorted(acc, key=AtomicConstraint.sort_key))
-    return ThresholdSet(entries)
+    return ThresholdSet({p: _atomics(a for f in facts for a in f) for p, facts in interp.items()})
+
+
+class _Harvest(Mapping[str, tuple[AtomicConstraint, ...]]):
+    """A program's thresholds per predicate, each harvested on first read.
+
+    The facts of ``(p, step)`` are memoised rows: step 0 is the top
+    interpretation's one empty fact, and step ``k`` is :func:`_head_facts`
+    of ``p`` over step ``k - 1``.  Each head's facts depend only on its own
+    clauses and its body predicates' facts, so they are the facts the whole
+    step gives ``p``, and reading ``p`` harvests only the predicates within
+    two body edges of it.
+    """
+
+    def __init__(self, program: Program) -> None:
+        self._program = program
+        self._facts: dict[tuple[str, int], list[_Fact]] = {}
+        self._entries: dict[str, tuple[AtomicConstraint, ...]] = {}
+
+    def facts(self, p: str, step: int) -> list[_Fact]:
+        if step == 0:
+            return [()]
+        got = self._facts.get((p, step))
+        if got is None:
+            got = self._facts[p, step] = _head_facts(
+                self._program, p, lambda q: self.facts(q, step - 1), _TP_CAP
+            )
+        return got
+
+    def __getitem__(self, p: str) -> tuple[AtomicConstraint, ...]:
+        got = self._entries.get(p)
+        if got is None:
+            order = lincon._layout(self._program.arities[p])[0]
+            got = self._entries[p] = _atomics(
+                lincon._atom(order, r, rel) for f in self.facts(p, 3) for r, rel in f
+            )
+        return got
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._program.arities)
+
+    def __len__(self) -> int:
+        return len(self._program.arities)
 
 
 def compute_thresholds(program: Program) -> ThresholdSet:
-    """Thresholds from three concrete steps down from the top interpretation."""
-    interp = top_interpretation(program)
-    for _ in range(3):
-        interp = tp_step(program, interp, cap=_TP_CAP)
-    return atomconstraints(interp)
+    """Thresholds from three concrete steps down from the top interpretation.
+
+    The set is returned at once, and each predicate's thresholds are
+    harvested when first read (see :class:`_Harvest`): a program whose
+    analysis never widens harvests nothing, and whatever asks for the
+    full set (``len``, ``==``, :func:`format_thresholds`) gets it then.
+    """
+    return ThresholdSet(_Harvest(program))
 
 
 def format_thresholds(

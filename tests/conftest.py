@@ -8,6 +8,7 @@ run as one PASS/FAIL line per criterion.
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,9 @@ import pytest
 from hornchain.parser import parse_program
 
 FIXTURES = Path(__file__).parent / "fixtures"
+# The benchmark's workload generator (``import gen``), read-only; it does not
+# import hornchain.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 
 def fixture_text(name: str) -> str:

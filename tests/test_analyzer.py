@@ -2,9 +2,9 @@
 
 import hashlib
 import random
-import sys
 from pathlib import Path
 
+import gen
 import pytest
 
 from bounded import BudgetExceeded, bounded_concrete_eval
@@ -26,10 +26,6 @@ from hornchain.parser import parse_program
 from hornchain.pipeline import run_pipeline
 from hornchain.polydom import Polyhedron
 from hornchain.thresholds import compute_thresholds, format_thresholds
-
-# The benchmark's workload generator, read-only; it does not import hornchain.
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-import gen  # noqa: E402
 
 
 # -- abstract analysis ---------------------------------------------------------

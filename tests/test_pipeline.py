@@ -1,12 +1,16 @@
 """End-to-end pipeline wiring: stages, goal tracking, and configuration."""
 
-from conftest import fixture_text
+import gen
+import pytest
+from conftest import FIXTURES, fixture_text
+from oracles import reference_compute_thresholds
 
-from hornchain import lincon, pipeline
+from hornchain import lincon, pipeline, thresholds
 from hornchain.analyzer import AnalysisStats, Verdict, format_model
 from hornchain.chc import Clause
 from hornchain.parser import parse_program
 from hornchain.pipeline import PipelineConfig, run_pipeline
+from hornchain.thresholds import format_thresholds
 
 
 def test_full_pipeline_on_worked_example(twophase, twophase_model_text):
@@ -111,3 +115,33 @@ def test_each_clause_is_prepared_once_per_run(monkeypatch):
         fresh = Clause(c.head, c.constr, c.body)
         assert fresh == c and fresh.rows == c.rows
     assert len(prepared) == 9 + len(distinct)
+
+
+def test_no_harvest_without_widening(monkeypatch):
+    # Seed-0 random-small program 013 never widens, so the run harvests no
+    # predicate; asking for the full set afterwards harvests all of it.
+    harvested = []
+    head_facts = thresholds._head_facts
+
+    def counting(program, p, known, cap):
+        harvested.append(p)
+        return head_facts(program, p, known, cap)
+
+    monkeypatch.setattr(thresholds, "_head_facts", counting)
+    (case,) = [c for c, _ in gen.instance("random-small", 0) if c.name == "random-small/013"]
+    res = run_pipeline(parse_program(case.text()))
+    assert res.stats.widenings == 0 and harvested == []
+    ref = reference_compute_thresholds(res.stages[-1][1])
+    assert len(res.thresholds) == len(ref) == 18
+    assert res.thresholds == ref
+    assert len(harvested) == 16
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.chc")), ids=lambda p: p.name)
+def test_dumped_thresholds_are_the_full_set(path):
+    # ``verify --dump`` prints the run's thresholds after the analysis read
+    # what it widened with; the print is the whole final program's set.
+    res = run_pipeline(parse_program(path.read_text()))
+    final = res.stages[-1][1]
+    want = format_thresholds(reference_compute_thresholds(final), final.arities)
+    assert format_thresholds(res.thresholds, final.arities) == want

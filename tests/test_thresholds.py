@@ -19,6 +19,7 @@ from randprog import random_program
 from hornchain import lincon, thresholds
 from hornchain.chc import Atom, AtomicConstraint, Clause, Constraint, LinExpr, Rel
 from hornchain.parser import parse_program
+from hornchain.pipeline import run_pipeline
 from hornchain.thresholds import (
     ThresholdSet,
     atomconstraints,
@@ -316,6 +317,103 @@ def test_row_harvest_matches_constraint_reference_on_random_programs():
             ref = reference_tp_step(program, ref, cap=4)
             assert interp == ref
         assert compute_thresholds(program) == reference_compute_thresholds(program)
+
+
+# -- the on-demand harvest against whole steps --------------------------------
+
+
+def _whole_steps(program, cap):
+    """Each predicate's facts after each of three ``tp_step`` calls, as rows."""
+    orders = {p: lincon._layout(k)[0] for p, k in program.arities.items()}
+    interp, steps = top_interpretation(program), {}
+    for k in (1, 2, 3):
+        interp = tp_step(program, interp, cap)
+        for p, facts in interp.items():
+            steps[p, k] = [tuple(lincon._rows(f.conjuncts, orders[p])[1]) for f in facts]
+    return steps
+
+
+def _per_predicate_matches_whole_steps(program, rng):
+    """Ask a fresh harvest for every ``(p, step)`` and every ``get(p)``, once
+    in shuffled and once in reversed order, and compare each answer with
+    the whole-step facts and the reference thresholds."""
+    steps = _whole_steps(program, thresholds._TP_CAP)
+    ref = reference_compute_thresholds(program)
+    shuffled = list(steps)
+    rng.shuffle(shuffled)
+    for keys in (shuffled, list(reversed(steps))):
+        harvest = compute_thresholds(program).entries
+        for p, k in keys:
+            assert harvest.facts(p, k) == steps[p, k], (p, k)
+        ts = compute_thresholds(program)
+        for p in dict.fromkeys(p for p, _ in keys):
+            assert ts.get(p) == ref.get(p), p
+        assert ts == ref
+
+
+@pytest.mark.parametrize("cap", [4, thresholds._TP_CAP])
+def test_per_predicate_facts_equal_whole_step_facts(monkeypatch, cap):
+    # The hand cases and the first 60 draws, ending with draw 59, whose p
+    # floods past ``_TP_CAP``.
+    monkeypatch.setattr(thresholds, "_TP_CAP", cap)
+    shed = []
+    shed_rows = thresholds._maximal
+
+    def recording(facts, n):
+        kept = shed_rows(facts, n)
+        shed.append((len(facts), len(kept)))
+        return kept
+
+    monkeypatch.setattr(thresholds, "_maximal", recording)
+    draws = random.Random(20260815)
+    rng = random.Random(cap)
+    for program in [*HAND_CASES.values(), *(random_program(draws) for _ in range(60))]:
+        _per_predicate_matches_whole_steps(program, rng)
+    if cap == 4:
+        assert len(shed) == 38
+    else:
+        # Only draw 59 sheds: in the whole step and in each of the four
+        # harvests, 2 * cap facts down to the one that covers the rest.
+        assert shed == [(2 * cap, 1)] * 5
+
+
+def test_per_predicate_facts_equal_whole_step_facts_under_one_row_cap(monkeypatch):
+    monkeypatch.setattr(lincon, "PROJECT_CAP", 1)
+    p = parse_program(
+        "p(A) :- C = 2*B + 10, 3*C >= 3*A + 2*B + 1, 2*A + 3*C >= 1, C =< -10.\n"
+        "q(A,B) :- A >= 1, B >= A, A + B =< 9, 2*A - B >= -3.\n"
+        "r(A) :- q(A,B), q(B,C), C >= A + 1.\n"
+    )
+    _per_predicate_matches_whole_steps(p, random.Random(1))
+
+
+def test_widening_harvests_within_two_body_edges(monkeypatch, twophase):
+    # The analysis reads the thresholds of the predicates it widens, and
+    # each read harvests the predicate at step 3, its body predicates at
+    # step 2 and theirs at step 1.
+    read = []
+    get = ThresholdSet.get
+
+    def recording(self, pred):
+        read.append(pred)
+        return get(self, pred)
+
+    monkeypatch.setattr(ThresholdSet, "get", recording)
+    res = run_pipeline(twophase)
+    final = res.stages[-1][1]
+    harvest = res.thresholds.entries
+    assert res.stats.widenings == len(read) > 0
+    near = {p: 3 for p in read}
+    for k in (2, 1):
+        for p in [p for p, step in near.items() if step == k + 1]:
+            for q in final.succs[p]:
+                near.setdefault(q, k)
+    assert {p for p, k in harvest._facts if k == 3} == set(read)
+    assert all(near.get(p, 0) >= k for p, k in harvest._facts)
+    # Of the 8 predicates only the two query predicates and false_query___1,
+    # which they call, are harvested: 8 of the 24 (predicate, step) pairs.
+    assert sorted(set(read)) == ["new3_query___1", "new3_query___2"]
+    assert (len(harvest._facts), len(final.arities)) == (8, 8)
 
 
 # -- prepared clauses against the step that eliminates every equality again --

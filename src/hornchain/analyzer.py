@@ -6,9 +6,11 @@ one strongly connected component of the predicate dependency graph at a
 time, callees first.  Inside a cyclic component, round-robin passes update
 each predicate with the convex hull of its old value and its clause
 contributions; after ``_WIDEN_DELAY`` strict updates the hull is replaced by
-threshold-bounded widening, which forces termination.  Contributions are
-built on ``lincon`` rows, and an evaluation whose operands all equal those
-of the predicate's last unchanging evaluation is skipped.
+threshold-bounded widening, which forces termination.  A contribution is
+derived on ``lincon`` rows and kept as its homogenized cone, the generators
+that the join reads, so it never becomes a polyhedron of its own; an
+evaluation whose operands all equal those of the predicate's last
+unchanging evaluation is skipped.
 
 ``check_safety`` reads the verdict off the model: if the goal predicate's
 polyhedron is empty, no derivation of the goal exists, so the program is
@@ -77,22 +79,24 @@ class AnalysisStats:
     widenings: int   # updates that went through the widening operator
 
 
-def contribution(
-    clause: Clause, head_dims: tuple[str, ...], body: Sequence[Polyhedron]
-) -> Polyhedron:
-    """The head polyhedron that a clause derives from its body values.
+def contribution(clause: Clause, head_dims: tuple[str, ...], body: Sequence[Polyhedron]):
+    """The cone of the head polyhedron that a clause derives from its body
+    values, or None when that polyhedron is empty.
 
     Each body polyhedron's rows move to the columns of the clause's
     prepared rows (``Clause.rows``), and one capped ``lincon._derive`` step
-    decides emptiness, strict conjuncts included; the head's rows are then
-    relaxed and made canonical (see ``polydom._from_rows``).
+    decides emptiness, strict conjuncts included.  The head's rows, relaxed,
+    are taken to their cone (see ``polydom._cone``), which is all that
+    joining needs (see ``Polyhedron.join``): the contribution's own
+    canonical rows are never built.  A cone depends only on its polyhedron,
+    so cones compare exactly with ``==``.
     """
     if any(poly.is_empty for poly in body):
-        return Polyhedron.empty(head_dims)
+        return None
     form = clause.rows
     facts = [lincon._embed(poly.rows, target, form.n) for poly, target in zip(body, form.targets)]
     rows = lincon._derive(form, facts, lincon.PROJECT_CAP)
-    return Polyhedron.empty(head_dims) if rows is None else polydom._from_rows(head_dims, rows)
+    return None if rows is None else polydom._cone(rows, len(head_dims))
 
 
 def analyze(
@@ -115,11 +119,11 @@ def analyze(
     # are unique, so comparing them with == is exact.
     built = {p: [None] * len(cs) for p, cs in clauses_of.items()}
     # Per predicate, the operands of its last evaluation that left its
-    # value unchanged.  The hull is a function of its operands, so the same
-    # operands again need no hull.
-    settled: dict[str, list[Polyhedron]] = {}
+    # value unchanged.  The join is a function of its operands, so the same
+    # operands again need no join.
+    settled: dict[str, list] = {}
 
-    def contributions(pred: str) -> list[Polyhedron]:
+    def contributions(pred: str) -> list:
         out = []
         for k, clause in enumerate(clauses_of[pred]):
             body = tuple(values[atom.pred] for atom in clause.body)
@@ -140,7 +144,7 @@ def analyze(
                 operands = [values[p]] + contributions(p)
                 if settled.get(p) == operands:
                     continue
-                grown = values[p].hull(*operands[1:])
+                grown = values[p].join([c for c in operands[1:] if c is not None])
                 if grown == values[p]:
                     settled[p] = operands
                     continue

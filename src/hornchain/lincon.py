@@ -234,8 +234,9 @@ _Kept = tuple[_Vec, bool, int, int, int]
 def _key(table: dict[_Vec, _Kept], r: Sequence[int], s: bool, h: int) -> bool | None:
     """Key the row ``r`` (``> 0`` when ``s`` is set) with history ``h`` into ``table``.
 
-    Returns None when the row is a ground contradiction, False when it is a
-    satisfied ground row, which is dropped, and True when it is kept.
+    Returns None when the row is a ground contradiction or leaves no room
+    beside the kept row of the opposite slope, False when it is a satisfied
+    ground row, which is dropped, and True when it is kept.
 
     The table holds the tightest of parallel inequalities (same coprime
     slope).  Rows are keyed on their coefficients alone, divided by their
@@ -252,8 +253,18 @@ def _key(table: dict[_Vec, _Kept], r: Sequence[int], s: bool, h: int) -> bool | 
     history, and a row combined later from a looser parallel row with a
     smaller history may be one that the criterion must keep; the
     intersection is a subset of every colliding history, so no such row is
-    dropped.  :func:`_table` keys elimination's input rows here, and
-    :func:`_eliminate` each combination as it makes it.
+    dropped.
+
+    A row that becomes the tightest of its slope is also checked against
+    the kept row of the opposite slope, the opposed-pair test of
+    Fourier-Motzkin implementations (Imbert, "Fourier's elimination: which
+    to choose?", PPCP 1993).  ``g*k.x + c >= 0`` and ``-g'*k.x + c' >= 0``,
+    with ``k`` the coprime slope, hold together exactly when ``c*g' +
+    c'*g`` is positive, or zero with neither row strict, so the refutation
+    is exact; a looser row needs no check, since the tighter one kept
+    passed it.  :func:`_table` keys elimination's input rows here,
+    :func:`_eliminate` each combination as it makes it, and
+    :func:`_entailed` each goal's negation.
     """
     coeffs = r[:-1]
     const = r[-1]
@@ -274,6 +285,13 @@ def _key(table: dict[_Vec, _Kept], r: Sequence[int], s: bool, h: int) -> bool | 
         if not (mine < theirs or (mine == theirs and s and not cur[1])):
             table[key] = (cur[0], cur[1], h, cur[3], cur[4])
             return True
+    opp = table.get(tuple([-c for c in key]))
+    if opp is not None:
+        # g*k.x + const >= 0 and -g'*k.x + const' >= 0 add up, scaled by
+        # g' and g, to the ground row const*g' + const'*g >= 0.
+        gap = const * opp[4] + opp[3] * g
+        if gap < 0 or (gap == 0 and (s or opp[1])):
+            return None
     table[key] = (tuple(r), s, h, const, g)
     return True
 
@@ -319,7 +337,11 @@ def _eliminate(
     pass through with their slope, constant and gcd, and are never keyed
     again; each combination is keyed as it is made and goes straight into
     the step's table after them, so the rows come out in the order that
-    keying the whole step at once would give.
+    keying the whole step at once would give.  Keying refutes a
+    combination that is a ground contradiction or opposed to a kept row
+    with no room between them, so a contradiction often ends the
+    elimination before its last column; a system that is not refuted
+    comes out exactly as if keying never refuted opposed pairs.
 
     With ``max_rows`` set, an elimination step whose combination output would
     exceed that many rows instead drops every row mentioning the variable.
@@ -479,8 +501,10 @@ def _entailed(
     its equalities, whose pivots are substituted out of its inequalities,
     and those keyed once by :func:`_table`.  Each negation, with the pivots
     substituted out, is keyed into a copy of that table, with the history
-    bit after the base's inequalities, and the copy is eliminated.  The
-    answers come lazily, in goal order.
+    bit after the base's inequalities, and the copy is eliminated unless
+    keying refutes the negation: a goal that one base row parallel to it
+    implies, tighter or equal, is decided there.  The answers come lazily,
+    in goal order.
     """
     eqs, ineqs = _split(base)
     solved = _gauss_jordan(eqs)

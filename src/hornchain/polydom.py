@@ -120,20 +120,27 @@ class Polyhedron:
         return Polyhedron.empty(self.dims) if rows is None else _from_rows(self.dims, rows)
 
     def hull(self, *others: "Polyhedron") -> "Polyhedron":
-        """Closure of the convex hull of the union of all operands.
-
-        The hull's cone is the sum of the operands' cones, so one
-        :func:`_canonical` call over the pooled generators joins any number
-        of operands.
-        """
+        """Closure of the convex hull of the union of all operands."""
         for other in others:
             self._check_dims(other)
         operands = [p for p in (self,) + others if not p.is_empty]
         if len(operands) <= 1:
             return operands[0] if operands else self
-        if any(p.is_universe for p in operands):
-            return Polyhedron.universe(self.dims)
-        return _canonical(self.dims, [p.generators for p in operands])
+        return operands[0].join([p.generators for p in operands[1:]])
+
+    def join(self, cones) -> "Polyhedron":
+        """Closure of the convex hull of this polyhedron and the non-empty
+        polyhedra over ``dims`` whose cones (see :func:`_cone`) are ``cones``.
+
+        The hull's cone is the sum of the operands' cones, so one
+        :func:`_canonical` call over the pooled generators joins any number
+        of operands; an operand given as its cone never needs its rows.
+        """
+        if not cones or self.is_universe:
+            return self
+        if not self.is_empty:
+            cones = [self.generators, *cones]
+        return _canonical(self.dims, cones)
 
     def widen_upto(
         self, other: "Polyhedron", thresholds: Iterable[AtomicConstraint] = ()
@@ -283,7 +290,10 @@ def _canonical(dims: tuple[str, ...], cones) -> Polyhedron:
     equality of the affine hull) and irredundant (one row per facet), and
     one Gauss-Jordan pass makes it canonical: the equalities come out in
     reduced row echelon form and the facets with every pivot substituted
-    out.
+    out.  Given one cone, the result's ``generators`` are that cone: a cone
+    depends only on its polyhedron, its lines being the unique reduced
+    basis of its lineality space and its rays the unique primitive normals
+    of its facets, sorted.
     """
     n = len(dims)
     lines = [v for cone_lines, _ in cones for v in cone_lines]
@@ -295,20 +305,16 @@ def _canonical(dims: tuple[str, ...], cones) -> Polyhedron:
     rows = lincon._normal_form(
         [(r, Rel.EQ) for _, r in solved] + [(r, Rel.GE) for r, _ in ineqs]
     )
-    return Polyhedron(dims, tuple(rows))
+    p = Polyhedron(dims, tuple(rows))
+    if len(cones) == 1:
+        p.__dict__["generators"] = cones[0]
+    return p
 
 
 def _from_rows(dims: tuple[str, ...], rows) -> Polyhedron:
-    """Canonical polyhedron of satisfiable ``lincon`` rows over ``dims`` in name order.
-
-    Strict rows count as their relaxations.  The rows are taken to
-    generators and back by :func:`_canonical`, and their cone, which
-    depends only on the polyhedron, becomes the result's ``generators``.
-    """
-    cone = _cone(rows, len(dims))
-    p = _canonical(dims, [cone])
-    p.__dict__["generators"] = cone
-    return p
+    """Canonical polyhedron of satisfiable ``lincon`` rows over ``dims`` in name
+    order, strict rows relaxed: their cone taken back to rows."""
+    return _canonical(dims, [_cone(rows, len(dims))])
 
 
 def format_polyhedron(p: Polyhedron) -> str:

@@ -73,8 +73,8 @@ def test_thresholds_can_rescue_precision():
 
 
 def test_unchanged_clause_contribution_is_reused(monkeypatch):
-    # The fact clause's body never changes, so its contribution is built
-    # once, however many passes the loop takes.
+    # The fact clause's body never changes, so its contribution, the cone
+    # of A = 0, is built once, however many passes the loop takes.
     p = parse_program(
         "count(A) :- A = 0.\n"
         "count(A) :- B =< 9, A = B+1, count(B).\n"
@@ -85,39 +85,41 @@ def test_unchanged_clause_contribution_is_reused(monkeypatch):
     build = analyzer.contribution
 
     def counting_contribution(clause, head_dims, body):
-        poly = build(clause, head_dims, body)
-        built.append(poly)
-        return poly
+        cone = build(clause, head_dims, body)
+        built.append(cone)
+        return cone
 
     monkeypatch.setattr(analyzer, "contribution", counting_contribution)
     model, stats = analyze(p)
-    assert built.count(fact) == 1
+    assert built.count(fact.generators) == 1
     # Rebuilding every contribution on every pass gives the same result.
     assert stats == AnalysisStats(passes=5, updates=4, widenings=1)
     assert format_model(model) == "count(A) :- [1*A>=0]\nfalse :- []\n"
 
 
 def test_clause_contributions_are_joined_by_one_hull(monkeypatch):
-    # Each evaluation joins the old value and every clause contribution,
-    # empty ones included, in one n-ary hull call.
+    # Each evaluation joins the old value and every non-empty clause
+    # contribution, given as its cone, in one n-ary join.
     p = parse_program(
         "count(A) :- A = 0.\n"
         "count(A) :- B =< 9, A = B+1, count(B).\n"
         "false :- A >= 11, count(A).\n"
     )
     joined = []
-    hull = Polyhedron.hull
+    join = Polyhedron.join
 
-    def counting_hull(self, *others):
-        joined.append(len(others))
-        return hull(self, *others)
+    def counting_join(self, cones):
+        joined.append((self.is_empty, len(cones)))
+        return join(self, cones)
 
-    monkeypatch.setattr(Polyhedron, "hull", counting_hull)
-    _, stats = analyze(p)
+    monkeypatch.setattr(Polyhedron, "join", counting_join)
+    model, stats = analyze(p)
     # Each component has one predicate, so each pass is one evaluation:
-    # four of count (two clauses), then one of false (one clause).
-    assert joined == [2, 2, 2, 2, 1]
-    assert stats.passes == len(joined)
+    # four of count (two clauses, the loop's empty while count is), then
+    # one of false (one clause).
+    assert joined == [(True, 1), (False, 2), (False, 2), (False, 2), (True, 1)]
+    assert stats == AnalysisStats(passes=len(joined), updates=4, widenings=1)
+    assert format_model(model) == "count(A) :- [1*A>=0]\nfalse :- []\n"
 
 
 def test_pass_budget_counts_the_passes_of_one_component(monkeypatch):

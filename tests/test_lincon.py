@@ -215,10 +215,13 @@ def test_goal_held_by_a_base_row_needs_no_elimination(monkeypatch):
     assert list(lincon._entailed(base, [base[1], base[2]], 2)) == [True, True]
     assert calls == []
     # A > 0 is not A >= 0: strictness is part of the match.  A >= 0 alone
-    # does not give A > 0, though B > 3 and A = B do.
+    # does not give A > 0: the negation -A >= 0 meets it at A = 0, which
+    # keying keeps, so one elimination decides it.  B > 3 and A = B do give
+    # it: with A = B substituted, the negation -B >= 0 is opposed to
+    # B - 3 > 0, and keying refutes it without elimination.
     assert list(lincon._entailed(base[1:2], [((1, 0, 0), Rel.GT)], 2)) == [False]
     assert list(lincon._entailed(base, [((1, 0, 0), Rel.GT)], 2)) == [True]
-    assert len(calls) == 2
+    assert len(calls) == 1
     # B - A = 0 is the base's A - B = 0 oriented the other way.  With A = B
     # substituted, both its negations are the ground 0 > 0, which keying
     # refutes without elimination; A = 0, which does not follow, takes one.
@@ -382,6 +385,66 @@ def test_key_settles_ground_rows_without_keying_them():
     assert table == {}
 
 
+def test_key_refutes_an_opposed_pair_that_leaves_no_room():
+    # Column A; rows are (A, constant).  Each pair is keyed in both orders.
+    def key_pair(first, second):
+        table = {}
+        return [lincon._key(table, r, s, 1 << i) for i, (r, s) in enumerate((first, second))]
+
+    a_ge_0, minus_a_ge_0 = ((1, 0), False), ((-1, 0), False)
+    cases = [
+        # A >= 0 and -A >= 0 meet at A = 0: both are kept.
+        (a_ge_0, minus_a_ge_0, [True, True]),
+        # A > 0 and -A >= 0 leave no room.
+        (((1, 0), True), minus_a_ge_0, [True, None]),
+        # 2A - 1 >= 0 and -A >= 0: A >= 1/2 and A =< 0.
+        (((2, -1), False), minus_a_ge_0, [True, None]),
+        # 3A - 1 >= 0 and -2A + 1 >= 0: 1/3 =< A =< 1/2, so the constants
+        # compare only once scaled by the other row's gcd.
+        (((3, -1), False), ((-2, 1), False), [True, True]),
+    ]
+    for first, second, want in cases:
+        assert key_pair(first, second) == want, (first, second)
+        assert key_pair(second, first) == want, (second, first)
+    # The kept pair A >= 0, -A >= 0 comes out of a projection as A = 0.
+    rows, _ = lincon._project_rows([], [a_ge_0, minus_a_ge_0], 1, [0], None)
+    assert rows == [((1, 0), Rel.EQ)]
+
+
+def test_elimination_refutes_exactly_the_infeasible_systems():
+    # A system that keying (``_table``) or elimination refutes, capped or
+    # not and over any columns, is infeasible under the simplex, and one
+    # that eliminating every column does not refute is feasible.  Every
+    # system gets rows opposed to some of its rows, at constants around
+    # the one where the pair meets in a hyperplane.
+    rng = random.Random(20261102)
+    stats = dict.fromkeys(("feasible", "opposed_none", "partial_none", "opposed_tight"), 0)
+    for _ in range(800):
+        width = rng.randint(1, 4)
+        ineqs = _random_ineqs(rng, width)
+        for r, _ in rng.sample(ineqs, rng.randint(1, min(2, len(ineqs)))):
+            k = rng.randint(1, 3)
+            const = -k * r[-1] + rng.randint(-1, 4)
+            ineqs.append((tuple([-k * c for c in r[:-1]] + [const]), rng.random() < 0.3))
+            stats["opposed_tight"] += const == -k * r[-1]
+        rng.shuffle(ineqs)
+        feasible = lincon._lp_feasible(ineqs)
+        stats["feasible"] += feasible
+        if lincon._table(ineqs) is None:
+            assert not feasible, ineqs
+            rows = [(r, s, frozenset((i,))) for i, (r, s) in enumerate(ineqs)]
+            stats["opposed_none"] += reference_prune_rows(rows) is not None
+        assert (lincon._fm_eliminate(ineqs, range(width))[0] is not None) == feasible, ineqs
+        elim = rng.sample(range(width), rng.randint(1, width))
+        for max_rows in (None, 3):
+            if lincon._fm_eliminate(ineqs, elim, max_rows)[0] is None:
+                assert not feasible, (ineqs, elim, max_rows)
+                stats["partial_none"] += 1
+    assert stats == {
+        "feasible": 227, "opposed_none": 342, "partial_none": 1136, "opposed_tight": 193,
+    }
+
+
 def _random_ineqs(rng, width):
     """Rows over ``width`` columns with the collisions pruning must settle:
     parallel rows, often at the same constant, strict and non-strict, some
@@ -402,8 +465,14 @@ def _random_ineqs(rng, width):
 
 def test_one_pass_elimination_matches_reference(monkeypatch):
     # The one-pass kernel against the one with set histories and a prune
-    # pass per step: the same rows in the same order, the same stop flag,
-    # and the same rows handed to the simplex when a step stops.
+    # pass per step: None whenever the reference gives None, and otherwise
+    # the same rows in the same order, the same stop flag, and the same
+    # rows handed to the simplex when a step stops.  Keying also refutes an
+    # opposed pair that leaves no room, which the reference finds only by
+    # elimination, or, when the pair survives a partial elimination, not
+    # at all; up to that refutation both take the same steps, so the rows
+    # handed to the simplex are a prefix of the reference's, and the stop
+    # flag of a None may differ.
     lp_feasible = lincon._lp_feasible
     simplex: list = []
 
@@ -413,7 +482,10 @@ def test_one_pass_elimination_matches_reference(monkeypatch):
 
     monkeypatch.setattr(lincon, "_lp_feasible", recorded)
     rng = random.Random(20261019)
-    stats = dict.fromkeys(("calls", "none", "stopped", "simplex", "simplex_none", "collided"), 0)
+    stats = dict.fromkeys(
+        ("calls", "none", "earlier", "stopped", "simplex", "simplex_none", "collided", "opposed"),
+        0,
+    )
     for _ in range(1500):
         width = rng.randint(2, 7)
         ineqs = _random_ineqs(rng, width)
@@ -422,27 +494,38 @@ def test_one_pass_elimination_matches_reference(monkeypatch):
             rng.shuffle(elim)
         table = lincon._table(ineqs)
         ref = reference_prune_rows([(r, s, frozenset((i,))) for i, (r, s) in enumerate(ineqs)])
-        if ref is None:
-            assert table is None, ineqs
+        if ref is not None:
+            stats["collided"] += len(ref) < len(ineqs)
+        if table is None:
+            # A ground contradiction, as in the reference, or an opposed
+            # pair that leaves the rows infeasible.
+            assert ref is None or reference_fm_eliminate(ineqs, range(width))[0] is None, ineqs
+            stats["opposed"] += ref is not None
         else:
             bits = [(r, s, sum(1 << i for i in h)) for r, s, h in ref]
             assert [kept[:3] for kept in table.values()] == bits, ineqs
-            stats["collided"] += len(ref) < len(ineqs)
         for max_rows in (None, 3, 5, 8):
             simplex.clear()
             got = lincon._fm_eliminate(ineqs, elim, max_rows)
             handed = simplex[:]
             simplex.clear()
             want = reference_fm_eliminate(ineqs, elim, max_rows)
-            assert got == want and handed == simplex, (ineqs, elim, max_rows)
+            if got[0] is None:
+                # A None the reference does not give is an infeasible
+                # system whose rows the reference leaves unrefuted.
+                assert want[0] is None or reference_fm_eliminate(ineqs, range(width))[0] is None
+                assert handed == simplex[: len(handed)], (ineqs, elim, max_rows)
+                stats["earlier"] += want[0] is not None
+            else:
+                assert got == want and handed == simplex, (ineqs, elim, max_rows)
             stats["calls"] += 1
             stats["none"] += got[0] is None
             stats["stopped"] += got[1]
             stats["simplex"] += len(handed)
             stats["simplex_none"] += any(not ok for _, ok in handed)
     assert stats == {
-        "calls": 6000, "none": 973, "stopped": 649, "simplex": 931, "simplex_none": 282,
-        "collided": 1247,
+        "calls": 6000, "none": 1115, "earlier": 142, "stopped": 649, "simplex": 810,
+        "simplex_none": 161, "collided": 1247, "opposed": 76,
     }
 
 

@@ -144,7 +144,7 @@ def analyze(
                 operands = [values[p]] + contributions(p)
                 if settled.get(p) == operands:
                     continue
-                grown = values[p].join([c for c in operands[1:] if c is not None])
+                grown = values[p].join(operands[1:])
                 if grown == values[p]:
                     settled[p] = operands
                     continue

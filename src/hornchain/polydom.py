@@ -126,16 +126,20 @@ class Polyhedron:
         operands = [p for p in (self,) + others if not p.is_empty]
         if len(operands) <= 1:
             return operands[0] if operands else self
+        if any(p.is_universe for p in operands):
+            return Polyhedron.universe(self.dims)
         return operands[0].join([p.generators for p in operands[1:]])
 
     def join(self, cones) -> "Polyhedron":
-        """Closure of the convex hull of this polyhedron and the non-empty
-        polyhedra over ``dims`` whose cones (see :func:`_cone`) are ``cones``.
+        """Closure of the convex hull of this polyhedron and the polyhedra
+        over ``dims`` whose cones (see :func:`_cone`) are ``cones``; a None
+        entry stands for an empty polyhedron and is skipped.
 
         The hull's cone is the sum of the operands' cones, so one
         :func:`_canonical` call over the pooled generators joins any number
         of operands; an operand given as its cone never needs its rows.
         """
+        cones = [c for c in cones if c is not None]
         if not cones or self.is_universe:
             return self
         if not self.is_empty:

@@ -31,7 +31,8 @@ rows come back over those columns in normal form, as the reference for
 the one that resumes from the clause's prepared rows.  The fourth keeps
 the Fourier-Motzkin elimination with ``frozenset`` histories and a prune
 pass over each step's rows, as the reference for the one that prunes each
-combination as it makes it.  The character-by-character scanner that the
+combination as it makes it, and a pairwise test on ``Fraction`` ratios as
+the reference for the opposed rows that keying refutes.  The character-by-character scanner that the
 parser's one-regex scanner replaced closes the file, as the reference for
 its token stream.
 """
@@ -1384,6 +1385,24 @@ def reference_prune_rows(rows):
                 continue
         best[key] = (const, g, s, h, r)
     return [(r, s, h) for _, _, s, h, r in best.values()]
+
+
+def reference_opposed_pair(ineqs):
+    """Whether two of the ``(row, strict)`` pairs are opposed with no room
+    between them: ``a.x + c >= 0`` and ``-l*a.x + c' >= 0`` for some
+    ``l > 0`` with ``c + c'/l < 0``, or ``= 0`` with either row strict.
+    Decided pair by pair on ``Fraction`` ratios, with no gcds."""
+    for (r, s), (q, t) in combinations(ineqs, 2):
+        j = next((j for j, c in enumerate(r[:-1]) if c), None)
+        if j is None or q[j] * r[j] >= 0:
+            continue
+        ratio = Fraction(-q[j], r[j])
+        if any(y != -ratio * x for x, y in zip(r[:-1], q[:-1])):
+            continue
+        room = r[-1] + q[-1] / ratio
+        if room < 0 or (room == 0 and (s or t)):
+            return True
+    return False
 
 
 def reference_fm_eliminate(ineqs, elim, max_rows=None):

@@ -99,7 +99,8 @@ def test_unchanged_clause_contribution_is_reused(monkeypatch):
 
 def test_clause_contributions_are_joined_by_one_hull(monkeypatch):
     # Each evaluation joins the old value and every non-empty clause
-    # contribution, given as its cone, in one n-ary join.
+    # contribution, given as its cone, in one n-ary join; an empty
+    # contribution is passed as None, which the join skips.
     p = parse_program(
         "count(A) :- A = 0.\n"
         "count(A) :- B =< 9, A = B+1, count(B).\n"
@@ -109,7 +110,7 @@ def test_clause_contributions_are_joined_by_one_hull(monkeypatch):
     join = Polyhedron.join
 
     def counting_join(self, cones):
-        joined.append((self.is_empty, len(cones)))
+        joined.append((self.is_empty, sum(c is not None for c in cones)))
         return join(self, cones)
 
     monkeypatch.setattr(Polyhedron, "join", counting_join)

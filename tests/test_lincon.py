@@ -12,6 +12,7 @@ from oracles import (
     random_system,
     reference_entailed,
     reference_fm_eliminate,
+    reference_opposed_pair,
     reference_prune_rows,
     rational_is_satisfiable,
     rational_normalize,
@@ -404,6 +405,7 @@ def test_key_refutes_an_opposed_pair_that_leaves_no_room():
         (((3, -1), False), ((-2, 1), False), [True, True]),
     ]
     for first, second, want in cases:
+        assert reference_opposed_pair([first, second]) == (None in want)
         assert key_pair(first, second) == want, (first, second)
         assert key_pair(second, first) == want, (second, first)
     # The kept pair A >= 0, -A >= 0 comes out of a projection as A = 0.
@@ -465,14 +467,16 @@ def _random_ineqs(rng, width):
 
 def test_one_pass_elimination_matches_reference(monkeypatch):
     # The one-pass kernel against the one with set histories and a prune
-    # pass per step: None whenever the reference gives None, and otherwise
-    # the same rows in the same order, the same stop flag, and the same
-    # rows handed to the simplex when a step stops.  Keying also refutes an
-    # opposed pair that leaves no room, which the reference finds only by
-    # elimination, or, when the pair survives a partial elimination, not
-    # at all; up to that refutation both take the same steps, so the rows
-    # handed to the simplex are a prefix of the reference's, and the stop
-    # flag of a None may differ.
+    # pass per step.  Keying also refutes an opposed pair of rows that
+    # leaves no room, which the reference finds only by elimination, and,
+    # when the pair survives a partial elimination, not at all.  So the
+    # kernel gives None exactly when the reference gives None or leaves
+    # such a pair among its rows (``reference_opposed_pair``), and always
+    # the same stop flag.  Otherwise both give the same rows in the same
+    # order and hand the simplex the same rows when a step stops.  Up to a
+    # refutation both take the same steps, so a None hands the simplex the
+    # reference's first rows, and any later hand-off of the reference's is
+    # one the simplex refutes.
     lp_feasible = lincon._lp_feasible
     simplex: list = []
 
@@ -483,7 +487,10 @@ def test_one_pass_elimination_matches_reference(monkeypatch):
     monkeypatch.setattr(lincon, "_lp_feasible", recorded)
     rng = random.Random(20261019)
     stats = dict.fromkeys(
-        ("calls", "none", "earlier", "stopped", "simplex", "simplex_none", "collided", "opposed"),
+        (
+            "calls", "none", "earlier", "stopped", "simplex", "simplex_none",
+            "simplex_skipped", "collided", "opposed",
+        ),
         0,
     )
     for _ in range(1500):
@@ -494,14 +501,12 @@ def test_one_pass_elimination_matches_reference(monkeypatch):
             rng.shuffle(elim)
         table = lincon._table(ineqs)
         ref = reference_prune_rows([(r, s, frozenset((i,))) for i, (r, s) in enumerate(ineqs)])
+        opposed = ref is not None and reference_opposed_pair([(r, s) for r, s, _ in ref])
+        assert (table is None) == (ref is None or opposed), ineqs
         if ref is not None:
             stats["collided"] += len(ref) < len(ineqs)
-        if table is None:
-            # A ground contradiction, as in the reference, or an opposed
-            # pair that leaves the rows infeasible.
-            assert ref is None or reference_fm_eliminate(ineqs, range(width))[0] is None, ineqs
-            stats["opposed"] += ref is not None
-        else:
+            stats["opposed"] += opposed
+        if table is not None:
             bits = [(r, s, sum(1 << i for i in h)) for r, s, h in ref]
             assert [kept[:3] for kept in table.values()] == bits, ineqs
         for max_rows in (None, 3, 5, 8):
@@ -510,14 +515,18 @@ def test_one_pass_elimination_matches_reference(monkeypatch):
             handed = simplex[:]
             simplex.clear()
             want = reference_fm_eliminate(ineqs, elim, max_rows)
+            case = (ineqs, elim, max_rows)
+            earlier = want[0] is not None and reference_opposed_pair(want[0])
+            assert (got[0] is None) == (want[0] is None or earlier), case
+            assert got[1] == want[1], case
             if got[0] is None:
-                # A None the reference does not give is an infeasible
-                # system whose rows the reference leaves unrefuted.
-                assert want[0] is None or reference_fm_eliminate(ineqs, range(width))[0] is None
-                assert handed == simplex[: len(handed)], (ineqs, elim, max_rows)
-                stats["earlier"] += want[0] is not None
+                skipped = simplex[len(handed):]
+                assert handed == simplex[: len(handed)], case
+                assert all(not ok for _, ok in skipped), case
+                stats["earlier"] += earlier
+                stats["simplex_skipped"] += len(skipped)
             else:
-                assert got == want and handed == simplex, (ineqs, elim, max_rows)
+                assert got == want and handed == simplex, case
             stats["calls"] += 1
             stats["none"] += got[0] is None
             stats["stopped"] += got[1]
@@ -525,7 +534,7 @@ def test_one_pass_elimination_matches_reference(monkeypatch):
             stats["simplex_none"] += any(not ok for _, ok in handed)
     assert stats == {
         "calls": 6000, "none": 1115, "earlier": 142, "stopped": 649, "simplex": 810,
-        "simplex_none": 161, "collided": 1247, "opposed": 76,
+        "simplex_none": 161, "simplex_skipped": 121, "collided": 1247, "opposed": 76,
     }
 
 

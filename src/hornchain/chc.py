@@ -41,12 +41,12 @@ def canonical_arg_names(n: int) -> tuple[str, ...]:
     return tuple([_arg_name(i) for i in range(n)])
 
 
-def fresh_name(taken: Iterable[str], base: str = "V") -> str:
-    used = taken if isinstance(taken, (set, frozenset)) else set(taken)
+def fresh_name(taken: set[str]) -> str:
+    """The first of ``V0``, ``V1``, ... that is not in ``taken``."""
     i = 0
-    while f"{base}{i}" in used:
+    while f"V{i}" in taken:
         i += 1
-    return f"{base}{i}"
+    return f"V{i}"
 
 
 # ---------------------------------------------------------------------------
@@ -76,16 +76,6 @@ class LinExpr:
     def var(name: str) -> "LinExpr":
         return LinExpr(((name, ONE),), ZERO)
 
-    @staticmethod
-    def constant(value: Fraction | int) -> "LinExpr":
-        return LinExpr((), Fraction(value))
-
-    def coeff(self, var: str) -> Fraction:
-        for v, c in self.coeffs:
-            if v == var:
-                return c
-        return ZERO
-
     def vars(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.coeffs)
 
@@ -109,22 +99,6 @@ class LinExpr:
         if k == 0:
             return LinExpr((), ZERO)
         return LinExpr(tuple((v, c * k) for v, c in self.coeffs), self.const * k)
-
-    def subst(self, mapping: Mapping[str, "LinExpr"]) -> "LinExpr":
-        """Simultaneously replace variables by linear expressions."""
-        acc: dict[str, Fraction] = {}
-        const = self.const
-        for v, c in self.coeffs:
-            repl = mapping.get(v)
-            if repl is None:
-                acc[v] = acc[v] + c if v in acc else c
-            else:
-                for w, d in repl.coeffs:
-                    t = c * d
-                    acc[w] = acc[w] + t if w in acc else t
-                if repl.const:
-                    const += c * repl.const
-        return LinExpr.build(acc, const)
 
     def rename(self, mapping: Mapping[str, str]) -> "LinExpr":
         """Rename variables; terms that land on one name are added up.
@@ -238,19 +212,12 @@ class Constraint:
     def of(items: Iterable[AtomicConstraint]) -> "Constraint":
         return Constraint(tuple(items))
 
-    @property
-    def is_true(self) -> bool:
-        return not self.conjuncts
-
     def vars(self) -> tuple[str, ...]:
         seen: dict[str, None] = {}
         for a in self.conjuncts:
             for v, _ in a.expr.coeffs:
                 seen[v] = None  # a key keeps its first position
         return tuple(seen)
-
-    def conjoin(self, other: "Constraint") -> "Constraint":
-        return Constraint(self.conjuncts + other.conjuncts)
 
     def rename(self, mapping: Mapping[str, str]) -> "Constraint":
         return Constraint(tuple(a.rename(mapping) for a in self.conjuncts))
@@ -405,9 +372,6 @@ class Program:
                 raise ChcError(f"head arguments of {c.head.pred} are not distinct")
         object.__setattr__(self, "arities", arities)
         object.__setattr__(self, "succs", {p: tuple(qs) for p, qs in succs.items()})
-
-    def preds(self) -> tuple[str, ...]:
-        return tuple(self.arities)
 
     def clauses_for(self, pred: str) -> tuple[Clause, ...]:
         return tuple(c for c in self.clauses if c.head.pred == pred)

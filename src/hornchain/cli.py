@@ -42,11 +42,6 @@ def _cmd_stage(args) -> int:
     return EXIT_SAFE
 
 
-def _split(program, goal: str):
-    """``split_predicates`` in the ``(program, goal)`` shape of the other stages."""
-    return split_predicates(program, protected=(goal,))
-
-
 def _cmd_thresholds(args) -> int:
     program = _load(args.file)
     ts = compute_thresholds(program)
@@ -116,7 +111,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         ("raf", raf_filter, "print the argument-filtered program"),
         ("unfold", unfold_forward, "print the forward-unfolded program"),
         ("qa", query_answer, "print the query-answer transformed program"),
-        ("split", _split, "print the predicate-split program"),
+        ("split", split_predicates, "print the predicate-split program"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file")

@@ -494,17 +494,20 @@ def _entailed(
 ) -> Iterator[bool]:
     """Whether the rows ``base`` entail each row of ``goals``, all over ``n`` columns.
 
-    A goal that is itself a row of ``base``, relation included, holds
-    without elimination.  Every other goal is decided by the
-    satisfiability of ``base`` plus one inequality of the goal's negation.
-    ``base`` is prepared once for all of them: one Gauss-Jordan pass over
-    its equalities, whose pivots are substituted out of its inequalities,
-    and those keyed once by :func:`_table`.  Each negation, with the pivots
-    substituted out, is keyed into a copy of that table, with the history
-    bit after the base's inequalities, and the copy is eliminated unless
-    keying refutes the negation: a goal that one base row parallel to it
-    implies, tighter or equal, is decided there.  The answers come lazily,
-    in goal order.
+    A goal is decided by the satisfiability of ``base`` plus one inequality
+    of the goal's negation.  ``base`` is prepared once for all of them: one
+    Gauss-Jordan pass over its equalities, whose pivots are substituted out
+    of its inequalities, and those keyed once by :func:`_table`.  Each
+    negation, with the pivots substituted out, is keyed into a copy of that
+    table, with the history bit after the base's inequalities, and the copy
+    is eliminated unless keying refutes the negation.  Keying decides every
+    goal that one base row parallel to it implies, tighter or equal, and so
+    every goal that is a base row: an equality's negations substitute to
+    the ground ``0 > 0``, and an inequality's negation is opposed to its
+    own row, or a tighter parallel one, with no room between them.  (A row
+    tighter than the negation on the negation's own slope would have
+    refuted the base against the goal's row when the base was keyed.)  The
+    answers come lazily, in goal order.
     """
     eqs, ineqs = _split(base)
     solved = _gauss_jordan(eqs)
@@ -513,11 +516,7 @@ def _entailed(
         yield from (True for _ in goals)
         return
     bit = 1 << len(ineqs)
-    for goal in goals:
-        if goal in base:
-            yield True
-            continue
-        r, rel = goal
+    for r, rel in goals:
         if rel is Rel.EQ:
             negations = [(r, True), (_neg(r), True)]
         else:

@@ -44,14 +44,18 @@ class NonlinearTermError(ParseError):
 
 
 # One alternative per token kind, tried in order.  ``skip`` is whitespace
-# and comments.  ASCII words are classified by the pattern; a word starting
-# with any other letter is ``word`` and is classified by ``str.isalpha`` and
-# ``str.isupper`` (``\w`` also takes digits such as ``²`` that
-# ``str.isalpha`` refuses).  ``bad`` is any other character.
+# and comments.  ``dec`` is a decimal literal such as ``0.5``, which the
+# parser refuses where it meets it; ``X >= 0.`` before a newline or the end
+# of the text is an integer and a full stop.  ASCII words are classified by
+# the pattern; a word starting with any other letter is ``word`` and is
+# classified by ``str.isalpha`` and ``str.isupper`` (``\w`` also takes
+# digits such as ``²`` that ``str.isalpha`` refuses).  ``bad`` is any other
+# character.
 _TOKEN = re.compile(
     r"""
     (?P<skip>[ \t\r\n]+|%[^\n]*)
   | (?P<op>:-|=<|>=|[,.()+\-*/<>=])
+  | (?P<dec>[0-9]+\.[0-9]+)
   | (?P<int>[0-9]+)
   | (?P<var>[A-Z_]\w*)
   | (?P<ident>[a-z]\w*)
@@ -61,13 +65,9 @@ _TOKEN = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
-# Digits, a point and digits: a decimal literal, which the scanner splits
-# into three tokens (see ``_Parser.literal``).
-_DECIMAL = re.compile(r"[0-9]+\.[0-9]+")
-
-# A token is ``(kind, text, offset)``; kinds are ``op``, ``int``, ``var``,
-# ``ident`` and ``eof``.  Punctuation is the text of ``op`` tokens alone, so
-# the parser tests a token's text without its kind.
+# A token is ``(kind, text, offset)``; kinds are ``op``, ``dec``, ``int``,
+# ``var``, ``ident`` and ``eof``.  Punctuation is the text of ``op`` tokens
+# alone, so the parser tests a token's text without its kind.
 Token = tuple[str, str, int]
 
 # Parentheses and unary minus nested deeper than this are rejected.  Each
@@ -221,6 +221,14 @@ class _Parser:
             value = self.literal()
             self.pos += 1
             return {"": value}
+        if kind == "dec":
+            try:
+                value = Fraction(text)
+            except ValueError:  # longer than the interpreter converts
+                raise self.error(
+                    f"decimal literal of {len(text)} characters is too long", tok
+                ) from None
+            raise self.error(f"decimal literal {text} is not supported; write {value}", tok)
         if kind == "var":
             self.pos += 1
             return {text: 1}
@@ -231,19 +239,8 @@ class _Parser:
         raise self.error(f"expected an expression, found {text!r}", tok)
 
     def literal(self) -> int:
-        """The integer literal at the cursor.
-
-        The scanner reads ``0.5`` as ``0``, ``.`` and ``5``; a decimal
-        literal is refused here, at its first digit, while ``X >= 0.``
-        followed by a newline or the end of the text still ends a clause.
-        """
+        """The integer literal at the cursor."""
         tok = self.tokens[self.pos]
-        decimal = _DECIMAL.match(self.text, tok[2])
-        if decimal:
-            text = decimal.group()
-            raise self.error(
-                f"decimal literal {text} is not supported; write {Fraction(text)}", tok
-            )
         try:
             return int(tok[1])
         except ValueError:  # longer than the interpreter converts

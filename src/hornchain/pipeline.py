@@ -13,7 +13,7 @@ program safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .analyzer import (
     AbstractModel,
@@ -54,12 +54,6 @@ class PipelineResult:
     thresholds: ThresholdSet
     stats: AnalysisStats
 
-    def stage(self, name: str) -> Program:
-        for n, p in self.stages:
-            if n == name:
-                return p
-        raise KeyError(name)
-
 
 def run_pipeline(program: Program, config: PipelineConfig = PipelineConfig()) -> PipelineResult:
     """Transform, analyze, and judge a program."""
@@ -78,7 +72,7 @@ def run_pipeline(program: Program, config: PipelineConfig = PipelineConfig()) ->
         goal = new_goal
         stages.append(("qa", program))
     if config.split:
-        program = split_predicates(program, protected=(goal,))
+        program = split_predicates(program, goal)
         stages.append(("split", program))
 
     ts = compute_thresholds(program) if config.thresholds else ThresholdSet.empty()

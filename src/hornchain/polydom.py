@@ -120,15 +120,11 @@ class Polyhedron:
         return Polyhedron.empty(self.dims) if rows is None else _from_rows(self.dims, rows)
 
     def hull(self, *others: "Polyhedron") -> "Polyhedron":
-        """Closure of the convex hull of the union of all operands."""
+        """Closure of the convex hull of the union of all operands: their
+        :meth:`join`, which skips empty operands and pools the rest's cones."""
         for other in others:
             self._check_dims(other)
-        operands = [p for p in (self,) + others if not p.is_empty]
-        if len(operands) <= 1:
-            return operands[0] if operands else self
-        if any(p.is_universe for p in operands):
-            return Polyhedron.universe(self.dims)
-        return operands[0].join([p.generators for p in operands[1:]])
+        return self.join([None if p.is_empty else p.generators for p in others])
 
     def join(self, cones) -> "Polyhedron":
         """Closure of the convex hull of this polyhedron and the polyhedra

@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 
 from . import lincon
 from .chc import (
+    FALSUM,
+    VERUM,
     Atom,
     AtomicConstraint,
     Constraint,
@@ -180,20 +182,17 @@ class ThresholdSet:
         return sum(len(v) for v in self.entries.values())
 
 
-def _atomics(atoms: Iterable[AtomicConstraint]) -> tuple[AtomicConstraint, ...]:
-    """The distinct normal forms of the atoms that are neither trivially
-    true nor trivially false, in sort order."""
-    acc: set[AtomicConstraint] = set()
-    for a in atoms:
-        na = a.normalized()
-        if not (na.is_trivially_true() or na.is_trivially_false()):
-            acc.add(na)
-    return tuple(sorted(acc, key=AtomicConstraint.sort_key))
-
-
 def atomconstraints(interp: Interpretation) -> ThresholdSet:
-    """All atomic conjuncts of an interpretation's facts, per predicate."""
-    return ThresholdSet({p: _atomics(a for f in facts for a in f) for p, facts in interp.items()})
+    """All atomic conjuncts of an interpretation's facts, per predicate: the
+    distinct normal forms other than the trivial ``VERUM`` and ``FALSUM``,
+    in sort order."""
+    return ThresholdSet({
+        p: tuple(sorted(
+            {a.normalized() for f in facts for a in f} - {VERUM, FALSUM},
+            key=AtomicConstraint.sort_key,
+        ))
+        for p, facts in interp.items()
+    })
 
 
 class _Harvest(Mapping[str, tuple[AtomicConstraint, ...]]):
@@ -204,7 +203,11 @@ class _Harvest(Mapping[str, tuple[AtomicConstraint, ...]]):
     of ``p`` over step ``k - 1``.  Each head's facts depend only on its own
     clauses and its body predicates' facts, so they are the facts the whole
     step gives ``p``, and reading ``p`` harvests only the predicates within
-    two body edges of it.
+    two body edges of it.  The rows of step 3 are already in
+    ``lincon._normal_form``: coprime, equalities oriented, no ground row.
+    So each distinct row stands for its own atom's normal form, and
+    ``lincon._sort_key`` sorts them as the atoms; each threshold atom is
+    built once, from its row.
     """
 
     def __init__(self, program: Program) -> None:
@@ -226,9 +229,8 @@ class _Harvest(Mapping[str, tuple[AtomicConstraint, ...]]):
         got = self._entries.get(p)
         if got is None:
             order = lincon._layout(self._program.arities[p])[0]
-            got = self._entries[p] = _atomics(
-                lincon._atom(order, r, rel) for f in self.facts(p, 3) for r, rel in f
-            )
+            rows = sorted({row for f in self.facts(p, 3) for row in f}, key=lincon._sort_key)
+            got = self._entries[p] = tuple([lincon._atom(order, r, rel) for r, rel in rows])
         return got
 
     def __iter__(self) -> Iterator[str]:

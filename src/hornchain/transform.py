@@ -343,9 +343,7 @@ def query_answer(program: Program, goal_pred: str = FALSE_PRED) -> Program:
 # Predicate splitting
 # ---------------------------------------------------------------------------
 
-def split_predicates(
-    program: Program, protected: Iterable[str] = (FALSE_PRED,)
-) -> Program:
+def split_predicates(program: Program, goal_pred: str = FALSE_PRED) -> Program:
     """Split each predicate into variants with disjoint clause groups.
 
     Clauses of a predicate are partitioned into the finest blocks such that
@@ -353,7 +351,7 @@ def split_predicates(
     (transitively).  Block j of predicate p defines ``p___j`` (1-based, in
     order of first clause appearance), and every call site is expanded to
     the disjunction over the variants, i.e. one clause per combination.
-    Protected predicates (the goal) keep their name and single variant.
+    The goal predicate and ``false`` keep their name and single variant.
 
     Overlaps are decided on each clause's prepared rows (``Clause.rows``):
     its exact projection onto the head's canonical columns is one
@@ -363,13 +361,11 @@ def split_predicates(
     differs from its source clause in predicate names only, so it shares
     the source's prepared rows.
     """
-    protected = set(protected) | {FALSE_PRED}
-
     variants: dict[str, list[str]] = {}
     block_of: dict[int, str] = {}  # clause index -> variant name
     for pred in program.arities:
         idxs = [i for i, c in enumerate(program.clauses) if c.head.pred == pred]
-        if pred in protected:
+        if pred in (goal_pred, FALSE_PRED):
             for i in idxs:
                 block_of[i] = pred
             variants[pred] = [pred]

@@ -424,14 +424,14 @@ def hull_by_projection(p: Polyhedron, q: Polyhedron) -> Polyhedron:
     x_minus_y = {d: LinExpr.var(d) - y[d] for d in p.dims}
     rows = [
         AtomicConstraint(lam, Rel.GE),
-        AtomicConstraint(LinExpr.constant(1) - lam, Rel.GE),
+        AtomicConstraint(LinExpr((), Fraction(1)) - lam, Rel.GE),
     ]
     for a in p.conjuncts():
         k = a.expr.const
-        expr = a.expr.subst(y) - LinExpr.constant(k) + lam.scale(k)
+        expr = reference_subst(a.expr, y) - LinExpr((), k) + lam.scale(k)
         rows.append(AtomicConstraint(expr, a.rel))
     for a in q.conjuncts():
-        expr = a.expr.subst(x_minus_y) - lam.scale(a.expr.const)
+        expr = reference_subst(a.expr, x_minus_y) - lam.scale(a.expr.const)
         rows.append(AtomicConstraint(expr, a.rel))
     return canonical_by_lp(p.dims, rows)
 
@@ -623,8 +623,12 @@ def _q_split(conjuncts):
     return eqs, ineqs
 
 
+def _q_coeff(e: LinExpr, v: str) -> Fraction:
+    return dict(e.coeffs).get(v, ZERO)
+
+
 def _q_solve_for(e: LinExpr, v: str) -> LinExpr:
-    c = e.coeff(v)
+    c = _q_coeff(e, v)
     rest = e - LinExpr.build({v: c})
     return rest.scale(Fraction(-1) / c)
 
@@ -634,7 +638,7 @@ def _q_eliminate_equalities(eqs, ineqs, keep=frozenset()):
     outside ``keep``, else its last; None on a ground contradiction."""
     solved = {}
     for e in eqs:
-        e = e.subst(solved)
+        e = reference_subst(e, solved)
         if e.is_const:
             if e.const != 0:
                 return None
@@ -642,11 +646,11 @@ def _q_eliminate_equalities(eqs, ineqs, keep=frozenset()):
         v = next((u for u in e.vars() if u not in keep), e.vars()[-1])
         form = _q_solve_for(e, v)
         sub = {v: form}
-        solved = {u: f.subst(sub) if f.coeff(v) else f for u, f in solved.items()}
+        solved = {u: reference_subst(f, sub) if _q_coeff(f, v) else f for u, f in solved.items()}
         solved[v] = form
     kept = [LinExpr.var(v) - f for v, f in solved.items() if v in keep]
     if solved:
-        ineqs = [(e.subst(solved), s) for e, s in ineqs]
+        ineqs = [(reference_subst(e, solved), s) for e, s in ineqs]
     return kept, ineqs
 
 
@@ -703,18 +707,18 @@ def _q_fm_eliminate(ineqs, should_elim, max_rows=None):
         steps += 1
         lowers, uppers, nxt = [], [], []
         for e, s, h in rows:
-            c = e.coeff(v)
+            c = _q_coeff(e, v)
             (lowers if c > 0 else uppers if c < 0 else nxt).append((e, s, h))
         passthrough = len(nxt)
         aborted = False
         for le, ls, lh in lowers:
-            lc = le.coeff(v)
+            lc = _q_coeff(le, v)
             for ue, us, uh in uppers:
                 strict = ls or us
                 hist = lh | uh
                 if not strict and len(hist) > steps + 1:
                     continue
-                combined = le.scale(-ue.coeff(v)) + ue.scale(lc)
+                combined = le.scale(-_q_coeff(ue, v)) + ue.scale(lc)
                 if combined.is_const:
                     if combined.const < 0 or (strict and combined.const == 0):
                         return None
@@ -1035,7 +1039,7 @@ def reference_backward_targets(program: Program) -> frozenset:
                 on_stack.discard(node)
 
     roots = [FALSE_PRED] if FALSE_PRED in succs else []
-    roots.extend(p for p in program.preds() if p != FALSE_PRED)
+    roots.extend(p for p in program.arities if p != FALSE_PRED)
     for r in roots:
         if r not in visited:
             dfs(r)
@@ -1113,7 +1117,8 @@ def _ref_unfold_with_defs(clause: Clause, at: int, defs) -> list:
         binding = {z: LinExpr.var(y) for z, y in zip(d2.head.args, call.args)}
         names = dict(zip(d2.head.args, call.args))
         body = clause.body[:at] + tuple(b.rename(names) for b in d2.body) + clause.body[at + 1 :]
-        constr = clause.constr.conjoin(_ref_constraint(d2.constr, reference_subst, binding))
+        bound = _ref_constraint(d2.constr, reference_subst, binding)
+        constr = Constraint(clause.constr.conjuncts + bound.conjuncts)
         if not lincon.is_satisfiable(constr):
             continue
         out.append(_ref_canonical(Clause(clause.head, constr, body)))
@@ -1180,7 +1185,7 @@ def _atom_cone(dims, conjuncts):
     rays = [(1,) + (0,) * len(dims)]
     lines = []
     for a in conjuncts:
-        row = (a.expr.const,) + tuple(a.expr.coeff(d) for d in dims)
+        row = (a.expr.const,) + tuple(dict(a.expr.coeffs).get(d, 0) for d in dims)
         (lines if a.rel is Rel.EQ else rays).append(tuple(map(int, row)))
     return _dual(rays, lines, len(dims) + 1)
 
@@ -1499,6 +1504,7 @@ def reference_entailed(base, goals, n):
 # tries every punctuation string in turn, and each token carries the line
 # and column that the scan counts as it goes.  A character is one column,
 # a tab and ``\r`` included, and a comment is skipped without counting.
+# Digits, a point and more digits are one ``dec`` token.
 
 _PUNCT = (":-", "=<", ">=", ",", ".", "(", ")", "+", "-", "*", "/", "<", ">", "=")
 
@@ -1536,7 +1542,13 @@ def reference_tokenize(text: str) -> list[tuple[str, str, int, int]]:
                 j = i
                 while j < n and "0" <= text[j] <= "9":
                     j += 1
-                tokens.append(("int", text[i:j], line, start_col))
+                kind = "int"
+                if j + 1 < n and text[j] == "." and "0" <= text[j + 1] <= "9":
+                    kind = "dec"
+                    j += 1
+                    while j < n and "0" <= text[j] <= "9":
+                        j += 1
+                tokens.append((kind, text[i:j], line, start_col))
                 col += j - i
                 i = j
             elif ch.isalpha() or ch == "_":

@@ -52,7 +52,7 @@ TRANSFORMS = (
         lambda p: answer_pred(FALSE_PRED, p),
         lambda p: query_answer(p, FALSE_PRED),
     ),
-    ("split", lambda p: FALSE_PRED, lambda p: split_predicates(p, (FALSE_PRED,))),
+    ("split", lambda p: FALSE_PRED, lambda p: split_predicates(p, FALSE_PRED)),
 )
 
 

@@ -76,7 +76,7 @@ def test_stage_subcommands_print_programs(capsys, twophase):
         "raf": (raf_filter(twophase), raf_filter(twophase, "new5")),
         "unfold": (unfold_forward(twophase), unfold_forward(twophase, "new5")),
         "qa": (query_answer(twophase), query_answer(twophase, "new5")),
-        "split": (split_predicates(twophase), split_predicates(twophase, protected=("new5",))),
+        "split": (split_predicates(twophase), split_predicates(twophase, "new5")),
     }
     for cmd, (default, goal) in stages.items():
         assert main([cmd, EXAMPLE]) == 0

@@ -164,6 +164,43 @@ def test_gauss_jordan_resumes_and_substitutes_in_stages():
     assert (deficient, inconsistent) == (102, 230)
 
 
+def _dense_system(rng, m, n, low):
+    """``m`` dense rows over ``n`` columns: coefficients in [-9, 9], column 0
+    of alternating sign, constants in [low, 30]."""
+    return [
+        (lincon._coprime(
+            [(-1) ** i * rng.randint(1, 9)]
+            + [rng.randint(-9, 9) for _ in range(n - 1)]
+            + [rng.randint(low, 30)]
+        ), False)
+        for i in range(m)
+    ]
+
+
+def test_project_cap_stops_a_dense_system_and_the_simplex_decides(monkeypatch):
+    # What PROJECT_CAP bounds: eliminating every column of 20 dense rows
+    # over 4 columns grows one step past 400 rows, so the cap stops that
+    # step and the simplex decides the rows it has.  The decision is the
+    # simplex's on the whole system, feasible and not.
+    handed = []
+    simplex = lincon._lp_feasible
+
+    def recorded(ineqs):
+        handed.append(len(ineqs))
+        return simplex(ineqs)
+
+    monkeypatch.setattr(lincon, "_lp_feasible", recorded)
+    for rng, low, feasible in ((random.Random(1), 0, True), (random.Random(37), -10, False)):
+        ineqs = _dense_system(rng, 20, 4, low)
+        handed.clear()
+        rows, stopped = lincon._fm_eliminate(ineqs, range(4), lincon.PROJECT_CAP)
+        assert len(handed) == 1 and handed[0] > 20
+        assert (rows is not None) == simplex(ineqs) == feasible
+        # A refutation at the first stop reports no stop: nothing was lost.
+        assert stopped == feasible
+        assert (lincon._fm_eliminate(ineqs, range(4))[0] is not None) == feasible
+
+
 def test_fm_first_decision_falls_back_to_simplex(monkeypatch):
     # With the row cap at 1 nearly every system with two or more rows
     # reaches the simplex fallback; the decision must not change.
@@ -212,14 +249,15 @@ def test_goal_held_by_a_base_row_needs_no_elimination(monkeypatch):
     monkeypatch.setattr(lincon, "_eliminate", counted)
     # Columns A, B; rows are (A, B, constant).
     base = [((1, -1, 0), Rel.EQ), ((1, 0, 0), Rel.GE), ((0, 1, -3), Rel.GT)]
-    # A >= 0 and B - 3 > 0 are base rows: answered without a call.
+    # A >= 0 and B - 3 > 0 are base rows: keying refutes each negation
+    # against its own row, without a call.
     assert list(lincon._entailed(base, [base[1], base[2]], 2)) == [True, True]
     assert calls == []
-    # A > 0 is not A >= 0: strictness is part of the match.  A >= 0 alone
-    # does not give A > 0: the negation -A >= 0 meets it at A = 0, which
-    # keying keeps, so one elimination decides it.  B > 3 and A = B do give
-    # it: with A = B substituted, the negation -B >= 0 is opposed to
-    # B - 3 > 0, and keying refutes it without elimination.
+    # A > 0 is not a base row, and A >= 0 alone does not give it: the
+    # negation -A >= 0 meets A >= 0 at A = 0, which keying keeps, so one
+    # elimination decides it.  B > 3 and A = B do give it: with A = B
+    # substituted, the negation -B >= 0 is opposed to B - 3 > 0, and keying
+    # refutes it without elimination.
     assert list(lincon._entailed(base[1:2], [((1, 0, 0), Rel.GT)], 2)) == [False]
     assert list(lincon._entailed(base, [((1, 0, 0), Rel.GT)], 2)) == [True]
     assert len(calls) == 1
@@ -230,6 +268,46 @@ def test_goal_held_by_a_base_row_needs_no_elimination(monkeypatch):
     goals = [((-1, 1, 0), Rel.EQ), ((1, 0, 0), Rel.EQ)]
     assert list(lincon._entailed(base, goals, 2)) == [True, False]
     assert len(calls) == 1
+
+
+def test_every_base_row_is_entailed_without_elimination(monkeypatch):
+    # Keying decides every goal that is a row of the base: an equality's
+    # negations substitute to the ground 0 > 0, and an inequality's negation
+    # is opposed to its own row, or a tighter parallel one, with no room
+    # between them.  A row tighter than the negation on its own slope would
+    # have refuted the base when it was keyed, so this holds for
+    # unsatisfiable bases too; satisfiability is the simplex's, with each
+    # equality as two inequalities.
+    calls = []
+    eliminate = lincon._eliminate
+
+    def counted(*args):
+        calls.append(args)
+        return eliminate(*args)
+
+    monkeypatch.setattr(lincon, "_eliminate", counted)
+    hand = [((1, -1, 0), Rel.EQ), ((1, 0, 0), Rel.GE), ((0, 1, -3), Rel.GT)]
+    bases = [(2, hand), (2, hand[1:]), (2, hand[:1])]
+    rng = random.Random(20261019)
+    for _ in range(600):
+        width = rng.randint(1, 4)
+        bases.append((width, _random_base(rng, width)))
+    kinds = dict.fromkeys(("rows", "eq", "strict", "ground", "parallel", "satisfiable"), 0)
+    for width, base in bases:
+        assert all(lincon._entailed(base, base, width)), base
+        ineqs = [(r, rel is Rel.GT) for r, rel in base if rel is not Rel.EQ]
+        ineqs += [(v, False) for r, rel in base if rel is Rel.EQ for v in (r, lincon._neg(r))]
+        slopes = [lincon._coprime(r[:-1]) for r, _ in ineqs if any(r[:-1])]
+        kinds["rows"] += len(base)
+        kinds["eq"] += sum(rel is Rel.EQ for _, rel in base)
+        kinds["strict"] += sum(rel is Rel.GT for _, rel in base)
+        kinds["ground"] += sum(not any(r[:-1]) for r, _ in base)
+        kinds["parallel"] += len(set(slopes)) < len(slopes)
+        kinds["satisfiable"] += lincon._lp_feasible(ineqs)
+    assert calls == []
+    assert kinds == {
+        "rows": 2291, "eq": 429, "strict": 721, "ground": 118, "parallel": 358, "satisfiable": 384,
+    }
 
 
 def test_entailment_keys_its_base_once(monkeypatch):
@@ -664,7 +742,7 @@ def _fraction_atom(rng, names):
 
 
 def _ground_atom(rng):
-    return AtomicConstraint(LinExpr.constant(rng.randint(-1, 1)), rng.choice(list(Rel)))
+    return AtomicConstraint(LinExpr((), Fraction(rng.randint(-1, 1))), rng.choice(list(Rel)))
 
 
 def _opposed_pair(rng, a):

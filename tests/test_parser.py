@@ -111,9 +111,10 @@ def test_goal_predicate_never_in_body():
 
 def test_overlong_literal_rejected():
     # Longer than the interpreter converts from decimal text.
-    with pytest.raises(ParseError, match="too long") as exc:
-        parse_program("p(A) :-\n  A = " + "7" * 5000 + ".")
-    assert (exc.value.line, exc.value.col) == (2, 7)
+    for literal in ("7" * 5000, "7" * 5000 + ".5", "0." + "7" * 5000):
+        with pytest.raises(ParseError, match="too long") as exc:
+            parse_program("p(A) :-\n  A = " + literal + ".")
+        assert (exc.value.line, exc.value.col) == (2, 7)
 
 
 @pytest.mark.parametrize("text", [
@@ -183,7 +184,7 @@ def test_non_ascii_letters_start_names():
         ("eof", "", 1, 9),
     ]
     p = parse_program("\u00e9a(\u00c9a) :- \u00c9a >= 1.")
-    assert p.preds() == ("\u00e9a",)
+    assert tuple(p.arities) == ("\u00e9a",)
 
 
 @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])
@@ -218,8 +219,8 @@ def test_comment_at_end_without_newline():
 
 
 def test_decimal_literal_is_refused_at_its_column():
-    # The scanner splits 0.5 into 0, . and 5; the parser names the literal
-    # and the fraction to write instead, wherever the literal stands.
+    # The scanner reads 0.5 as one token; the parser names the literal and
+    # the fraction to write instead, wherever the literal stands.
     cases = [
         ("false :- X > 0.5, X < 1.", "0.5", "1/2", (1, 14)),
         ("p(0).\np(A) :- p(B),\n  A = 2*B + 12.50.", "12.50", "25/2", (3, 13)),
@@ -236,3 +237,15 @@ def test_decimal_literal_is_refused_at_its_column():
     assert two == parse_program("p(X) :- X >= 0. false :- p(X), X < 0 .")
     assert len(two.clauses) == 2
     assert parse_program("p(X) :- X >= 0.") == parse_program("p(X) :- X >= 0 .")
+    kinds = [kind for kind, *_ in _positioned("X >= 0.\n0.5")]
+    assert kinds == ["var", "op", "int", "op", "dec", "eof"]
+    # The scanner does not refuse a decimal; the parser does, when it
+    # reaches it, so an earlier syntax error is the one reported.
+    earlier = [
+        ("false :- X > , X < 0.5.", "expected an expression, found ','", (1, 14)),
+        ("p(0).\np(A) :- q(A.\nfalse :- p(A), A > 2.5.", "expected ')', found '.'", (2, 12)),
+    ]
+    for text, message, position in earlier:
+        with pytest.raises(ParseError, match=re.escape(message)) as exc:
+            parse_program(text)
+        assert (exc.value.line, exc.value.col) == position

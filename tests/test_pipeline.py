@@ -2,6 +2,7 @@
 
 import gen
 import pytest
+import spans
 from conftest import FIXTURES, fixture_text
 from oracles import reference_compute_thresholds
 
@@ -107,7 +108,7 @@ def test_each_clause_is_prepared_once_per_run(monkeypatch):
     sources = {_shape(c): c for c in prepared}
     assert len(distinct) == 30
     assert len(prepared) == len(sources) == len({_shape(c) for c in distinct.values()}) == 9
-    assert all(c in res.stage("qa").clauses for c in prepared)
+    assert all(c in dict(res.stages)["qa"].clauses for c in prepared)
     for c in distinct.values():
         assert c.rows is sources[_shape(c)].rows
     # Each fresh copy is prepared on its own, and to the same form.
@@ -145,3 +146,12 @@ def test_dumped_thresholds_are_the_full_set(path):
     final = res.stages[-1][1]
     want = format_thresholds(reference_compute_thresholds(final), final.arities)
     assert format_thresholds(res.thresholds, final.arities) == want
+
+
+def test_every_traced_name_is_in_its_owner():
+    # The benchmark's traced runs wrap each function of ``spans.TRACED`` in
+    # place, read from its owner's own ``__dict__``: a name deleted from, or
+    # only inherited by, its owner breaks them.
+    assert spans.TRACED
+    missing = [name for name, owner, attr in spans.TRACED if attr not in owner.__dict__]
+    assert missing == []

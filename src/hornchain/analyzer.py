@@ -10,7 +10,13 @@ threshold-bounded widening, which forces termination.  A contribution is
 derived on ``lincon`` rows and kept as its homogenized cone, the generators
 that the join reads, so it never becomes a polyhedron of its own; an
 evaluation whose operands all equal those of the predicate's last
-unchanging evaluation is skipped.
+unchanging evaluation is skipped.  A clause whose first body atom an
+earlier component settled, and whose later atoms can still grow, folds
+that atom's final value into its prepared rows once (``lincon._fold``),
+and every later contribution steps from the fold; an empty fold ends the
+clause's contributions.  A join drops the operand generators already inside
+the old value, and the widening after it decides its candidate bounds on
+the generators the join pooled.
 
 ``check_safety`` reads the verdict off the model: if the goal predicate's
 polyhedron is empty, no derivation of the goal exists, so the program is
@@ -79,24 +85,49 @@ class AnalysisStats:
     widenings: int   # updates that went through the widening operator
 
 
-def contribution(clause: Clause, head_dims: tuple[str, ...], body: Sequence[Polyhedron]):
+def contribution(form: lincon._Prepared, head_dims: tuple[str, ...], body: Sequence[Polyhedron]):
     """The cone of the head polyhedron that a clause derives from its body
     values, or None when that polyhedron is empty.
 
-    Each body polyhedron's rows move to the columns of the clause's
-    prepared rows (``Clause.rows``), and one capped ``lincon._derive`` step
-    decides emptiness, strict conjuncts included.  The head's rows, relaxed,
-    are taken to their cone (see ``polydom._cone``), which is all that
-    joining needs (see ``Polyhedron.join``): the contribution's own
-    canonical rows are never built.  A cone depends only on its polyhedron,
-    so cones compare exactly with ``==``.
+    ``form`` is the clause's prepared rows (``Clause.rows``), or a fold of
+    them (see ``lincon._fold``), and ``body`` the values of the atoms it
+    still takes.  Each body polyhedron's rows move to the form's columns,
+    and one capped ``lincon._derive`` step decides emptiness, strict
+    conjuncts included.  The head's rows, relaxed, are taken to their cone
+    (see ``polydom._cone``), which is all that joining needs (see
+    ``Polyhedron.join``): the contribution's own canonical rows are never
+    built.  A cone depends only on its polyhedron, so cones compare exactly
+    with ``==``.
     """
     if any(poly.is_empty for poly in body):
         return None
-    form = clause.rows
     facts = [lincon._embed(poly.rows, target, form.n) for poly, target in zip(body, form.targets)]
     rows = lincon._derive(form, facts, lincon.PROJECT_CAP)
     return None if rows is None else polydom._cone(rows, len(head_dims))
+
+
+def _step(clause: Clause, comp: tuple[str, ...], values: Mapping[str, Polyhedron]) -> list:
+    """``[prepared rows, the body atoms they take, a value still to fold in]``
+    for a clause of component ``comp``.
+
+    A first body atom whose predicate an earlier component settled has its
+    final value.  When a later atom's predicate is in ``comp``, the
+    contribution is built again as that atom's value grows, so the first
+    value is left to fold into the prepared rows once, at the first build
+    with no empty body value (see :func:`_fold`).
+    """
+    atoms = clause.body
+    if len(atoms) > 1 and atoms[0].pred not in comp and any(a.pred in comp for a in atoms[1:]):
+        return [clause.rows, atoms[1:], values[atoms[0].pred]]
+    return [clause.rows, atoms, None]
+
+
+def _fold(form: lincon._Prepared, first: Polyhedron) -> lincon._Prepared | None:
+    """``lincon._fold`` of the first body atom's value into prepared rows;
+    None when the value or the fold is empty, which no build can change."""
+    if first.is_empty:
+        return None
+    return lincon._fold(form, lincon._embed(first.rows, form.targets[0], form.n))
 
 
 def analyze(
@@ -123,13 +154,21 @@ def analyze(
     # operands again need no join.
     settled: dict[str, list] = {}
 
+    # Per clause, [prepared rows, the body atoms they take, a final value
+    # still to fold in] (see ``_step``).
+    steps: dict[str, list] = {}
+
     def contributions(pred: str) -> list:
         out = []
-        for k, clause in enumerate(clauses_of[pred]):
-            body = tuple(values[atom.pred] for atom in clause.body)
+        for k, step in enumerate(steps[pred]):
+            form, atoms, first = step
+            body = tuple(values[atom.pred] for atom in atoms)
             entry = built[pred][k]
             if entry is None or entry[0] != body:
-                made = contribution(clause, dims[pred], body)
+                if first is not None and not any(poly.is_empty for poly in body):
+                    form = step[0] = _fold(form, first)
+                    step[2] = None
+                made = None if form is None else contribution(form, dims[pred], body)
                 entry = built[pred][k] = (body, made)
             out.append(entry[1])
         return out
@@ -137,6 +176,8 @@ def analyze(
     for comp in _walk(program, preds)[0]:
         members = sorted(comp, key=order.__getitem__)
         cyclic = len(members) > 1 or any(p in succs[p] for p in members)
+        for p in members:
+            steps[p] = [_step(clause, comp, values) for clause in clauses_of[p]]
         for _ in range(_MAX_PASSES):
             passes += 1
             changed = False

@@ -686,6 +686,31 @@ def _derive(
     return None if proj is None else tuple(proj)
 
 
+def _fold(form: _Prepared, fact: Iterable[tuple[_Vec, Rel]]) -> _Prepared | None:
+    """The prepared rows of the clause's other body atoms, once the first
+    atom's fact, moved to the prepared columns by :func:`_embed`, is in.
+
+    ``_derive(_fold(form, f), rest, m)`` equals ``_derive(form, [f, *rest],
+    m)``: the fact's equalities resume the prepared Gauss-Jordan state and
+    its pivots are substituted out of the prepared inequalities, then the
+    fact's, in that order, which is the first stage of the two-stage
+    substitution that :func:`_derive` proves exact.  None when the
+    equalities contradict or :func:`_table` refutes the rows; substituting
+    more pivots keeps a ground contradiction, and an opposed pair with no
+    room, among the rows, so every step from the fold derives None then.
+    """
+    if form.solved is None:
+        return None
+    eqs, ineqs = _split(fact)
+    solved = _gauss_jordan(eqs, form.source, form.solved)
+    if solved is None:
+        return None
+    ineqs = _substitute(solved, form.ineqs + ineqs)
+    if _table(ineqs) is None:
+        return None
+    return _Prepared(form.n, form.source, form.targets[1:], solved, ineqs)
+
+
 def project(
     conjuncts: Iterable[AtomicConstraint],
     keep: Iterable[str],

@@ -34,7 +34,9 @@ class Polyhedron:
     A non-empty polyhedron also holds its cone's lines and extreme rays,
     ``generators``, computed at most once (the double description of the
     Parma Polyhedra Library: Bagnara, Hill & Zaffanella, SCP 72(1-2),
-    2008).  Atoms are built only on demand, by :meth:`conjuncts`.
+    2008).  A polyhedron that :meth:`join` made also keeps the cones it
+    pooled, ``spanning``, which :meth:`widen_upto` reads.  Atoms are built
+    only on demand, by :meth:`conjuncts`.
     """
 
     dims: tuple[str, ...]
@@ -87,6 +89,12 @@ class Polyhedron:
         """Lines and extreme rays of the homogenized cone (see :func:`_cone`)."""
         return _cone(self.rows, len(self.dims))
 
+    @cached_property
+    def spanning(self):
+        """Cones whose sum is the homogenized cone: the ones the join that
+        made this polyhedron pooled, else its :attr:`generators` alone."""
+        return [self.generators]
+
     def _check_dims(self, other: "Polyhedron") -> None:
         if self.dims != other.dims:
             raise ValueError(f"dimension mismatch: {self.dims} vs {other.dims}")
@@ -134,12 +142,29 @@ class Polyhedron:
         The hull's cone is the sum of the operands' cones, so one
         :func:`_canonical` call over the pooled generators joins any number
         of operands; an operand given as its cone never needs its rows.
+        An operand's rays and lines that already satisfy this polyhedron's
+        rows lie in its cone and add nothing to the sum, so they are
+        dropped, and with none left the join is this polyhedron, with no
+        double description.  :func:`_dual`'s output depends only on the
+        cone, so dropping them changes no row.  The result keeps the cones
+        it pooled as :attr:`spanning`.
         """
         cones = [c for c in cones if c is not None]
         if not cones or self.is_universe:
             return self
         if not self.is_empty:
-            cones = [self.generators, *cones]
+            rows = self.rows
+            lines = [
+                v for cone_lines, _ in cones for v in cone_lines
+                if not all(_dot_ok(r, v, True) for r, _ in rows)
+            ]
+            rays = [
+                v for _, cone_rays in cones for v in cone_rays
+                if not all(_dot_ok(r, v, rel is Rel.EQ) for r, rel in rows)
+            ]
+            if not lines and not rays:
+                return self
+            cones = [self.generators, (lines, rays)]
         return _canonical(self.dims, cones)
 
     def widen_upto(
@@ -152,16 +177,19 @@ class Polyhedron:
         ``other``; the thresholds salvage bounds that plain widening would
         discard.  Expects ``self`` to be included in ``other`` (the analysis
         joins before widening), so every kept threshold holds of both.
-        Thresholds are constraints over ``dims``.  All candidates are
-        decided against ``other``'s rows in one batch; the kept ones hold
-        in the non-empty ``other``, so they need no projection.
+        Thresholds are constraints over ``dims``.  A candidate row holds in
+        the non-empty ``other`` exactly when it is non-negative on every
+        ray of ``other``'s homogenized cone and orthogonal to every line,
+        and an equality candidate when it is orthogonal to both, so each is
+        decided by dot products against :attr:`spanning`, the cones a join
+        pooled into ``other``, with no elimination.  The kept rows hold in
+        ``other``, so they need no projection.
         """
         self._check_dims(other)
         if self.is_empty:
             return other
         if other.is_empty:
             return self
-        n = len(self.dims)
         candidates = lincon._rows([t.relax() for t in thresholds], sorted(self.dims))[1]
         for r, rel in self.rows:
             if rel is Rel.EQ:
@@ -169,9 +197,20 @@ class Polyhedron:
                 candidates.append((lincon._neg(r), Rel.GE))
             else:
                 candidates.append((r, rel))
-        held = lincon._entailed(other.rows, candidates, n)
-        kept = [row for row, ok in zip(candidates, held) if ok]
+        cones = other.spanning
+        kept = [
+            (r, rel) for r, rel in candidates
+            if all(_dot_ok(r, v, True) for cone_lines, _ in cones for v in cone_lines)
+            and all(_dot_ok(r, v, rel is Rel.EQ) for _, cone_rays in cones for v in cone_rays)
+        ]
         return _from_rows(self.dims, kept)
+
+
+def _dot_ok(row: Sequence[int], vec: Sequence[int], tight: bool) -> bool:
+    """``row . vec = 0`` when ``tight``, else ``row . vec >= 0``: a row and a
+    generator of a homogenized cone, both with the constant coordinate last."""
+    d = sum(map(mul, row, vec))
+    return d == 0 if tight else d >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +332,8 @@ def _canonical(dims: tuple[str, ...], cones) -> Polyhedron:
     out.  Given one cone, the result's ``generators`` are that cone: a cone
     depends only on its polyhedron, its lines being the unique reduced
     basis of its lineality space and its rays the unique primitive normals
-    of its facets, sorted.
+    of its facets, sorted.  Given more, they are the result's
+    :attr:`~Polyhedron.spanning`.
     """
     n = len(dims)
     lines = [v for cone_lines, _ in cones for v in cone_lines]
@@ -308,6 +348,8 @@ def _canonical(dims: tuple[str, ...], cones) -> Polyhedron:
     p = Polyhedron(dims, tuple(rows))
     if len(cones) == 1:
         p.__dict__["generators"] = cones[0]
+    else:
+        p.__dict__["spanning"] = cones
     return p
 
 

@@ -21,6 +21,7 @@ projection and no conversion; they become atoms only as thresholds.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
@@ -89,7 +90,11 @@ def _maximal(facts: Iterable[_Fact], n: int) -> list[_Fact]:
 
 
 def _head_facts(
-    program: Program, p: str, known: Callable[[str], list[_Fact]], cap: int | None
+    program: Program,
+    p: str,
+    known: Callable[[str], list[_Fact]],
+    cap: int | None,
+    tops: dict[int, _Fact | None],
 ) -> list[_Fact]:
     """The facts one consequence step derives for head ``p``.
 
@@ -106,6 +111,14 @@ def _head_facts(
     skipped too; past that only syntactic duplicates are.  With ``cap``
     set, the step stops at ``2 * cap`` facts, and a bucket past ``cap``
     keeps only its :func:`_maximal` facts, truncated to the first ``cap``.
+
+    Two exact shortcuts leave the facts as they are.  A first-slot fact
+    that at least two combinations follow is folded into the prepared rows
+    once (``lincon._fold``), and its combinations step from the fold; when
+    the fold is empty, they are skipped, and still count against the
+    budget.  A combination of top facts alone derives what the clause's
+    prepared rows alone derive, so ``tops`` memoises that step per
+    prepared form, which split variants share.
     """
     n = program.arities[p]
     bucket: list[_Fact] = []
@@ -120,12 +133,25 @@ def _head_facts(
             [lincon._embed(f, target, form.n) for f in known(atom.pred)]
             for atom, target in zip(clause.body, form.targets)
         ]
+        folds = math.prod(map(len, fact_lists[1:])) > 1
+        first = folded = None
         for combo in itertools.islice(itertools.product(*fact_lists), _COMBO_BUDGET):
             if cap is not None and len(bucket) >= 2 * cap:
                 break
             # Capped growth: threshold facts are candidate bounds, so an
             # over-approximate projection only makes candidates weaker.
-            fact = lincon._derive(form, combo, lincon.PROJECT_CAP)
+            if folds:
+                if combo[0] is not first:
+                    first, folded = combo[0], lincon._fold(form, combo[0])
+                if folded is None:
+                    continue
+                fact = lincon._derive(folded, combo[1:], lincon.PROJECT_CAP)
+            elif any(combo):
+                fact = lincon._derive(form, combo, lincon.PROJECT_CAP)
+            else:  # every body fact is the top fact
+                if id(form) not in tops:
+                    tops[id(form)] = lincon._derive(form, combo, lincon.PROJECT_CAP)
+                fact = tops[id(form)]
             if fact is None or fact in seen:
                 continue
             seen.add(fact)
@@ -153,8 +179,9 @@ def tp_step(program: Program, interp: Interpretation, cap: int | None = None) ->
         for p in program.arities
     }
     out: Interpretation = {}
+    tops: dict[int, _Fact | None] = {}
     for p, order in orders.items():
-        facts = _head_facts(program, p, known.__getitem__, cap)
+        facts = _head_facts(program, p, known.__getitem__, cap, tops)
         out[p] = tuple(
             [Constraint(tuple([lincon._atom(order, r, rel) for r, rel in f])) for f in facts]
         )
@@ -214,6 +241,7 @@ class _Harvest(Mapping[str, tuple[AtomicConstraint, ...]]):
         self._program = program
         self._facts: dict[tuple[str, int], list[_Fact]] = {}
         self._entries: dict[str, tuple[AtomicConstraint, ...]] = {}
+        self._tops: dict[int, _Fact | None] = {}
 
     def facts(self, p: str, step: int) -> list[_Fact]:
         if step == 0:
@@ -221,7 +249,7 @@ class _Harvest(Mapping[str, tuple[AtomicConstraint, ...]]):
         got = self._facts.get((p, step))
         if got is None:
             got = self._facts[p, step] = _head_facts(
-                self._program, p, lambda q: self.facts(q, step - 1), _TP_CAP
+                self._program, p, lambda q: self.facts(q, step - 1), _TP_CAP, self._tops
             )
         return got
 

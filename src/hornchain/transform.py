@@ -357,9 +357,9 @@ def split_predicates(program: Program, goal_pred: str = FALSE_PRED) -> Program:
     its exact projection onto the head's canonical columns is one
     ``lincon._derive`` step, None when the constraint is unsatisfiable, and
     two projections overlap when ``lincon._project_rows`` of both onto no
-    columns finds them jointly satisfiable.  A variant
-    differs from its source clause in predicate names only, so it shares
-    the source's prepared rows.
+    columns finds them jointly satisfiable; a predicate with one clause
+    projects nothing.  A variant differs from its source clause in
+    predicate names only, so it shares the source's prepared rows.
     """
     variants: dict[str, list[str]] = {}
     block_of: dict[int, str] = {}  # clause index -> variant name
@@ -370,7 +370,9 @@ def split_predicates(program: Program, goal_pred: str = FALSE_PRED) -> Program:
                 block_of[i] = pred
             variants[pred] = [pred]
             continue
-        projs = {i: lincon._derive(program.clauses[i].rows, (), None) for i in idxs}
+        projs: dict[int, tuple | None] = {}
+        if len(idxs) > 1:  # only pairs of clauses read projections
+            projs = {i: lincon._derive(program.clauses[i].rows, (), None) for i in idxs}
         parent = {i: i for i in idxs}
 
         def find(x: int) -> int:

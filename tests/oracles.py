@@ -62,7 +62,7 @@ from hornchain.chc import (
     fresh_name,
 )
 from hornchain.parser import ParseError
-from hornchain.polydom import Polyhedron, _dual
+from hornchain.polydom import Polyhedron, _canonical, _dual, _from_rows
 from hornchain.thresholds import ThresholdSet
 
 GRID_BOUND = 12  # oracle box is [-GRID_BOUND, GRID_BOUND]^d
@@ -1172,9 +1172,9 @@ def reference_unfold_forward(program: Program, goal_pred: str = FALSE_PRED) -> P
 # Atom-path reference for the polyhedra and the fixpoint loop
 # ---------------------------------------------------------------------------
 #
-# The constraint-form ``Polyhedron.of``, ``hull`` and ``widen_upto``, the
-# clause contribution and the fixpoint loop that the integer-row polyhedra
-# replaced.  A contribution renames atoms, projects them with
+# The constraint-form ``Polyhedron.of``, ``hull`` and ``widen_upto``
+# (``atom_widen_upto``), the clause contribution and the fixpoint loop that
+# the integer-row polyhedra replaced.  A contribution renames atoms, projects them with
 # ``lincon.project``, renames again and projects a second time in ``of``;
 # every join reads each operand's generators off its atoms again; each
 # widening candidate is one ``lincon.entails`` call; every evaluation joins.
@@ -1220,7 +1220,7 @@ def reference_hull(p: Polyhedron, *others: Polyhedron) -> Polyhedron:
     return _atom_canonical(p.dims, [_atom_cone(p.dims, q.conjuncts()) for q in operands])
 
 
-def reference_widen_upto(p: Polyhedron, other: Polyhedron, thresholds=()) -> Polyhedron:
+def atom_widen_upto(p: Polyhedron, other: Polyhedron, thresholds=()) -> Polyhedron:
     if p.is_empty:
         return other
     if other.is_empty:
@@ -1277,7 +1277,7 @@ def reference_analyze(program: Program, thresholds=None):
                     continue
                 update_count[p] += 1
                 if cyclic and update_count[p] > analyzer._WIDEN_DELAY:
-                    values[p] = reference_widen_upto(values[p], grown, ts.get(p))
+                    values[p] = atom_widen_upto(values[p], grown, ts.get(p))
                     widenings += 1
                 else:
                     values[p] = grown
@@ -1288,6 +1288,41 @@ def reference_analyze(program: Program, thresholds=None):
             if passes > analyzer._MAX_PASSES:
                 raise ChcError("abstract iteration exceeded its pass budget")
     return analyzer.AbstractModel(dict(values)), analyzer.AnalysisStats(passes, updates, widenings)
+
+
+# ---------------------------------------------------------------------------
+# The join that pools every generator and the widening decided on rows
+# ---------------------------------------------------------------------------
+
+def reference_join(p: Polyhedron, cones) -> Polyhedron:
+    """``Polyhedron.join`` before it dropped the operand generators that
+    already lie in ``p``'s cone: every non-empty operand's cone is pooled
+    with ``p``'s generators, and a double description always runs."""
+    cones = [c for c in cones if c is not None]
+    if not cones or p.is_universe:
+        return p
+    if not p.is_empty:
+        cones = [p.generators, *cones]
+    return _canonical(p.dims, cones)
+
+
+def reference_widen_upto(p: Polyhedron, other: Polyhedron, thresholds=()) -> Polyhedron:
+    """``Polyhedron.widen_upto`` before it decided by generators: every
+    candidate is decided against ``other``'s rows in one ``lincon._entailed``
+    batch, each by an elimination unless keying decides it."""
+    if p.is_empty:
+        return other
+    if other.is_empty:
+        return p
+    candidates = lincon._rows([t.relax() for t in thresholds], sorted(p.dims))[1]
+    for r, rel in p.rows:
+        if rel is Rel.EQ:
+            candidates.append((r, Rel.GE))
+            candidates.append((lincon._neg(r), Rel.GE))
+        else:
+            candidates.append((r, rel))
+    held = lincon._entailed(other.rows, candidates, len(p.dims))
+    return _from_rows(p.dims, [row for row, ok in zip(candidates, held) if ok])
 
 
 # ---------------------------------------------------------------------------

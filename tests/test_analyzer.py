@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 from pathlib import Path
 
 import gen
@@ -11,7 +12,7 @@ from bounded import BudgetExceeded, bounded_concrete_eval
 from oracles import reference_analyze
 from randprog import random_program
 
-from hornchain import analyzer
+from hornchain import analyzer, lincon, polydom, thresholds
 from hornchain.analyzer import (
     AbstractModel,
     AnalysisStats,
@@ -84,8 +85,8 @@ def test_unchanged_clause_contribution_is_reused(monkeypatch):
     built = []
     build = analyzer.contribution
 
-    def counting_contribution(clause, head_dims, body):
-        cone = build(clause, head_dims, body)
+    def counting_contribution(form, head_dims, body):
+        cone = build(form, head_dims, body)
         built.append(cone)
         return cone
 
@@ -121,6 +122,66 @@ def test_clause_contributions_are_joined_by_one_hull(monkeypatch):
     assert joined == [(True, 1), (False, 2), (False, 2), (False, 2), (True, 1)]
     assert stats == AnalysisStats(passes=len(joined), updates=4, widenings=1)
     assert format_model(model) == "count(A) :- [1*A>=0]\nfalse :- []\n"
+
+
+def _counted(counts, name, fn):
+    def counting(*args):
+        counts[name] += 1
+        return fn(*args)
+
+    return counting
+
+
+def test_loops_poly_verify_path_counts(monkeypatch):
+    # The seed-0 loops-poly programs, verified as bench/run.py verifies
+    # them.  Three shortcuts take 1,234 consequence steps off 3,146:
+    # folding a settled first body fact into a clause's rows once (265 of
+    # the 519 folds are empty), deriving each prepared form's all-top-facts
+    # step once in the harvest (79 steps, one per form, against 349), and
+    # projecting no lone clause in split.  Joins that find every operand
+    # generator inside the old value skip their double description (_dual
+    # 776 -> 727, _canonical 333 -> 285).
+    counts = Counter()
+    folds = []  # every fold made, to tell a step from a fold from a clause's own
+    harvesting = [0]
+    derive, fold, head_facts = lincon._derive, lincon._fold, thresholds._head_facts
+
+    def counting_derive(form, bodies, max_rows):
+        bodies = list(bodies)
+        counts["_derive"] += 1
+        if harvesting[0] and not any(bodies) and all(form is not f for f in folds):
+            counts["harvest top-fact steps"] += 1
+        return derive(form, bodies, max_rows)
+
+    def counting_fold(form, fact):
+        folded = fold(form, fact)
+        folds.append(folded)
+        counts["_fold"] += 1
+        counts["dead folds"] += folded is None
+        return folded
+
+    def harvesting_head_facts(*args):
+        harvesting[0] += 1
+        try:
+            return head_facts(*args)
+        finally:
+            harvesting[0] -= 1
+
+    monkeypatch.setattr(lincon, "_derive", counting_derive)
+    monkeypatch.setattr(lincon, "_fold", counting_fold)
+    monkeypatch.setattr(thresholds, "_head_facts", harvesting_head_facts)
+    for name in ("_dual", "_canonical"):
+        monkeypatch.setattr(polydom, name, _counted(counts, name, getattr(polydom, name)))
+    for case, _ in gen.instance("loops-poly", 0):
+        format_model(run_pipeline(parse_program(case.text())).model)
+    assert counts == {
+        "_derive": 1912,
+        "_fold": 519,
+        "dead folds": 265,
+        "harvest top-fact steps": 79,
+        "_dual": 727,
+        "_canonical": 285,
+    }
 
 
 def test_pass_budget_counts_the_passes_of_one_component(monkeypatch):

@@ -124,9 +124,9 @@ def test_no_harvest_without_widening(monkeypatch):
     harvested = []
     head_facts = thresholds._head_facts
 
-    def counting(program, p, known, cap):
+    def counting(program, p, *args):
         harvested.append(p)
-        return head_facts(program, p, known, cap)
+        return head_facts(program, p, *args)
 
     monkeypatch.setattr(thresholds, "_head_facts", counting)
     (case,) = [c for c, _ in gen.instance("random-small", 0) if c.name == "random-small/013"]

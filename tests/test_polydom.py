@@ -3,8 +3,10 @@
 import random
 from fractions import Fraction
 
+import gen
 import pytest
 from oracles import (
+    atom_widen_upto,
     canonical_by_lp,
     dual_by_subsets,
     hull_by_projection,
@@ -13,6 +15,7 @@ from oracles import (
     random_system,
     reference_hull,
     reference_nullspace,
+    reference_join,
     reference_of,
     reference_widen_upto,
     rref,
@@ -20,7 +23,8 @@ from oracles import (
 
 from hornchain import lincon
 from hornchain.chc import AtomicConstraint, LinExpr, Rel, canonical_arg_names
-from hornchain.parser import parse_constraint
+from hornchain.parser import parse_constraint, parse_program
+from hornchain.pipeline import run_pipeline
 from hornchain.polydom import Polyhedron, _cone, _dual, _nullspace, format_polyhedron
 
 
@@ -388,7 +392,7 @@ def test_row_paths_match_atom_path_reference():
         assert p.hull(q, r) == reference_hull(p, q, r), (i, raw)
         h = p.hull(q)
         ts = random_system(rng, d)
-        assert p.widen_upto(h, ts) == reference_widen_upto(p, h, ts), (i, raw, ts)
+        assert p.widen_upto(h, ts) == atom_widen_upto(p, h, ts), (i, raw, ts)
     # By hand: p's equality A = 0 is kept as its two inequalities and comes
     # back an equality; a threshold duplicates p's row B >= 0; the universe
     # keeps nothing.
@@ -404,7 +408,7 @@ def test_row_paths_match_atom_path_reference():
         (top, [ge(0, B=1), eq(0, A=1)], top),
     ]
     for other, ts, want in cases:
-        assert p.widen_upto(other, ts) == want == reference_widen_upto(p, other, ts), (other, ts)
+        assert p.widen_upto(other, ts) == want == atom_widen_upto(p, other, ts), (other, ts)
 
 
 def test_cached_rows_and_generators_match_the_conjuncts():
@@ -433,3 +437,74 @@ def test_cached_rows_and_generators_match_the_conjuncts():
         "-3*A-B-3*C+6>=0, -2*B+C-8>=0"
     )
     assert Polyhedron.of(("A", "B", "C"), raw) == Polyhedron.empty(("A", "B", "C"))
+
+
+# -- joins and widenings decided by generators, against the parent's --------------
+
+
+def _row_thresholds(p):
+    """Thresholds read off ``p``'s rows: each row as an equality.  A facet
+    holds in ``p`` as an inequality but never as an equality, and an
+    equality of ``p`` holds as one."""
+    names = sorted(p.dims)
+    return [lincon._atom(names, r, Rel.EQ) for r, _ in p.rows or ()]
+
+
+def test_generator_decisions_match_the_parent_on_seeded_polyhedra():
+    # Each join against the parent's, and each widening by the join against
+    # the parent's, also with the join's rows alone, whose generators stand
+    # in for the pooled cones.
+    rng = random.Random(20261201)
+    with_lines = skipped = eq_refused = 0
+    for i in range(300):
+        d = 1 + i % 4
+        names = canonical_arg_names(d)
+        p, q, r = (Polyhedron.of(names, random_system(rng, d, 1 + i % 5)) for _ in range(3))
+        cones = [None if x.is_empty else x.generators for x in (q, r)]
+        h = p.join(cones)
+        assert h == reference_join(p, cones), (p, cones)
+        ts = random_system(rng, d) + _row_thresholds(h) + _row_thresholds(p)
+        want = reference_widen_upto(p, h, ts)
+        assert p.widen_upto(h, ts) == want, (p, h, ts)
+        assert p.widen_upto(Polyhedron(h.dims, h.rows), ts) == want, (p, h, ts)
+        with_lines += any(c and c[0] for c in cones)
+        skipped += not p.is_empty and h is p
+        if not p.is_empty and not h.is_empty:
+            rows = lincon._rows([t.relax() for t in ts], sorted(names))[1]
+            as_ge = list(lincon._entailed(h.rows, [(r, Rel.GE) for r, _ in rows], d))
+            as_given = lincon._entailed(h.rows, rows, d)
+            eq_refused += sum(ge and not ok for ge, ok in zip(as_ge, as_given))
+    # Operands with lines, joins that return p as it is, and equality
+    # thresholds that hold as inequalities only all occur.
+    assert (with_lines, skipped, eq_refused) == (197, 11, 97)
+
+
+def test_every_join_and_widening_of_a_loops_poly_run_matches_the_parent(monkeypatch):
+    # Every join and widening that verifying the seed-0 loops-poly programs
+    # makes, made again and against the parent's code.  The widenings read
+    # the cones their join pooled, and again their operand's rows alone.
+    joins, widenings = [], []
+    join, widen = Polyhedron.join, Polyhedron.widen_upto
+
+    def recording_join(self, cones):
+        cones = list(cones)
+        joins.append((self, cones))
+        return join(self, cones)
+
+    def recording_widen(self, other, thresholds=()):
+        widenings.append((self, other, tuple(thresholds)))
+        return widen(self, other, thresholds)
+
+    monkeypatch.setattr(Polyhedron, "join", recording_join)
+    monkeypatch.setattr(Polyhedron, "widen_upto", recording_widen)
+    for case, _ in gen.instance("loops-poly", 0):
+        run_pipeline(parse_program(case.text()))
+    monkeypatch.undo()
+    for p, cones in joins:
+        assert p.join(cones) == reference_join(p, cones), (p, cones)
+    for p, other, ts in widenings:
+        want = reference_widen_upto(p, other, ts)
+        assert p.widen_upto(other, ts) == want, (p, other, ts)
+        assert p.widen_upto(Polyhedron(other.dims, other.rows), ts) == want, (p, other, ts)
+    eqs = sum(t.rel is Rel.EQ for _, _, ts in widenings for t in ts)
+    assert (len(joins), len(widenings), eqs) == (302, 81, 156)

@@ -518,3 +518,80 @@ def test_prepared_derivations_match_reference_on_random_programs():
     rng = random.Random(20261104)
     compared = sum(_derivations_match_reference(random_program(rng)) for _ in range(150))
     assert compared == 6955
+
+
+# -- folding a first body fact into the prepared rows ---------------------------
+
+
+def _traced_derive(form, bodies):
+    """``lincon._derive``'s result, and the rows that each elimination in it
+    starts from, in the order they are keyed."""
+    calls = []
+    eliminate = lincon._fm_eliminate
+
+    def recording(ineqs, *args):
+        calls.append((list(ineqs), *args))
+        return eliminate(ineqs, *args)
+
+    lincon._fm_eliminate = recording
+    try:
+        return lincon._derive(form, bodies, lincon.PROJECT_CAP), calls
+    finally:
+        lincon._fm_eliminate = eliminate
+
+
+def _folds_match_derivations(program):
+    """Fold the first fact of every body-fact combination of
+    ``compute_thresholds``' three steps into its clause's prepared rows.
+
+    A fold stepped with the other facts must derive what the clause's rows
+    derive from all of them, with every elimination on its way starting
+    from the same rows in the same order, and a fold that is None must
+    leave every combination it starts empty.  Returns the number of
+    combinations compared and of first facts whose fold is None.
+    """
+    compared = dead = 0
+    interp = top_interpretation(program)
+    order = {p: lincon._layout(k)[0] for p, k in program.arities.items()}
+    for _ in range(3):
+        known = {
+            p: [lincon._rows(f.conjuncts, order[p])[1] for f in interp.get(p, ())]
+            for p in program.arities
+        }
+        for clause in program.clauses:
+            if not clause.body:
+                continue
+            form = clause.rows
+            facts = [
+                [lincon._embed(f, t, form.n) for f in known[atom.pred]]
+                for atom, t in zip(clause.body, form.targets)
+            ]
+            folds = [lincon._fold(form, f) for f in facts[0]]
+            dead += folds.count(None)
+            firsts = {id(f): k for k, f in enumerate(facts[0])}
+            for combo in islice(product(*facts), thresholds._COMBO_BUDGET):
+                want = _traced_derive(form, combo)
+                folded = folds[firsts[id(combo[0])]]
+                if folded is None:
+                    assert want[0] is None, (clause, combo)
+                else:
+                    assert _traced_derive(folded, combo[1:]) == want, (clause, combo)
+                compared += 1
+        interp = tp_step(program, interp, cap=thresholds._TP_CAP)
+    return compared, dead
+
+
+def _fold_programs():
+    rng = random.Random(20260815)
+    return [*DERIVE_CASES.values(), *(random_program(rng) for _ in range(60))]
+
+
+def test_folded_first_fact_derives_what_the_clause_derives():
+    counts = [_folds_match_derivations(p) for p in _fold_programs()]
+    assert tuple(map(sum, zip(*counts))) == (3347, 39)
+
+
+def test_folded_first_fact_derives_what_the_clause_derives_under_one_row_cap(monkeypatch):
+    monkeypatch.setattr(lincon, "PROJECT_CAP", 1)
+    counts = [_folds_match_derivations(p) for p in _fold_programs()]
+    assert tuple(map(sum, zip(*counts))) == (2552, 37)

@@ -285,20 +285,12 @@ class Clause:
         object.__setattr__(clause, "rows", self.rows)
         return clause
 
-    def canonical_renaming(
-        self, extra: Iterable[AtomicConstraint] = (), mapping: Mapping[str, str] = {}
-    ) -> tuple["Clause", dict[str, str]]:
-        """The clause, with ``extra`` renamed by ``mapping`` conjoined to its
-        constraint, renamed to A, B, C, ... by first occurrence; and that
-        renaming.  ``mapping`` must be injective on the variables of
-        ``extra``.
+    def with_canonical_vars(self) -> "Clause":
+        """Rename variables to A, B, C, ... by first occurrence.
 
         One walk in :meth:`vars` order names each variable and renames each
-        conjunct as soon as its variables are named; a conjunct of the
-        clause that keeps every name is kept as it is.  A conjunct of
-        ``extra`` is renamed once, by the composition: its terms are sorted
-        by their names under ``mapping`` first, which decides the order of
-        first occurrence as renaming it twice would.
+        conjunct as soon as its variables are named; a conjunct that keeps
+        every name is kept as it is.
         """
         canon: dict[str, str] = {}
         for atom in (self.head, *self.body):
@@ -320,25 +312,11 @@ class Clause:
                 terms = sorted([(canon[v], c) for v, c in e.coeffs])
                 a = AtomicConstraint(LinExpr(tuple(terms), e.const), a.rel)
             conjuncts.append(a)
-        for a in extra:
-            e = a.expr
-            terms = [(mapping.get(v, v), c) for v, c in e.coeffs]
-            terms.sort()
-            for v, _ in terms:
-                if v not in canon:
-                    canon[v] = _arg_name(len(canon))
-            terms = sorted([(canon[v], c) for v, c in terms])
-            conjuncts.append(AtomicConstraint(LinExpr(tuple(terms), e.const), a.rel))
-        clause = Clause(
+        return Clause(
             self.head.rename(canon),
             Constraint(tuple(conjuncts)),
             tuple([b.rename(canon) for b in self.body]),
         )
-        return clause, canon
-
-    def with_canonical_vars(self) -> "Clause":
-        """Rename variables to A, B, C, ... by first occurrence."""
-        return self.canonical_renaming()[0]
 
 
 @dataclass(frozen=True)

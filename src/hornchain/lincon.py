@@ -182,20 +182,33 @@ def _gauss_jordan(
 ) -> list[tuple[int, _Vec]] | None:
     """One Gauss-Jordan pass over the equality rows: ``(pivot, row)`` pairs.
 
-    Each equality, reduced by the pivot rows before it, is pivoted on its
-    first column outside ``keep``, or else on its last column, and the new
-    pivot is eliminated from the earlier pivot rows, so each pivot occurs
-    in its own row only.  The rows pivoted on a kept column mention kept
-    columns only and are the reduced row echelon basis of the equalities'
-    shadow on ``keep`` (columns in reverse order, so each row is pivoted on
-    its last variable).  Returns None if a ground contradiction surfaces.
+    Each equality, reduced by the pivot rows before it in their order, is
+    pivoted on its first column outside ``keep``, or else on its last
+    column.  At the end of the pass each row is reduced by the later pivot
+    rows it mentions, last rows first, so each pivot occurs in its own row
+    only.  The rows pivoted on a kept column mention kept columns only and
+    are the reduced row echelon basis of the equalities' shadow on ``keep``
+    (columns in reverse order, so each row is pivoted on its last
+    variable).  Returns None if a ground contradiction surfaces.
+
+    Back-substituting once gives the rows that eliminating each new pivot
+    from the earlier rows at once would give.  Before the back-substitution
+    every row is zero at the pivots before it, so a new row reduced by them
+    in order is, up to a positive factor, the unique row of its span with
+    the earlier rows that is zero at their pivots: the same row, pivoted on
+    the same column.  After it, each row is the unique coprime vector of
+    the span that is zero at every other pivot.  Every reduction scales the
+    reduced row by a positive factor and leaves its own pivot's coefficient
+    otherwise alone, so the sign it had when pivoted is kept too.
 
     The pass resumes from ``solved``, the result of an earlier pass with the
     same ``keep``: ``_gauss_jordan(a + b, keep)`` equals
     ``_gauss_jordan(b, keep, _gauss_jordan(a, keep))`` whenever the inner
-    pass succeeds, since the rows are taken one at a time.
+    pass succeeds, since the rows are taken one at a time and each result
+    is the unique one above.
     """
     solved = list(solved)
+    start = len(solved)
     for e in eqs:
         for j, p in solved:
             if e[j]:
@@ -206,8 +219,17 @@ def _gauss_jordan(
                 return None
             continue
         v = next((j for j in cols if j not in keep), cols[-1]) if keep else cols[0]
-        solved = [(j, _reduce(p, e, v) if p[v] else p) for j, p in solved]
         solved.append((v, e))
+    # Rows before ``start`` already miss each other's pivots, and every
+    # later row misses them all.
+    n = len(solved)
+    for i in range(n - 2 if n > start else -1, -1, -1):
+        j, p = solved[i]
+        for k in range(max(i + 1, start), n):
+            v, q = solved[k]
+            if p[v]:
+                p = _reduce(p, q, v)
+                solved[i] = (j, p)
     return solved
 
 

@@ -10,6 +10,10 @@ rewrite) is derivable:
                       unreachable definitions.  Each clause carries the
                       projection of its constraint onto its atoms'
                       arguments, which decides each unfolding exactly.
+                      A clause made by unfolding stays in flight, its
+                      constraint shared segments of source conjuncts, and
+                      only the clauses that survive the last discard are
+                      built.
 * ``query_answer``    specializes the program to the goal: every predicate
                       ``p`` splits into ``p_query`` (may be demanded by the
                       goal) and ``p_ans`` (derivable and demanded).
@@ -21,12 +25,15 @@ rewrite) is derivable:
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import lincon
 from .chc import (
     FALSE_PRED,
     Atom,
+    AtomicConstraint,
     ChcError,
     Clause,
     Constraint,
@@ -38,7 +45,6 @@ from .chc import (
     _walk,
     backward_targets,
     canonical_arg_names,
-    fresh_name,
 )
 
 _UNFOLD_BUDGET = 100_000
@@ -86,9 +92,27 @@ def _project(names: Sequence[str], rows: list, keep: set[str]) -> Summary:
 
 
 def _summary(clause: Clause) -> Summary:
+    """The clause's summary.
+
+    A clause whose variables are all atom arguments eliminates nothing, so
+    when at most one inequality is left once the equalities' pivots are
+    substituted out, its own rows are its summary, or ``_UNSAT``, without a
+    projection.  Its equalities hold on an affine space whose free columns
+    are the non-pivot ones, and the inequality left mentions only those:
+    non-ground, or a true ground row, it holds somewhere on that space,
+    which is the argument of ``lincon._project_rows``' closing check.
+    """
     names = sorted(clause.vars())
     rows = lincon._rows(clause.constr.conjuncts, names)[1]
-    return _project(names, rows, _atom_args(clause.head, clause.body))
+    keep = _atom_args(clause.head, clause.body)
+    if len(keep) == len(names):
+        eqs, ineqs = lincon._split(rows)
+        if len(ineqs) <= 1:
+            solved = lincon._gauss_jordan(eqs)
+            if solved is None or lincon._table(lincon._substitute(solved, ineqs)) is None:
+                return _UNSAT
+            return tuple(names), tuple(rows)
+    return _project(names, rows, keep)
 
 
 def _joint(
@@ -107,14 +131,86 @@ def _joint(
     return _project(names, rows, keep)
 
 
-def _standardize_apart(clause: Clause, taken: set[str]) -> dict[str, str]:
-    """A renaming of the clause's variables onto names outside ``taken``."""
+def _own_segments(conjuncts: tuple[AtomicConstraint, ...]) -> tuple[tuple, dict[str, int]]:
+    """``conjuncts`` as the segments of a clause under their own names, and
+    the index of the first conjunct that mentions each variable."""
+    first: dict[str, int] = {}
+    for i, a in enumerate(conjuncts):
+        for v, _ in a.expr.coeffs:
+            first.setdefault(v, i)
+    return ((conjuncts, dict(zip(first, first))),) if conjuncts else (), first
+
+
+@dataclass(eq=False)
+class _Flight:
+    """A clause in flight through unfolding; ``built`` makes it a ``Clause``.
+
+    ``head`` and ``body`` are its atoms.  Its constraint is the conjuncts of
+    ``segments`` in order: each segment is a tuple of source conjuncts,
+    shared with the clause they come from, and the renaming of their
+    variables into this clause's names.  ``first`` maps each variable of the
+    constraint to the index of the first conjunct that mentions it, and
+    ``size`` counts the conjuncts.  ``names`` holds the clause's variables,
+    the first ``ordered`` of them in ``Clause.vars()`` order: an input
+    clause's ``Clause.vars()``, all ordered, or, for a clause made by
+    unfolding, the first ``len(names)`` canonical names, its atom arguments
+    ordered.  ``clause`` is the input clause, or the clause once built.
+    """
+
+    head: Atom
+    body: tuple[Atom, ...]
+    segments: tuple[tuple[tuple[AtomicConstraint, ...], dict[str, str]], ...]
+    first: dict[str, int]
+    size: int
+    names: tuple[str, ...]
+    ordered: int
+    clause: Clause | None = None
+
+    @staticmethod
+    def of(clause: Clause) -> "_Flight":
+        conjuncts = clause.constr.conjuncts
+        segments, first = _own_segments(conjuncts)
+        # ``Clause.vars()``: a key keeps its first position.
+        names = dict.fromkeys(clause.head.args)
+        for b in clause.body:
+            names.update(dict.fromkeys(b.args))
+        names = tuple({**names, **first})
+        return _Flight(
+            clause.head, clause.body, segments, first, len(conjuncts), names, len(names), clause
+        )
+
+    @cached_property
+    def order(self) -> tuple[str, ...]:
+        """``Clause.vars()`` of the built clause: the atom arguments, then the
+        constraint's other variables by first conjunct, and within one
+        conjunct in name order, as its sorted terms give them."""
+        k, first = self.ordered, self.first
+        return self.names[:k] + tuple(sorted(self.names[k:], key=lambda v: (first[v], v)))
+
+    def built(self) -> Clause:
+        if self.clause is None:
+            conjuncts = []
+            for source, ren in self.segments:
+                for a in source:
+                    e = a.expr
+                    terms = sorted([(ren[v], c) for v, c in e.coeffs])
+                    conjuncts.append(AtomicConstraint(LinExpr(tuple(terms), e.const), a.rel))
+            self.clause = Clause(self.head, Constraint(tuple(conjuncts)), self.body)
+        return self.clause
+
+
+def _standardize_apart(names: Iterable[str], taken: set[str]) -> dict[str, str]:
+    """A renaming of ``names`` onto names outside ``taken``, in their order:
+    each name already used becomes the first of ``V0``, ``V1``, ... not
+    used yet (see ``fresh_name``), and the names used only grow."""
     mapping = {}
     used = set(taken)
-    for v in clause.vars():
+    i = 0
+    for v in names:
         if v in used:
-            w = fresh_name(used)
-            mapping[v] = w
+            while f"V{i}" in used:
+                i += 1
+            mapping[v] = w = f"V{i}"
             used.add(w)
         else:
             used.add(v)
@@ -122,8 +218,8 @@ def _standardize_apart(clause: Clause, taken: set[str]) -> dict[str, str]:
 
 
 def _unfold_with_defs(
-    clause: Clause, summary: Summary, at: int, defs: Sequence[tuple[Clause, Summary]]
-) -> list[tuple[Clause, Summary]]:
+    clause: _Flight, summary: Summary, at: int, defs: Sequence[tuple[_Flight, Summary]]
+) -> list[tuple[_Flight, Summary]]:
     """Replace the body atom at position ``at`` by each of its definitions.
 
     ``defs`` pairs each definition with its summary, and so does the result
@@ -133,15 +229,26 @@ def _unfold_with_defs(
     distributes over the conjunction: the summary of the unfolding is the
     projection of the two summaries onto its own atom arguments, and it is
     ``_UNSAT`` exactly when the unfolding is unsatisfiable.
+
+    An unfolding is named as renaming the clause with the definition's
+    constraint conjoined to A, B, C, ... by first occurrence would name it,
+    without walking either constraint: the atom arguments first, then the
+    clause's constraint variables not yet named, by (first conjunct, name),
+    then the definition's, by (first conjunct, name once standardized
+    apart), which is the order of first occurrence in the conjoined
+    constraint, whose terms are sorted by name.  The new clause's segments
+    are the clause's and the definition's with their renamings composed,
+    so no conjunct is built until a clause is.
     """
     call = clause.body[at]
-    taken = set(clause.vars())
+    taken = set(clause.names)
     distinct = len(set(call.args)) == len(call.args)
-    out: list[tuple[Clause, Summary]] = []
+    offset = clause.size
+    out: list[tuple[_Flight, Summary]] = []
     for d, d_summary in defs:
         # Bind the fresh head parameters to the call's arguments; head
         # parameters are pairwise distinct, so the binding is a renaming too.
-        mapping = _standardize_apart(d, taken)
+        mapping = _standardize_apart(d.order, taken)
         mapping.update(zip(d.head.args, call.args))
         body = (
             clause.body[:at]
@@ -152,17 +259,48 @@ def _unfold_with_defs(
         new_summary = _joint(summary, d_summary, mapping, keep)
         if new_summary is _UNSAT:
             continue
-        # A repeated call argument makes the binding merge variables, so
-        # the definition's constraint is renamed on its own first.
-        extra, extra_map = (d.constr, mapping) if distinct else (d.constr.rename(mapping), {})
-        unfolded, canon = Clause(clause.head, clause.constr, body).canonical_renaming(
-            extra, extra_map
+        link, segments, first = mapping, d.segments, d.first
+        if not distinct:
+            # A repeated call argument makes the binding merge variables,
+            # whose terms can cancel, so the definition's constraint is
+            # renamed on its own first.
+            merged = tuple([
+                a.rename({v: mapping.get(w, w) for v, w in ren.items()})
+                for source, ren in segments
+                for a in source
+            ])
+            link = {}
+            segments, first = _own_segments(merged)
+        named = dict.fromkeys(clause.head.args)
+        for atom in body:
+            named.update(dict.fromkeys(atom.args))
+        ordered = len(named)
+        late = sorted([(i, v) for v, i in clause.first.items() if v not in named])
+        named.update(dict.fromkeys([v for _, v in late]))
+        late = sorted([(i, w) for v, i in first.items() if (w := link.get(v, v)) not in named])
+        named.update(dict.fromkeys([w for _, w in late]))
+        names = canonical_arg_names(len(named))
+        canon = dict(zip(named, names))
+        new_first = {canon[v]: i for v, i in clause.first.items()}
+        for v, i in first.items():
+            new_first.setdefault(canon[link.get(v, v)], offset + i)
+        unfolded = _Flight(
+            clause.head.rename(canon),
+            tuple([b.rename(canon) for b in body]),
+            tuple(
+                [(s, {v: canon[w] for v, w in ren.items()}) for s, ren in clause.segments]
+                + [(s, {v: canon[link.get(w, w)] for v, w in ren.items()}) for s, ren in segments]
+            ),
+            new_first,
+            offset + d.size,
+            names,
+            ordered,
         )
         if set(new_summary[0]) <= keep:
             new_summary = (tuple([canon[v] for v in new_summary[0]]), new_summary[1])
         else:
             # A capped joint keeps names that the unfolding may have dropped.
-            new_summary = _summary(unfolded)
+            new_summary = _summary(unfolded.built())
         out.append((unfolded, new_summary))
     return out
 
@@ -180,14 +318,20 @@ def unfold_clause(program: Program, clause: Clause, at: int) -> Program:
         raise ChcError("clause to unfold is not part of the program") from None
     if not 0 <= at < len(clause.body):
         raise ChcError(f"clause has no body atom at position {at}")
-    defs = [(d, _summary(d)) for d in program.clauses_for(clause.body[at].pred)]
-    reps = tuple(c for c, _ in _unfold_with_defs(clause, _summary(clause), at, defs))
+    defs = [(_Flight.of(d), _summary(d)) for d in program.clauses_for(clause.body[at].pred)]
+    unfolded = _unfold_with_defs(_Flight.of(clause), _summary(clause), at, defs)
+    reps = tuple([f.built() for f, _ in unfolded])
     return Program(program.clauses[:idx] + reps + program.clauses[idx + 1 :])
+
+
+def _reached(program: Program, root: str) -> set[str]:
+    """The predicates that ``root`` depends on, itself included."""
+    return {p for comp in _walk(program, (root,))[0] for p in comp}
 
 
 def _drop_unreachable(program: Program, root: str) -> Program:
     """Keep the clauses of the predicates that ``root`` depends on."""
-    seen = {p for comp in _walk(program, (root,))[0] for p in comp}
+    seen = _reached(program, root)
     return Program(tuple(c for c in program.clauses if c.head.pred in seen))
 
 
@@ -204,14 +348,18 @@ def unfold_forward(program: Program, goal_pred: str = FALSE_PRED) -> Program:
     onto the arguments of its atoms, and each unfolding is decided by one
     small projection of two summaries, which is also the new clause's
     summary (see :func:`_unfold_with_defs`).  So the accumulated constraint
-    is built but never decided again.  The clauses keep the constraints of
-    a plain unfolding; only the decision is made on summaries.
+    is never decided again, and it is not even built while the unfolding
+    runs: an input clause takes flight (:class:`_Flight`) when an unfolding
+    first reads it, a clause made by unfolding stays in flight, and only
+    the clauses that survive the last discard are built.  They keep the
+    constraints of a plain unfolding; only the decision is made on
+    summaries.
     """
     program = _drop_unreachable(program, goal_pred)
     targets = backward_targets(program)
     # Only unfolded clauses and definitions of non-targets have their summary
     # read, so a target's clause that calls only targets gets none.
-    clauses = [
+    clauses: list[tuple[Clause | _Flight, Summary]] = [
         (c, None if {c.head.pred, *(b.pred for b in c.body)} <= targets else _summary(c))
         for c in program.clauses
     ]
@@ -223,12 +371,25 @@ def unfold_forward(program: Program, goal_pred: str = FALSE_PRED) -> Program:
         if at is None:
             i += 1
             continue
-        defs = [e for e in clauses if e[0].head.pred == c.body[at].pred]
-        clauses[i : i + 1] = _unfold_with_defs(c, summary, at, defs)
+        pred = c.body[at].pred
+        defs = []
+        for k, (d, d_summary) in enumerate(clauses):
+            if d.head.pred == pred:
+                if isinstance(d, Clause):
+                    d = _Flight.of(d)
+                    clauses[k] = (d, d_summary)
+                defs.append((d, d_summary))
+        flight = c if isinstance(c, _Flight) else _Flight.of(c)
+        clauses[i : i + 1] = _unfold_with_defs(flight, summary, at, defs)
         steps += 1
         if steps > _UNFOLD_BUDGET:
             raise ChcError("unfolding exceeded its rewrite budget")
-    return _drop_unreachable(Program(tuple(c for c, _ in clauses)), goal_pred)
+    # The last discard reads the atoms alone.
+    skeleton = [c if isinstance(c, Clause) else Clause(c.head, body=c.body) for c, _ in clauses]
+    seen = _reached(Program(tuple(skeleton)), goal_pred)
+    return Program(tuple([
+        c.built() if isinstance(c, _Flight) else c for c, _ in clauses if c.head.pred in seen
+    ]))
 
 
 # ---------------------------------------------------------------------------

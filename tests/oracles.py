@@ -24,11 +24,13 @@ sections close the file.  The first keeps the constraint-form
 ``Polyhedron`` operations, clause contributions and fixpoint loop as the
 reference for the polyhedra on integer rows.  The second keeps the double
 description's own null-space elimination as the reference for the one
-that runs on ``lincon._gauss_jordan``.  The third keeps the consequence
-step that eliminates a clause's own equalities again in every derivation,
-one ``lincon._project_rows`` of all its rows onto the head's columns, whose
-rows come back over those columns in normal form, as the reference for
-the one that resumes from the clause's prepared rows.  The fourth keeps
+that runs on ``lincon._gauss_jordan``, and the Gauss-Jordan pass that
+eliminates each new pivot from every earlier row at once as the reference
+for the one that back-substitutes once per pass.  The third keeps the
+consequence step that eliminates a clause's own equalities again in every
+derivation, one ``lincon._project_rows`` of all its rows onto the head's
+columns, whose rows come back over those columns in normal form, as the
+reference for the one that resumes from the clause's prepared rows.  The fourth keeps
 the Fourier-Motzkin elimination with ``frozenset`` histories and a prune
 pass over each step's rows, as the reference for the one that prunes each
 combination as it makes it, and a pairwise test on ``Fraction`` ratios as
@@ -1326,7 +1328,8 @@ def reference_widen_upto(p: Polyhedron, other: Polyhedron, thresholds=()) -> Pol
 
 
 # ---------------------------------------------------------------------------
-# The double description's own null-space elimination
+# The double description's own null-space elimination, and the Gauss-Jordan
+# pass that eliminates each new pivot at once
 # ---------------------------------------------------------------------------
 
 def reference_nullspace(rows, n: int):
@@ -1364,6 +1367,26 @@ def reference_nullspace(rows, n: int):
             vec[pc] = -pr[free] * scale // pr[pc]
         basis.append(lincon._coprime(vec))
     return basis
+
+
+def reference_gauss_jordan(eqs, keep=(), solved=()):
+    """``lincon._gauss_jordan`` before it back-substituted once per pass:
+    each new pivot is eliminated from every earlier pivot row at once, so
+    the rows are fully reduced after every equality."""
+    solved = list(solved)
+    for e in eqs:
+        for j, p in solved:
+            if e[j]:
+                e = lincon._reduce(e, p, j)
+        cols = [j for j, c in enumerate(e[:-1]) if c]
+        if not cols:
+            if e[-1]:
+                return None
+            continue
+        v = next((j for j in cols if j not in keep), cols[-1]) if keep else cols[0]
+        solved = [(j, lincon._reduce(p, e, v) if p[v] else p) for j, p in solved]
+        solved.append((v, e))
+    return solved
 
 
 # ---------------------------------------------------------------------------

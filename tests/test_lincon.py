@@ -2,8 +2,10 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
+import gen
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +14,7 @@ from oracles import (
     random_system,
     reference_entailed,
     reference_fm_eliminate,
+    reference_gauss_jordan,
     reference_opposed_pair,
     reference_prune_rows,
     rational_is_satisfiable,
@@ -21,8 +24,10 @@ from oracles import (
 )
 
 from hornchain import lincon
+from hornchain.analyzer import format_model
 from hornchain.chc import FALSUM, AtomicConstraint, LinExpr, Rel, canonical_arg_names
-from hornchain.parser import parse_constraint
+from hornchain.parser import parse_constraint, parse_program
+from hornchain.pipeline import run_pipeline
 
 
 def ge(const, **coeffs):
@@ -162,6 +167,74 @@ def test_gauss_jordan_resumes_and_substitutes_in_stages():
         staged = lincon._substitute(whole, lincon._substitute(first, ineqs))
         assert staged == lincon._substitute(whole, ineqs), (a, b, keep, ineqs)
     assert (deficient, inconsistent) == (102, 230)
+
+
+def _chain_rows(rng, links, w):
+    """``links`` equalities ``x_i - x_j + c = 0`` chaining random columns of
+    ``w``, shuffled: the ``D = F, F = J, ...`` chains of straight-line code."""
+    cols = rng.sample(range(w), links + 1)
+    rows = []
+    for a, b in zip(cols, cols[1:]):
+        r = [0] * (w + 1)
+        r[a], r[b], r[-1] = rng.choice((1, 2)), -rng.choice((1, 3)), rng.randint(-6, 6)
+        rows.append(lincon._coprime(r))
+    rng.shuffle(rows)
+    return rows
+
+
+def test_gauss_jordan_matches_reference():
+    # One back-substitution at the end of the pass gives, row for row, the
+    # rows that eliminating each new pivot from every earlier row gives:
+    # with and without kept columns, resumed from an earlier pass, with
+    # dependent rows, ground contradictions and long chains.
+    rng = random.Random(20261026)
+    seen = Counter()
+    for _ in range(1500):
+        w = rng.randint(1, 8)
+        if rng.random() < 0.2:
+            w = rng.randint(31, 40)
+            eqs = _chain_rows(rng, rng.randint(30, w - 1), w)
+        else:
+            eqs = [_random_row(rng, w) for _ in range(rng.randint(1, 7))]
+        if rng.random() < 0.5:
+            f, g = rng.randint(-2, 2), rng.randint(1, 2)
+            mix = [f * x + g * y for x, y in zip(rng.choice(eqs), rng.choice(eqs))]
+            mix[-1] += rng.choice((0, 0, 1))
+            eqs.insert(rng.randint(0, len(eqs)), lincon._coprime(mix))
+        keep = [j for j in range(w) if rng.random() < 0.4] if rng.random() < 0.7 else ()
+        cut = rng.randint(0, len(eqs))
+        start = reference_gauss_jordan(eqs[:cut], keep)
+        if start is None:
+            continue
+        want = reference_gauss_jordan(eqs[cut:], keep, start)
+        assert lincon._gauss_jordan(eqs[cut:], keep, start) == want, (eqs, keep, cut)
+        seen["keep" if keep else "no keep"] += 1
+        seen["resumed"] += bool(start)
+        seen["chain"] += w > 30
+        if want is None:
+            seen["contradiction"] += 1
+        elif len(want) < len(eqs):
+            seen["dependent"] += 1
+    kinds = ("keep", "no keep", "resumed", "chain", "contradiction", "dependent")
+    assert all(seen[k] > 100 for k in kinds), seen
+
+
+def test_gauss_jordan_matches_reference_on_cfg_chain(monkeypatch):
+    # Every pass of the seed-0 cfg-chain run, as bench/run.py verifies it.
+    gauss_jordan = lincon._gauss_jordan
+    calls = [0]
+
+    def checked(eqs, keep=(), solved=()):
+        eqs, solved = list(eqs), list(solved)
+        got = gauss_jordan(eqs, keep, solved)
+        assert got == reference_gauss_jordan(eqs, keep, solved), (eqs, keep, solved)
+        calls[0] += 1
+        return got
+
+    monkeypatch.setattr(lincon, "_gauss_jordan", checked)
+    for case, _ in gen.instance("cfg-chain", 0):
+        format_model(run_pipeline(parse_program(case.text())).model)
+    assert calls[0] > 2000
 
 
 def _dense_system(rng, m, n, low):

@@ -1,16 +1,32 @@
 """Clause transformations: goldens on the worked example, properties, errors."""
 
 import random
+from collections import Counter
+from fractions import Fraction
 
+import gen
 import pytest
 
 from helpers import clause_multiset, same_program
-from oracles import reference_unfold_clause, reference_unfold_forward
+from oracles import rational_is_satisfiable, reference_unfold_clause, reference_unfold_forward
 from randprog import random_program
 
-from hornchain import lincon, transform
-from hornchain.chc import ChcError, FALSE_PRED, print_program
+from hornchain import lincon, pipeline, transform
+from hornchain.analyzer import format_model
+from hornchain.chc import (
+    FALSE_PRED,
+    Atom,
+    AtomicConstraint,
+    ChcError,
+    Clause,
+    Constraint,
+    LinExpr,
+    Rel,
+    canonical_arg_names,
+    print_program,
+)
 from hornchain.parser import parse_program
+from hornchain.pipeline import run_pipeline
 from hornchain.transform import (
     answer_pred,
     query_answer,
@@ -252,6 +268,119 @@ def test_repeated_call_argument_merges_summary_columns():
     _assert_unfolds_like_reference(p)
     out = unfold_forward(p)
     assert len(out.clauses) == 1 and print_program(out).endswith(", A=<9.\n")
+
+
+def _stress_chain(k: int) -> str:
+    """``p_0(X) :- X = 0``, two clauses per level adding 1 or 2, and a goal
+    that no path reaches: unfolding needs ``2k + 1`` rewrites."""
+    return (
+        "p0(X) :- X = 0.\n"
+        + "".join(
+            f"p{i}(Y) :- p{i - 1}(X), Y = X + 1.\np{i}(Y) :- p{i - 1}(X), Y = X + 2.\n"
+            for i in range(1, k + 1)
+        )
+        + f"false :- p{k}(X), X < 0.\n"
+    )
+
+
+def test_unfold_budget_admits_exactly_its_rewrites(monkeypatch):
+    p = parse_program(_stress_chain(3))
+    monkeypatch.setattr(transform, "_UNFOLD_BUDGET", 7)
+    assert unfold_forward(p).clauses == ()
+    monkeypatch.setattr(transform, "_UNFOLD_BUDGET", 6)
+    with pytest.raises(ChcError, match="rewrite budget"):
+        unfold_forward(p)
+
+
+def test_cfg_chain_front_half_counts(monkeypatch):
+    # The seed-0 cfg-chain programs, verified as bench/run.py verifies them.
+    # Unfolding builds the conjuncts of the clauses that survive its last
+    # discard only (10,380 when every unfolding renamed its whole
+    # constraint), each of the 446 input summaries is a Gauss-Jordan pass
+    # without a projection (856 projections before, 410 now), and one
+    # back-substitution per pass takes split's _reduce calls from 4,378 to
+    # 2,268.  An unfolding summarized again, or a target's clause given a
+    # summary, shows up in the first three counts.
+    counts = Counter()
+    stage = [None]
+    for name in ("unfold_forward", "split_predicates"):
+        fn = getattr(pipeline, name)
+
+        def staged(*args, fn=fn, name=name):
+            stage[0] = name
+            try:
+                return fn(*args)
+            finally:
+                stage[0] = None
+
+        monkeypatch.setattr(pipeline, name, staged)
+    for owner, name in ((transform, "_summary"), (lincon, "_project_rows"), (lincon, "_reduce")):
+        fn = getattr(owner, name)
+
+        def counted(*args, fn=fn, name=name):
+            counts[stage[0], name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    init = AtomicConstraint.__init__
+
+    def counted_init(self, *args, **kwargs):
+        counts[stage[0], "AtomicConstraint"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AtomicConstraint, "__init__", counted_init)
+    for case, _ in gen.instance("cfg-chain", 0):
+        format_model(run_pipeline(parse_program(case.text())).model)
+    assert {
+        "summaries": counts["unfold_forward", "_summary"],
+        "unfold projections": counts["unfold_forward", "_project_rows"],
+        "unfold conjuncts": counts["unfold_forward", "AtomicConstraint"],
+        "split reductions": counts["split_predicates", "_reduce"],
+    } == {
+        "summaries": 446,
+        "unfold projections": 410,
+        "unfold conjuncts": 1282,
+        "split reductions": 2268,
+    }
+
+
+def test_summary_skips_the_projection_when_nothing_is_eliminated(monkeypatch):
+    # Clauses whose variables are all atom arguments: with at most one
+    # inequality the summary is the clause's own rows or _UNSAT, decided by
+    # one Gauss-Jordan pass; with two it is still projected.  Either way it
+    # is _UNSAT exactly when the constraint is unsatisfiable.
+    calls = []
+    project_rows = lincon._project_rows
+    monkeypatch.setattr(
+        lincon, "_project_rows", lambda *a: calls.append(None) or project_rows(*a)
+    )
+    rng = random.Random(20261026)
+    seen = Counter()
+    for _ in range(600):
+        arity = rng.randint(1, 4)
+        args = canonical_arg_names(arity)
+        k = rng.choice((0, 1, 2))
+        conjuncts = []
+        for rel in [Rel.EQ] * rng.randint(0, 3) + [rng.choice((Rel.GE, Rel.GT)) for _ in range(k)]:
+            picked = rng.sample(args, rng.randint(1, arity))
+            coeffs = {v: Fraction(rng.randint(-2, 2)) for v in picked}
+            conjuncts.append(AtomicConstraint(LinExpr.build(coeffs, rng.randint(-4, 4)), rel))
+        rng.shuffle(conjuncts)
+        head, body = Atom("p", args[:1]), (Atom("q", args[1:]),)
+        clause = Clause(head, Constraint(tuple(conjuncts)), body)
+        calls.clear()
+        summary = transform._summary(clause)
+        unsat = not rational_is_satisfiable(conjuncts)
+        assert (summary is transform._UNSAT) == unsat, clause
+        if k <= 1:
+            assert calls == [], clause
+            if not unsat:
+                names = sorted(clause.vars())
+                assert summary == (tuple(names), tuple(lincon._rows(conjuncts, names)[1]))
+        else:
+            assert calls, clause
+        seen[k, unsat] += 1
+    assert all(seen[k, unsat] for k in (0, 1, 2) for unsat in (False, True)), seen
 
 
 def test_unfolding_never_turns_rows_into_atoms(monkeypatch):

@@ -27,7 +27,6 @@ over-approximates), hence the other verdict is Unknown, never Unsafe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -40,6 +39,7 @@ from .chc import (
     ChcError,
     Clause,
     Program,
+    _Value,
     _walk,
     canonical_arg_names,
     format_atom,
@@ -61,11 +61,13 @@ _WIDEN_DELAY = 2
 _MAX_PASSES = 10_000
 
 
-@dataclass(frozen=True)
-class AbstractModel:
+class AbstractModel(_Value):
     """Map from predicate to polyhedron over its canonical argument names."""
 
-    polys: Mapping[str, Polyhedron]
+    __slots__ = _fields = ("polys",)
+
+    def __init__(self, polys: Mapping[str, Polyhedron]) -> None:
+        object.__setattr__(self, "polys", polys)
 
     def poly(self, pred: str) -> Polyhedron | None:
         return self.polys.get(pred)
@@ -76,13 +78,18 @@ class AbstractModel:
         )
 
 
-@dataclass(frozen=True)
-class AnalysisStats:
-    """Counters describing the fixpoint iteration, independent of timing."""
+class AnalysisStats(_Value):
+    """Counters describing the fixpoint iteration, independent of timing:
+    ``passes``, the round-robin passes over components; ``updates``, the
+    predicate value updates that strictly grew a value; and ``widenings``,
+    the updates that went through the widening operator."""
 
-    passes: int      # total round-robin passes over components
-    updates: int     # predicate value updates that strictly grew a value
-    widenings: int   # updates that went through the widening operator
+    __slots__ = _fields = ("passes", "updates", "widenings")
+
+    def __init__(self, passes: int, updates: int, widenings: int) -> None:
+        object.__setattr__(self, "passes", passes)
+        object.__setattr__(self, "updates", updates)
+        object.__setattr__(self, "widenings", widenings)
 
 
 def contribution(form: lincon._Prepared, head_dims: tuple[str, ...], body: Sequence[Polyhedron]):

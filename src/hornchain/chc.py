@@ -6,16 +6,26 @@ linear constraints over rationals.  The distinguished 0-ary predicate
 ``false`` may only appear in clause heads; clauses with head ``false`` are
 the integrity constraints whose bodies describe unsafe states.
 
-All values here are immutable and safe to share across threads.
+All values here are immutable and safe to share across threads.  Each
+value class derives from ``_Value``, which gives it what a frozen dataclass
+would: a subclass names its fields once, in ``_fields``, and sets them in
+its own ``__init__`` with ``object.__setattr__``.  Two values are equal
+when they are of the same class and their field tuples are equal, and a
+value hashes as its field tuple, so set and dict orders are a frozen
+dataclass's.  ``repr`` shows the fields by name, and assigning or deleting
+an attribute raises ``AttributeError``.  The package does not use
+``dataclasses``: importing it (with ``inspect``, ``ast``, ``dis`` and
+``tokenize``) and generating each class's code would cost more than the
+rest of ``import hornchain``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 FALSE_PRED = "false"
@@ -30,6 +40,40 @@ class ChcError(Exception):
 
 class ArityError(ChcError):
     """A predicate is used with inconsistent arities."""
+
+
+class _Value:
+    """Base of the immutable value classes (see the module docstring)."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # ``attrgetter`` of one name returns the value, not a 1-tuple, and
+        # two values compare as their 1-tuples do.
+        get = attrgetter(*cls._fields)
+        single = len(cls._fields) == 1
+
+        def __eq__(self, other: object) -> bool:
+            if other.__class__ is self.__class__:
+                return get(self) == get(other)
+            return NotImplemented
+
+        def __hash__(self) -> int:
+            return hash((get(self),) if single else get(self))
+
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _arg_name(i: int) -> str:
@@ -53,16 +97,20 @@ def fresh_name(taken: set[str]) -> str:
 # Linear expressions and atomic constraints
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LinExpr:
+class LinExpr(_Value):
     """Linear expression: sum of coeff*var terms plus a rational constant.
 
     ``coeffs`` is sorted by variable name and holds no zero coefficients,
     so structural equality coincides with syntactic equality.
     """
 
-    coeffs: tuple[tuple[str, Fraction], ...] = ()
-    const: Fraction = ZERO
+    __slots__ = _fields = ("coeffs", "const")
+
+    def __init__(
+        self, coeffs: tuple[tuple[str, Fraction], ...] = (), const: Fraction = ZERO
+    ) -> None:
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "const", const)
 
     @staticmethod
     def build(coeffs: Mapping[str, Fraction], const: Fraction = ZERO) -> "LinExpr":
@@ -130,16 +178,18 @@ class Rel(Enum):
         return value > 0 if self is Rel.GT else (value >= 0 if self is Rel.GE else value == 0)
 
 
-@dataclass(frozen=True)
-class AtomicConstraint:
+class AtomicConstraint(_Value):
     """A single linear constraint ``expr REL 0``.
 
     ``a =< b`` and ``a < b`` are stored as ``b - a >= 0`` / ``b - a > 0``,
     so only the three relations above occur.
     """
 
-    expr: LinExpr
-    rel: Rel
+    __slots__ = _fields = ("expr", "rel")
+
+    def __init__(self, expr: LinExpr, rel: Rel) -> None:
+        object.__setattr__(self, "expr", expr)
+        object.__setattr__(self, "rel", rel)
 
     def vars(self) -> tuple[str, ...]:
         return self.expr.vars()
@@ -198,11 +248,13 @@ VERUM = AtomicConstraint(LinExpr((), ZERO), Rel.GE)       # 0 >= 0
 FALSUM = AtomicConstraint(LinExpr((), Fraction(-1)), Rel.GE)  # -1 >= 0
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(_Value):
     """Conjunction of atomic constraints; the empty conjunction is true."""
 
-    conjuncts: tuple[AtomicConstraint, ...] = ()
+    __slots__ = _fields = ("conjuncts",)
+
+    def __init__(self, conjuncts: tuple[AtomicConstraint, ...] = ()) -> None:
+        object.__setattr__(self, "conjuncts", conjuncts)
 
     @staticmethod
     def true() -> "Constraint":
@@ -230,12 +282,14 @@ class Constraint:
 # Atoms, clauses, programs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(_Value):
     """Predicate atom over variables only."""
 
-    pred: str
-    args: tuple[str, ...] = ()
+    __slots__ = _fields = ("pred", "args")
+
+    def __init__(self, pred: str, args: tuple[str, ...] = ()) -> None:
+        object.__setattr__(self, "pred", pred)
+        object.__setattr__(self, "args", args)
 
     @property
     def arity(self) -> int:
@@ -245,13 +299,20 @@ class Atom:
         return Atom(self.pred, tuple(mapping.get(v, v) for v in self.args))
 
 
-@dataclass(frozen=True)
-class Clause:
-    """``head :- constr, body``; an empty body and true constraint is a fact."""
+class Clause(_Value):
+    """``head :- constr, body``; an empty body and true constraint is a fact.
 
-    head: Atom
-    constr: Constraint = Constraint.true()
-    body: tuple[Atom, ...] = ()
+    A clause keeps a ``__dict__`` for its cached :attr:`rows`.
+    """
+
+    _fields = ("head", "constr", "body")
+
+    def __init__(
+        self, head: Atom, constr: Constraint = Constraint.true(), body: tuple[Atom, ...] = ()
+    ) -> None:
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "constr", constr)
+        object.__setattr__(self, "body", body)
 
     def vars(self) -> tuple[str, ...]:
         seen = dict.fromkeys(self.head.args)
@@ -319,20 +380,19 @@ class Clause:
         )
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(_Value):
     """Ordered clause list plus the derived predicate tables.
 
     ``arities`` maps each predicate to its arity and ``succs`` to the
     predicates its clause bodies call (the dependency graph's successors),
-    both in first-appearance order and without duplicates.
+    both in first-appearance order and without duplicates.  Programs
+    compare and hash by ``clauses`` alone.
     """
 
-    clauses: tuple[Clause, ...]
-    arities: dict[str, int] = field(init=False, hash=False, compare=False)
-    succs: dict[str, tuple[str, ...]] = field(init=False, hash=False, compare=False)
+    _fields = ("clauses",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, clauses: tuple[Clause, ...]) -> None:
+        object.__setattr__(self, "clauses", clauses)
         arities: dict[str, int] = {}
         succs: dict[str, dict[str, None]] = {}
         for c in self.clauses:
@@ -351,6 +411,9 @@ class Program:
         object.__setattr__(self, "arities", arities)
         object.__setattr__(self, "succs", {p: tuple(qs) for p, qs in succs.items()})
 
+    def __repr__(self) -> str:
+        return f"Program(clauses={self.clauses!r}, arities={self.arities!r}, succs={self.succs!r})"
+
     def clauses_for(self, pred: str) -> tuple[Clause, ...]:
         return tuple(c for c in self.clauses if c.head.pred == pred)
 
@@ -359,20 +422,26 @@ class Program:
 # Raw (as-parsed) clauses and normalization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RawAtom:
+class RawAtom(_Value):
     """Atom whose arguments are arbitrary linear expressions."""
 
-    pred: str
-    args: tuple[LinExpr, ...] = ()
+    __slots__ = _fields = ("pred", "args")
+
+    def __init__(self, pred: str, args: tuple[LinExpr, ...] = ()) -> None:
+        object.__setattr__(self, "pred", pred)
+        object.__setattr__(self, "args", args)
 
 
-@dataclass(frozen=True)
-class RawClause:
+class RawClause(_Value):
     """Clause as parsed: the head may be a constraint, body items interleave."""
 
-    head: RawAtom | AtomicConstraint
-    items: tuple[RawAtom | AtomicConstraint, ...] = ()
+    __slots__ = _fields = ("head", "items")
+
+    def __init__(
+        self, head: RawAtom | AtomicConstraint, items: tuple[RawAtom | AtomicConstraint, ...] = ()
+    ) -> None:
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "items", items)
 
 
 def _lift(

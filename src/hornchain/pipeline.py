@@ -13,8 +13,6 @@ program safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .analyzer import (
     AbstractModel,
     AnalysisStats,
@@ -22,7 +20,7 @@ from .analyzer import (
     analyze,
     check_safety,
 )
-from .chc import FALSE_PRED, Program
+from .chc import FALSE_PRED, Program, _Value
 from .thresholds import ThresholdSet, compute_thresholds
 from .transform import (
     answer_pred,
@@ -33,26 +31,50 @@ from .transform import (
 )
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(_Value):
     """Stage toggles and the goal predicate for ``run_pipeline``."""
 
-    raf: bool = True
-    unfold: bool = True
-    qa: bool = True
-    split: bool = True
-    thresholds: bool = True
-    goal: str = FALSE_PRED
+    __slots__ = _fields = ("raf", "unfold", "qa", "split", "thresholds", "goal")
+
+    def __init__(
+        self,
+        raf: bool = True,
+        unfold: bool = True,
+        qa: bool = True,
+        split: bool = True,
+        thresholds: bool = True,
+        goal: str = FALSE_PRED,
+    ) -> None:
+        object.__setattr__(self, "raf", raf)
+        object.__setattr__(self, "unfold", unfold)
+        object.__setattr__(self, "qa", qa)
+        object.__setattr__(self, "split", split)
+        object.__setattr__(self, "thresholds", thresholds)
+        object.__setattr__(self, "goal", goal)
 
 
-@dataclass(frozen=True)
-class PipelineResult:
-    verdict: Verdict
-    model: AbstractModel
-    goal: str                                   # goal predicate in the analyzed program
-    stages: tuple[tuple[str, Program], ...]     # stage name -> program after it
-    thresholds: ThresholdSet
-    stats: AnalysisStats
+class PipelineResult(_Value):
+    """What ``run_pipeline`` found: ``goal`` is the goal predicate in the
+    analyzed program, and ``stages`` pairs each stage name with the program
+    after it, from ``"input"`` on."""
+
+    __slots__ = _fields = ("verdict", "model", "goal", "stages", "thresholds", "stats")
+
+    def __init__(
+        self,
+        verdict: Verdict,
+        model: AbstractModel,
+        goal: str,
+        stages: tuple[tuple[str, Program], ...],
+        thresholds: ThresholdSet,
+        stats: AnalysisStats,
+    ) -> None:
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "goal", goal)
+        object.__setattr__(self, "stages", stages)
+        object.__setattr__(self, "thresholds", thresholds)
+        object.__setattr__(self, "stats", stats)
 
 
 def run_pipeline(program: Program, config: PipelineConfig = PipelineConfig()) -> PipelineResult:

@@ -15,17 +15,16 @@ the safe direction for the analysis built on top.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
 from typing import Iterable, Sequence
 
 from . import lincon
-from .chc import AtomicConstraint, Rel, format_atomic_bracketed
+from .chc import AtomicConstraint, Rel, _Value, format_atomic_bracketed
 
-@dataclass(frozen=True)
-class Polyhedron:
+
+class Polyhedron(_Value):
     """Closed convex polyhedron over ``dims``, held as its canonical rows.
 
     ``rows`` are ``lincon`` rows over ``dims`` in name order (``V26`` sorts
@@ -36,11 +35,17 @@ class Polyhedron:
     Parma Polyhedra Library: Bagnara, Hill & Zaffanella, SCP 72(1-2),
     2008).  A polyhedron that :meth:`join` made also keeps the cones it
     pooled, ``spanning``, which :meth:`widen_upto` reads.  Atoms are built
-    only on demand, by :meth:`conjuncts`.
+    only on demand, by :meth:`conjuncts`.  A polyhedron keeps a
+    ``__dict__`` for those two cached attributes.
     """
 
-    dims: tuple[str, ...]
-    rows: tuple[tuple[lincon._Vec, Rel], ...] | None
+    _fields = ("dims", "rows")
+
+    def __init__(
+        self, dims: tuple[str, ...], rows: tuple[tuple[lincon._Vec, Rel], ...] | None
+    ) -> None:
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "rows", rows)
 
     # -- construction --------------------------------------------------------
 

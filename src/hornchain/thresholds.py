@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from dataclasses import dataclass, field
 
 from . import lincon
 from .chc import (
@@ -34,6 +33,7 @@ from .chc import (
     Constraint,
     Program,
     Rel,
+    _Value,
     canonical_arg_names,
     format_atom,
     format_atomic_bracketed,
@@ -188,15 +188,17 @@ def tp_step(program: Program, interp: Interpretation, cap: int | None = None) ->
     return out
 
 
-@dataclass(frozen=True)
-class ThresholdSet:
+class ThresholdSet(_Value):
     """Per-predicate candidate bounds over canonical argument names.
 
-    ``entries`` is read-only; from :func:`compute_thresholds` it harvests
-    each predicate on first read.
+    ``entries`` is read-only, and a new empty mapping by default; from
+    :func:`compute_thresholds` it harvests each predicate on first read.
     """
 
-    entries: Mapping[str, tuple[AtomicConstraint, ...]] = field(default_factory=dict)
+    __slots__ = _fields = ("entries",)
+
+    def __init__(self, entries: Mapping[str, tuple[AtomicConstraint, ...]] | None = None) -> None:
+        object.__setattr__(self, "entries", {} if entries is None else entries)
 
     @staticmethod
     def empty() -> "ThresholdSet":

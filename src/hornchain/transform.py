@@ -25,7 +25,6 @@ rewrite) is derivable:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -141,7 +140,6 @@ def _own_segments(conjuncts: tuple[AtomicConstraint, ...]) -> tuple[tuple, dict[
     return ((conjuncts, dict(zip(first, first))),) if conjuncts else (), first
 
 
-@dataclass(eq=False)
 class _Flight:
     """A clause in flight through unfolding; ``built`` makes it a ``Clause``.
 
@@ -157,14 +155,25 @@ class _Flight:
     ordered.  ``clause`` is the input clause, or the clause once built.
     """
 
-    head: Atom
-    body: tuple[Atom, ...]
-    segments: tuple[tuple[tuple[AtomicConstraint, ...], dict[str, str]], ...]
-    first: dict[str, int]
-    size: int
-    names: tuple[str, ...]
-    ordered: int
-    clause: Clause | None = None
+    def __init__(
+        self,
+        head: Atom,
+        body: tuple[Atom, ...],
+        segments: tuple[tuple[tuple[AtomicConstraint, ...], dict[str, str]], ...],
+        first: dict[str, int],
+        size: int,
+        names: tuple[str, ...],
+        ordered: int,
+        clause: Clause | None = None,
+    ) -> None:
+        self.head = head
+        self.body = body
+        self.segments = segments
+        self.first = first
+        self.size = size
+        self.names = names
+        self.ordered = ordered
+        self.clause = clause
 
     @staticmethod
     def of(clause: Clause) -> "_Flight":

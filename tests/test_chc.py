@@ -1,9 +1,15 @@
 """Linear expressions: renaming against the ``Fraction`` sums.
 The dependency-graph walk against the searches it replaced.  The one
-relation test, ``Rel.holds``."""
+relation test, ``Rel.holds``.  The value classes' equality, hash, repr
+and immutability, and what ``import hornchain`` loads."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from oracles import (
     reference_backward_targets,
@@ -13,16 +19,25 @@ from oracles import (
     reference_subst,
 )
 
+import hornchain
+from hornchain.analyzer import AbstractModel, AnalysisStats, Verdict
 from hornchain.chc import (
     FALSE_PRED,
     Atom,
+    AtomicConstraint,
     Clause,
+    Constraint,
     LinExpr,
     Program,
+    RawAtom,
+    RawClause,
     Rel,
     _walk,
     backward_targets,
 )
+from hornchain.pipeline import PipelineConfig, PipelineResult
+from hornchain.polydom import Polyhedron
+from hornchain.thresholds import ThresholdSet
 from hornchain.transform import _drop_unreachable
 
 NAMES = ("A", "B", "C", "V26", "X", "Y", "Z")
@@ -117,3 +132,82 @@ def test_walk_matches_the_searches_it_replaced():
         seen["no false"] += FALSE_PRED not in succs
         seen["unreachable"] += len(reference_reachable(program, FALSE_PRED)) < len(preds)
     assert min(seen.values()) > 100, seen
+
+
+# One value of each value class; the last three hold dicts, so they do not hash.
+_CLAUSE = Clause(Atom("p", ("A",)), Constraint((AtomicConstraint(LinExpr.var("A"), Rel.GE),)))
+VALUES = [
+    LinExpr((("A", Fraction(2)),), Fraction(-1)),
+    AtomicConstraint(LinExpr.var("A"), Rel.GT),
+    Constraint(()),
+    Atom("p", ("A", "B")),
+    _CLAUSE,
+    Program((_CLAUSE,)),
+    RawAtom("p", (LinExpr.var("A"),)),
+    RawClause(RawAtom("p"), (AtomicConstraint(LinExpr.var("A"), Rel.EQ),)),
+    Polyhedron(("A",), (((1, 0), Rel.GE),)),
+    AnalysisStats(1, 2, 3),
+    PipelineConfig(split=False),
+    ThresholdSet({"p": ()}),
+    AbstractModel({"p": Polyhedron(("A",), ())}),
+    PipelineResult(
+        Verdict.SAFE, AbstractModel({}), "false", (), ThresholdSet(), AnalysisStats(0, 0, 0)
+    ),
+]
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+def test_values_compare_and_hash_as_their_field_tuples(value):
+    # What a frozen dataclass gave: equal to a copy built from its fields,
+    # unequal to the field tuple itself, hashing as the field tuple (so set
+    # and dict orders do not move), and no assignment or deletion.
+    fields = tuple(getattr(value, f) for f in value._fields)
+    copy = type(value)(*fields)
+    assert copy == value and not copy != value
+    assert value != fields
+    try:
+        want = hash(fields)
+    except TypeError:  # a field holds a dict
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == want
+    with pytest.raises(AttributeError):
+        setattr(value, value._fields[0], fields[0])
+    with pytest.raises(AttributeError):
+        delattr(value, value._fields[0])
+    with pytest.raises(AttributeError):
+        value.other = None
+
+
+def test_values_of_different_classes_with_equal_fields_are_unequal():
+    atom, raw = Atom("p", ("A",)), RawAtom("p", ("A",))
+    assert atom != raw and raw != atom
+    assert len({atom, raw}) == 2
+
+
+def test_value_repr_names_the_fields():
+    assert repr(AnalysisStats(1, 2, 3)) == "AnalysisStats(passes=1, updates=2, widenings=3)"
+    assert repr(Atom("p", ("A",))) == "Atom(pred='p', args=('A',))"
+
+
+def test_program_compares_by_clauses_and_shows_its_tables():
+    program = Program((_CLAUSE,))
+    assert hash(program) == hash(((_CLAUSE,),))
+    assert repr(program) == f"Program(clauses={(_CLAUSE,)!r}, arities={{'p': 1}}, succs={{'p': ()}})"
+
+
+def test_import_loads_no_dataclasses():
+    # ``dataclasses`` and what it imports took most of ``import hornchain``;
+    # a fresh interpreter that imports the package must not load them.
+    src = str(Path(hornchain.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); "
+        "import hornchain; print(*set(sys.modules) - before)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60, check=True
+    )
+    loaded = set(proc.stdout.split())
+    assert "hornchain" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}

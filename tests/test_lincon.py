@@ -564,6 +564,24 @@ def test_key_refutes_an_opposed_pair_that_leaves_no_room():
     assert rows == [((1, 0), Rel.EQ)]
 
 
+def test_projection_closes_with_elimination_only_past_one_inequality(monkeypatch):
+    # The elimination over the inequalities left runs only when two or more
+    # are left: one is non-ground, so satisfiable.  Keeping A of A >= 0 makes
+    # one elimination; of 0 =< A =< 5, two.
+    calls = []
+    fm_eliminate = lincon._fm_eliminate
+
+    def counting(*args):
+        calls.append(None)
+        return fm_eliminate(*args)
+
+    monkeypatch.setattr(lincon, "_fm_eliminate", counting)
+    for ineqs, want in (([((1, 0), False)], 1), ([((1, 0), False), ((-1, 5), False)], 2)):
+        calls.clear()
+        rows, _ = lincon._project_rows([], ineqs, 1, [0], None)
+        assert (len(rows), len(calls)) == (want, want), ineqs
+
+
 def test_elimination_refutes_exactly_the_infeasible_systems():
     # A system that keying (``_table``) or elimination refutes, capped or
     # not and over any columns, is infeasible under the simplex, and one

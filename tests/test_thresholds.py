@@ -98,6 +98,39 @@ def test_tp_step_cap_keeps_one_of_equivalent_facts():
     assert all(subsumed_by(f, capped) for f in uncapped)
 
 
+@pytest.mark.parametrize("before", [2, 3])
+def test_semantic_dedup_applies_up_to_its_limit(monkeypatch, before):
+    # With the limit at 2, a bucket of exactly 2 facts still drops a later
+    # fact that is equivalent to one of them without being identical (its
+    # extra row A + B >= 0 is redundant); a bucket of 3 keeps it.
+    monkeypatch.setattr(thresholds, "_SEMANTIC_DEDUP_LIMIT", 2)
+    text = "p(A,B) :- A >= 1, B >= 1.\n"
+    text += "".join(f"p(A,B) :- A =< {k}.\n" for k in range(5, 4 + before))
+    text += "p(A,B) :- A >= 1, B >= 1, A + B >= 0.\n"
+    program = parse_program(text)
+    facts = tp_step(program, top_interpretation(program))["p"]
+    assert len(facts) == (2 if before == 2 else 4)
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+def test_tp_cap_stops_before_a_later_clause_reads_its_body(monkeypatch, cap):
+    # p's two constraint-only clauses give it 2 facts at step 2.  At cap 1
+    # the bucket then holds 2 * cap facts, so the step ends before the third
+    # clause, and q, which only that clause calls, is never harvested; at
+    # cap 2 the clause is read and q is harvested at step 1.
+    monkeypatch.setattr(thresholds, "_TP_CAP", cap)
+    program = parse_program(
+        "p(A) :- A = 1.\n"
+        "p(A) :- A = 2.\n"
+        "p(A) :- q(A), A >= 5.\n"
+        "q(A) :- A >= 0.\n"
+        "false :- p(A), A < 0.\n"
+    )
+    harvest = compute_thresholds(program).entries
+    assert len(harvest.facts("p", 2)) == cap
+    assert (("q", 1) in harvest._facts) == (cap == 2)
+
+
 def _maximal_by_pairs(facts):
     """Brute-force oracle for ``maximal``: compare every pair of facts.
 

@@ -109,7 +109,7 @@ def contribution(form: lincon._Prepared, head_dims: tuple[str, ...], body: Seque
     if any(poly.is_empty for poly in body):
         return None
     facts = [lincon._embed(poly.rows, target, form.n) for poly, target in zip(body, form.targets)]
-    rows = lincon._derive(form, facts, lincon.PROJECT_CAP)
+    rows = lincon._derive(form, facts)
     return None if rows is None else polydom._cone(rows, len(head_dims))
 
 

@@ -6,17 +6,18 @@ linear constraints over rationals.  The distinguished 0-ary predicate
 ``false`` may only appear in clause heads; clauses with head ``false`` are
 the integrity constraints whose bodies describe unsafe states.
 
-All values here are immutable and safe to share across threads.  Each
-value class derives from ``_Value``, which gives it what a frozen dataclass
-would: a subclass names its fields once, in ``_fields``, and sets them in
-its own ``__init__`` with ``object.__setattr__``.  Two values are equal
-when they are of the same class and their field tuples are equal, and a
-value hashes as its field tuple, so set and dict orders are a frozen
-dataclass's.  ``repr`` shows the fields by name, and assigning or deleting
-an attribute raises ``AttributeError``.  The package does not use
-``dataclasses``: importing it (with ``inspect``, ``ast``, ``dis`` and
-``tokenize``) and generating each class's code would cost more than the
-rest of ``import hornchain``.
+All values here are immutable, but for caches outside their fields
+(``Clause.rows``, the step a prepared form keeps), and safe to share across
+threads.  Each value class derives from ``_Value``, which gives it what a
+frozen dataclass would: a subclass names its fields once, in ``_fields``,
+and sets them in its own ``__init__`` with ``object.__setattr__``.  Two
+values are equal when they are of the same class and their field tuples
+are equal, and a value hashes as its field tuple, so set and dict orders
+are a frozen dataclass's.  ``repr`` shows the fields by name, and
+assigning or deleting an attribute raises ``AttributeError``.  The package
+does not use ``dataclasses``: importing it (with ``inspect``, ``ast``,
+``dis`` and ``tokenize``) and generating each class's code would cost more
+than the rest of ``import hornchain``.
 """
 
 from __future__ import annotations

@@ -23,18 +23,18 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
-from .chc import FALSUM, Atom, AtomicConstraint, Clause, LinExpr, Rel, canonical_arg_names
+from .chc import FALSUM, Atom, AtomicConstraint, Clause, LinExpr, Rel, _Value, canonical_arg_names
 
 _Vec = tuple[int, ...]  # coefficients in name order, then the constant
 _Ineq = tuple[_Vec, bool]  # row >= 0, or row > 0 when the flag is set
 
-# The ``max_rows`` growth cap that the analyzer, threshold harvesting and
-# unfolding pass to :func:`_project_rows`, and the row count at which
-# elimination hands a system to the simplex.  Hitting it loses constraints,
-# which only coarsens over-approximations; verdict soundness is kept, and
-# unfolding keeps the unprojected rows instead.
+# The ``max_rows`` growth cap of every consequence step (:func:`_derive`
+# applies it itself) and of unfolding's projections, and the row count at
+# which elimination hands a system to the simplex.  Hitting it loses
+# constraints, which only coarsens over-approximations; verdict soundness is
+# kept, and unfolding keeps the unprojected rows instead.
 PROJECT_CAP = 400
 
 
@@ -111,14 +111,17 @@ def _embed(
     return out
 
 
-class _Prepared(NamedTuple):
-    """The fixed part of a consequence step (see :func:`_clause_rows`)."""
+class _Prepared(_Value):
+    """The fixed part of a consequence step (see :func:`_clause_rows`); the
+    slot ``top``, no field, keeps the step from no body rows (:func:`_derive`)."""
 
-    n: int
-    source: Sequence[int]
-    targets: list[list[int]]
-    solved: list[tuple[int, _Vec]] | None
-    ineqs: list[_Ineq]
+    _fields = ("n", "source", "targets", "solved", "ineqs")
+    __slots__ = (*_fields, "top")
+
+    def __init__(self, *fields) -> None:
+        for name, value in zip(self._fields, fields, strict=True):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "top", (None, None))
 
 
 def _clause_rows(clause: Clause) -> _Prepared:
@@ -675,16 +678,18 @@ def _project_rows(
 
 
 def _derive(
-    form: _Prepared, bodies: Iterable[Iterable[tuple[_Vec, Rel]]], max_rows: int | None
+    form: _Prepared, bodies: Iterable[Iterable[tuple[_Vec, Rel]]]
 ) -> tuple[tuple[_Vec, Rel], ...] | None:
     """One consequence step of a clause's prepared rows (see :func:`_clause_rows`).
 
     ``bodies`` holds one fact per body atom, moved to the prepared columns
     by :func:`_embed`.  One :func:`_project_rows` of the prepared rows and
     the facts onto the head's columns ``form.source`` decides emptiness,
-    strict rows and ``max_rows`` included: None when the rows are
+    strict rows and ``PROJECT_CAP`` included: None when the rows are
     unsatisfiable, else the head's rows over its canonical columns in name
-    order, in :func:`_normal_form`.
+    order, in :func:`_normal_form`.  A step whose facts bring no row
+    depends on the form and the cap alone, so ``form.top`` keeps it with
+    its cap, ``(None, None)`` at first; a step under a new cap retakes it.
 
     Its first Gauss-Jordan pass resumes from the prepared state and takes
     only the facts' equalities, and only the facts' inequalities and the
@@ -701,20 +706,24 @@ def _derive(
     """
     if form.solved is None:
         return None
-    eqs, ineqs = _split([row for body in bodies for row in body])
-    proj, _ = _project_rows(
-        eqs, form.ineqs + ineqs, form.n, form.source, max_rows, form.solved
-    )
-    return None if proj is None else tuple(proj)
+    rows = [row for body in bodies for row in body]
+    cap, step = PROJECT_CAP, form.top
+    if rows or step[0] != cap:
+        eqs, ineqs = _split(rows)
+        proj, _ = _project_rows(eqs, form.ineqs + ineqs, form.n, form.source, cap, form.solved)
+        step = cap, None if proj is None else tuple(proj)
+        if not rows:
+            object.__setattr__(form, "top", step)
+    return step[1]
 
 
 def _fold(form: _Prepared, fact: Iterable[tuple[_Vec, Rel]]) -> _Prepared | None:
     """The prepared rows of the clause's other body atoms, once the first
     atom's fact, moved to the prepared columns by :func:`_embed`, is in.
 
-    ``_derive(_fold(form, f), rest, m)`` equals ``_derive(form, [f, *rest],
-    m)``: the fact's equalities resume the prepared Gauss-Jordan state and
-    its pivots are substituted out of the prepared inequalities, then the
+    ``_derive(_fold(form, f), rest)`` equals ``_derive(form, [f, *rest])``:
+    the fact's equalities resume the prepared Gauss-Jordan state and its
+    pivots are substituted out of the prepared inequalities, then the
     fact's, in that order, which is the first stage of the two-stage
     substitution that :func:`_derive` proves exact.  None when the
     equalities contradict or :func:`_table` refutes the rows; substituting

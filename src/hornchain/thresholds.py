@@ -13,7 +13,7 @@ body predicates' facts in the step before, so ``compute_thresholds``
 harvests per predicate, on first read: the analysis reads a predicate's
 thresholds only when it widens it, and a program that never widens
 harvests nothing.  The harvest keeps facts as ``lincon``'s integer rows
-through all three steps, so each body-fact combination costs one row
+through all three steps, so a body-fact combination costs at most one row
 projection and no conversion; they become atoms only as thresholds.
 ``tp_step`` takes and returns ``Constraint`` facts for a whole step.
 """
@@ -51,7 +51,8 @@ def top_interpretation(program: Program) -> Interpretation:
 
 # Bounds on the work a single consequence step may do.  Thresholds are
 # candidate widening bounds, so skipping body-fact combinations, stopping a
-# flooded predicate early, or falling back to syntactic duplicate detection
+# flooded predicate early, falling back to syntactic duplicate detection, or
+# a projection that ``lincon.PROJECT_CAP`` stops, which only weakens a fact,
 # loses candidates at worst; it never affects soundness.
 _COMBO_BUDGET = 512
 _SEMANTIC_DEDUP_LIMIT = 24
@@ -94,7 +95,6 @@ def _head_facts(
     p: str,
     known: Callable[[str], list[_Fact]],
     cap: int | None,
-    tops: dict[int, _Fact | None],
 ) -> list[_Fact]:
     """The facts one consequence step derives for head ``p``.
 
@@ -112,13 +112,10 @@ def _head_facts(
     set, the step stops at ``2 * cap`` facts, and a bucket past ``cap``
     keeps only its :func:`_maximal` facts, truncated to the first ``cap``.
 
-    Two exact shortcuts leave the facts as they are.  A first-slot fact
-    that at least two combinations follow is folded into the prepared rows
-    once (``lincon._fold``), and its combinations step from the fold; when
-    the fold is empty, they are skipped, and still count against the
-    budget.  A combination of top facts alone derives what the clause's
-    prepared rows alone derive, so ``tops`` memoises that step per
-    prepared form, which split variants share.
+    An exact shortcut leaves the facts as they are: a first-slot fact that
+    at least two combinations follow is folded into the prepared rows once
+    (``lincon._fold``), and its combinations step from the fold; when the
+    fold is empty, they are skipped, and still count against the budget.
     """
     n = program.arities[p]
     bucket: list[_Fact] = []
@@ -138,20 +135,14 @@ def _head_facts(
         for combo in itertools.islice(itertools.product(*fact_lists), _COMBO_BUDGET):
             if cap is not None and len(bucket) >= 2 * cap:
                 break
-            # Capped growth: threshold facts are candidate bounds, so an
-            # over-approximate projection only makes candidates weaker.
             if folds:
                 if combo[0] is not first:
                     first, folded = combo[0], lincon._fold(form, combo[0])
                 if folded is None:
                     continue
-                fact = lincon._derive(folded, combo[1:], lincon.PROJECT_CAP)
-            elif any(combo):
-                fact = lincon._derive(form, combo, lincon.PROJECT_CAP)
-            else:  # every body fact is the top fact
-                if id(form) not in tops:
-                    tops[id(form)] = lincon._derive(form, combo, lincon.PROJECT_CAP)
-                fact = tops[id(form)]
+                fact = lincon._derive(folded, combo[1:])
+            else:
+                fact = lincon._derive(form, combo)
             if fact is None or fact in seen:
                 continue
             seen.add(fact)
@@ -179,9 +170,8 @@ def tp_step(program: Program, interp: Interpretation, cap: int | None = None) ->
         for p in program.arities
     }
     out: Interpretation = {}
-    tops: dict[int, _Fact | None] = {}
     for p, order in orders.items():
-        facts = _head_facts(program, p, known.__getitem__, cap, tops)
+        facts = _head_facts(program, p, known.__getitem__, cap)
         out[p] = tuple(
             [Constraint(tuple([lincon._atom(order, r, rel) for r, rel in f])) for f in facts]
         )
@@ -243,7 +233,6 @@ class _Harvest(Mapping[str, tuple[AtomicConstraint, ...]]):
         self._program = program
         self._facts: dict[tuple[str, int], list[_Fact]] = {}
         self._entries: dict[str, tuple[AtomicConstraint, ...]] = {}
-        self._tops: dict[int, _Fact | None] = {}
 
     def facts(self, p: str, step: int) -> list[_Fact]:
         if step == 0:
@@ -251,7 +240,7 @@ class _Harvest(Mapping[str, tuple[AtomicConstraint, ...]]):
         got = self._facts.get((p, step))
         if got is None:
             got = self._facts[p, step] = _head_facts(
-                self._program, p, lambda q: self.facts(q, step - 1), _TP_CAP, self._tops
+                self._program, p, lambda q: self.facts(q, step - 1), _TP_CAP
             )
         return got
 

@@ -524,12 +524,13 @@ def split_predicates(program: Program, goal_pred: str = FALSE_PRED) -> Program:
     The goal predicate and ``false`` keep their name and single variant.
 
     Overlaps are decided on each clause's prepared rows (``Clause.rows``):
-    its exact projection onto the head's canonical columns is one
+    its projection onto the head's canonical columns is one capped
     ``lincon._derive`` step, None when the constraint is unsatisfiable, and
     two projections overlap when ``lincon._project_rows`` of both onto no
     columns finds them jointly satisfiable; a predicate with one clause
-    projects nothing.  A variant differs from its source clause in
-    predicate names only, so it shares the source's prepared rows.
+    projects nothing.  A capped step only widens a projection, so it can
+    only merge blocks, and any blocks keep every derivation.  A variant
+    differs from its source in predicate names only and shares its rows.
     """
     variants: dict[str, list[str]] = {}
     block_of: dict[int, str] = {}  # clause index -> variant name
@@ -542,7 +543,7 @@ def split_predicates(program: Program, goal_pred: str = FALSE_PRED) -> Program:
             continue
         projs: dict[int, tuple | None] = {}
         if len(idxs) > 1:  # only pairs of clauses read projections
-            projs = {i: lincon._derive(program.clauses[i].rows, (), None) for i in idxs}
+            projs = {i: lincon._derive(program.clauses[i].rows, ()) for i in idxs}
         parent = {i: i for i in idxs}
 
         def find(x: int) -> int:

@@ -134,24 +134,42 @@ def _counted(counts, name, fn):
 
 def test_loops_poly_verify_path_counts(monkeypatch):
     # The seed-0 loops-poly programs, verified as bench/run.py verifies
-    # them.  Three shortcuts take 1,234 consequence steps off 3,146:
-    # folding a settled first body fact into a clause's rows once (265 of
-    # the 519 folds are empty), deriving each prepared form's all-top-facts
-    # step once in the harvest (79 steps, one per form, against 349), and
-    # projecting no lone clause in split.  Joins that find every operand
-    # generator inside the old value skip their double description (_dual
-    # 776 -> 727, _canonical 333 -> 285).
+    # them.  Three shortcuts leave 1,821 of 3,146 consequence steps to
+    # project: folding a settled first body fact into a clause's rows once
+    # (265 of the 519 folds are empty), keeping each prepared form's step
+    # from no body rows on the form (read 361 times; split and the analysis
+    # take every one of the harvest's 349 top-fact steps before it asks),
+    # and projecting no lone clause in split.  Joins that find every
+    # operand generator inside the old value skip their double description
+    # (_dual 776 -> 727, _canonical 333 -> 285).  A projection is counted
+    # when _derive makes one, and a memo hit when a step from no body rows
+    # makes none.
     counts = Counter()
     folds = []  # every fold made, to tell a step from a fold from a clause's own
     harvesting = [0]
+    deriving = [False]
     derive, fold, head_facts = lincon._derive, lincon._fold, thresholds._head_facts
+    project_rows = lincon._project_rows
 
-    def counting_derive(form, bodies, max_rows):
-        bodies = list(bodies)
-        counts["_derive"] += 1
-        if harvesting[0] and not any(bodies) and all(form is not f for f in folds):
-            counts["harvest top-fact steps"] += 1
-        return derive(form, bodies, max_rows)
+    def counting_derive(form, bodies):
+        bodies = [list(b) for b in bodies]
+        made = counts["_derive projections"]
+        deriving[0] = True
+        try:
+            got = derive(form, bodies)
+        finally:
+            deriving[0] = False
+        projected = counts["_derive projections"] > made
+        if not any(bodies) and form.solved is not None:
+            counts["_derive memo hits"] += not projected
+            if harvesting[0] and all(form is not f for f in folds):
+                counts["harvest top-fact steps"] += 1
+                counts["harvest top-fact projections"] += projected
+        return got
+
+    def counting_project_rows(*args):
+        counts["_derive projections"] += deriving[0]
+        return project_rows(*args)
 
     def counting_fold(form, fact):
         folded = fold(form, fact)
@@ -168,6 +186,7 @@ def test_loops_poly_verify_path_counts(monkeypatch):
             harvesting[0] -= 1
 
     monkeypatch.setattr(lincon, "_derive", counting_derive)
+    monkeypatch.setattr(lincon, "_project_rows", counting_project_rows)
     monkeypatch.setattr(lincon, "_fold", counting_fold)
     monkeypatch.setattr(thresholds, "_head_facts", harvesting_head_facts)
     for name in ("_dual", "_canonical"):
@@ -175,10 +194,12 @@ def test_loops_poly_verify_path_counts(monkeypatch):
     for case, _ in gen.instance("loops-poly", 0):
         format_model(run_pipeline(parse_program(case.text())).model)
     assert counts == {
-        "_derive": 1912,
+        "_derive projections": 1821,
+        "_derive memo hits": 361,
         "_fold": 519,
         "dead folds": 265,
-        "harvest top-fact steps": 79,
+        "harvest top-fact steps": 349,
+        "harvest top-fact projections": 0,
         "_dual": 727,
         "_canonical": 285,
     }

@@ -1,5 +1,7 @@
 """End-to-end pipeline wiring: stages, goal tracking, and configuration."""
 
+from collections import Counter
+
 import gen
 import pytest
 import spans
@@ -116,6 +118,59 @@ def test_each_clause_is_prepared_once_per_run(monkeypatch):
         fresh = Clause(c.head, c.constr, c.body)
         assert fresh == c and fresh.rows == c.rows
     assert len(prepared) == 9 + len(distinct)
+
+
+def test_each_prepared_form_projects_its_top_fact_step_once(monkeypatch):
+    # A step from no body rows (a clause with no body, or top facts alone)
+    # depends on the prepared form alone, and the form keeps it (see
+    # lincon._derive): across split, the harvest's three steps and the
+    # analysis, each distinct form projects it once, and every later step
+    # reads it.  On twophase split projects it for seven forms and the
+    # analysis for one more; the analysis reads one of them again, and
+    # the harvest's 30 such steps all read a kept step.
+    stage = ["other"]
+    projected = []  # (stage, form) for each projected step from no body rows
+    steps = Counter()
+    current = [None]
+    derive, project_rows = lincon._derive, lincon._project_rows
+
+    def recording_derive(form, bodies):
+        bodies = [list(b) for b in bodies]
+        if not any(bodies) and form.solved is not None:
+            steps[stage[-1]] += 1
+            current[0] = form
+        try:
+            return derive(form, bodies)
+        finally:
+            current[0] = None
+
+    def recording_project_rows(*args):
+        if current[0] is not None:
+            projected.append((stage[-1], current[0]))
+        return project_rows(*args)
+
+    def staged(name, owner, fn):
+        def run(*args):
+            stage.append(name)
+            try:
+                return fn(*args)
+            finally:
+                stage.pop()
+
+        monkeypatch.setattr(owner, fn.__name__, run)
+
+    monkeypatch.setattr(lincon, "_derive", recording_derive)
+    monkeypatch.setattr(lincon, "_project_rows", recording_project_rows)
+    staged("split", pipeline, pipeline.split_predicates)
+    staged("analyze", pipeline, pipeline.analyze)
+    staged("harvest", thresholds, thresholds._head_facts)
+    res = run_pipeline(parse_program(fixture_text("twophase.chc")))
+    assert format_model(res.model) == fixture_text("twophase_model.txt")
+    assert len(res.thresholds) == 30  # harvests every predicate
+    forms = [form for _, form in projected]
+    assert len({id(form) for form in forms}) == len(forms)
+    assert Counter(name for name, _ in projected) == {"split": 7, "analyze": 1}
+    assert steps == {"split": 7, "analyze": 2, "harvest": 30}
 
 
 def test_no_harvest_without_widening(monkeypatch):

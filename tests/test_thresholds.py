@@ -478,7 +478,7 @@ def _derivations_match_reference(program):
             ]
             for combo in islice(product(*facts), thresholds._COMBO_BUDGET):
                 want = reference_derive(n, constr, source, combo, lincon.PROJECT_CAP)
-                assert lincon._derive(form, combo, lincon.PROJECT_CAP) == want, (clause, combo)
+                assert lincon._derive(form, combo) == want, (clause, combo)
                 compared += 1
         interp = tp_step(program, interp, cap=thresholds._TP_CAP)
     return compared
@@ -507,7 +507,7 @@ def test_prepared_derivations_match_reference_on_hand_cases():
     contradictory = DERIVE_CASES["contradictory equalities"].clauses[1]
     assert contradictory.rows.solved is None
     fact = lincon._embed([((1, 0), Rel.GE)], contradictory.rows.targets[0], 2)
-    assert lincon._derive(contradictory.rows, [fact], None) is None
+    assert lincon._derive(contradictory.rows, [fact]) is None
     # The case does what its name says: the body's pivot column D (3) is in
     # the constraint's pivot row and in its substituted inequality.
     form = DERIVE_CASES["body pivot in a constraint pivot row"].clauses[2].rows
@@ -528,7 +528,7 @@ def test_head_out_of_name_order_derives_the_same_set():
     clause = Clause(Atom("p", ("C", "B", "A")), constr)
     form = clause.rows
     assert list(form.source) == [2, 1, 0]
-    got = lincon._derive(form, (), None)
+    got = lincon._derive(form, ())
     assert list(got) == lincon._normal_form(got)
     # The projection onto the clause's columns in order, moved to the head's.
     rows, _ = lincon._project_rows([], form.ineqs, form.n, [0, 1, 2], None, form.solved)
@@ -538,6 +538,27 @@ def test_head_out_of_name_order_derives_the_same_set():
     assert got == (((-1, 0, 0, 4), Rel.GE), ((1, -1, 0, 2), Rel.EQ), ((1, 0, -1, 3), Rel.EQ))
     assert moved == [((1, 0, -1, 3), Rel.EQ), ((0, 1, -1, 1), Rel.EQ), ((0, 0, -1, 7), Rel.GE)]
     assert all(lincon._entailed(got, moved, 3)) and all(lincon._entailed(moved, got, 3))
+
+
+def test_top_fact_step_is_kept_with_its_cap(monkeypatch):
+    # The step from top facts alone is kept on the prepared form with the
+    # cap it was taken under (see lincon._derive), so a step under another
+    # cap is taken again and equals a fresh form's: A >= 2 under the
+    # default cap, and nothing under a cap of one, which stops the
+    # elimination of B.  The kept step is not a field of the form.
+    def fresh():
+        return parse_program("p(A) :- q(D), B >= 1, C >= 1, A >= B + C.\n").clauses[0].rows
+
+    form = fresh()
+    top = [lincon._embed((), t, form.n) for t in form.targets]
+    full = lincon._derive(form, top)
+    assert full == (((1, -2), Rel.GE),) and form.top == (lincon.PROJECT_CAP, full)
+    assert form == fresh() and fresh().top == (None, None)
+    monkeypatch.setattr(lincon, "PROJECT_CAP", 1)
+    assert lincon._derive(form, top) == lincon._derive(fresh(), top) == ()
+    assert form.top == (1, ())
+    monkeypatch.undo()
+    assert lincon._derive(form, top) == lincon._derive(fresh(), top) == full
 
 
 def test_prepared_derivations_match_reference_under_one_row_cap(monkeypatch):
@@ -558,7 +579,9 @@ def test_prepared_derivations_match_reference_on_random_programs():
 
 def _traced_derive(form, bodies):
     """``lincon._derive``'s result, and the rows that each elimination in it
-    starts from, in the order they are keyed."""
+    starts from, in the order they are keyed.  The step is taken on a copy
+    of ``form`` with an empty memo, so that it always eliminates."""
+    form = lincon._Prepared(form.n, form.source, form.targets, form.solved, form.ineqs)
     calls = []
     eliminate = lincon._fm_eliminate
 
@@ -568,7 +591,7 @@ def _traced_derive(form, bodies):
 
     lincon._fm_eliminate = recording
     try:
-        return lincon._derive(form, bodies, lincon.PROJECT_CAP), calls
+        return lincon._derive(form, bodies), calls
     finally:
         lincon._fm_eliminate = eliminate
 

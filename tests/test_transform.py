@@ -7,12 +7,13 @@ from fractions import Fraction
 import gen
 import pytest
 
+from bounded import BoundedResult, bounded_concrete_eval
 from helpers import clause_multiset, same_program
 from oracles import rational_is_satisfiable, reference_unfold_clause, reference_unfold_forward
 from randprog import random_program
 
 from hornchain import lincon, pipeline, transform
-from hornchain.analyzer import format_model
+from hornchain.analyzer import Verdict, analyze, check_safety, format_model
 from hornchain.chc import (
     FALSE_PRED,
     Atom,
@@ -460,6 +461,39 @@ def test_split_preserves_clause_structure():
     assert sorted(variants) == ["p___1", "p___2"]
     # The goal clause is duplicated per variant while `false` keeps its name.
     assert len(out.clauses_for(FALSE_PRED)) == 2
+
+
+def test_split_projects_under_the_row_cap(monkeypatch):
+    # p's first clause says A >= 2 only once B and C are eliminated: the
+    # first elimination step combines B >= 1 with A >= B + C into one row
+    # and passes C >= 1 through, two rows, which a cap of one stops, and
+    # the step drops every row with B.  Under that cap the clause projects
+    # to no constraint, overlaps A =< 0 and stays in p's one block; under
+    # the default cap the two clauses are disjoint and split.  A capped
+    # step only widens projections, so it can only merge blocks, and
+    # splitting keeps every derivation whatever the blocks: the safe
+    # version's goal stays underivable, the mutant's derivable, and no
+    # analysis of either split program proves the mutant safe.
+    text = (
+        "p(A) :- B >= 1, C >= 1, A >= B + C.\n"
+        "p(A) :- A =< 0.\n"
+        "false :- p(A), A = {}.\n"
+    )
+    for cap, variants, safe in (
+        (lincon.PROJECT_CAP, ["p___1", "p___2"], Verdict.SAFE),
+        (1, ["p___1"], Verdict.UNKNOWN),
+    ):
+        monkeypatch.setattr(lincon, "PROJECT_CAP", cap)
+        split = {k: split_predicates(parse_program(text.format(k))) for k in (1, 2)}
+        assert sorted(split[1].arities) == ["false", *variants], cap
+        verdicts = [check_safety(analyze(split[k])[0]) for k in (1, 2)]
+        assert verdicts == [safe, Verdict.UNKNOWN], cap
+        assert run_pipeline(parse_program(text.format(2))).verdict is Verdict.UNKNOWN
+        monkeypatch.undo()  # bounded evaluation is exact under the default cap
+        assert [bounded_concrete_eval(split[k]) for k in (1, 2)] == [
+            BoundedResult(derived=False, saturated=True, rounds=2),
+            BoundedResult(derived=True, saturated=False, rounds=2),
+        ]
 
 
 # -- transformation agreement on random programs --------------------------------------

@@ -7,10 +7,10 @@ time, callees first.  Inside a cyclic component, round-robin passes update
 each predicate with the convex hull of its old value and its clause
 contributions; after ``_WIDEN_DELAY`` strict updates the hull is replaced by
 threshold-bounded widening, which forces termination.  A contribution is
-derived on ``lincon`` rows and kept as its homogenized cone, the generators
-that the join reads, so it never becomes a polyhedron of its own; an
-evaluation whose operands all equal those of the predicate's last
-unchanging evaluation is skipped.  A clause whose first body atom an
+eliminated on ``lincon`` rows and kept as its homogenized cone, the
+generators that the join reads, which also decide its emptiness, so it
+never becomes a polyhedron of its own; an evaluation whose operands all
+equal those of the predicate's last unchanging evaluation is skipped.  A clause whose first body atom an
 earlier component settled, and whose later atoms can still grow, folds
 that atom's final value into its prepared rows once (``lincon._fold``),
 and every later contribution steps from the fold; an empty fold ends the
@@ -39,6 +39,7 @@ from .chc import (
     ChcError,
     Clause,
     Program,
+    Rel,
     _Value,
     _walk,
     canonical_arg_names,
@@ -92,25 +93,55 @@ class AnalysisStats(_Value):
         object.__setattr__(self, "widenings", widenings)
 
 
-def contribution(form: lincon._Prepared, head_dims: tuple[str, ...], body: Sequence[Polyhedron]):
+def contribution(
+    form: lincon._Prepared, head_dims: tuple[str, ...], body: Sequence[Polyhedron], cones: dict
+):
     """The cone of the head polyhedron that a clause derives from its body
     values, or None when that polyhedron is empty.
 
     ``form`` is the clause's prepared rows (``Clause.rows``), or a fold of
     them (see ``lincon._fold``), and ``body`` the values of the atoms it
-    still takes.  Each body polyhedron's rows move to the form's columns,
-    and one capped ``lincon._derive`` step decides emptiness, strict
-    conjuncts included.  The head's rows, relaxed, are taken to their cone
-    (see ``polydom._cone``), which is all that joining needs (see
-    ``Polyhedron.join``): the contribution's own canonical rows are never
-    built.  A cone depends only on its polyhedron, so cones compare exactly
-    with ``==``.
+    still takes, whose rows go in as they are.  The step takes only the
+    elimination half of a projection (``lincon._shadow_step``), and the
+    head's rows go straight to their homogenized cone (see
+    ``polydom._cone``), which decides emptiness with no second
+    elimination: see :func:`_decided_cone`.  The cone is all that joining needs (see
+    ``Polyhedron.join``), so the contribution's own canonical rows are
+    never built.  ``cones`` keeps the cone of each row set met in the run,
+    so each distinct set takes one double description.  A cone depends
+    only on its polyhedron, so cones compare exactly with ``==``.
     """
     if any(poly.is_empty for poly in body):
         return None
-    facts = [lincon._embed(poly.rows, target, form.n) for poly, target in zip(body, form.targets)]
-    rows = lincon._derive(form, facts)
-    return None if rows is None else polydom._cone(rows, len(head_dims))
+    rows = lincon._shadow_step(form, [poly.rows for poly in body])
+    if rows is None:
+        return None
+    key = len(head_dims), frozenset(rows)
+    if key not in cones:
+        cones[key] = _decided_cone(rows, len(head_dims))
+    return cones[key]
+
+
+def _decided_cone(rows, n: int):
+    """The homogenized cone of ``lincon`` rows over ``n`` columns, strict
+    rows included, or None when the rows have no solution.
+
+    The closure (every row relaxed) is empty exactly when no generator of
+    its cone has ``t > 0``, and then so are the rows.  Otherwise a strict
+    row is positive at some point of the closure exactly when it is
+    positive on some ray; it is never negative on one, and zero on every
+    line.  When each strict row is positive at some point, their centroid
+    satisfies all of them, so the rows are empty exactly when some strict
+    row is zero on every ray.  A non-empty polyhedron's cone depends only
+    on its closure, so the cone is the one its canonical rows give.
+    """
+    lines, rays = polydom._cone(rows, n)
+    if not any(v[-1] for v in rays):
+        return None
+    for r, rel in rows:
+        if rel is Rel.GT and all(polydom._dot_ok(r, v, True) for v in rays):
+            return None
+    return lines, rays
 
 
 def _step(clause: Clause, comp: tuple[str, ...], values: Mapping[str, Polyhedron]) -> list:
@@ -134,7 +165,7 @@ def _fold(form: lincon._Prepared, first: Polyhedron) -> lincon._Prepared | None:
     None when the value or the fold is empty, which no build can change."""
     if first.is_empty:
         return None
-    return lincon._fold(form, lincon._embed(first.rows, form.targets[0], form.n))
+    return lincon._fold(form, first.rows)
 
 
 def analyze(
@@ -164,6 +195,8 @@ def analyze(
     # Per clause, [prepared rows, the body atoms they take, a final value
     # still to fold in] (see ``_step``).
     steps: dict[str, list] = {}
+    # The cone of each row set that a contribution's step eliminated to.
+    cones: dict = {}
 
     def contributions(pred: str) -> list:
         out = []
@@ -175,7 +208,7 @@ def analyze(
                 if first is not None and not any(poly.is_empty for poly in body):
                     form = step[0] = _fold(form, first)
                     step[2] = None
-                made = None if form is None else contribution(form, dims[pred], body)
+                made = None if form is None else contribution(form, dims[pred], body, cones)
                 entry = built[pred][k] = (body, made)
             out.append(entry[1])
         return out

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .chc import FALSUM, Atom, AtomicConstraint, Clause, LinExpr, Rel, _Value, canonical_arg_names
@@ -112,31 +113,60 @@ def _embed(
 
 
 class _Prepared(_Value):
-    """The fixed part of a consequence step (see :func:`_clause_rows`); the
-    slot ``top``, no field, keeps the step from no body rows (:func:`_derive`)."""
+    """The fixed part of a consequence step (see :func:`_clause_rows`).
+
+    Its fields are the number of columns ``n``, the head's columns
+    ``source`` and each body atom's ``targets`` (the form's column of each
+    of the predicate's canonical columns in name order, see
+    :func:`_layout`), the Gauss-Jordan state ``solved`` (None when the
+    equalities contradict) and the inequalities ``ineqs``, with every pivot
+    substituted out.  A form keeps a ``__dict__`` for what follows from
+    them: ``top``, the step from no body rows (:func:`_derive`), and two
+    attributes computed at most once, :attr:`table` and :attr:`moves`.
+    """
 
     _fields = ("n", "source", "targets", "solved", "ineqs")
-    __slots__ = (*_fields, "top")
 
     def __init__(self, *fields) -> None:
         for name, value in zip(self._fields, fields, strict=True):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "top", (None, None))
 
+    @cached_property
+    def table(self) -> dict[_Vec, _Kept] | None:
+        """The inequalities keyed by :func:`_table`; None when keying
+        refutes them or the equalities contradict, so that every step from
+        the form is empty."""
+        return None if self.solved is None else _table(self.ineqs)
+
+    @cached_property
+    def moves(self) -> list:
+        """Per body atom, the map that moves a fact onto the form (see
+        :func:`_moves`)."""
+        return [_moves(t, self.solved, self.n) for t in self.targets]
+
 
 def _clause_rows(clause: Clause) -> _Prepared:
     """A clause's constraint made ready for :func:`_derive`; ``Clause.rows``
     holds the result.
 
-    The layout is the clause's variables in name order and, per body atom
-    and for the head (``source``), what :func:`_embed` takes: the clause
-    column of each of the predicate's canonical columns in name order (see
-    :func:`_layout`).  The constraint's own equalities are eliminated here,
-    once per clause, with ``source`` kept (``solved``, None when they are
-    contradictory), and their pivots substituted out of its inequalities;
-    resuming from that state is exact (see :func:`_derive`).
+    The layout starts from the clause's variables in name order.  The
+    constraint's own equalities are eliminated here, once per clause, with
+    the head's columns kept, and their pivots substituted out of its
+    inequalities; resuming from that state is exact (see :func:`_derive`).
+
+    The form is then cut to the columns a step can read.  A pivot row whose
+    column is neither a head nor a body-atom column is dropped: facts
+    mention body-atom columns only, and in reduced echelon form no other
+    row mentions a pivot column, so nothing reads the row, and the
+    projection drops the column with it.  When a row is dropped, every
+    column that no row left mentions goes too, except the head's and the
+    body atoms'.  The columns kept stay in order, so every pivot choice,
+    elimination order and key order of a step is the one the full layout
+    gives.
     """
     names = sorted(clause.vars())
+    n = len(names)
     col = {v: j for j, v in enumerate(names)}
 
     def cols(atom: Atom) -> list[int]:
@@ -144,10 +174,67 @@ def _clause_rows(clause: Clause) -> _Prepared:
 
     eqs, ineqs = _split(_rows(clause.constr.conjuncts, names)[1])
     source = cols(clause.head)
+    targets = [cols(a) for a in clause.body]
     solved = _gauss_jordan(eqs, source)
-    if solved is not None:
-        ineqs = _substitute(solved, ineqs)
-    return _Prepared(len(names), source, [cols(a) for a in clause.body], solved, ineqs)
+    if solved is None:
+        return _Prepared(n, source, targets, None, ineqs)
+    ineqs = _substitute(solved, ineqs)
+    if any(j not in source and all(j not in t for t in targets) for j, _ in solved):
+        atoms = set(source).union(*targets)
+        solved = [(j, p) for j, p in solved if j in atoms]
+        columns = list(zip(*[p for _, p in solved], *[r for r, _ in ineqs]))
+        kept = [j for j in range(n) if j in atoms or columns and any(columns[j])]
+        new = {j: k for k, j in enumerate(kept)}
+
+        def cut(r: _Vec) -> _Vec:
+            return tuple([r[j] for j in kept] + [r[-1]])
+
+        solved = [(new[j], cut(p)) for j, p in solved]
+        ineqs = [(cut(r), s) for r, s in ineqs]
+        source = [new[j] for j in source]
+        targets = [[new[j] for j in t] for t in targets]
+        n = len(kept)
+    return _Prepared(n, source, targets, solved, ineqs)
+
+
+def _moves(target: Sequence[int], solved: list[tuple[int, _Vec]], n: int) -> list:
+    """The map that moves a fact's rows onto a form's columns.
+
+    ``target`` gives the form's column of each of the predicate's canonical
+    columns in name order.  Per predicate column, and for the constant,
+    the map lists ``(column, coefficient)`` terms: the constant and a
+    column that is no pivot of ``solved`` go to their target (the
+    constant's is column ``n``) scaled by ``s``, the lcm of the pivot
+    coefficients of the target columns, and a pivot column ``j`` to
+    ``s`` times its unit vector minus ``s / p[j]`` times its pivot row
+    ``p``, which is zero at every pivot.  A row moved through the map and
+    made coprime (:func:`_move`) is ``_substitute(solved, _embed([row],
+    target, n))``: both are the unique coprime positive multiple of the
+    row, plus pivot rows, that is zero at every pivot column (see
+    :func:`_derive`).
+    """
+    pivots = dict(solved)
+    s = math.lcm(*[pivots[j][j] for j in target if j in pivots])
+    out = []
+    for j in target:
+        p = pivots.get(j)
+        if p is None:
+            out.append([(j, s)])
+        else:
+            f = s // p[j]
+            out.append([(k, -f * c) for k, c in enumerate(p) if c and k != j])
+    out.append([(n, s)])
+    return out
+
+
+def _move(move: list, r: _Vec, width: int) -> _Vec:
+    """The row ``r`` moved through a map of :func:`_moves`, made coprime."""
+    v = [0] * width
+    for c, terms in zip(r, move):
+        if c:
+            for j, a in terms:
+                v[j] += c * a
+    return _coprime(v)
 
 
 def _atom(names: Sequence[str], row: _Vec, rel: Rel) -> AtomicConstraint:
@@ -621,12 +708,7 @@ def normalize(conjuncts: Iterable[AtomicConstraint]) -> tuple[AtomicConstraint, 
 
 
 def _project_rows(
-    eqs: list[_Vec],
-    ineqs: list[_Ineq],
-    n: int,
-    kept: Sequence[int],
-    max_rows: int | None,
-    start: Iterable[tuple[int, _Vec]] = (),
+    eqs: list[_Vec], ineqs: list[_Ineq], n: int, kept: Sequence[int], max_rows: int | None
 ) -> tuple[list[tuple[_Vec, Rel]] | None, bool]:
     """:func:`project` on rows over ``n`` columns; None when they are unsatisfiable.
 
@@ -638,58 +720,152 @@ def _project_rows(
     unsatisfiable, stopped or not; projecting onto no columns decides
     satisfiability alone, and a satisfiable system comes back as ``[]``.
     Columns that no row mentions change nothing, so a caller may lay rows
-    out over any superset of their variables.  The first Gauss-Jordan pass
-    resumes from ``start``, a pass with the same columns kept (see
-    :func:`_gauss_jordan`), whose equalities are then part of the input.
+    out over any superset of their variables.
+
+    It is the two halves of a projection in turn: one Gauss-Jordan pass
+    and the elimination (:func:`_shadow`), then the canonical tail
+    (:func:`_close`).
+    """
+    solved = _gauss_jordan(eqs, frozenset(kept))
+    table = None if solved is None else _table(_substitute(solved, ineqs))
+    if table is None:
+        return None, False
+    rows, capped = _shadow(solved, table, n, kept, max_rows)
+    return (None if rows is None else _close(rows, len(kept))), capped
+
+
+def _shadow(
+    solved: list[tuple[int, _Vec]],
+    table: dict[_Vec, _Kept],
+    n: int,
+    kept: Sequence[int],
+    max_rows: int | None,
+) -> tuple[list[tuple[_Vec, Rel]] | None, bool]:
+    """The elimination half of a projection onto the columns ``kept``.
+
+    ``solved`` is a Gauss-Jordan pass with ``kept`` kept and ``table`` the
+    inequalities, with its pivots substituted out, keyed by :func:`_table`.
+    :func:`_eliminate` takes every other column out of them, and the pivot
+    rows on kept columns come back as equalities ahead of the rows left,
+    all moved to the columns ``kept`` in that order.  None when the
+    elimination refutes the rows; the second item tells whether
+    ``max_rows`` stopped a step.  The rows are not in normal form, and when
+    no step stopped, they can be unsatisfiable without a refutation here:
+    :func:`_close` decides that.
+    """
+    keep = frozenset(kept)
+    remaining, capped = _eliminate(table, [j for j in range(n) if j not in keep], max_rows)
+    if remaining is None:
+        return None, capped
+    rows = [(p, Rel.EQ) for j, p in solved if j in keep]
+    rows += [(r, Rel.GT if s else Rel.GE) for r, s in remaining]
+    return [(tuple([r[j] for j in kept] + [r[-1]]), rel) for r, rel in rows], capped
+
+
+def _close(rows: list[tuple[_Vec, Rel]], k: int) -> list[tuple[_Vec, Rel]] | None:
+    """The canonical tail of a projection: :func:`_shadow`'s rows over ``k``
+    columns in :func:`_normal_form`, or None when they are unsatisfiable.
 
     When the normal form merges an opposed pair into a new equality, the
-    elimination runs again over the result, in its own layout with every
-    column kept, until no new equality appears.
+    Gauss-Jordan pass and the keying run again over the result, with every
+    column kept, until no new equality appears.  The equalities left are
+    then the reduced row echelon basis, and no other row mentions their
+    pivots, so they hold once the inequalities do; a single inequality left
+    is non-ground, and so satisfiable too.  More inequalities take one
+    closing elimination of every column.
     """
-    keep: Collection[int] = frozenset(kept)
-    cols: Sequence[int] = kept
-    elim = [j for j in range(n) if j not in keep]
-    capped = False
     while True:
-        solved = _gauss_jordan(eqs, keep, start)
-        if solved is None:
-            return None, capped
-        kept_eqs = [p for j, p in solved if j in keep]
-        remaining, stopped = _fm_eliminate(_substitute(solved, ineqs), elim, max_rows)
-        capped = capped or stopped
-        if remaining is None:
-            return None, capped
-        rows = [(r, Rel.EQ) for r in kept_eqs]
-        rows += [(r, Rel.GT if s else Rel.GE) for r, s in remaining]
-        normal = _normal_form([(tuple([r[j] for j in cols] + [r[-1]]), rel) for r, rel in rows])
+        found = sum(rel is Rel.EQ for _, rel in rows)
+        normal = _normal_form(rows)
         if normal is None:
-            return None, capped
+            return None
         eqs, ineqs = _split(normal)
-        if len(eqs) == len(kept_eqs):
+        if len(eqs) == found:
             break
-        keep = cols = range(len(kept))
-        elim, start = [], ()
-    # The equalities left are the reduced row echelon basis, and no other
-    # row mentions their pivots, so they hold once the inequalities do; a
-    # single inequality left is non-ground, and so satisfiable too.
-    if len(ineqs) > 1 and _fm_eliminate(ineqs, range(len(kept)), PROJECT_CAP)[0] is None:
-        return None, capped
-    return normal, capped
+        solved = _gauss_jordan(eqs, range(k))
+        table = None if solved is None else _table(_substitute(solved, ineqs))
+        if table is None:
+            return None
+        rows = [(p, Rel.EQ) for _, p in solved]
+        rows += [(r, Rel.GT if s else Rel.GE) for r, s, _, _, _ in table.values()]
+    if len(ineqs) > 1 and _fm_eliminate(ineqs, range(k), PROJECT_CAP)[0] is None:
+        return None
+    return normal
+
+
+def _resume(
+    form: _Prepared, facts: Iterable[Sequence[tuple[_Vec, Rel]]]
+) -> tuple[list[tuple[int, _Vec]], list[_Ineq], dict[_Vec, _Kept]] | None:
+    """The form's Gauss-Jordan state, inequalities and keyed table once the
+    facts, one per body atom from the first, are in; None when they
+    contradict.
+
+    Each fact's rows, over its predicate's canonical columns in name order,
+    are moved onto the form through the atom's map (see :func:`_moves`),
+    which substitutes the form's pivots out of them on the way.  Facts that
+    bring equalities resume the Gauss-Jordan pass with them alone, and the
+    new pivots are substituted out of the form's inequalities, then the
+    facts', which are keyed afresh.  Facts that bring none leave the pass
+    as it is, and their rows are keyed into a copy of the form's table,
+    with the history bits that follow the form's rows: the table that
+    keying all the rows in that order gives.
+    """
+    table = form.table
+    if table is None:
+        return None
+    width = form.n + 1
+    eqs: list[_Vec] = []
+    ineqs: list[_Ineq] = []
+    for move, fact in zip(form.moves, facts) if any(facts) else ():
+        for r, rel in fact:
+            if rel is Rel.EQ:
+                eqs.append(_move(move, r, width))
+            else:
+                ineqs.append((_move(move, r, width), rel is Rel.GT))
+    if eqs:
+        solved = _gauss_jordan(eqs, form.source, form.solved)
+        if solved is None:
+            return None
+        ineqs = _substitute(solved, form.ineqs + ineqs)
+        table = _table(ineqs)
+        return None if table is None else (solved, ineqs, table)
+    table = dict(table)
+    bit = 1 << len(form.ineqs)
+    for r, s in ineqs:
+        if _key(table, r, s, bit) is None:
+            return None
+        bit <<= 1
+    return form.solved, form.ineqs + ineqs, table
+
+
+def _shadow_step(
+    form: _Prepared, facts: Iterable[Sequence[tuple[_Vec, Rel]]]
+) -> list[tuple[_Vec, Rel]] | None:
+    """The elimination half of a consequence step (see :func:`_derive`):
+    the head's rows from :func:`_shadow`, capped at ``PROJECT_CAP``, not
+    yet in normal form, or None when the elimination refutes them."""
+    state = _resume(form, facts)
+    if state is None:
+        return None
+    solved, _, table = state
+    return _shadow(solved, table, form.n, form.source, PROJECT_CAP)[0]
 
 
 def _derive(
-    form: _Prepared, bodies: Iterable[Iterable[tuple[_Vec, Rel]]]
+    form: _Prepared, facts: Sequence[Sequence[tuple[_Vec, Rel]]]
 ) -> tuple[tuple[_Vec, Rel], ...] | None:
     """One consequence step of a clause's prepared rows (see :func:`_clause_rows`).
 
-    ``bodies`` holds one fact per body atom, moved to the prepared columns
-    by :func:`_embed`.  One :func:`_project_rows` of the prepared rows and
-    the facts onto the head's columns ``form.source`` decides emptiness,
-    strict rows and ``PROJECT_CAP`` included: None when the rows are
-    unsatisfiable, else the head's rows over its canonical columns in name
-    order, in :func:`_normal_form`.  A step whose facts bring no row
-    depends on the form and the cap alone, so ``form.top`` keeps it with
-    its cap, ``(None, None)`` at first; a step under a new cap retakes it.
+    ``facts`` holds one fact per body atom, as rows over the atom's
+    predicate's canonical columns in name order.  They go in by
+    :func:`_resume`, and both halves of a projection onto the head's
+    columns ``form.source``, :func:`_shadow_step` then :func:`_close`, decide
+    emptiness, strict rows and ``PROJECT_CAP`` included: None when the
+    rows are unsatisfiable, else the head's rows over its canonical columns
+    in name order, in :func:`_normal_form`.  A step whose facts bring no
+    row depends on the form and the cap alone, so ``form.top`` keeps it
+    with its cap, ``(None, None)`` at first; a step under a new cap
+    retakes it.
 
     Its first Gauss-Jordan pass resumes from the prepared state and takes
     only the facts' equalities, and only the facts' inequalities and the
@@ -702,44 +878,40 @@ def _derive(
     is zero in every pivot column: the pivot rows are zero in each
     other's pivot columns.  The prepared pivot rows lie in the span of the
     final ones, and their pivot columns are among the final ones, so
-    substituting in two stages reaches that same row.
+    substituting in two stages reaches that same row, and so does moving
+    a fact's row through its map, which is the first stage.
     """
-    if form.solved is None:
-        return None
-    rows = [row for body in bodies for row in body]
     cap, step = PROJECT_CAP, form.top
-    if rows or step[0] != cap:
-        eqs, ineqs = _split(rows)
-        proj, _ = _project_rows(eqs, form.ineqs + ineqs, form.n, form.source, cap, form.solved)
-        step = cap, None if proj is None else tuple(proj)
-        if not rows:
+    if any(facts) or step[0] != cap:
+        rows = _shadow_step(form, facts)
+        if rows is not None:
+            rows = _close(rows, len(form.source))
+        step = cap, None if rows is None else tuple(rows)
+        if not any(facts):
             object.__setattr__(form, "top", step)
     return step[1]
 
 
-def _fold(form: _Prepared, fact: Iterable[tuple[_Vec, Rel]]) -> _Prepared | None:
+def _fold(form: _Prepared, fact: Sequence[tuple[_Vec, Rel]]) -> _Prepared | None:
     """The prepared rows of the clause's other body atoms, once the first
-    atom's fact, moved to the prepared columns by :func:`_embed`, is in.
+    atom's fact, over its predicate's canonical columns, is in.
 
     ``_derive(_fold(form, f), rest)`` equals ``_derive(form, [f, *rest])``:
-    the fact's equalities resume the prepared Gauss-Jordan state and its
-    pivots are substituted out of the prepared inequalities, then the
-    fact's, in that order, which is the first stage of the two-stage
-    substitution that :func:`_derive` proves exact.  None when the
-    equalities contradict or :func:`_table` refutes the rows; substituting
-    more pivots keeps a ground contradiction, and an opposed pair with no
-    room, among the rows, so every step from the fold derives None then.
+    :func:`_resume` takes the fact in as a step does, the form's
+    inequalities ahead of the fact's, which is the first stage of the
+    two-stage substitution that :func:`_derive` proves exact, and hands
+    the keyed table on with them.  None when the equalities contradict or
+    keying refutes the rows; substituting more pivots keeps a ground
+    contradiction, and an opposed pair with no room, among the rows, so
+    every step from the fold derives None then.
     """
-    if form.solved is None:
+    state = _resume(form, [fact])
+    if state is None:
         return None
-    eqs, ineqs = _split(fact)
-    solved = _gauss_jordan(eqs, form.source, form.solved)
-    if solved is None:
-        return None
-    ineqs = _substitute(solved, form.ineqs + ineqs)
-    if _table(ineqs) is None:
-        return None
-    return _Prepared(form.n, form.source, form.targets[1:], solved, ineqs)
+    solved, ineqs, table = state
+    folded = _Prepared(form.n, form.source, form.targets[1:], solved, ineqs)
+    folded.__dict__["table"] = table
+    return folded
 
 
 def project(

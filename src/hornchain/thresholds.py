@@ -126,10 +126,7 @@ def _head_facts(
         if not all(known(atom.pred) for atom in clause.body):
             continue
         form = clause.rows
-        fact_lists = [
-            [lincon._embed(f, target, form.n) for f in known(atom.pred)]
-            for atom, target in zip(clause.body, form.targets)
-        ]
+        fact_lists = [known(atom.pred) for atom in clause.body]
         folds = math.prod(map(len, fact_lists[1:])) > 1
         first = folded = None
         for combo in itertools.islice(itertools.product(*fact_lists), _COMBO_BUDGET):

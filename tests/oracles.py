@@ -1416,6 +1416,19 @@ def reference_derive(n: int, constr, source, bodies, max_rows):
     return None if proj is None else tuple(proj)
 
 
+def reference_prepared(clause: Clause):
+    """``lincon._clause_rows`` before forms were cut to the columns a step
+    reads: the full layout of ``reference_clause_rows``, every pivot row
+    of the constraint's equalities kept, and its inequalities with those
+    pivots substituted out."""
+    n, constr, targets, source = reference_clause_rows(clause)
+    eqs, ineqs = lincon._split(constr)
+    solved = lincon._gauss_jordan(eqs, source)
+    if solved is not None:
+        ineqs = lincon._substitute(solved, ineqs)
+    return lincon._Prepared(n, source, targets, solved, ineqs)
+
+
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin with set histories and a separate prune pass
 # ---------------------------------------------------------------------------

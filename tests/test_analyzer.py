@@ -22,7 +22,7 @@ from hornchain.analyzer import (
     check_safety,
     format_model,
 )
-from hornchain.chc import ChcError, canonical_arg_names, print_program
+from hornchain.chc import ChcError, Constraint, Rel, canonical_arg_names, print_program
 from hornchain.parser import parse_program
 from hornchain.pipeline import run_pipeline
 from hornchain.polydom import Polyhedron
@@ -85,8 +85,8 @@ def test_unchanged_clause_contribution_is_reused(monkeypatch):
     built = []
     build = analyzer.contribution
 
-    def counting_contribution(form, head_dims, body):
-        cone = build(form, head_dims, body)
+    def counting_contribution(form, head_dims, body, cones):
+        cone = build(form, head_dims, body, cones)
         built.append(cone)
         return cone
 
@@ -96,6 +96,40 @@ def test_unchanged_clause_contribution_is_reused(monkeypatch):
     # Rebuilding every contribution on every pass gives the same result.
     assert stats == AnalysisStats(passes=5, updates=4, widenings=1)
     assert format_model(model) == "count(A) :- [1*A>=0]\nfalse :- []\n"
+
+
+@pytest.mark.parametrize(
+    "text, empty, closure",
+    [
+        # The closure is the line A = B = C, but A - B > 0 is zero on it.
+        ("p(A,B,C) :- A > B, B > C, C >= A.\n", True, True),
+        # Empty with no opposed pair: keying refutes nothing, and only the
+        # closing elimination of a projection refuted it.  The cone keeps
+        # the ray of D >= 0, all at t = 0.
+        ("p(A,B,C,D) :- A >= B + 1, B >= C + 1, C >= A, D >= 0.\n", True, False),
+        # B - A > 0 is zero at the vertex (0, 0) and positive along the ray
+        # (0, 1) only.
+        ("p(A,B) :- A >= 0, B > A.\n", False, True),
+    ],
+)
+def test_contribution_decides_emptiness_on_its_cone(text, empty, closure):
+    # A contribution takes the elimination half of the step alone and
+    # decides emptiness on the cone it builds anyway: it is empty when no
+    # generator has t > 0, or when a strict row is zero on every ray.
+    # Otherwise its cone is the one the step's canonical rows give.
+    clause = parse_program(text).clauses[0]
+    dims = canonical_arg_names(clause.head.arity)
+    rows = lincon._shadow_step(clause.rows, ())
+    assert rows is not None  # the elimination refutes none of them
+    # Whether the closure, every row relaxed, is non-empty.
+    assert any(v[-1] for v in polydom._cone(rows, len(dims))[1]) == closure
+    canonical = lincon._derive(clause.rows, ())
+    got = analyzer.contribution(clause.rows, dims, (), {})
+    if empty:
+        assert canonical is None and got is None
+    else:
+        assert got == polydom._cone(canonical, len(dims))
+        assert any(rel is Rel.GT for _, rel in rows)
 
 
 def test_clause_contributions_are_joined_by_one_hull(monkeypatch):
@@ -134,42 +168,45 @@ def _counted(counts, name, fn):
 
 def test_loops_poly_verify_path_counts(monkeypatch):
     # The seed-0 loops-poly programs, verified as bench/run.py verifies
-    # them.  Three shortcuts leave 1,821 of 3,146 consequence steps to
-    # project: folding a settled first body fact into a clause's rows once
-    # (265 of the 519 folds are empty), keeping each prepared form's step
-    # from no body rows on the form (read 361 times; split and the analysis
-    # take every one of the harvest's 349 top-fact steps before it asks),
-    # and projecting no lone clause in split.  Joins that find every
-    # operand generator inside the old value skip their double description
-    # (_dual 776 -> 727, _canonical 333 -> 285).  A projection is counted
-    # when _derive makes one, and a memo hit when a step from no body rows
-    # makes none.
+    # them.  Split and the harvest take consequence steps through _derive,
+    # and three shortcuts leave few of them to project: folding a settled
+    # first body fact into a clause's rows once (265 of the 519 folds are
+    # empty), keeping each prepared form's step from no body rows on the
+    # form (the harvest's 349 top-fact steps project 12 of them), and
+    # projecting no lone clause in split.  The analysis takes the
+    # elimination half of a step alone (_shadow_step) and decides emptiness
+    # on the cone, one cone per distinct row set.  Joins that find every operand
+    # generator inside the old value skip their double description.  Facts
+    # move onto a form through its maps, so no _embed runs outside
+    # unfolding, and a step whose facts bring no equality keys only their
+    # rows into a copy of the form's table.  A projection is counted when
+    # _derive makes one, and a memo hit when a step from no body rows makes
+    # none.
     counts = Counter()
     folds = []  # every fold made, to tell a step from a fold from a clause's own
     harvesting = [0]
     deriving = [False]
-    derive, fold, head_facts = lincon._derive, lincon._fold, thresholds._head_facts
-    project_rows = lincon._project_rows
+    derive, fold, step = lincon._derive, lincon._fold, lincon._shadow_step
+    head_facts = thresholds._head_facts
 
-    def counting_derive(form, bodies):
-        bodies = [list(b) for b in bodies]
+    def counting_derive(form, facts):
         made = counts["_derive projections"]
         deriving[0] = True
         try:
-            got = derive(form, bodies)
+            got = derive(form, facts)
         finally:
             deriving[0] = False
         projected = counts["_derive projections"] > made
-        if not any(bodies) and form.solved is not None:
+        if not any(facts) and form.solved is not None:
             counts["_derive memo hits"] += not projected
             if harvesting[0] and all(form is not f for f in folds):
                 counts["harvest top-fact steps"] += 1
                 counts["harvest top-fact projections"] += projected
         return got
 
-    def counting_project_rows(*args):
-        counts["_derive projections"] += deriving[0]
-        return project_rows(*args)
+    def counting_step(form, facts):
+        counts["_derive projections" if deriving[0] else "contribution steps"] += 1
+        return step(form, facts)
 
     def counting_fold(form, fact):
         folded = fold(form, fact)
@@ -186,22 +223,36 @@ def test_loops_poly_verify_path_counts(monkeypatch):
             harvesting[0] -= 1
 
     monkeypatch.setattr(lincon, "_derive", counting_derive)
-    monkeypatch.setattr(lincon, "_project_rows", counting_project_rows)
+    monkeypatch.setattr(lincon, "_shadow_step", counting_step)
     monkeypatch.setattr(lincon, "_fold", counting_fold)
     monkeypatch.setattr(thresholds, "_head_facts", harvesting_head_facts)
-    for name in ("_dual", "_canonical"):
-        monkeypatch.setattr(polydom, name, _counted(counts, name, getattr(polydom, name)))
+    for owner, name in (
+        (polydom, "_dual"),
+        (polydom, "_canonical"),
+        (lincon, "_embed"),
+        (lincon, "_reduce"),
+        (lincon, "_key"),
+        (lincon, "_table"),
+        (lincon, "_normal_form"),
+    ):
+        monkeypatch.setattr(owner, name, _counted(counts, name, getattr(owner, name)))
     for case, _ in gen.instance("loops-poly", 0):
         format_model(run_pipeline(parse_program(case.text())).model)
     assert counts == {
-        "_derive projections": 1821,
-        "_derive memo hits": 361,
+        "_derive projections": 1039,
+        "_derive memo hits": 337,
+        "contribution steps": 806,
         "_fold": 519,
         "dead folds": 265,
         "harvest top-fact steps": 349,
-        "harvest top-fact projections": 0,
-        "_dual": 727,
+        "harvest top-fact projections": 12,
+        "_dual": 688,
         "_canonical": 285,
+        "_embed": 20,
+        "_reduce": 8332,
+        "_key": 8643,
+        "_table": 1557,
+        "_normal_form": 702,
     }
 
 
@@ -265,6 +316,23 @@ def test_bounded_eval_fact_budget():
     p = parse_program("p(A) :- A = 1.\np(A) :- A = 2.\np(A) :- A = 3.\n")
     with pytest.raises(BudgetExceeded):
         bounded_concrete_eval(p, depth=3, max_facts=2)
+
+
+def test_bounded_eval_is_exact_under_any_row_cap(monkeypatch):
+    # The oracle's step projects exactly, so the row cap of the kernel's
+    # consequence step cannot widen its facts: p holds of A >= 2 and of
+    # A =< 0, so the goal A = 1 is never derived, and the iteration
+    # saturates.  A step capped at one row would derive p(A) for every A.
+    p = parse_program(
+        "p(A) :- B >= 1, C >= 1, A >= B + C.\n"
+        "p(A) :- A =< 0.\n"
+        "false :- p(A), A = 1.\n"
+    )
+    want = bounded_concrete_eval(p)
+    assert (want.derived, want.saturated) == (False, True)
+    monkeypatch.setattr(lincon, "PROJECT_CAP", 1)
+    assert thresholds.tp_step(p, {"p": (Constraint.true(),)})["p"][0] == Constraint.true()
+    assert bounded_concrete_eval(p) == want
 
 
 # -- the atom-path reference and the model checker --------------------------------

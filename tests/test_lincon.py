@@ -565,9 +565,11 @@ def test_key_refutes_an_opposed_pair_that_leaves_no_room():
 
 
 def test_projection_closes_with_elimination_only_past_one_inequality(monkeypatch):
-    # The elimination over the inequalities left runs only when two or more
-    # are left: one is non-ground, so satisfiable.  Keeping A of A >= 0 makes
-    # one elimination; of 0 =< A =< 5, two.
+    # The closing elimination over the inequalities left (the one
+    # _fm_eliminate call of _close; the projection's own elimination keys
+    # its rows with _table and runs _eliminate) runs only when two or more
+    # are left: one is non-ground, so satisfiable.  Keeping A of A >= 0
+    # makes no closing elimination; of 0 =< A =< 5, one.
     calls = []
     fm_eliminate = lincon._fm_eliminate
 
@@ -579,7 +581,7 @@ def test_projection_closes_with_elimination_only_past_one_inequality(monkeypatch
     for ineqs, want in (([((1, 0), False)], 1), ([((1, 0), False), ((-1, 5), False)], 2)):
         calls.clear()
         rows, _ = lincon._project_rows([], ineqs, 1, [0], None)
-        assert (len(rows), len(calls)) == (want, want), ineqs
+        assert (len(rows), len(calls)) == (want, want - 1), ineqs
 
 
 def test_elimination_refutes_exactly_the_infeasible_systems():

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import islice, product
 
+import gen
 import pytest
 from bounded import bottom_interpretation
 from oracles import (
@@ -11,6 +12,7 @@ from oracles import (
     reference_clause_rows,
     reference_compute_thresholds,
     reference_derive,
+    reference_prepared,
     reference_tp_step,
     subsumed_by,
 )
@@ -456,9 +458,12 @@ def _derivations_match_reference(program):
     """Check every clause's prepared rows, and every body-fact combination of
     ``compute_thresholds``' three steps, against ``reference_derive``.
 
-    Each clause's layout must be the reference's, and each derivation from
-    ``Clause.rows`` must equal the reference's derivation from the clause
-    constraint's rows.  Returns the number of derivations compared.
+    A form that compaction left at full width must have the reference's
+    layout, and each derivation from ``Clause.rows``, given the facts over
+    their predicates' columns, must equal the reference's derivation from
+    the clause constraint's rows and the facts moved by ``_embed``, and
+    the derivation from the uncut form (``reference_prepared``).  Returns
+    the number of derivations compared.
     """
     compared = 0
     interp = top_interpretation(program)
@@ -470,15 +475,18 @@ def _derivations_match_reference(program):
         }
         for clause in program.clauses:
             n, constr, targets, source = reference_clause_rows(clause)
-            form = clause.rows
-            assert (form.n, form.targets, list(form.source)) == (n, targets, source), clause
-            facts = [
-                [lincon._embed(f, t, n) for f in known[atom.pred]]
-                for atom, t in zip(clause.body, targets)
-            ]
+            form, full = clause.rows, reference_prepared(clause)
+            assert form.n <= n and len(form.source) == len(source), clause
+            if form.n == n:
+                assert (form.targets, list(form.source)) == (targets, source), clause
+            facts = [known[atom.pred] for atom in clause.body]
             for combo in islice(product(*facts), thresholds._COMBO_BUDGET):
-                want = reference_derive(n, constr, source, combo, lincon.PROJECT_CAP)
-                assert lincon._derive(form, combo) == want, (clause, combo)
+                moved = [lincon._embed(f, t, n) for f, t in zip(combo, targets)]
+                want = reference_derive(n, constr, source, moved, lincon.PROJECT_CAP)
+                assert lincon._derive(form, combo) == lincon._derive(full, combo) == want, (
+                    clause,
+                    combo,
+                )
                 compared += 1
         interp = tp_step(program, interp, cap=thresholds._TP_CAP)
     return compared
@@ -506,8 +514,7 @@ def test_prepared_derivations_match_reference_on_hand_cases():
     assert all(counts.values()), counts
     contradictory = DERIVE_CASES["contradictory equalities"].clauses[1]
     assert contradictory.rows.solved is None
-    fact = lincon._embed([((1, 0), Rel.GE)], contradictory.rows.targets[0], 2)
-    assert lincon._derive(contradictory.rows, [fact]) is None
+    assert lincon._derive(contradictory.rows, [[((1, 0), Rel.GE)]]) is None
     # The case does what its name says: the body's pivot column D (3) is in
     # the constraint's pivot row and in its substituted inequality.
     form = DERIVE_CASES["body pivot in a constraint pivot row"].clauses[2].rows
@@ -530,8 +537,10 @@ def test_head_out_of_name_order_derives_the_same_set():
     assert list(form.source) == [2, 1, 0]
     got = lincon._derive(form, ())
     assert list(got) == lincon._normal_form(got)
-    # The projection onto the clause's columns in order, moved to the head's.
-    rows, _ = lincon._project_rows([], form.ineqs, form.n, [0, 1, 2], None, form.solved)
+    # The projection onto the clause's columns in order, moved to the head's
+    # (the constraint has no equality to resume from).
+    assert form.solved == []
+    rows, _ = lincon._project_rows([], form.ineqs, form.n, [0, 1, 2], None)
     moved = lincon._normal_form([((r[2], r[1], r[0], r[3]), rel) for r, rel in rows])
     # Over the head's columns (C, B, A): C =< 4, B = C + 2, A = C + 3,
     # against A =< 7, B = A - 1, C = A - 3.
@@ -574,26 +583,73 @@ def test_prepared_derivations_match_reference_on_random_programs():
     assert compared == 6955
 
 
+# -- compact forms and facts moved onto them ------------------------------------
+
+
+def test_moved_rows_equal_substituted_embeddings():
+    # A fact's row moved through its atom's map (lincon._moves) onto a
+    # full-width form equals the row embedded at the atom's columns with
+    # the form's pivots substituted out, also when the atom repeats an
+    # argument or a pivot sits on one of its columns.
+    rng = random.Random(20261020)
+    moved = repeated = pivoted = 0
+    for _ in range(150):
+        for clause in random_program(rng).clauses:
+            form = reference_prepared(clause)
+            if form.solved is None:
+                continue
+            pivots = {j for j, _ in form.solved}
+            for target, move in zip(form.targets, form.moves):
+                repeated += len(set(target)) < len(target)
+                pivoted += any(j in pivots for j in target)
+                for _ in range(4):
+                    r = tuple([rng.randint(-4, 4) for _ in range(len(target) + 1)])
+                    [(embedded, _)] = lincon._embed([(r, Rel.GE)], target, form.n)
+                    [(want, _)] = lincon._substitute(form.solved, [(embedded, False)])
+                    assert lincon._move(move, r, form.n + 1) == want, (clause, target, r)
+                    moved += 1
+    assert (moved, repeated, pivoted) == (2904, 191, 41)
+
+
+def test_compact_forms_derive_what_full_width_forms_derive():
+    # The seed-0 cfg-chain programs as the pipeline leaves them, whose qa
+    # clauses carry unfolding's long equality chains.  Compaction drops
+    # pivot rows and columns that no step reads and keeps the rest in
+    # order, so every step derives the full-width form's rows.
+    programs = [
+        run_pipeline(parse_program(case.text())).stages[-1][1]
+        for case, _ in gen.instance("cfg-chain", 0)
+    ]
+    clauses = [c for p in programs for c in p.clauses]
+    compacted = sum(c.rows.n < reference_clause_rows(c)[0] for c in clauses)
+    dropped = sum(reference_clause_rows(c)[0] - c.rows.n for c in clauses)
+    compared = sum(map(_derivations_match_reference, programs))
+    assert (compared, compacted, dropped) == (941, 86, 2522)
+
+
 # -- folding a first body fact into the prepared rows ---------------------------
 
 
-def _traced_derive(form, bodies):
-    """``lincon._derive``'s result, and the rows that each elimination in it
-    starts from, in the order they are keyed.  The step is taken on a copy
-    of ``form`` with an empty memo, so that it always eliminates."""
-    form = lincon._Prepared(form.n, form.source, form.targets, form.solved, form.ineqs)
+def _traced_derive(form, facts):
+    """``lincon._derive``'s result, and the keyed rows, histories included,
+    that each elimination in it starts from, in their table's order.  The
+    step is taken on a copy of ``form`` with an empty memo, so that it
+    always eliminates; the copy keeps the form's table, which a fold hands
+    on."""
+    copy = lincon._Prepared(form.n, form.source, form.targets, form.solved, form.ineqs)
+    copy.__dict__["table"] = form.table
     calls = []
-    eliminate = lincon._fm_eliminate
+    eliminate = lincon._eliminate
 
-    def recording(ineqs, *args):
-        calls.append((list(ineqs), *args))
-        return eliminate(ineqs, *args)
+    def recording(table, elim, max_rows):
+        calls.append((list(table.items()), list(elim), max_rows))
+        return eliminate(table, elim, max_rows)
 
-    lincon._fm_eliminate = recording
+    lincon._eliminate = recording
     try:
-        return lincon._derive(form, bodies), calls
+        return lincon._derive(copy, facts), calls
     finally:
-        lincon._fm_eliminate = eliminate
+        lincon._eliminate = eliminate
 
 
 def _folds_match_derivations(program):
@@ -602,9 +658,10 @@ def _folds_match_derivations(program):
 
     A fold stepped with the other facts must derive what the clause's rows
     derive from all of them, with every elimination on its way starting
-    from the same rows in the same order, and a fold that is None must
-    leave every combination it starts empty.  Returns the number of
-    combinations compared and of first facts whose fold is None.
+    from the same keyed rows, histories included, in the same order, and a
+    fold that is None must leave every combination it starts empty.
+    Returns the number of combinations compared and of first facts whose
+    fold is None.
     """
     compared = dead = 0
     interp = top_interpretation(program)
@@ -618,10 +675,7 @@ def _folds_match_derivations(program):
             if not clause.body:
                 continue
             form = clause.rows
-            facts = [
-                [lincon._embed(f, t, form.n) for f in known[atom.pred]]
-                for atom, t in zip(clause.body, form.targets)
-            ]
+            facts = [known[atom.pred] for atom in clause.body]
             folds = [lincon._fold(form, f) for f in facts[0]]
             dead += folds.count(None)
             firsts = {id(f): k for k, f in enumerate(facts[0])}
@@ -651,3 +705,32 @@ def test_folded_first_fact_derives_what_the_clause_derives_under_one_row_cap(mon
     monkeypatch.setattr(lincon, "PROJECT_CAP", 1)
     counts = [_folds_match_derivations(p) for p in _fold_programs()]
     assert tuple(map(sum, zip(*counts))) == (2552, 37)
+
+
+def test_a_step_from_a_fold_keys_only_its_fact_rows(monkeypatch):
+    # The fold hands on its keyed table, and a step whose facts bring no
+    # equality keys only their rows, into a copy of it, with the history
+    # bits after the fold's three rows (A >= 0, -A + 9 >= 0 and q's
+    # -A + 5 >= 0).  Keeping A, the step eliminates nothing, so keying is
+    # all its _key calls, and no table is built.
+    form = parse_program("p(A) :- q(A), r(A), A >= 0, A =< 9.\n").clauses[0].rows
+    q_fact, r_fact = [((-1, 5), Rel.GE)], [((1, -1), Rel.GE), ((-1, 3), Rel.GE)]
+    folded = lincon._fold(form, q_fact)
+    assert len(folded.ineqs) == 3
+    keyed = []
+    key = lincon._key
+
+    def recording(table, r, s, h):
+        keyed.append((tuple(r), s, h))
+        return key(table, r, s, h)
+
+    def no_table(ineqs):
+        raise AssertionError("a step from a fold keyed the fold's rows again")
+
+    monkeypatch.setattr(lincon, "_key", recording)
+    monkeypatch.setattr(lincon, "_table", no_table)
+    rows = lincon._shadow_step(folded, [r_fact])
+    assert keyed == [((1, -1), False, 1 << 3), ((-1, 3), False, 1 << 4)]
+    monkeypatch.undo()
+    assert rows == [((1, -1), Rel.GE), ((-1, 3), Rel.GE)]
+    assert lincon._derive(folded, [r_fact]) == lincon._derive(form, [q_fact, r_fact])

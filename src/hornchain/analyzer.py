@@ -101,19 +101,23 @@ def contribution(
 
     ``form`` is the clause's prepared rows (``Clause.rows``), or a fold of
     them (see ``lincon._fold``), and ``body`` the values of the atoms it
-    still takes, whose rows go in as they are.  The step takes only the
-    elimination half of a projection (``lincon._shadow_step``), and the
-    head's rows go straight to their homogenized cone (see
-    ``polydom._cone``), which decides emptiness with no second
-    elimination: see :func:`_decided_cone`.  The cone is all that joining needs (see
-    ``Polyhedron.join``), so the contribution's own canonical rows are
-    never built.  ``cones`` keeps the cone of each row set met in the run,
-    so each distinct set takes one double description.  A cone depends
-    only on its polyhedron, so cones compare exactly with ``==``.
+    still takes, whose rows go in as they are.  A step whose body values
+    bring rows takes only the elimination half of a projection
+    (``lincon._shadow_step``); one whose values bring none reads the step
+    the form keeps (``lincon._Prepared.top``), which split or the harvest
+    may have taken already.  The head's rows go straight to their
+    homogenized cone (see ``polydom._cone``), which decides emptiness with
+    no second elimination: see :func:`_decided_cone`.  The cone is all
+    that joining needs (see ``Polyhedron.join``), so the contribution's own
+    canonical rows are never built.  ``cones`` keeps the cone of each row
+    set met in the run, so each distinct set takes one double description.
+    A cone depends only on its polyhedron, so cones compare exactly with
+    ``==``.
     """
     if any(poly.is_empty for poly in body):
         return None
-    rows = lincon._shadow_step(form, [poly.rows for poly in body])
+    facts = [poly.rows for poly in body]
+    rows = lincon._shadow_step(form, facts) if any(facts) else form.top
     if rows is None:
         return None
     key = len(head_dims), frozenset(rows)

@@ -7,10 +7,11 @@ linear constraints over rationals.  The distinguished 0-ary predicate
 the integrity constraints whose bodies describe unsafe states.
 
 All values here are immutable, but for caches outside their fields
-(``Clause.rows``, and what a prepared form keeps beside its fields), and
-safe to share across threads.  Each value class derives from ``_Value``, which gives it what a
-frozen dataclass would: a subclass names its fields once, in ``_fields``,
-and sets them in its own ``__init__`` with ``object.__setattr__``.  Two
+(``Clause.rows``, and a prepared form's ``table``, ``moves`` and ``top``;
+see ``lincon._Prepared``), and safe to share across threads.  Each value
+class derives from ``_Value``, which gives it what a frozen dataclass
+would: a subclass names its fields once, in ``_fields``, and sets them in
+its own ``__init__`` with ``object.__setattr__``.  Two
 values are equal when they are of the same class and their field tuples
 are equal, and a value hashes as its field tuple, so set and dict orders
 are a frozen dataclass's.  ``repr`` shows the fields by name, and

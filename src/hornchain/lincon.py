@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .chc import FALSUM, Atom, AtomicConstraint, Clause, LinExpr, Rel, _Value, canonical_arg_names
@@ -35,7 +35,9 @@ _Ineq = tuple[_Vec, bool]  # row >= 0, or row > 0 when the flag is set
 # applies it itself) and of unfolding's projections, and the row count at
 # which elimination hands a system to the simplex.  Hitting it loses
 # constraints, which only coarsens over-approximations; verdict soundness is
-# kept, and unfolding keeps the unprojected rows instead.
+# kept, and unfolding keeps the unprojected rows instead.  A prepared form
+# keeps its step from no body rows (``_Prepared.top``) under the cap it was
+# first taken with, so a test which lowers the cap must step fresh forms.
 PROJECT_CAP = 400
 
 
@@ -83,33 +85,17 @@ def _rows(
     return names, rows
 
 
-def _layout(arity: int) -> tuple[list[str], list[int]]:
+@cache
+def _layout(arity: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
     """A predicate's canonical argument names in name order, and the
-    argument position of each.
+    argument position of each; computed once per arity.
 
     Past arity 26 name order is not position order: ``V26`` sorts between
     ``U`` and ``W``.
     """
     names = canonical_arg_names(arity)
-    positions = sorted(range(arity), key=names.__getitem__)
-    return [names[i] for i in positions], positions
-
-
-def _embed(
-    rows: Iterable[tuple[_Vec, Rel]], target: Sequence[int], n: int
-) -> list[tuple[_Vec, Rel]]:
-    """Rows moved to columns ``target`` of ``n``, the constant kept last.
-
-    Columns with the same target (a repeated argument) add up, so each row
-    is made coprime again.
-    """
-    out = []
-    for r, rel in rows:
-        v = [0] * n + [r[-1]]
-        for j, c in zip(target, r):
-            v[j] += c
-        out.append((_coprime(v), rel))
-    return out
+    positions = tuple(sorted(range(arity), key=names.__getitem__))
+    return tuple([names[i] for i in positions]), positions
 
 
 class _Prepared(_Value):
@@ -120,9 +106,9 @@ class _Prepared(_Value):
     of the predicate's canonical columns in name order, see
     :func:`_layout`), the Gauss-Jordan state ``solved`` (None when the
     equalities contradict) and the inequalities ``ineqs``, with every pivot
-    substituted out.  A form keeps a ``__dict__`` for what follows from
-    them: ``top``, the step from no body rows (:func:`_derive`), and two
-    attributes computed at most once, :attr:`table` and :attr:`moves`.
+    substituted out.  A form keeps a ``__dict__`` for three attributes
+    that follow from them, each computed at most once: :attr:`table`,
+    :attr:`moves` and :attr:`top`.
     """
 
     _fields = ("n", "source", "targets", "solved", "ineqs")
@@ -130,7 +116,15 @@ class _Prepared(_Value):
     def __init__(self, *fields) -> None:
         for name, value in zip(self._fields, fields, strict=True):
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "top", (None, None))
+
+    @cached_property
+    def top(self) -> tuple[tuple[_Vec, Rel], ...] | None:
+        """The step from no body rows (a clause with no body, or top facts
+        alone; see :func:`_derive`).  It depends on the form alone, so it is
+        taken once per form, for split, the harvest and the analysis."""
+        rows = _shadow_step(self, ())
+        rows = None if rows is None else _close(rows, len(self.source))
+        return None if rows is None else tuple(rows)
 
     @cached_property
     def table(self) -> dict[_Vec, _Kept] | None:
@@ -197,21 +191,22 @@ def _clause_rows(clause: Clause) -> _Prepared:
     return _Prepared(n, source, targets, solved, ineqs)
 
 
-def _moves(target: Sequence[int], solved: list[tuple[int, _Vec]], n: int) -> list:
-    """The map that moves a fact's rows onto a form's columns.
+def _moves(target: Sequence[int], solved: Sequence[tuple[int, _Vec]], n: int) -> list:
+    """The map that moves rows onto a form's columns.
 
-    ``target`` gives the form's column of each of the predicate's canonical
-    columns in name order.  Per predicate column, and for the constant,
-    the map lists ``(column, coefficient)`` terms: the constant and a
-    column that is no pivot of ``solved`` go to their target (the
-    constant's is column ``n``) scaled by ``s``, the lcm of the pivot
-    coefficients of the target columns, and a pivot column ``j`` to
-    ``s`` times its unit vector minus ``s / p[j]`` times its pivot row
-    ``p``, which is zero at every pivot.  A row moved through the map and
-    made coprime (:func:`_move`) is ``_substitute(solved, _embed([row],
-    target, n))``: both are the unique coprime positive multiple of the
-    row, plus pivot rows, that is zero at every pivot column (see
-    :func:`_derive`).
+    ``target`` gives the form's column of each of the row's columns (for a
+    fact, its predicate's canonical columns in name order).  Per row
+    column, and for the constant, the map lists ``(column, coefficient)``
+    terms: the constant and a column that is no pivot of ``solved`` go to
+    their target (the constant's is column ``n``) scaled by ``s``, the lcm
+    of the pivot coefficients of the target columns, and a pivot column
+    ``j`` to ``s`` times its unit vector minus ``s / p[j]`` times its pivot
+    row ``p``, which is zero at every pivot.  A row moved through the map
+    and made coprime (:func:`_move`) is the row's embedding (each
+    coefficient added into its target column) with the pivots substituted
+    out: both are the unique coprime positive multiple of the embedding,
+    plus pivot rows, that is zero at every pivot column (see
+    :func:`_derive`).  With no pivots the map is the embedding itself.
     """
     pivots = dict(solved)
     s = math.lcm(*[pivots[j][j] for j in target if j in pivots])
@@ -863,9 +858,7 @@ def _derive(
     emptiness, strict rows and ``PROJECT_CAP`` included: None when the
     rows are unsatisfiable, else the head's rows over its canonical columns
     in name order, in :func:`_normal_form`.  A step whose facts bring no
-    row depends on the form and the cap alone, so ``form.top`` keeps it
-    with its cap, ``(None, None)`` at first; a step under a new cap
-    retakes it.
+    row is the form's :attr:`_Prepared.top`, taken once.
 
     Its first Gauss-Jordan pass resumes from the prepared state and takes
     only the facts' equalities, and only the facts' inequalities and the
@@ -881,15 +874,11 @@ def _derive(
     substituting in two stages reaches that same row, and so does moving
     a fact's row through its map, which is the first stage.
     """
-    cap, step = PROJECT_CAP, form.top
-    if any(facts) or step[0] != cap:
-        rows = _shadow_step(form, facts)
-        if rows is not None:
-            rows = _close(rows, len(form.source))
-        step = cap, None if rows is None else tuple(rows)
-        if not any(facts):
-            object.__setattr__(form, "top", step)
-    return step[1]
+    if not any(facts):
+        return form.top
+    rows = _shadow_step(form, facts)
+    rows = None if rows is None else _close(rows, len(form.source))
+    return None if rows is None else tuple(rows)
 
 
 def _fold(form: _Prepared, fact: Sequence[tuple[_Vec, Rel]]) -> _Prepared | None:

@@ -118,15 +118,17 @@ def _joint(
     summary: Summary, d_summary: Summary, mapping: dict[str, str], keep: set[str]
 ) -> Summary:
     """The projection onto ``keep`` of ``summary`` and ``d_summary`` renamed
-    by ``mapping``, both embedded in the sorted union of their names; the
-    columns of names that ``mapping`` merges add up."""
-    s_names, s_rows = summary
+    by ``mapping``, both moved onto the sorted union of their names by
+    ``lincon._moves`` with no pivots; the columns of names that ``mapping``
+    merges add up."""
     d_names = [mapping.get(v, v) for v in d_summary[0]]
-    names = sorted({*s_names, *d_names})
+    names = sorted({*summary[0], *d_names})
     col = {v: j for j, v in enumerate(names)}
     n = len(names)
-    rows = lincon._embed(s_rows, [col[v] for v in s_names], n)
-    rows += lincon._embed(d_summary[1], [col[v] for v in d_names], n)
+    rows = []
+    for s_names, s_rows in (summary, (d_names, d_summary[1])):
+        move = lincon._moves([col[v] for v in s_names], (), n)
+        rows += [(lincon._move(move, r, n + 1), rel) for r, rel in s_rows]
     return _project(names, rows, keep)
 
 
@@ -524,13 +526,15 @@ def split_predicates(program: Program, goal_pred: str = FALSE_PRED) -> Program:
     The goal predicate and ``false`` keep their name and single variant.
 
     Overlaps are decided on each clause's prepared rows (``Clause.rows``):
-    its projection onto the head's canonical columns is one capped
-    ``lincon._derive`` step, None when the constraint is unsatisfiable, and
-    two projections overlap when ``lincon._project_rows`` of both onto no
-    columns finds them jointly satisfiable; a predicate with one clause
-    projects nothing.  A capped step only widens a projection, so it can
-    only merge blocks, and any blocks keep every derivation.  A variant
-    differs from its source in predicate names only and shares its rows.
+    its projection onto the head's canonical columns is the capped step
+    from no body rows that the rows keep (``lincon._Prepared.top``, shared
+    with the harvest and the analysis), None when the constraint is
+    unsatisfiable, and two projections overlap when
+    ``lincon._project_rows`` of both onto no columns finds them jointly
+    satisfiable; a predicate with one clause projects nothing.  A capped
+    step only widens a projection, so it can only merge blocks, and any
+    blocks keep every derivation.  A variant differs from its source in
+    predicate names only and shares its rows.
     """
     variants: dict[str, list[str]] = {}
     block_of: dict[int, str] = {}  # clause index -> variant name
@@ -543,7 +547,7 @@ def split_predicates(program: Program, goal_pred: str = FALSE_PRED) -> Program:
             continue
         projs: dict[int, tuple | None] = {}
         if len(idxs) > 1:  # only pairs of clauses read projections
-            projs = {i: lincon._derive(program.clauses[i].rows, ()) for i in idxs}
+            projs = {i: program.clauses[i].rows.top for i in idxs}
         parent = {i: i for i in idxs}
 
         def find(x: int) -> int:

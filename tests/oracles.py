@@ -30,7 +30,9 @@ for the one that back-substitutes once per pass.  The third keeps the
 consequence step that eliminates a clause's own equalities again in every
 derivation, one ``lincon._project_rows`` of all its rows onto the head's
 columns, whose rows come back over those columns in normal form, as the
-reference for the one that resumes from the clause's prepared rows.  The fourth keeps
+reference for the one that resumes from the clause's prepared rows, and
+the embedding of rows at their target columns as the reference for the
+maps that move rows onto a form or a joint summary.  The fourth keeps
 the Fourier-Motzkin elimination with ``frozenset`` histories and a prune
 pass over each step's rows, as the reference for the one that prunes each
 combination as it makes it, and a pairwise test on ``Fraction`` ratios as
@@ -1393,10 +1395,26 @@ def reference_gauss_jordan(eqs, keep=(), solved=()):
 # The consequence step that eliminates every equality per derivation
 # ---------------------------------------------------------------------------
 
+def reference_embed(rows, target, n: int):
+    """The embedding of rows before forms kept their maps: each row moved
+    to columns ``target`` of ``n``, the constant kept last.
+
+    Columns with the same target (a repeated argument) add up, so each row
+    is made coprime again.
+    """
+    out = []
+    for r, rel in rows:
+        v = [0] * n + [r[-1]]
+        for j, c in zip(target, r):
+            v[j] += c
+        out.append((lincon._coprime(v), rel))
+    return out
+
+
 def reference_clause_rows(clause: Clause):
     """``lincon._clause_rows`` before clauses were prepared: the number of
     columns, the clause constraint's rows, and the body atoms' and the
-    head's ``lincon._embed`` targets."""
+    head's ``reference_embed`` targets."""
     names = sorted(clause.vars())
     col = {v: j for j, v in enumerate(names)}
 

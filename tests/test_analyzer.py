@@ -113,10 +113,12 @@ def test_unchanged_clause_contribution_is_reused(monkeypatch):
     ],
 )
 def test_contribution_decides_emptiness_on_its_cone(text, empty, closure):
-    # A contribution takes the elimination half of the step alone and
-    # decides emptiness on the cone it builds anyway: it is empty when no
-    # generator has t > 0, or when a strict row is zero on every ray.
-    # Otherwise its cone is the one the step's canonical rows give.
+    # A contribution whose body brings rows takes the elimination half of
+    # the step alone and decides emptiness on the cone it builds anyway
+    # (analyzer._decided_cone): it is empty when no generator has t > 0, or
+    # when a strict row is zero on every ray.  Otherwise its cone is the
+    # one the step's canonical rows give.  A clause with no body reads the
+    # form's top step, canonical already, and gets the same cone.
     clause = parse_program(text).clauses[0]
     dims = canonical_arg_names(clause.head.arity)
     rows = lincon._shadow_step(clause.rows, ())
@@ -124,11 +126,12 @@ def test_contribution_decides_emptiness_on_its_cone(text, empty, closure):
     # Whether the closure, every row relaxed, is non-empty.
     assert any(v[-1] for v in polydom._cone(rows, len(dims))[1]) == closure
     canonical = lincon._derive(clause.rows, ())
+    decided = analyzer._decided_cone(rows, len(dims))
     got = analyzer.contribution(clause.rows, dims, (), {})
     if empty:
-        assert canonical is None and got is None
+        assert canonical is None and decided is None and got is None
     else:
-        assert got == polydom._cone(canonical, len(dims))
+        assert decided == got == polydom._cone(canonical, len(dims))
         assert any(rel is Rel.GT for _, rel in rows)
 
 
@@ -168,26 +171,30 @@ def _counted(counts, name, fn):
 
 def test_loops_poly_verify_path_counts(monkeypatch):
     # The seed-0 loops-poly programs, verified as bench/run.py verifies
-    # them.  Split and the harvest take consequence steps through _derive,
-    # and three shortcuts leave few of them to project: folding a settled
-    # first body fact into a clause's rows once (265 of the 519 folds are
-    # empty), keeping each prepared form's step from no body rows on the
-    # form (the harvest's 349 top-fact steps project 12 of them), and
+    # them.  The harvest takes consequence steps through _derive, and three
+    # shortcuts leave few steps to project: folding a settled first body
+    # fact into a clause's rows once (265 of the 519 folds are empty),
+    # taking each prepared form's step from no body rows once, on the form
+    # (lincon._Prepared.top), which split, the harvest and the analysis all
+    # read (the harvest's 349 top-fact steps project none of them), and
     # projecting no lone clause in split.  The analysis takes the
-    # elimination half of a step alone (_shadow_step) and decides emptiness
-    # on the cone, one cone per distinct row set.  Joins that find every operand
-    # generator inside the old value skip their double description.  Facts
-    # move onto a form through its maps, so no _embed runs outside
-    # unfolding, and a step whose facts bring no equality keys only their
-    # rows into a copy of the form's table.  A projection is counted when
-    # _derive makes one, and a memo hit when a step from no body rows makes
-    # none.
+    # elimination half of a step with body rows alone (_shadow_step) and
+    # decides emptiness on the cone, one cone per distinct row set.  Joins
+    # that find every operand generator inside the old value skip their
+    # double description.  Facts move onto a form through its maps, and a
+    # step whose facts bring no equality keys only their rows into a copy
+    # of the form's table.  A projection (both halves of a step) is counted
+    # when _derive makes one or a form takes its top step, and a memo hit
+    # when a step from no body rows through _derive makes none.  No form
+    # takes its top step twice.
     counts = Counter()
     folds = []  # every fold made, to tell a step from a fold from a clause's own
+    tops = []  # every form that took its top step
     harvesting = [0]
     deriving = [False]
     derive, fold, step = lincon._derive, lincon._fold, lincon._shadow_step
     head_facts = thresholds._head_facts
+    top = lincon._Prepared.top
 
     def counting_derive(form, facts):
         made = counts["_derive projections"]
@@ -205,8 +212,15 @@ def test_loops_poly_verify_path_counts(monkeypatch):
         return got
 
     def counting_step(form, facts):
-        counts["_derive projections" if deriving[0] else "contribution steps"] += 1
+        if not any(facts):
+            tops.append(form)
+        closed = deriving[0] or not any(facts)
+        counts["_derive projections" if closed else "contribution steps"] += 1
         return step(form, facts)
+
+    def reading_top(form):
+        counts["kept top reads"] += "top" in vars(form)
+        return top.__get__(form)
 
     def counting_fold(form, fact):
         folded = fold(form, fact)
@@ -225,11 +239,11 @@ def test_loops_poly_verify_path_counts(monkeypatch):
     monkeypatch.setattr(lincon, "_derive", counting_derive)
     monkeypatch.setattr(lincon, "_shadow_step", counting_step)
     monkeypatch.setattr(lincon, "_fold", counting_fold)
+    monkeypatch.setattr(lincon._Prepared, "top", property(reading_top))
     monkeypatch.setattr(thresholds, "_head_facts", harvesting_head_facts)
     for owner, name in (
         (polydom, "_dual"),
         (polydom, "_canonical"),
-        (lincon, "_embed"),
         (lincon, "_reduce"),
         (lincon, "_key"),
         (lincon, "_table"),
@@ -238,17 +252,18 @@ def test_loops_poly_verify_path_counts(monkeypatch):
         monkeypatch.setattr(owner, name, _counted(counts, name, getattr(owner, name)))
     for case, _ in gen.instance("loops-poly", 0):
         format_model(run_pipeline(parse_program(case.text())).model)
+    assert len({id(form) for form in tops}) == len(tops) == 98
     assert counts == {
         "_derive projections": 1039,
-        "_derive memo hits": 337,
-        "contribution steps": 806,
+        "_derive memo hits": 349,
+        "kept top reads": 361,
+        "contribution steps": 782,
         "_fold": 519,
         "dead folds": 265,
         "harvest top-fact steps": 349,
-        "harvest top-fact projections": 12,
+        "harvest top-fact projections": 0,
         "_dual": 688,
         "_canonical": 285,
-        "_embed": 20,
         "_reduce": 8332,
         "_key": 8643,
         "_table": 1557,

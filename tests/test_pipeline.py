@@ -122,32 +122,27 @@ def test_each_clause_is_prepared_once_per_run(monkeypatch):
 
 def test_each_prepared_form_projects_its_top_fact_step_once(monkeypatch):
     # A step from no body rows (a clause with no body, or top facts alone)
-    # depends on the prepared form alone, and the form keeps it (see
-    # lincon._derive): across split and the harvest's three steps, each
-    # distinct form projects it once, and every later step reads it.  On
-    # twophase split projects it for seven forms and the harvest for one
-    # more; the harvest's 30 such steps read a kept step 29 times.  The
-    # analysis takes the elimination half of its steps alone
-    # (lincon._shadow_step) and keeps no step on the form.
+    # depends on the prepared form alone, and the form takes it once
+    # (lincon._Prepared.top): split, the harvest and the analysis all read
+    # it, so each distinct form eliminates it once in a run, and every later
+    # step from no body rows, in any of the three, reads the kept step.  On
+    # twophase split takes it for seven forms, and the analysis for one
+    # more, the fact false_query___1, whose predicate has one clause and so
+    # gets no projection in split; the harvest's 30 such steps and the
+    # analysis's second one read kept steps.
     stage = ["other"]
-    projected = []  # (stage, form) for each projected step from no body rows
+    projected = []  # (stage, form) for each elimination from no body rows
     steps = Counter()
-    current = [None]
-    derive, step = lincon._derive, lincon._shadow_step
-
-    def recording_derive(form, facts):
-        if not any(facts) and form.solved is not None:
-            steps[stage[-1]] += 1
-            current[0] = form
-        try:
-            return derive(form, facts)
-        finally:
-            current[0] = None
+    step, top = lincon._shadow_step, lincon._Prepared.top
 
     def recording_step(form, facts):
-        if current[0] is not None:
-            projected.append((stage[-1], current[0]))
+        if not any(facts):
+            projected.append((stage[-1], form))
         return step(form, facts)
+
+    def reading_top(form):
+        steps[stage[-1]] += 1
+        return top.__get__(form)
 
     def staged(name, owner, fn):
         def run(*args):
@@ -159,8 +154,8 @@ def test_each_prepared_form_projects_its_top_fact_step_once(monkeypatch):
 
         monkeypatch.setattr(owner, fn.__name__, run)
 
-    monkeypatch.setattr(lincon, "_derive", recording_derive)
     monkeypatch.setattr(lincon, "_shadow_step", recording_step)
+    monkeypatch.setattr(lincon._Prepared, "top", property(reading_top))
     staged("split", pipeline, pipeline.split_predicates)
     staged("analyze", pipeline, pipeline.analyze)
     staged("harvest", thresholds, thresholds._head_facts)
@@ -169,8 +164,8 @@ def test_each_prepared_form_projects_its_top_fact_step_once(monkeypatch):
     assert len(res.thresholds) == 30  # harvests every predicate
     forms = [form for _, form in projected]
     assert len({id(form) for form in forms}) == len(forms)
-    assert Counter(name for name, _ in projected) == {"split": 7, "harvest": 1}
-    assert steps == {"split": 7, "harvest": 30}
+    assert Counter(name for name, _ in projected) == {"split": 7, "analyze": 1}
+    assert steps == {"split": 7, "harvest": 30, "analyze": 2}
 
 
 def test_no_harvest_without_widening(monkeypatch):

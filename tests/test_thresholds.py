@@ -12,6 +12,7 @@ from oracles import (
     reference_clause_rows,
     reference_compute_thresholds,
     reference_derive,
+    reference_embed,
     reference_prepared,
     reference_tp_step,
     subsumed_by,
@@ -19,7 +20,16 @@ from oracles import (
 from randprog import random_program
 
 from hornchain import lincon, thresholds
-from hornchain.chc import Atom, AtomicConstraint, Clause, Constraint, LinExpr, Rel
+from hornchain.chc import (
+    Atom,
+    AtomicConstraint,
+    Clause,
+    Constraint,
+    LinExpr,
+    Program,
+    Rel,
+    canonical_arg_names,
+)
 from hornchain.parser import parse_program
 from hornchain.pipeline import run_pipeline
 from hornchain.thresholds import (
@@ -461,9 +471,9 @@ def _derivations_match_reference(program):
     A form that compaction left at full width must have the reference's
     layout, and each derivation from ``Clause.rows``, given the facts over
     their predicates' columns, must equal the reference's derivation from
-    the clause constraint's rows and the facts moved by ``_embed``, and
-    the derivation from the uncut form (``reference_prepared``).  Returns
-    the number of derivations compared.
+    the clause constraint's rows and the facts moved by
+    ``reference_embed``, and the derivation from the uncut form
+    (``reference_prepared``).  Returns the number of derivations compared.
     """
     compared = 0
     interp = top_interpretation(program)
@@ -481,7 +491,7 @@ def _derivations_match_reference(program):
                 assert (form.targets, list(form.source)) == (targets, source), clause
             facts = [known[atom.pred] for atom in clause.body]
             for combo in islice(product(*facts), thresholds._COMBO_BUDGET):
-                moved = [lincon._embed(f, t, n) for f, t in zip(combo, targets)]
+                moved = [reference_embed(f, t, n) for f, t in zip(combo, targets)]
                 want = reference_derive(n, constr, source, moved, lincon.PROJECT_CAP)
                 assert lincon._derive(form, combo) == lincon._derive(full, combo) == want, (
                     clause,
@@ -507,6 +517,12 @@ DERIVE_CASES = {
         "p(A,B) :- q(C,D), A = C + D, B >= C.\n"
     ),
 }
+
+
+def _fresh(program):
+    """``program`` with new clause objects: their prepared forms keep no top
+    step taken under another ``PROJECT_CAP``."""
+    return Program(tuple([Clause(c.head, c.constr, c.body) for c in program.clauses]))
 
 
 def test_prepared_derivations_match_reference_on_hand_cases():
@@ -549,31 +565,40 @@ def test_head_out_of_name_order_derives_the_same_set():
     assert all(lincon._entailed(got, moved, 3)) and all(lincon._entailed(moved, got, 3))
 
 
-def test_top_fact_step_is_kept_with_its_cap(monkeypatch):
-    # The step from top facts alone is kept on the prepared form with the
-    # cap it was taken under (see lincon._derive), so a step under another
-    # cap is taken again and equals a fresh form's: A >= 2 under the
-    # default cap, and nothing under a cap of one, which stops the
-    # elimination of B.  The kept step is not a field of the form.
+def test_top_fact_step_is_taken_once_per_form(monkeypatch):
+    # The step from top facts alone depends on the prepared form alone, so
+    # the form takes it once (lincon._Prepared.top): A >= 2, and every
+    # later step from no body rows reads it.  The kept step is not a field
+    # of the form, which still equals a fresh one.  It is kept under the
+    # cap it was first taken with, so a lowered cap needs fresh forms: one
+    # row stops the elimination of B and leaves nothing.
     def fresh():
         return parse_program("p(A) :- q(D), B >= 1, C >= 1, A >= B + C.\n").clauses[0].rows
 
+    taken = []
+    shadow_step = lincon._shadow_step
+
+    def recording(form, facts):
+        taken.append(form)
+        return shadow_step(form, facts)
+
+    monkeypatch.setattr(lincon, "_shadow_step", recording)
     form = fresh()
-    top = [lincon._embed((), t, form.n) for t in form.targets]
+    top = [() for _ in form.targets]
     full = lincon._derive(form, top)
-    assert full == (((1, -2), Rel.GE),) and form.top == (lincon.PROJECT_CAP, full)
-    assert form == fresh() and fresh().top == (None, None)
+    assert full == (((1, -2), Rel.GE),)
+    assert lincon._derive(form, top) is lincon._derive(form, ()) is form.top is full
+    assert taken == [form]
+    assert form == fresh() and "top" not in vars(fresh())
     monkeypatch.setattr(lincon, "PROJECT_CAP", 1)
-    assert lincon._derive(form, top) == lincon._derive(fresh(), top) == ()
-    assert form.top == (1, ())
-    monkeypatch.undo()
-    assert lincon._derive(form, top) == lincon._derive(fresh(), top) == full
+    assert lincon._derive(fresh(), top) == () and lincon._derive(form, top) is full
+    assert len(taken) == 2
 
 
 def test_prepared_derivations_match_reference_under_one_row_cap(monkeypatch):
     monkeypatch.setattr(lincon, "PROJECT_CAP", 1)
     rng = random.Random(20261105)
-    programs = [*DERIVE_CASES.values(), *(random_program(rng) for _ in range(20))]
+    programs = [*map(_fresh, DERIVE_CASES.values()), *(random_program(rng) for _ in range(20))]
     assert sum(map(_derivations_match_reference, programs)) == 394
 
 
@@ -584,6 +609,19 @@ def test_prepared_derivations_match_reference_on_random_programs():
 
 
 # -- compact forms and facts moved onto them ------------------------------------
+
+
+def test_layout_is_computed_once_per_arity():
+    # A predicate's layout: its canonical names in name order and the
+    # position of each.  Past Z, name order is not position order: V26
+    # sorts between U and W, after V.  Every caller only reads it, so one
+    # tuple per arity serves them all.
+    names, positions = lincon._layout(27)
+    assert names[20:24] == ("U", "V", "V26", "W") and positions[20:24] == (20, 21, 26, 22)
+    assert [names[k] for k in sorted(range(27), key=positions.__getitem__)] == list(
+        canonical_arg_names(27)
+    )
+    assert lincon._layout(27) is lincon._layout(27)
 
 
 def test_moved_rows_equal_substituted_embeddings():
@@ -604,7 +642,7 @@ def test_moved_rows_equal_substituted_embeddings():
                 pivoted += any(j in pivots for j in target)
                 for _ in range(4):
                     r = tuple([rng.randint(-4, 4) for _ in range(len(target) + 1)])
-                    [(embedded, _)] = lincon._embed([(r, Rel.GE)], target, form.n)
+                    [(embedded, _)] = reference_embed([(r, Rel.GE)], target, form.n)
                     [(want, _)] = lincon._substitute(form.solved, [(embedded, False)])
                     assert lincon._move(move, r, form.n + 1) == want, (clause, target, r)
                     moved += 1
@@ -633,7 +671,7 @@ def test_compact_forms_derive_what_full_width_forms_derive():
 def _traced_derive(form, facts):
     """``lincon._derive``'s result, and the keyed rows, histories included,
     that each elimination in it starts from, in their table's order.  The
-    step is taken on a copy of ``form`` with an empty memo, so that it
+    step is taken on a copy of ``form`` with no top step kept, so that it
     always eliminates; the copy keeps the form's table, which a fold hands
     on."""
     copy = lincon._Prepared(form.n, form.source, form.targets, form.solved, form.ineqs)
@@ -693,7 +731,7 @@ def _folds_match_derivations(program):
 
 def _fold_programs():
     rng = random.Random(20260815)
-    return [*DERIVE_CASES.values(), *(random_program(rng) for _ in range(60))]
+    return [*map(_fresh, DERIVE_CASES.values()), *(random_program(rng) for _ in range(60))]
 
 
 def test_folded_first_fact_derives_what_the_clause_derives():

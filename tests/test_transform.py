@@ -9,13 +9,20 @@ import pytest
 
 from bounded import BoundedResult, bounded_concrete_eval
 from helpers import clause_multiset, same_program
-from oracles import rational_is_satisfiable, reference_unfold_clause, reference_unfold_forward
+from oracles import (
+    rational_is_satisfiable,
+    rational_project,
+    reference_embed,
+    reference_unfold_clause,
+    reference_unfold_forward,
+)
 from randprog import random_program
 
 from hornchain import lincon, pipeline, transform
 from hornchain.analyzer import Verdict, analyze, check_safety, format_model
 from hornchain.chc import (
     FALSE_PRED,
+    FALSUM,
     Atom,
     AtomicConstraint,
     ChcError,
@@ -343,6 +350,53 @@ def test_cfg_chain_front_half_counts(monkeypatch):
         "unfold conjuncts": 1282,
         "split reductions": 2268,
     }
+
+
+def test_joint_projects_the_embedded_summaries():
+    # _joint moves both summaries onto the sorted union of their names
+    # through lincon._moves with no pivots, which is the embedding, so it is
+    # the exact projection of the reference-embedded rows.  A mapping that
+    # sends two definition columns to one name, as a call p(X,X) does,
+    # merges them, and their coefficients add up.
+    pool = ("A", "B", "C", "X", "Y")
+    rels = (Rel.EQ, Rel.GE, Rel.GE, Rel.GT)
+    rng = random.Random(20261020)
+    compared = merged = unsat = 0
+    for _ in range(400):
+        s_names = tuple(sorted(rng.sample(pool, rng.randint(1, 3))))
+        d_names = canonical_arg_names(rng.randint(1, 3))
+        mapping = {v: rng.choice(pool) for v in d_names}
+        summaries = [
+            (names, tuple(
+                (tuple([rng.randint(-3, 3) for _ in range(len(names) + 1)]), rng.choice(rels))
+                for _ in range(rng.randint(1, 3))
+            ))
+            for names in (s_names, d_names)
+        ]
+        keep = set(rng.sample(pool, rng.randint(0, 3)))
+        got = transform._joint(*summaries, mapping, keep)
+        names = sorted({*s_names, *mapping.values()})
+        col = {v: j for j, v in enumerate(names)}
+        rows = reference_embed(summaries[0][1], [col[v] for v in s_names], len(names))
+        rows += reference_embed(
+            summaries[1][1], [col[mapping[v]] for v in d_names], len(names)
+        )
+        want = rational_project([lincon._atom(names, r, rel) for r, rel in rows], keep)
+        if want == (FALSUM,):
+            assert got is transform._UNSAT
+            unsat += 1
+        else:
+            kept = tuple([v for v in names if v in keep])
+            assert got[0] == kept
+            assert tuple([lincon._atom(kept, r, rel) for r, rel in got[1]]) == want
+        compared += 1
+        merged += len(set(mapping.values())) < len(mapping)
+    assert (compared, merged, unsat) == (400, 96, 172)
+    # p(A,B) :- A >= B + 1, called as p(X,X): the merged row is 0 >= 1.
+    one = ((1, -1, -1), Rel.GE)
+    assert transform._joint((("X",), ()), (("A", "B"), (one,)), {"A": "X", "B": "X"}, {"X"}) is (
+        transform._UNSAT
+    )
 
 
 def test_summary_skips_the_projection_when_nothing_is_eliminated(monkeypatch):

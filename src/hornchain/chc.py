@@ -585,29 +585,14 @@ def backward_targets(program: Program) -> frozenset[str]:
 # Printing
 # ---------------------------------------------------------------------------
 
-def _format_coeff_term(c: Fraction, v: str) -> str:
-    if c == 1:
-        return v
-    if c == -1:
-        return f"-{v}"
-    return f"{c}*{v}"
-
-
 def _format_side(terms: list[tuple[Fraction, str]], const: Fraction) -> str:
-    if not terms and const == 0:
-        return "0"
-    parts: list[str] = []
-    for c, v in terms:
-        t = _format_coeff_term(c, v)
-        if parts and not t.startswith("-"):
-            parts.append("+")
-        parts.append(t)
+    """``terms``, each with a positive coefficient, and ``const`` summed."""
+    side = "+".join(v if c == 1 else f"{c}*{v}" for c, v in terms)
+    if const > 0 and side:
+        return f"{side}+{const}"
     if const != 0:
-        if parts:
-            parts.append(f"+{const}" if const > 0 else str(const))
-        else:
-            parts.append(str(const))
-    return "".join(parts)
+        return side + str(const)
+    return side or "0"
 
 
 _FLIP = {Rel.GE: "=<", Rel.GT: "<", Rel.EQ: "="}

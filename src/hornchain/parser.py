@@ -277,9 +277,7 @@ class _Parser:
         return self.parse_atomic()
 
     def parse_atom(self) -> RawAtom:
-        tok = self.next()
-        if tok[0] != "ident":
-            raise self.error(f"expected a predicate name, found {tok[1]!r}", tok)
+        tok = self.next()  # a predicate name: parse_item saw an identifier
         args: list[LinExpr] = []
         if self.peek()[1] == "(":
             self.next()

@@ -267,14 +267,11 @@ def compute_thresholds(program: Program) -> ThresholdSet:
     return ThresholdSet(_Harvest(program))
 
 
-def format_thresholds(
-    ts: ThresholdSet, arities: Mapping[str, int] | None = None
-) -> str:
+def format_thresholds(ts: ThresholdSet, arities: Mapping[str, int]) -> str:
     """One constrained-fact line per predicate, in name order."""
     lines = []
     for p in sorted(ts.entries):
-        arity = (arities or {}).get(p, 0)
-        atom = Atom(p, canonical_arg_names(arity))
+        atom = Atom(p, canonical_arg_names(arities[p]))
         body = ",".join(format_atomic_bracketed(a) for a in ts.entries[p])
         lines.append(f"{format_atom(atom)} :- [{body}]")
     return "".join(line + "\n" for line in lines)

@@ -2,7 +2,6 @@
 
 import hashlib
 import random
-from collections import Counter
 from pathlib import Path
 
 import gen
@@ -11,8 +10,9 @@ import pytest
 from bounded import BudgetExceeded, bounded_concrete_eval
 from oracles import reference_analyze
 from randprog import random_program
+import workcounts
 
-from hornchain import analyzer, lincon, polydom, thresholds
+from hornchain import analyzer, chc, lincon, pipeline, polydom, thresholds, transform
 from hornchain.analyzer import (
     AbstractModel,
     AnalysisStats,
@@ -161,101 +161,21 @@ def test_clause_contributions_are_joined_by_one_hull(monkeypatch):
     assert format_model(model) == "count(A) :- [1*A>=0]\nfalse :- []\n"
 
 
-def _counted(counts, name, fn):
-    def counting(*args):
-        counts[name] += 1
-        return fn(*args)
-
-    return counting
-
-
-def test_loops_poly_verify_path_counts(monkeypatch):
-    # The seed-0 loops-poly programs, verified as bench/run.py verifies
-    # them.  The harvest takes consequence steps through _derive, and three
-    # shortcuts leave few steps to project: folding a settled first body
-    # fact into a clause's rows once (265 of the 519 folds are empty),
-    # taking each prepared form's step from no body rows once, on the form
-    # (lincon._Prepared.top), which split, the harvest and the analysis all
-    # read (the harvest's 349 top-fact steps project none of them), and
-    # projecting no lone clause in split.  The analysis takes the
-    # elimination half of a step with body rows alone (_shadow_step) and
-    # decides emptiness on the cone, one cone per distinct row set.  Joins
-    # that find every operand generator inside the old value skip their
-    # double description.  Facts move onto a form through its maps, and a
-    # step whose facts bring no equality keys only their rows into a copy
-    # of the form's table.  A projection (both halves of a step) is counted
-    # when _derive makes one or a form takes its top step, and a memo hit
-    # when a step from no body rows through _derive makes none.  No form
-    # takes its top step twice.
-    counts = Counter()
-    folds = []  # every fold made, to tell a step from a fold from a clause's own
-    tops = []  # every form that took its top step
-    harvesting = [0]
-    deriving = [False]
-    derive, fold, step = lincon._derive, lincon._fold, lincon._shadow_step
-    head_facts = thresholds._head_facts
-    top = lincon._Prepared.top
-
-    def counting_derive(form, facts):
-        made = counts["_derive projections"]
-        deriving[0] = True
-        try:
-            got = derive(form, facts)
-        finally:
-            deriving[0] = False
-        projected = counts["_derive projections"] > made
-        if not any(facts) and form.solved is not None:
-            counts["_derive memo hits"] += not projected
-            if harvesting[0] and all(form is not f for f in folds):
-                counts["harvest top-fact steps"] += 1
-                counts["harvest top-fact projections"] += projected
-        return got
-
-    def counting_step(form, facts):
-        if not any(facts):
-            tops.append(form)
-        closed = deriving[0] or not any(facts)
-        counts["_derive projections" if closed else "contribution steps"] += 1
-        return step(form, facts)
-
-    def reading_top(form):
-        counts["kept top reads"] += "top" in vars(form)
-        return top.__get__(form)
-
-    def counting_fold(form, fact):
-        folded = fold(form, fact)
-        folds.append(folded)
-        counts["_fold"] += 1
-        counts["dead folds"] += folded is None
-        return folded
-
-    def harvesting_head_facts(*args):
-        harvesting[0] += 1
-        try:
-            return head_facts(*args)
-        finally:
-            harvesting[0] -= 1
-
-    monkeypatch.setattr(lincon, "_derive", counting_derive)
-    monkeypatch.setattr(lincon, "_shadow_step", counting_step)
-    monkeypatch.setattr(lincon, "_fold", counting_fold)
-    monkeypatch.setattr(lincon._Prepared, "top", property(reading_top))
-    monkeypatch.setattr(thresholds, "_head_facts", harvesting_head_facts)
-    for owner, name in (
-        (polydom, "_dual"),
-        (polydom, "_canonical"),
-        (lincon, "_reduce"),
-        (lincon, "_key"),
-        (lincon, "_table"),
-        (lincon, "_normal_form"),
-    ):
-        monkeypatch.setattr(owner, name, _counted(counts, name, getattr(owner, name)))
-    for case, _ in gen.instance("loops-poly", 0):
-        format_model(run_pipeline(parse_program(case.text())).model)
-    assert len({id(form) for form in tops}) == len(tops) == 98
-    assert counts == {
+def test_loops_poly_verify_path_counts():
+    # Three shortcuts leave the harvest few steps to project: folding a
+    # settled first body fact into a clause's rows once (265 of the 519
+    # folds are empty), taking each prepared form's top step once, on the
+    # form, where split, the harvest and the analysis read it (the harvest's
+    # 349 top-fact steps project none), and projecting no lone clause in
+    # split.  The analysis decides emptiness on the cone of the elimination
+    # half alone, and a join whose operand generators all lie inside the old
+    # value skips its double description.  workcounts.counting says what
+    # each key counts.
+    assert workcounts.loops_poly() == {
+        "top steps": 98,
         "_derive projections": 1039,
         "_derive memo hits": 349,
+        "_derive empty": 658,
         "kept top reads": 361,
         "contribution steps": 782,
         "_fold": 519,
@@ -269,6 +189,23 @@ def test_loops_poly_verify_path_counts(monkeypatch):
         "_table": 1557,
         "_normal_form": 702,
     }
+
+
+def test_work_counting_leaves_nothing_patched():
+    # workcounts wraps the kernel inside its block only: afterwards, and
+    # after a block that raises, every attribute of the modules and classes
+    # it patches is the original object, so later tests see the real kernel.
+    owners = (lincon, lincon._Prepared, polydom, pipeline, transform, thresholds, chc.AtomicConstraint)
+    before = [dict(vars(owner)) for owner in owners]
+    with workcounts.counting() as work:
+        assert all(dict(vars(owner)) != was for owner, was in zip(owners, before))
+        run_pipeline(parse_program("p(A) :- A = 0.\np(B) :- p(A), B = A + 1.\nfalse :- p(A), A < 0.\n"))
+    assert work.n["_derive projections"] and work.n["AtomicConstraint"]
+    with pytest.raises(ZeroDivisionError), workcounts.counting():
+        1 / 0
+    for owner, was in zip(owners, before):
+        now = dict(vars(owner))
+        assert now.keys() == was.keys() and all(now[k] is was[k] for k in was), owner
 
 
 def test_pass_budget_counts_the_passes_of_one_component(monkeypatch):

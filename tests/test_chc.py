@@ -25,6 +25,7 @@ from hornchain.chc import (
     FALSE_PRED,
     Atom,
     AtomicConstraint,
+    ChcError,
     Clause,
     Constraint,
     LinExpr,
@@ -195,6 +196,12 @@ def test_program_compares_by_clauses_and_shows_its_tables():
     program = Program((_CLAUSE,))
     assert hash(program) == hash(((_CLAUSE,),))
     assert repr(program) == f"Program(clauses={(_CLAUSE,)!r}, arities={{'p': 1}}, succs={{'p': ()}})"
+
+
+def test_program_rejects_a_head_that_repeats_an_argument():
+    clause = Clause(Atom("p", ("A", "A")), Constraint(()), ())
+    with pytest.raises(ChcError, match="head arguments of p are not distinct"):
+        Program((clause,))
 
 
 def test_import_loads_no_dataclasses():

@@ -62,8 +62,24 @@ def test_head_argument_binding():
 
 
 def test_constraint_head_becomes_integrity_constraint():
-    p = parse_program("X >= 1 :- p(X).")
-    assert all(c.head.pred == "false" for c in p.clauses)
+    # The head is negated into the body: an inequality to its opposite, an
+    # equality to its two strict sides, one integrity constraint each.
+    for text, printed in (
+        ("X >= 1 :- p(X).", "false :- A<1, p(A).\n"),
+        ("X > 0 :- p(X).", "false :- A=<0, p(A).\n"),
+        ("X = 0 :- p(X).", "false :- A>0, p(A).\nfalse :- A<0, p(A).\n"),
+    ):
+        assert print_program(parse_program(text)) == printed
+
+
+def test_division_by_a_constant_scales_the_term():
+    assert print_program(parse_program("p(Y) :- Y = X / 2, X >= 4.")) == "p(A) :- A=1/2*B, B>=4.\n"
+
+
+def test_constraint_with_trailing_input_rejected():
+    with pytest.raises(ParseError, match="unexpected trailing input 'B'") as exc:
+        parse_constraint("A >= 1 B")
+    assert (exc.value.line, exc.value.col) == (1, 8)
 
 
 def test_nonlinear_product_rejected():

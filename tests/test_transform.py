@@ -4,7 +4,6 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-import gen
 import pytest
 
 from bounded import BoundedResult, bounded_concrete_eval
@@ -17,9 +16,10 @@ from oracles import (
     reference_unfold_forward,
 )
 from randprog import random_program
+import workcounts
 
-from hornchain import lincon, pipeline, transform
-from hornchain.analyzer import Verdict, analyze, check_safety, format_model
+from hornchain import lincon, transform
+from hornchain.analyzer import Verdict, analyze, check_safety
 from hornchain.chc import (
     FALSE_PRED,
     FALSUM,
@@ -98,6 +98,9 @@ def test_unfold_clause_requires_body_atom():
     fact = p.clauses[0]
     with pytest.raises(ChcError):
         unfold_clause(p, fact, 0)
+    stranger = parse_program("false :- A = 3, p(A).\n").clauses[0]
+    with pytest.raises(ChcError, match="not part of the program"):
+        unfold_clause(p, stranger, 0)
 
 
 def test_unfold_clause_replaces_atom_with_definitions():
@@ -300,7 +303,7 @@ def test_unfold_budget_admits_exactly_its_rewrites(monkeypatch):
         unfold_forward(p)
 
 
-def test_cfg_chain_front_half_counts(monkeypatch):
+def test_cfg_chain_front_half_counts():
     # The seed-0 cfg-chain programs, verified as bench/run.py verifies them.
     # Unfolding builds the conjuncts of the clauses that survive its last
     # discard only (10,380 when every unfolding renamed its whole
@@ -309,42 +312,7 @@ def test_cfg_chain_front_half_counts(monkeypatch):
     # back-substitution per pass takes split's _reduce calls from 4,378 to
     # 2,268.  An unfolding summarized again, or a target's clause given a
     # summary, shows up in the first three counts.
-    counts = Counter()
-    stage = [None]
-    for name in ("unfold_forward", "split_predicates"):
-        fn = getattr(pipeline, name)
-
-        def staged(*args, fn=fn, name=name):
-            stage[0] = name
-            try:
-                return fn(*args)
-            finally:
-                stage[0] = None
-
-        monkeypatch.setattr(pipeline, name, staged)
-    for owner, name in ((transform, "_summary"), (lincon, "_project_rows"), (lincon, "_reduce")):
-        fn = getattr(owner, name)
-
-        def counted(*args, fn=fn, name=name):
-            counts[stage[0], name] += 1
-            return fn(*args)
-
-        monkeypatch.setattr(owner, name, counted)
-    init = AtomicConstraint.__init__
-
-    def counted_init(self, *args, **kwargs):
-        counts[stage[0], "AtomicConstraint"] += 1
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(AtomicConstraint, "__init__", counted_init)
-    for case, _ in gen.instance("cfg-chain", 0):
-        format_model(run_pipeline(parse_program(case.text())).model)
-    assert {
-        "summaries": counts["unfold_forward", "_summary"],
-        "unfold projections": counts["unfold_forward", "_project_rows"],
-        "unfold conjuncts": counts["unfold_forward", "AtomicConstraint"],
-        "split reductions": counts["split_predicates", "_reduce"],
-    } == {
+    assert workcounts.cfg_chain_front_half() == {
         "summaries": 446,
         "unfold projections": 410,
         "unfold conjuncts": 1282,

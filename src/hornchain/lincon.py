@@ -767,13 +767,12 @@ def _close(rows: list[tuple[_Vec, Rel]], k: int) -> list[tuple[_Vec, Rel]] | Non
     then the reduced row echelon basis, and no other row mentions their
     pivots, so they hold once the inequalities do; a single inequality left
     is non-ground, and so satisfiable too.  More inequalities take one
-    closing elimination of every column.
+    closing elimination of every column.  Every row here is a pivot row or
+    one :func:`_key` kept, never ground, so the normal form refutes none.
     """
     while True:
         found = sum(rel is Rel.EQ for _, rel in rows)
         normal = _normal_form(rows)
-        if normal is None:
-            return None
         eqs, ineqs = _split(normal)
         if len(eqs) == found:
             break

@@ -30,13 +30,12 @@ class Polyhedron(_Value):
     ``rows`` are ``lincon`` rows over ``dims`` in name order (``V26`` sorts
     between ``U`` and ``W``): None when the polyhedron is empty and ``()``
     for the universe.  They are its identity, so ``==`` compares sets.
-    A non-empty polyhedron also holds its cone's lines and extreme rays,
-    ``generators``, computed at most once (the double description of the
-    Parma Polyhedra Library: Bagnara, Hill & Zaffanella, SCP 72(1-2),
-    2008).  A polyhedron that :meth:`join` made also keeps the cones it
-    pooled, ``spanning``, which :meth:`widen_upto` reads.  Atoms are built
-    only on demand, by :meth:`conjuncts`.  A polyhedron keeps a
-    ``__dict__`` for those two cached attributes.
+    A non-empty polyhedron also holds lines and rays whose cone is its
+    homogenized cone, ``generators``, computed at most once (the double
+    description of the Parma Polyhedra Library: Bagnara, Hill & Zaffanella,
+    SCP 72(1-2), 2008).  Atoms are built only on demand, by
+    :meth:`conjuncts`.  A polyhedron keeps a ``__dict__`` for the cached
+    ``generators``.
     """
 
     _fields = ("dims", "rows")
@@ -91,14 +90,10 @@ class Polyhedron(_Value):
 
     @cached_property
     def generators(self):
-        """Lines and extreme rays of the homogenized cone (see :func:`_cone`)."""
+        """Lines and rays whose cone is the homogenized cone: the ones
+        :func:`_canonical` pooled when it made this polyhedron, else the
+        lines and extreme rays its rows give (see :func:`_cone`)."""
         return _cone(self.rows, len(self.dims))
-
-    @cached_property
-    def spanning(self):
-        """Cones whose sum is the homogenized cone: the ones the join that
-        made this polyhedron pooled, else its :attr:`generators` alone."""
-        return [self.generators]
 
     def _check_dims(self, other: "Polyhedron") -> None:
         if self.dims != other.dims:
@@ -151,8 +146,8 @@ class Polyhedron(_Value):
         rows lie in its cone and add nothing to the sum, so they are
         dropped, and with none left the join is this polyhedron, with no
         double description.  :func:`_dual`'s output depends only on the
-        cone, so dropping them changes no row.  The result keeps the cones
-        it pooled as :attr:`spanning`.
+        cone, so dropping them changes no row.  The result keeps the lines
+        and rays it pooled as its :attr:`generators`.
         """
         cones = [c for c in cones if c is not None]
         if not cones or self.is_universe:
@@ -186,9 +181,9 @@ class Polyhedron(_Value):
         the non-empty ``other`` exactly when it is non-negative on every
         ray of ``other``'s homogenized cone and orthogonal to every line,
         and an equality candidate when it is orthogonal to both, so each is
-        decided by dot products against :attr:`spanning`, the cones a join
-        pooled into ``other``, with no elimination.  The kept rows hold in
-        ``other``, so they need no projection.
+        decided by dot products against ``other``'s :attr:`generators`, with
+        no elimination.  The kept rows hold in ``other``, so they need no
+        projection.
         """
         self._check_dims(other)
         if self.is_empty:
@@ -202,11 +197,11 @@ class Polyhedron(_Value):
                 candidates.append((lincon._neg(r), Rel.GE))
             else:
                 candidates.append((r, rel))
-        cones = other.spanning
+        lines, rays = other.generators
         kept = [
             (r, rel) for r, rel in candidates
-            if all(_dot_ok(r, v, True) for cone_lines, _ in cones for v in cone_lines)
-            and all(_dot_ok(r, v, rel is Rel.EQ) for _, cone_rays in cones for v in cone_rays)
+            if all(_dot_ok(r, v, True) for v in lines)
+            and all(_dot_ok(r, v, rel is Rel.EQ) for v in rays)
         ]
         return _from_rows(self.dims, kept)
 
@@ -334,11 +329,7 @@ def _canonical(dims: tuple[str, ...], cones) -> Polyhedron:
     equality of the affine hull) and irredundant (one row per facet), and
     one Gauss-Jordan pass makes it canonical: the equalities come out in
     reduced row echelon form and the facets with every pivot substituted
-    out.  Given one cone, the result's ``generators`` are that cone: a cone
-    depends only on its polyhedron, its lines being the unique reduced
-    basis of its lineality space and its rays the unique primitive normals
-    of its facets, sorted.  Given more, they are the result's
-    :attr:`~Polyhedron.spanning`.
+    out.  The pooled lines and rays are the result's ``generators``.
     """
     n = len(dims)
     lines = [v for cone_lines, _ in cones for v in cone_lines]
@@ -351,10 +342,7 @@ def _canonical(dims: tuple[str, ...], cones) -> Polyhedron:
         [(r, Rel.EQ) for _, r in solved] + [(r, Rel.GE) for r, _ in ineqs]
     )
     p = Polyhedron(dims, tuple(rows))
-    if len(cones) == 1:
-        p.__dict__["generators"] = cones[0]
-    else:
-        p.__dict__["spanning"] = cones
+    p.__dict__["generators"] = lines, rays
     return p
 
 

@@ -169,8 +169,9 @@ def test_loops_poly_verify_path_counts():
     # 349 top-fact steps project none), and projecting no lone clause in
     # split.  The analysis decides emptiness on the cone of the elimination
     # half alone, and a join whose operand generators all lie inside the old
-    # value skips its double description.  workcounts.counting says what
-    # each key counts.
+    # value skips its double description.  A joined value keeps the
+    # generators it pooled, so the next join converts none of its rows.
+    # workcounts.counting says what each key counts.
     assert workcounts.loops_poly() == {
         "top steps": 98,
         "_derive projections": 1039,
@@ -182,9 +183,9 @@ def test_loops_poly_verify_path_counts():
         "dead folds": 265,
         "harvest top-fact steps": 349,
         "harvest top-fact projections": 0,
-        "_dual": 688,
+        "_dual": 642,
         "_canonical": 285,
-        "_reduce": 8332,
+        "_reduce": 8066,
         "_key": 8643,
         "_table": 1557,
         "_normal_form": 702,
@@ -200,7 +201,10 @@ def test_work_counting_leaves_nothing_patched():
     with workcounts.counting() as work:
         assert all(dict(vars(owner)) != was for owner, was in zip(owners, before))
         run_pipeline(parse_program("p(A) :- A = 0.\np(B) :- p(A), B = A + 1.\nfalse :- p(A), A < 0.\n"))
+        assert pipeline.analyze is not analyzer.analyze
     assert work.n["_derive projections"] and work.n["AtomicConstraint"]
+    assert work.n["analyze", "top reads"] and work.n["analyze", "top steps"]
+    assert pipeline.analyze is analyzer.analyze
     with pytest.raises(ZeroDivisionError), workcounts.counting():
         1 / 0
     for owner, was in zip(owners, before):

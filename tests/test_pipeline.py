@@ -1,10 +1,9 @@
 """End-to-end pipeline wiring: stages, goal tracking, and configuration."""
 
-from collections import Counter
-
 import gen
 import pytest
 import spans
+import workcounts
 from conftest import FIXTURES, fixture_text
 from oracles import reference_compute_thresholds
 
@@ -120,7 +119,7 @@ def test_each_clause_is_prepared_once_per_run(monkeypatch):
     assert len(prepared) == 9 + len(distinct)
 
 
-def test_each_prepared_form_projects_its_top_fact_step_once(monkeypatch):
+def test_each_prepared_form_projects_its_top_fact_step_once():
     # A step from no body rows (a clause with no body, or top facts alone)
     # depends on the prepared form alone, and the form takes it once
     # (lincon._Prepared.top): split, the harvest and the analysis all read
@@ -129,43 +128,19 @@ def test_each_prepared_form_projects_its_top_fact_step_once(monkeypatch):
     # twophase split takes it for seven forms, and the analysis for one
     # more, the fact false_query___1, whose predicate has one clause and so
     # gets no projection in split; the harvest's 30 such steps and the
-    # analysis's second one read kept steps.
-    stage = ["other"]
-    projected = []  # (stage, form) for each elimination from no body rows
-    steps = Counter()
-    step, top = lincon._shadow_step, lincon._Prepared.top
-
-    def recording_step(form, facts):
-        if not any(facts):
-            projected.append((stage[-1], form))
-        return step(form, facts)
-
-    def reading_top(form):
-        steps[stage[-1]] += 1
-        return top.__get__(form)
-
-    def staged(name, owner, fn):
-        def run(*args):
-            stage.append(name)
-            try:
-                return fn(*args)
-            finally:
-                stage.pop()
-
-        monkeypatch.setattr(owner, fn.__name__, run)
-
-    monkeypatch.setattr(lincon, "_shadow_step", recording_step)
-    monkeypatch.setattr(lincon._Prepared, "top", property(reading_top))
-    staged("split", pipeline, pipeline.split_predicates)
-    staged("analyze", pipeline, pipeline.analyze)
-    staged("harvest", thresholds, thresholds._head_facts)
-    res = run_pipeline(parse_program(fixture_text("twophase.chc")))
+    # analysis's second one read kept steps.  workcounts.counting stages
+    # split_predicates, the harvest's _head_facts and analyze.
+    with workcounts.counting() as work:
+        res = run_pipeline(parse_program(fixture_text("twophase.chc")))
+        assert len(res.thresholds) == 30  # harvests every predicate
     assert format_model(res.model) == fixture_text("twophase_model.txt")
-    assert len(res.thresholds) == 30  # harvests every predicate
-    forms = [form for _, form in projected]
-    assert len({id(form) for form in forms}) == len(forms)
-    assert Counter(name for name, _ in projected) == {"split": 7, "analyze": 1}
-    assert steps == {"split": 7, "harvest": 30, "analyze": 2}
+    assert len({id(form) for form in work.tops}) == len(work.tops)
+
+    def by_stage(key):
+        return {k[0]: c for k, c in work.n.items() if isinstance(k, tuple) and k[1] == key}
+
+    assert by_stage("top steps") == {"split_predicates": 7, "analyze": 1}
+    assert by_stage("top reads") == {"split_predicates": 7, "_head_facts": 30, "analyze": 2}
 
 
 def test_no_harvest_without_widening(monkeypatch):

@@ -25,7 +25,7 @@ from hornchain import lincon
 from hornchain.chc import AtomicConstraint, LinExpr, Rel, canonical_arg_names
 from hornchain.parser import parse_constraint, parse_program
 from hornchain.pipeline import run_pipeline
-from hornchain.polydom import Polyhedron, _cone, _dual, _nullspace, format_polyhedron
+from hornchain.polydom import Polyhedron, _canonical, _cone, _dual, _nullspace, format_polyhedron
 
 
 def ge(const, **coeffs):
@@ -409,14 +409,18 @@ def test_row_paths_match_atom_path_reference():
     ]
     for other, ts, want in cases:
         assert p.widen_upto(other, ts) == want == atom_widen_upto(p, other, ts), (other, ts)
+    # Widening by the empty polyhedron, which includes nothing, keeps p.
+    assert p.widen_upto(Polyhedron.empty(AB)) is p
 
 
 def test_cached_rows_and_generators_match_the_conjuncts():
-    # Whatever path made a polyhedron, its rows and generators are those of
-    # its conjuncts, and a non-empty one holds no ground conjunct.
-    # A fresh copy computes its generators from its rows.
+    # Whatever path made a polyhedron, its rows are those of its conjuncts,
+    # its generators generate exactly its cone (their canonical polyhedron
+    # is it), and a non-empty one holds no ground conjunct.  A fresh copy
+    # computes its generators from its rows: the canonical ones.  A join's
+    # generators are the ones it pooled: 225 of these differ from those.
     rng = random.Random(20261103)
-    seen = 0
+    seen = pooled = 0
     for i in range(250):
         d = 1 + i % 4 if i < 240 else 28
         for p in _random_polyhedra(rng, d):
@@ -424,12 +428,12 @@ def test_cached_rows_and_generators_match_the_conjuncts():
                 continue
             names = sorted(p.dims)
             assert p.rows == tuple(lincon._rows(p.conjuncts(), names)[1]), (i, p)
-            assert p.generators == _cone(p.rows, d), (i, p)
-            fresh = Polyhedron(p.dims, p.rows)
-            assert (fresh.rows, fresh.generators) == (p.rows, p.generators), (i, p)
+            assert _canonical(p.dims, [p.generators]) == p, (i, p)
+            assert Polyhedron(p.dims, p.rows).generators == _cone(p.rows, d), (i, p)
             assert all(a.vars() for a in p.conjuncts()), (i, p)
             seen += 1
-    assert seen == 1140
+            pooled += p.generators != _cone(p.rows, d)
+    assert (seen, pooled) == (1140, 225)
     # FM once called this system satisfiable, and of gave a non-empty
     # polyhedron printed [-1>=0].
     raw = parse_constraint(

@@ -37,7 +37,9 @@ def counting():
     its top step, and a memo hit when a step from no body rows through
     ``_derive`` makes none.  The analysis takes the elimination half of a
     step with body rows alone (``_shadow_step``): a contribution step.  A
-    kept top read is a read of a top step the form already holds.  ``folds``
+    kept top read is a read of a top step the form already holds.  Per
+    stage, ``n`` also counts the eliminations from no body rows, ``top
+    steps``, and every read of a form's top step, ``top reads``.  ``folds``
     holds every fold made, to tell a step from a fold from a clause's own,
     and ``tops`` every form that took its top step.
     """
@@ -86,12 +88,14 @@ def counting():
     def counting_step(form, facts):
         if not any(facts):
             w.tops.append(form)
+            w.n[w.stage, "top steps"] += 1
         closed = w.deriving or not any(facts)
         w.n["_derive projections" if closed else "contribution steps"] += 1
         return step(form, facts)
 
     def reading_top(form):
         w.n["kept top reads"] += "top" in vars(form)
+        w.n[w.stage, "top reads"] += 1
         return top.__get__(form)
 
     def counting_fold(form, fact):
@@ -103,7 +107,7 @@ def counting():
 
     try:
         for owner, name in ((pipeline, "unfold_forward"), (pipeline, "split_predicates"),
-                            (thresholds, "_head_facts")):
+                            (pipeline, "analyze"), (thresholds, "_head_facts")):
             patch(owner, name, staged(getattr(owner, name), name))
         for owner, name in ((polydom, "_dual"), (polydom, "_canonical"), (lincon, "_reduce"),
                             (lincon, "_key"), (lincon, "_table"), (lincon, "_normal_form"),

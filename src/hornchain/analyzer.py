@@ -15,8 +15,11 @@ earlier component settled, and whose later atoms can still grow, folds
 that atom's final value into its prepared rows once (``lincon._fold``),
 and every later contribution steps from the fold; an empty fold ends the
 clause's contributions.  A join drops the operand generators already inside
-the old value, and the widening after it decides its candidate bounds on
-the generators the join pooled.
+the old value and returns the old value itself when none is left;
+otherwise the hull is strictly larger, so the analysis tells an unchanged
+value by identity.  The widening after a join decides its candidate
+bounds on the generators the join pooled, and the join's rows, converted
+only when read, are never made for a join the widening replaces.
 
 ``check_safety`` reads the verdict off the model: if the goal predicate's
 polyhedron is empty, no derivation of the goal exists, so the program is
@@ -230,7 +233,7 @@ def analyze(
                 if settled.get(p) == operands:
                     continue
                 grown = values[p].join(operands[1:])
-                if grown == values[p]:
+                if grown is values[p]:
                     settled[p] = operands
                     continue
                 update_count[p] += 1

@@ -8,7 +8,9 @@ the integrity constraints whose bodies describe unsafe states.
 
 All values here are immutable, but for caches outside their fields
 (``Clause.rows``, and a prepared form's ``table``, ``moves`` and ``top``;
-see ``lincon._Prepared``), and safe to share across threads.  Each value
+see ``lincon._Prepared``), and safe to share across threads.  A
+``polydom.Polyhedron`` made from pooled generators computes its ``rows``
+field on first read, always to the same value.  Each value
 class derives from ``_Value``, which gives it what a frozen dataclass
 would: a subclass names its fields once, in ``_fields``, and sets them in
 its own ``__init__`` with ``object.__setattr__``.  Two

@@ -31,11 +31,16 @@ class Polyhedron(_Value):
     between ``U`` and ``W``): None when the polyhedron is empty and ``()``
     for the universe.  They are its identity, so ``==`` compares sets.
     A non-empty polyhedron also holds lines and rays whose cone is its
-    homogenized cone, ``generators``, computed at most once (the double
-    description of the Parma Polyhedra Library: Bagnara, Hill & Zaffanella,
-    SCP 72(1-2), 2008).  Atoms are built only on demand, by
-    :meth:`conjuncts`.  A polyhedron keeps a ``__dict__`` for the cached
-    ``generators``.
+    homogenized cone, ``generators`` (the double description of the Parma
+    Polyhedra Library: Bagnara, Hill & Zaffanella, SCP 72(1-2), 2008).
+    Either side is computed from the other at most once, on its first
+    read: a polyhedron made from rows computes its generators, and one
+    made from pooled generators (by :func:`_canonical`, so by :meth:`join`
+    and every canonical construction) its rows, so a join that the
+    analysis widens away is never converted.  A pooled polyhedron is never
+    empty, so :attr:`is_empty` answers without its rows.  Atoms are built
+    only on demand, by :meth:`conjuncts`.  A polyhedron keeps a
+    ``__dict__`` for its rows and the cached side.
     """
 
     _fields = ("dims", "rows")
@@ -75,7 +80,8 @@ class Polyhedron(_Value):
 
     @property
     def is_empty(self) -> bool:
-        return self.rows is None
+        # Rows not read yet are a pooled polyhedron's, which is not empty.
+        return vars(self).get("rows", ()) is None
 
     @property
     def is_universe(self) -> bool:
@@ -89,10 +95,18 @@ class Polyhedron(_Value):
         return tuple([lincon._atom(names, r, rel) for r, rel in self.rows])
 
     @cached_property
+    def rows(self):
+        """The canonical rows of a polyhedron :func:`_canonical` made,
+        converted from its pooled generators on first read (see
+        :func:`_rows_of`).  Every other polyhedron is given its rows."""
+        return _rows_of(self.generators, len(self.dims))
+
+    @cached_property
     def generators(self):
         """Lines and rays whose cone is the homogenized cone: the ones
         :func:`_canonical` pooled when it made this polyhedron, else the
-        lines and extreme rays its rows give (see :func:`_cone`)."""
+        lines and extreme rays its rows give (see :func:`_cone`), each ray
+        taken modulo the lines (any representative)."""
         return _cone(self.rows, len(self.dims))
 
     def _check_dims(self, other: "Polyhedron") -> None:
@@ -144,10 +158,13 @@ class Polyhedron(_Value):
         of operands; an operand given as its cone never needs its rows.
         An operand's rays and lines that already satisfy this polyhedron's
         rows lie in its cone and add nothing to the sum, so they are
-        dropped, and with none left the join is this polyhedron, with no
-        double description.  :func:`_dual`'s output depends only on the
-        cone, so dropping them changes no row.  The result keeps the lines
-        and rays it pooled as its :attr:`generators`.
+        dropped, and with none left the join is this polyhedron itself.
+        The join returns ``self`` exactly then (or when ``self`` is the
+        universe, or no operand is given): otherwise the pooled cone is
+        strictly larger, so the hull differs, and ``is`` tells whether the
+        join changed anything.  The result keeps the lines and rays it
+        pooled as its :attr:`generators` and converts them to rows only
+        when they are first read.
         """
         cones = [c for c in cones if c is not None]
         if not cones or self.is_universe:
@@ -224,7 +241,8 @@ def _dot_ok(row: Sequence[int], vec: Sequence[int], tight: bool) -> bool:
 # conversion reads its generators off the rows: vertices at t > 0, rays and
 # lines at t = 0.  The same conversion reads constraints back off
 # generators: of takes one system's own cone there and back, and the hull's
-# cone is the sum of the operands' cones, so it pools their generators.  The
+# cone is the sum of the operands' cones, so it pools their generators.  A
+# pooled polyhedron converts back to rows only when its rows are read.  The
 # conversion is the incremental double description method (Motzkin et al.,
 # 1953; Fukuda & Prodon, LNCS 1120, 1996): it cuts the cone by one row at a
 # time and combines only adjacent pairs of rays, so its cost follows the
@@ -257,21 +275,38 @@ def _dual(rays, lines, n: int):
     """Lines and extreme rays of the dual of ``cone(rays) + span(lines)``.
 
     The dual is ``{y : y.r >= 0 for every ray, y.l = 0 for every line}`` in
-    ``n`` dimensions.  Its lines span the common null space of all rows.
-    Taken as equalities together with the input lines, they cut the
-    lineality basis down to the subspace in which the dual is pointed, so
-    each extreme ray, one per facet of ``cone(rays) + span(lines)``, comes
-    out as the unique primitive normal orthogonal to the dual's lines.
+    ``n`` dimensions.  The cuts start from a basis of the null space of the
+    input lines alone, and each ray row then cuts the cone.  A row that is
+    not orthogonal to the whole basis turns one basis vector into a ray on
+    its positive side.  Otherwise the rays on its non-negative side stay,
+    and each adjacent pair across it is combined into a ray on the row's
+    hyperplane.  Two rays are adjacent when no third ray is tight on every
+    row that both are tight on; tight sets are bit masks over the rows cut
+    so far.  Each cut keeps the basis orthogonal to every row so far, so
+    after the last ray row it spans exactly the null space of all rows:
+    the dual's lines.  Those are orthogonal to every row the loop cuts
+    with, so they lie in the lineality of every cone cut so far, and
+    starting from the null space of the lines alone, rather than from its
+    part orthogonal to the dual's lines, adds them to each such cone and
+    nothing else.  A side or a tight set depends only on a ray's class
+    modulo the lineality of the cone cut so far, so every side, tight set
+    and adjacency test is the one the smaller start gives.  The extreme
+    rays, one per facet of ``cone(rays) + span(lines)``, come out as
+    primitive representatives modulo the dual's lines, not as the ones
+    orthogonal to them.
 
-    Each ray row then cuts the cone.  A row that is not orthogonal to the
-    whole lineality basis turns one basis vector into a ray on its positive
-    side.  Otherwise the rays on its non-negative side stay, and each
-    adjacent pair across it is combined into a ray on the row's hyperplane.
-    Two rays are adjacent when no third ray is tight on every row that both
-    are tight on; tight sets are bit masks over the rows cut so far.
+    Every reader depends only on the cone: :func:`_rows_of` puts the lines
+    in their unique reduced row echelon form and substitutes its pivots
+    out of each facet, which leaves the facet's unique representative zero
+    at the pivots; a line has ``t = 0`` and is orthogonal to every row of
+    the system it came from, so neither ``analyzer._decided_cone``'s ``t``
+    coordinates nor its strict-row dot products move; ``widen_upto`` keeps
+    only candidates orthogonal to ``other``'s lines, on which a ray's dot
+    product does not move either; and :meth:`Polyhedron.join` drops the
+    same operands, since a line inside the old lineality is orthogonal to
+    every old row and one outside it is pooled.
     """
-    out_lines = _nullspace(lines + rays, n)
-    basis = _nullspace(lines + out_lines, n)
+    basis = _nullspace(lines, n)
     gens: list[tuple[int, ...]] = []
     tight: list[int] = []
     for i, row in enumerate(rays):
@@ -302,7 +337,7 @@ def _dual(rays, lines, n: int):
                 new_gens.append(lincon._combine(sides[p], gens[q], sides[q], gens[p]))
                 new_tight.append(common | bit)
         gens, tight = new_gens, new_tight
-    return out_lines, sorted(gens)
+    return basis, sorted(gens)
 
 
 def _cone(rows: Iterable[tuple[lincon._Vec, Rel]], n: int):
@@ -321,34 +356,47 @@ def _cone(rows: Iterable[tuple[lincon._Vec, Rel]], n: int):
 
 
 def _canonical(dims: tuple[str, ...], cones) -> Polyhedron:
-    """Canonical polyhedron whose homogenized cone is the sum of ``cones``.
+    """Polyhedron whose homogenized cone is the sum of ``cones``.
 
-    :func:`_dual` reads the constraints back off the pooled generators.
-    Its lines are a basis of the affine hull's equalities and its extreme
-    rays are one normal per facet, so the output is complete (every
-    equality of the affine hull) and irredundant (one row per facet), and
-    one Gauss-Jordan pass makes it canonical: the equalities come out in
-    reduced row echelon form and the facets with every pivot substituted
-    out.  The pooled lines and rays are the result's ``generators``.
+    It keeps the pooled lines and rays as its ``generators`` and converts
+    them to canonical rows (:func:`_rows_of`) on the first read of
+    ``rows``; it is never empty, since every cone given has a ray with
+    ``t > 0``.
     """
-    n = len(dims)
+    p = Polyhedron.__new__(Polyhedron)
     lines = [v for cone_lines, _ in cones for v in cone_lines]
     rays = [v for _, cone_rays in cones for v in cone_rays]
+    vars(p).update(dims=dims, generators=(lines, rays))
+    return p
+
+
+def _rows_of(generators, n: int) -> tuple[tuple[lincon._Vec, Rel], ...]:
+    """Canonical rows over ``n`` columns of the polyhedron whose homogenized
+    cone the lines and rays ``generators`` generate.
+
+    :func:`_dual` reads the constraints back off the generators.  Its lines
+    are a basis of the affine hull's equalities and its extreme rays are
+    one normal per facet, so the output is complete (every equality of the
+    affine hull) and irredundant (one row per facet), and one Gauss-Jordan
+    pass makes it canonical: the equalities come out in reduced row
+    echelon form and each facet, with every pivot substituted out, as the
+    unique representative of its class modulo the equalities that is zero
+    at the pivots.
+    """
+    lines, rays = generators
     eqs, facets = _dual(rays, lines, n + 1)
     solved = lincon._gauss_jordan(eqs, range(n))
-    # t >= 0 constrains nothing in x-space.
-    ineqs = lincon._substitute(solved, [(v, False) for v in facets if any(v[:-1])])
+    ineqs = lincon._substitute(solved, [(v, False) for v in facets])
+    # t >= 0 constrains nothing in x-space: substituted, its x-part is zero.
     rows = lincon._normal_form(
-        [(r, Rel.EQ) for _, r in solved] + [(r, Rel.GE) for r, _ in ineqs]
+        [(r, Rel.EQ) for _, r in solved] + [(r, Rel.GE) for r, _ in ineqs if any(r[:-1])]
     )
-    p = Polyhedron(dims, tuple(rows))
-    p.__dict__["generators"] = lines, rays
-    return p
+    return tuple(rows)
 
 
 def _from_rows(dims: tuple[str, ...], rows) -> Polyhedron:
     """Canonical polyhedron of satisfiable ``lincon`` rows over ``dims`` in name
-    order, strict rows relaxed: their cone taken back to rows."""
+    order, strict rows relaxed: their cone, taken back to rows when read."""
     return _canonical(dims, [_cone(rows, len(dims))])
 
 

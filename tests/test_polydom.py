@@ -201,7 +201,10 @@ def test_nary_hull_equals_chained_hull():
 
 def test_dual_matches_subset_enumeration():
     # The double description against the subset enumeration it replaced:
-    # the same extreme rays, and lines spanning the same space.  Draws come
+    # the same extreme rays modulo the dual's lines, and lines spanning the
+    # same space.  A ray is any representative of its class, so each side's
+    # rays are reduced modulo the lines' span (its pivots substituted out,
+    # the unique representative zero there) and compared.  Draws come
     # in blocks of four (n = 2-5); the blocks cycle through six kinds:
     # plain, every ray inside span(lines), no rays, repeated and parallel
     # rays, opposed rays (a lineality in the primal cone), plain.
@@ -212,6 +215,9 @@ def test_dual_matches_subset_enumeration():
             v = tuple(rng.randint(-3, 3) for _ in range(n))
             if any(v):
                 return v
+
+    def reduced(solved, vs):
+        return sorted(r[:-1] for r, _ in lincon._substitute(solved, [((*v, 0), False) for v in vs]))
 
     kinds = [0] * 6
     for i in range(300):
@@ -235,8 +241,9 @@ def test_dual_matches_subset_enumeration():
             rays += [tuple(-x for x in r) for r in rays[:2]]
         got_lines, got_rays = _dual(rays, lines, n)
         want_lines, want_rays = dual_by_subsets(rays, lines, n)
-        assert got_rays == want_rays, (i, rays, lines)
         assert rref(got_lines) == rref(want_lines), (i, rays, lines)
+        solved = lincon._gauss_jordan([(*v, 0) for v in want_lines])
+        assert reduced(solved, got_rays) == reduced(solved, want_rays), (i, rays, lines)
         kinds[kind] += bool(got_rays)
     # Draws whose dual has rays, per kind; rays inside span(lines) leave none.
     assert kinds == [32, 0, 0, 35, 11, 25]
@@ -481,6 +488,35 @@ def test_generator_decisions_match_the_parent_on_seeded_polyhedra():
     # Operands with lines, joins that return p as it is, and equality
     # thresholds that hold as inequalities only all occur.
     assert (with_lines, skipped, eq_refused) == (197, 11, 97)
+
+
+def test_join_returns_itself_exactly_when_the_hull_is_unchanged():
+    # The analysis tells an unchanged value by identity: the join returns
+    # p exactly when the join that always converts (reference_join) gives
+    # p again.  A join that pools is not empty, says so without its rows,
+    # and converts them only when they are read.  Operands and p are drawn
+    # from every construction path, the empty polyhedron and the universe.
+    rng = random.Random(20261301)
+    same = dropped = with_lines = 0
+    for i in range(300):
+        d = 1 + i % 4
+        names = canonical_arg_names(d)
+        polys = _random_polyhedra(rng, d) + [Polyhedron.empty(names), Polyhedron.universe(names)]
+        p = rng.choice(polys)
+        cones = [None if x.is_empty else x.generators for x in rng.sample(polys, rng.randint(0, 3))]
+        h = p.join(cones)
+        want = reference_join(p, cones)
+        assert (h is p) == (want == p), (i, p, cones)
+        if h is not p:
+            assert not h.is_empty and "rows" not in vars(h), (i, p, cones)
+        assert h == want, (i, p, cones)
+        same += h is p
+        dropped += h is p and not p.is_empty and not p.is_universe and any(cones)
+        with_lines += any(c and c[0] for c in cones)
+    # Joins that return p, those among them whose operands' generators all
+    # lie inside a p that is neither empty nor the universe, and joins with
+    # an operand that has lines.
+    assert (same, dropped, with_lines) == (178, 22, 124)
 
 
 def test_every_join_and_widening_of_a_loops_poly_run_matches_the_parent(monkeypatch):

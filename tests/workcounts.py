@@ -41,7 +41,10 @@ def counting():
     stage, ``n`` also counts the eliminations from no body rows, ``top
     steps``, and every read of a form's top step, ``top reads``.  ``folds``
     holds every fold made, to tell a step from a fold from a clause's own,
-    and ``tops`` every form that took its top step.
+    and ``tops`` every form that took its top step.  ``rows from
+    generators`` counts the conversions of a polyhedron's pooled
+    generators to its canonical rows (``polydom._rows_of``), which happen
+    on the first read of its rows only.
     """
     w = SimpleNamespace(n=Counter(), stage=None, deriving=False, folds=[], tops=[])
     derive, step, fold, top = lincon._derive, lincon._shadow_step, lincon._fold, lincon._Prepared.top
@@ -109,7 +112,7 @@ def counting():
         for owner, name in ((pipeline, "unfold_forward"), (pipeline, "split_predicates"),
                             (pipeline, "analyze"), (thresholds, "_head_facts")):
             patch(owner, name, staged(getattr(owner, name), name))
-        for owner, name in ((polydom, "_dual"), (polydom, "_canonical"), (lincon, "_reduce"),
+        for owner, name in ((polydom, "_dual"), (lincon, "_reduce"),
                             (lincon, "_key"), (lincon, "_table"), (lincon, "_normal_form"),
                             (lincon, "_project_rows"), (transform, "_summary")):
             patch(owner, name, counted(getattr(owner, name), name))
@@ -119,6 +122,7 @@ def counting():
         patch(lincon, "_shadow_step", counting_step)
         patch(lincon._Prepared, "top", property(reading_top))
         patch(lincon, "_fold", counting_fold)
+        patch(polydom, "_rows_of", counted(polydom._rows_of, "rows from generators"))
         yield w
     finally:
         for owner, name, old in reversed(saved):
@@ -141,7 +145,7 @@ def loops_poly() -> dict[str, int]:
         raise AssertionError("a prepared form took its top step twice")
     keys = ("_derive projections", "_derive memo hits", "_derive empty", "kept top reads",
             "contribution steps", "_fold", "dead folds", "harvest top-fact steps",
-            "harvest top-fact projections", "_dual", "_canonical", "_reduce", "_key",
+            "harvest top-fact projections", "_dual", "rows from generators", "_reduce", "_key",
             "_table", "_normal_form")
     return {"top steps": len(w.tops)} | {k: w.n[k] for k in keys}
 

@@ -9,8 +9,8 @@ contributions; after ``_WIDEN_DELAY`` strict updates the hull is replaced by
 threshold-bounded widening, which forces termination.  A contribution is
 eliminated on ``lincon`` rows and kept as its homogenized cone, the
 generators that the join reads, which also decide its emptiness, so it
-never becomes a polyhedron of its own; an evaluation whose operands all
-equal those of the predicate's last unchanging evaluation is skipped.  A clause whose first body atom an
+never becomes a polyhedron of its own, and is built again only when one
+of its body values is replaced.  A clause whose first body atom an
 earlier component settled, and whose later atoms can still grow, folds
 that atom's final value into its prepared rows once (``lincon._fold``),
 and every later contribution steps from the fold; an empty fold ends the
@@ -40,7 +40,6 @@ from .chc import (
     Atom,
     AtomicConstraint,
     ChcError,
-    Clause,
     Program,
     Rel,
     _Value,
@@ -151,30 +150,6 @@ def _decided_cone(rows, n: int):
     return lines, rays
 
 
-def _step(clause: Clause, comp: tuple[str, ...], values: Mapping[str, Polyhedron]) -> list:
-    """``[prepared rows, the body atoms they take, a value still to fold in]``
-    for a clause of component ``comp``.
-
-    A first body atom whose predicate an earlier component settled has its
-    final value.  When a later atom's predicate is in ``comp``, the
-    contribution is built again as that atom's value grows, so the first
-    value is left to fold into the prepared rows once, at the first build
-    with no empty body value (see :func:`_fold`).
-    """
-    atoms = clause.body
-    if len(atoms) > 1 and atoms[0].pred not in comp and any(a.pred in comp for a in atoms[1:]):
-        return [clause.rows, atoms[1:], values[atoms[0].pred]]
-    return [clause.rows, atoms, None]
-
-
-def _fold(form: lincon._Prepared, first: Polyhedron) -> lincon._Prepared | None:
-    """``lincon._fold`` of the first body atom's value into prepared rows;
-    None when the value or the fold is empty, which no build can change."""
-    if first.is_empty:
-        return None
-    return lincon._fold(form, first.rows)
-
-
 def analyze(
     program: Program, thresholds: ThresholdSet | None = None
 ) -> tuple[AbstractModel, AnalysisStats]:
@@ -190,51 +165,50 @@ def analyze(
     update_count = {p: 0 for p in preds}
     passes = updates = widenings = 0
 
-    # One (body values, contribution) entry per clause: a contribution is
-    # rebuilt only when one of its body polyhedra changed.  Canonical forms
-    # are unique, so comparing them with == is exact.
-    built = {p: [None] * len(cs) for p, cs in clauses_of.items()}
-    # Per predicate, the operands of its last evaluation that left its
-    # value unchanged.  The join is a function of its operands, so the same
-    # operands again need no join.
-    settled: dict[str, list] = {}
-
-    # Per clause, [prepared rows, the body atoms they take, a final value
-    # still to fold in] (see ``_step``).
-    steps: dict[str, list] = {}
+    # Per predicate, one entry per clause: [prepared rows, the body atoms
+    # they take, a final value still to fold in, the body values of the
+    # last build, the cone it built].  A value is replaced only by a
+    # strictly larger polyhedron, so a contribution is rebuilt exactly when
+    # a body value is not the object it was built from.
+    entries: dict[str, list] = {}
     # The cone of each row set that a contribution's step eliminated to.
     cones: dict = {}
 
     def contributions(pred: str) -> list:
         out = []
-        for k, step in enumerate(steps[pred]):
-            form, atoms, first = step
-            body = tuple(values[atom.pred] for atom in atoms)
-            entry = built[pred][k]
-            if entry is None or entry[0] != body:
+        for entry in entries[pred]:
+            form, atoms, first, last, cone = entry
+            body = [values[atom.pred] for atom in atoms]
+            if last is None or any(v is not w for v, w in zip(body, last)):
                 if first is not None and not any(poly.is_empty for poly in body):
-                    form = step[0] = _fold(form, first)
-                    step[2] = None
-                made = None if form is None else contribution(form, dims[pred], body, cones)
-                entry = built[pred][k] = (body, made)
-            out.append(entry[1])
+                    # An empty value or fold ends the clause's contributions.
+                    form = entry[0] = None if first.is_empty else lincon._fold(form, first.rows)
+                    entry[2] = None
+                cone = None if form is None else contribution(form, dims[pred], body, cones)
+                entry[3:] = body, cone
+            out.append(cone)
         return out
 
     for comp in _walk(program, preds)[0]:
         members = sorted(comp, key=order.__getitem__)
         cyclic = len(members) > 1 or any(p in succs[p] for p in members)
         for p in members:
-            steps[p] = [_step(clause, comp, values) for clause in clauses_of[p]]
+            entries[p] = []
+            for clause in clauses_of[p]:
+                # A first body atom an earlier component settled has its
+                # final value.  When a later atom can still grow, that value
+                # is left to fold into the prepared rows once, at the first
+                # build with no empty body value (``lincon._fold``).
+                atoms, first = clause.body, None
+                if atoms and atoms[0].pred not in comp and any(a.pred in comp for a in atoms[1:]):
+                    atoms, first = atoms[1:], values[atoms[0].pred]
+                entries[p].append([clause.rows, atoms, first, None, None])
         for _ in range(_MAX_PASSES):
             passes += 1
             changed = False
             for p in members:
-                operands = [values[p]] + contributions(p)
-                if settled.get(p) == operands:
-                    continue
-                grown = values[p].join(operands[1:])
+                grown = values[p].join(contributions(p))
                 if grown is values[p]:
-                    settled[p] = operands
                     continue
                 update_count[p] += 1
                 if cyclic and update_count[p] > _WIDEN_DELAY:

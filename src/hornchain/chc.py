@@ -410,6 +410,8 @@ class Program(_Value):
             succs[c.head.pred].update(dict.fromkeys(b.pred for b in c.body))
             if any(b.pred == FALSE_PRED for b in c.body):
                 raise ChcError(f"{FALSE_PRED} must not appear in a clause body")
+            if c.head.pred == FALSE_PRED and c.head.args:
+                raise ArityError(f"predicate {FALSE_PRED} takes no arguments, not {c.head.arity}")
             if len(set(c.head.args)) != len(c.head.args):
                 raise ChcError(f"head arguments of {c.head.pred} are not distinct")
         object.__setattr__(self, "arities", arities)

@@ -61,9 +61,8 @@ _UNFOLD_BUDGET = 100_000
 # summary keeps the constraint's own rows over all of its variables instead:
 # every decision projects a summary again, so rows whose projection onto
 # the atom arguments is exact will do.  ``_UNSAT``, the ground row
-# ``-1 >= 0``, stands for an unsatisfiable constraint, and None for a
-# summary that is never read.
-Summary = tuple[tuple[str, ...], tuple[tuple[tuple[int, ...], Rel], ...]] | None
+# ``-1 >= 0``, stands for an unsatisfiable constraint.
+Summary = tuple[tuple[str, ...], tuple[tuple[tuple[int, ...], Rel], ...]]
 _UNSAT: Summary = ((), (((-1,), Rel.GE),))
 
 
@@ -155,6 +154,8 @@ class _Flight:
     clause's ``Clause.vars()``, all ordered, or, for a clause made by
     unfolding, the first ``len(names)`` canonical names, its atom arguments
     ordered.  ``clause`` is the input clause, or the clause once built.
+    ``summary`` is the clause's summary: the one the unfolding that made
+    the flight gave it, else the built clause's, made when first read.
     """
 
     def __init__(
@@ -167,6 +168,7 @@ class _Flight:
         names: tuple[str, ...],
         ordered: int,
         clause: Clause | None = None,
+        summary: Summary | None = None,
     ) -> None:
         self.head = head
         self.body = body
@@ -176,6 +178,7 @@ class _Flight:
         self.names = names
         self.ordered = ordered
         self.clause = clause
+        self._summary = summary
 
     @staticmethod
     def of(clause: Clause) -> "_Flight":
@@ -197,6 +200,12 @@ class _Flight:
         conjunct in name order, as its sorted terms give them."""
         k, first = self.ordered, self.first
         return self.names[:k] + tuple(sorted(self.names[k:], key=lambda v: (first[v], v)))
+
+    @property
+    def summary(self) -> Summary:
+        if self._summary is None:
+            self._summary = _summary(self.built())
+        return self._summary
 
     def built(self) -> Clause:
         if self.clause is None:
@@ -228,18 +237,16 @@ def _standardize_apart(names: Iterable[str], taken: set[str]) -> dict[str, str]:
     return mapping
 
 
-def _unfold_with_defs(
-    clause: _Flight, summary: Summary, at: int, defs: Sequence[tuple[_Flight, Summary]]
-) -> list[tuple[_Flight, Summary]]:
-    """Replace the body atom at position ``at`` by each of its definitions.
+def _unfold_with_defs(clause: _Flight, at: int, defs: Sequence[_Flight]) -> list[_Flight]:
+    """Replace the body atom at position ``at`` by each of its definitions,
+    one flight per satisfiable unfolding.
 
-    ``defs`` pairs each definition with its summary, and so does the result
-    for each satisfiable unfolding.  Standardized apart, the clause and a
-    definition share only the call's arguments, which are atom arguments of
-    both.  So existential quantification over every other variable
-    distributes over the conjunction: the summary of the unfolding is the
-    projection of the two summaries onto its own atom arguments, and it is
-    ``_UNSAT`` exactly when the unfolding is unsatisfiable.
+    Standardized apart, the clause and a definition share only the call's
+    arguments, which are atom arguments of both.  So existential
+    quantification over every other variable distributes over the
+    conjunction: the summary of the unfolding is the projection of the two
+    summaries onto its own atom arguments, and it is ``_UNSAT`` exactly
+    when the unfolding is unsatisfiable.
 
     An unfolding is named as renaming the clause with the definition's
     constraint conjoined to A, B, C, ... by first occurrence would name it,
@@ -255,8 +262,8 @@ def _unfold_with_defs(
     taken = set(clause.names)
     distinct = len(set(call.args)) == len(call.args)
     offset = clause.size
-    out: list[tuple[_Flight, Summary]] = []
-    for d, d_summary in defs:
+    out: list[_Flight] = []
+    for d in defs:
         # Bind the fresh head parameters to the call's arguments; head
         # parameters are pairwise distinct, so the binding is a renaming too.
         mapping = _standardize_apart(d.order, taken)
@@ -267,8 +274,8 @@ def _unfold_with_defs(
             + clause.body[at + 1 :]
         )
         keep = _atom_args(clause.head, body)
-        new_summary = _joint(summary, d_summary, mapping, keep)
-        if new_summary is _UNSAT:
+        joint = _joint(clause.summary, d.summary, mapping, keep)
+        if joint is _UNSAT:
             continue
         link, segments, first = mapping, d.segments, d.first
         if not distinct:
@@ -295,7 +302,12 @@ def _unfold_with_defs(
         new_first = {canon[v]: i for v, i in clause.first.items()}
         for v, i in first.items():
             new_first.setdefault(canon[link.get(v, v)], offset + i)
-        unfolded = _Flight(
+        # A capped joint keeps names that the unfolding may have dropped, so
+        # the flight summarizes its built clause when that summary is read.
+        summary = None
+        if set(joint[0]) <= keep:
+            summary = (tuple([canon[v] for v in joint[0]]), joint[1])
+        out.append(_Flight(
             clause.head.rename(canon),
             tuple([b.rename(canon) for b in body]),
             tuple(
@@ -306,13 +318,8 @@ def _unfold_with_defs(
             offset + d.size,
             names,
             ordered,
-        )
-        if set(new_summary[0]) <= keep:
-            new_summary = (tuple([canon[v] for v in new_summary[0]]), new_summary[1])
-        else:
-            # A capped joint keeps names that the unfolding may have dropped.
-            new_summary = _summary(unfolded.built())
-        out.append((unfolded, new_summary))
+            summary=summary,
+        ))
     return out
 
 
@@ -329,9 +336,8 @@ def unfold_clause(program: Program, clause: Clause, at: int) -> Program:
         raise ChcError("clause to unfold is not part of the program") from None
     if not 0 <= at < len(clause.body):
         raise ChcError(f"clause has no body atom at position {at}")
-    defs = [(_Flight.of(d), _summary(d)) for d in program.clauses_for(clause.body[at].pred)]
-    unfolded = _unfold_with_defs(_Flight.of(clause), _summary(clause), at, defs)
-    reps = tuple([f.built() for f, _ in unfolded])
+    defs = [_Flight.of(d) for d in program.clauses_for(clause.body[at].pred)]
+    reps = tuple([f.built() for f in _unfold_with_defs(_Flight.of(clause), at, defs)])
     return Program(program.clauses[:idx] + reps + program.clauses[idx + 1 :])
 
 
@@ -355,52 +361,35 @@ def unfold_forward(program: Program, goal_pred: str = FALSE_PRED) -> Program:
     current definitions of its predicate.  Definitions unreachable from the
     goal are discarded before and after.
 
-    Each clause carries its summary, the exact projection of its constraint
-    onto the arguments of its atoms, and each unfolding is decided by one
-    small projection of two summaries, which is also the new clause's
-    summary (see :func:`_unfold_with_defs`).  So the accumulated constraint
-    is never decided again, and it is not even built while the unfolding
-    runs: an input clause takes flight (:class:`_Flight`) when an unfolding
-    first reads it, a clause made by unfolding stays in flight, and only
+    Each clause is in flight (:class:`_Flight`) and carries its summary,
+    the exact projection of its constraint onto the arguments of its atoms,
+    made when first read.  Each unfolding is decided by one small
+    projection of two summaries, which is also the new clause's summary
+    (see :func:`_unfold_with_defs`).  So the accumulated constraint is never
+    decided again, and it is not even built while the unfolding runs: only
     the clauses that survive the last discard are built.  They keep the
     constraints of a plain unfolding; only the decision is made on
     summaries.
     """
     program = _drop_unreachable(program, goal_pred)
     targets = backward_targets(program)
-    # Only unfolded clauses and definitions of non-targets have their summary
-    # read, so a target's clause that calls only targets gets none.
-    clauses: list[tuple[Clause | _Flight, Summary]] = [
-        (c, None if {c.head.pred, *(b.pred for b in c.body)} <= targets else _summary(c))
-        for c in program.clauses
-    ]
+    clauses = [_Flight.of(c) for c in program.clauses]
     steps = 0
     i = 0
     while i < len(clauses):
-        c, summary = clauses[i]
+        c = clauses[i]
         at = next((k for k, b in enumerate(c.body) if b.pred not in targets), None)
         if at is None:
             i += 1
             continue
         pred = c.body[at].pred
-        defs = []
-        for k, (d, d_summary) in enumerate(clauses):
-            if d.head.pred == pred:
-                if isinstance(d, Clause):
-                    d = _Flight.of(d)
-                    clauses[k] = (d, d_summary)
-                defs.append((d, d_summary))
-        flight = c if isinstance(c, _Flight) else _Flight.of(c)
-        clauses[i : i + 1] = _unfold_with_defs(flight, summary, at, defs)
+        clauses[i : i + 1] = _unfold_with_defs(c, at, [d for d in clauses if d.head.pred == pred])
         steps += 1
         if steps > _UNFOLD_BUDGET:
             raise ChcError("unfolding exceeded its rewrite budget")
     # The last discard reads the atoms alone.
-    skeleton = [c if isinstance(c, Clause) else Clause(c.head, body=c.body) for c, _ in clauses]
-    seen = _reached(Program(tuple(skeleton)), goal_pred)
-    return Program(tuple([
-        c.built() if isinstance(c, _Flight) else c for c, _ in clauses if c.head.pred in seen
-    ]))
+    seen = _reached(Program(tuple([Clause(c.head, body=c.body) for c in clauses])), goal_pred)
+    return Program(tuple([c.built() for c in clauses if c.head.pred in seen]))
 
 
 # ---------------------------------------------------------------------------

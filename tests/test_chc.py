@@ -23,6 +23,7 @@ import hornchain
 from hornchain.analyzer import AbstractModel, AnalysisStats, Verdict
 from hornchain.chc import (
     FALSE_PRED,
+    ArityError,
     Atom,
     AtomicConstraint,
     ChcError,
@@ -201,6 +202,14 @@ def test_program_compares_by_clauses_and_shows_its_tables():
 def test_program_rejects_a_head_that_repeats_an_argument():
     clause = Clause(Atom("p", ("A", "A")), Constraint(()), ())
     with pytest.raises(ChcError, match="head arguments of p are not distinct"):
+        Program((clause,))
+
+
+def test_program_rejects_false_with_arguments():
+    # ``false`` is 0-ary: a program that gives it arguments is refused, not
+    # only one that mixes its arities.
+    clause = Clause(Atom(FALSE_PRED, ("A",)), Constraint(()), ())
+    with pytest.raises(ArityError, match="false takes no arguments, not 1"):
         Program((clause,))
 
 

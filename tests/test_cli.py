@@ -39,6 +39,14 @@ def test_parse_error_reports_position(capsys, tmp_path):
     assert "error:" in err and "line 1" in err
 
 
+def test_false_with_arguments_is_an_error(capsys, tmp_path):
+    f = tmp_path / "false1.chc"
+    f.write_text("false(X) :- X >= 0.\n")
+    assert main(["verify", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "false takes no arguments" in captured.err
+
+
 def test_input_that_is_not_utf8_is_an_error(capsys, tmp_path):
     f = tmp_path / "latin1.chc"
     f.write_bytes(b"\xffp(A) :- A = 1.\n")

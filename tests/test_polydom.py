@@ -523,13 +523,19 @@ def test_every_join_and_widening_of_a_loops_poly_run_matches_the_parent(monkeypa
     # Every join and widening that verifying the seed-0 loops-poly programs
     # makes, made again and against the parent's code.  The widenings read
     # the cones their join pooled, and again their operand's rows alone.
+    # Every evaluation is a join, so a value that does not grow is a join
+    # that returns the old value itself.
     joins, widenings = [], []
+    unchanged = 0
     join, widen = Polyhedron.join, Polyhedron.widen_upto
 
     def recording_join(self, cones):
+        nonlocal unchanged
         cones = list(cones)
         joins.append((self, cones))
-        return join(self, cones)
+        joined = join(self, cones)
+        unchanged += joined is self
+        return joined
 
     def recording_widen(self, other, thresholds=()):
         widenings.append((self, other, tuple(thresholds)))
@@ -547,4 +553,4 @@ def test_every_join_and_widening_of_a_loops_poly_run_matches_the_parent(monkeypa
         assert p.widen_upto(other, ts) == want, (p, other, ts)
         assert p.widen_upto(Polyhedron(other.dims, other.rows), ts) == want, (p, other, ts)
     eqs = sum(t.rel is Rel.EQ for _, _, ts in widenings for t in ts)
-    assert (len(joins), len(widenings), eqs) == (302, 81, 156)
+    assert (len(joins), unchanged, len(widenings), eqs) == (490, 286, 81, 156)

@@ -30,6 +30,7 @@ from hornchain.chc import (
     Constraint,
     LinExpr,
     Rel,
+    backward_targets,
     canonical_arg_names,
     print_program,
 )
@@ -266,6 +267,32 @@ def test_unsatisfiable_definition_has_the_unsatisfiable_summary():
     assert len(unfold_forward(p).clauses) == 1
 
 
+def test_only_the_summaries_an_unfolding_reads_are_made(monkeypatch):
+    # p is the target of the loop's backward edge.  Unfolding q into p's
+    # first clause reads that clause's summary and q's definition's, and
+    # the joint is the new clause's own.  p's loop clause calls only
+    # targets, and so does the goal clause: neither is ever unfolded, so
+    # neither is summarized.
+    p = parse_program(
+        "q(A) :- A = 0.\n"
+        "p(A) :- q(A).\n"
+        "p(B) :- p(A), B = A + 1.\n"
+        "false :- p(A), A < 0.\n"
+    )
+    summarized = []
+    summary = transform._summary
+
+    def recording(clause):
+        summarized.append(clause)
+        return summary(clause)
+
+    monkeypatch.setattr(transform, "_summary", recording)
+    out = unfold_forward(p)
+    assert backward_targets(p) == {"p"}
+    assert summarized == [p.clauses[1], p.clauses[0]]
+    assert print_program(out) == "p(A) :- A=0.\np(A) :- A=B+1, p(B).\nfalse :- A<0, p(A).\n"
+
+
 def test_repeated_call_argument_merges_summary_columns():
     # Bound to p(X,X), ``A >= B + 1`` becomes the ground ``0 >= 1`` and
     # ``A - B >= 0`` the ground ``0 >= 0``, and ``2*A = B + 4`` pins X to 4:
@@ -307,13 +334,15 @@ def test_cfg_chain_front_half_counts():
     # The seed-0 cfg-chain programs, verified as bench/run.py verifies them.
     # Unfolding builds the conjuncts of the clauses that survive its last
     # discard only (10,380 when every unfolding renamed its whole
-    # constraint), each of the 446 input summaries is a Gauss-Jordan pass
+    # constraint), each of the 428 input summaries is a Gauss-Jordan pass
     # without a projection (856 projections before, 410 now), and one
     # back-substitution per pass takes split's _reduce calls from 4,378 to
-    # 2,268.  An unfolding summarized again, or a target's clause given a
-    # summary, shows up in the first three counts.
+    # 2,268.  A summary is made when first read: 18 clauses whose call has
+    # no definition left are dropped unread (446 when made up front).  An
+    # unfolding summarized again, or a summary made that no unfolding
+    # reads, shows up in the first three counts.
     assert workcounts.cfg_chain_front_half() == {
-        "summaries": 446,
+        "summaries": 428,
         "unfold projections": 410,
         "unfold conjuncts": 1282,
         "split reductions": 2268,

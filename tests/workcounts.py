@@ -137,8 +137,9 @@ def _verify(workload: str) -> None:
 
 def loops_poly() -> dict[str, int]:
     """The row kernel's consequence steps, folds, double descriptions and
-    row work on loops-poly.  ``top steps`` counts the prepared forms that
-    took their step from no body rows, none of them twice."""
+    row work on loops-poly, and unfolding's summaries.  ``top steps``
+    counts the prepared forms that took their step from no body rows, none
+    of them twice."""
     with counting() as w:
         _verify("loops-poly")
     if len({id(form) for form in w.tops}) != len(w.tops):
@@ -147,7 +148,8 @@ def loops_poly() -> dict[str, int]:
             "contribution steps", "_fold", "dead folds", "harvest top-fact steps",
             "harvest top-fact projections", "_dual", "rows from generators", "_reduce", "_key",
             "_table", "_normal_form")
-    return {"top steps": len(w.tops)} | {k: w.n[k] for k in keys}
+    summaries = w.n["unfold_forward", "_summary"]
+    return {"top steps": len(w.tops)} | {k: w.n[k] for k in keys} | {"summaries": summaries}
 
 
 def cfg_chain_front_half() -> dict[str, int]:

@@ -184,11 +184,7 @@ class _Flight:
     def of(clause: Clause) -> "_Flight":
         conjuncts = clause.constr.conjuncts
         segments, first = _own_segments(conjuncts)
-        # ``Clause.vars()``: a key keeps its first position.
-        names = dict.fromkeys(clause.head.args)
-        for b in clause.body:
-            names.update(dict.fromkeys(b.args))
-        names = tuple({**names, **first})
+        names = clause.vars()
         return _Flight(
             clause.head, clause.body, segments, first, len(conjuncts), names, len(names), clause
         )

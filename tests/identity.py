@@ -1,16 +1,20 @@
 """Identity digests: one short hash per program of all that the pipeline prints.
 
-The set is the benchmark's three workloads at seeds 0 and 1 and
-``randprog.random_program(random.Random(i))`` for ``i`` in 0-299.  Each
-program's digest is the first 16 hex digits of a sha256 over its verdict,
-``format_model``, ``repr(AnalysisStats)``, goal, the full threshold set
+The set is the benchmark's three workloads at seeds 0 and 1,
+``randprog.random_program(random.Random(i))`` for ``i`` in 0-299, and each
+tests/fixtures/*.chc file under each command the CLI runs on a file, named
+``fixture/<file>/<command>``: ``verify`` runs the default pipeline,
+``unfold``, ``qa`` and ``split`` that stage alone, and ``thresholds`` no
+stage, so the result holds what the command prints.  Each run's digest is
+the first 16 hex digits of a sha256 over its verdict, ``format_model``,
+``repr(AnalysisStats)``, goal, the full threshold set
 (``format_thresholds``) and ``print_program`` of every stage, so a change
 that keeps all of them keeps every digest.  tests/fixtures/identity.json
 holds the committed digests; tests/test_analyzer.py recomputes a slice.
 
 From the repository root, ``python3 tests/identity.py`` rewrites the file,
 and ``python3 tests/identity.py --check`` recomputes the whole set, names
-every program whose digest moved and exits 1 if any did.  The whole set
+every entry whose digest moved and exits 1 if any did.  The whole set
 takes a few seconds.
 """
 
@@ -33,12 +37,21 @@ from randprog import random_program
 from hornchain.analyzer import format_model
 from hornchain.chc import print_program
 from hornchain.parser import parse_program
-from hornchain.pipeline import PipelineResult, run_pipeline
+from hornchain.pipeline import PipelineConfig, PipelineResult, run_pipeline
 from hornchain.thresholds import format_thresholds
 
-FILE = Path(__file__).parent / "fixtures" / "identity.json"
+FIXTURES = Path(__file__).parent / "fixtures"
+FILE = FIXTURES / "identity.json"
 SEEDS = (0, 1)
 DRAWS = 300
+# Each CLI command on a file, as the pipeline run whose result holds what it prints.
+COMMANDS = {
+    "verify": PipelineConfig(),
+    "unfold": PipelineConfig(raf=False, qa=False, split=False),
+    "qa": PipelineConfig(raf=False, unfold=False, split=False),
+    "split": PipelineConfig(raf=False, unfold=False, qa=False),
+    "thresholds": PipelineConfig(raf=False, unfold=False, qa=False, split=False),
+}
 
 
 def workload_name(seed: int, case: str) -> str:
@@ -49,14 +62,23 @@ def draw_name(i: int) -> str:
     return f"random/{i}"
 
 
+def fixture_runs():
+    """Each fixture file under each command, as ``(name, program, config)``;
+    each run parses its file afresh, as the command does."""
+    for path in sorted(FIXTURES.glob("*.chc")):
+        for command, config in COMMANDS.items():
+            yield f"fixture/{path.name}/{command}", parse_program(path.read_text()), config
+
+
 def programs():
-    """Each program of the set as ``(name, program)``."""
+    """Each run of the set as ``(name, program, config)``."""
     for workload in gen.SIZES:
         for seed in SEEDS:
             for case, _ in gen.instance(workload, seed):
-                yield workload_name(seed, case.name), parse_program(case.text())
+                yield workload_name(seed, case.name), parse_program(case.text()), PipelineConfig()
     for i in range(DRAWS):
-        yield draw_name(i), random_program(random.Random(i))
+        yield draw_name(i), random_program(random.Random(i)), PipelineConfig()
+    yield from fixture_runs()
 
 
 def digest(result: PipelineResult) -> str:
@@ -80,7 +102,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true",
                         help="compare with the committed file instead of rewriting it")
-    got = {name: digest(run_pipeline(program)) for name, program in programs()}
+    got = {name: digest(run_pipeline(program, config)) for name, program, config in programs()}
     if not parser.parse_args().check:
         FILE.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
         return 0
